@@ -14,7 +14,6 @@ from .complier import (
     abadie_beta,
     centered_interacted_2sls,
     complier_mean,
-    first_stage_complier_share,
     fit_propensity,
     kappa_weights,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "dgp_a",
     "dgp_b",
     "dgp_c",
-    "first_stage_complier_share",
     "fit_propensity",
     "from_cells",
     "generalized_additive_2sls",

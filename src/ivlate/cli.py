@@ -1,8 +1,9 @@
 """Command-line front door: estimate on a CSV, simulate a design, stratify.
 
-Input data is a UTF-8 CSV with header ``y,d,z,x1,...,xm``. Reports are
-JSON (floats at 17 significant digits) or CSV; identical configuration
-and seed produce byte-identical output files.
+Input data is a UTF-8 CSV (a leading byte-order mark is accepted) with
+header ``y,d,z,x1,...,xm``. Reports are JSON (floats at 17 significant
+digits) or CSV; identical configuration and seed produce byte-identical
+output files.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 estimation failure.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 
 import numpy as np
@@ -49,7 +51,7 @@ def ingest_csv(path: str, add_constant: bool = True) -> Dataset:
     False. Raises SchemaError for header problems and ValueError (with
     the 1-based data row) for bad cells.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -109,7 +111,7 @@ def _csv_num(value) -> str:
 
 
 def _read_header(path: str) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         return [h.strip() for h in next(csv.reader(handle))]
 
 
@@ -148,8 +150,7 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

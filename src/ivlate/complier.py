@@ -9,7 +9,7 @@ whose leading coefficient targets the local average treatment effect.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -184,32 +184,25 @@ def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> ComplierMeans:
     return ComplierMeans(mu=np.atleast_1d(mu), pc_hat=pc_hat)
 
 
-def first_stage_complier_share(data: Dataset) -> np.ndarray:
-    """Per-unit complier share implied by the interacted first stage.
-
-    Fits lm(D ~ Z*X + X) and returns the coefficient block of Z*X applied
-    to each covariate row, i.e. the fitted gap between the two instrument
-    arms. With categorical covariates this is the exact within-cell
-    first-stage difference.
-    """
-    zx = data.z[:, None] * data.x
-    fit = linalg.least_squares(data.d, np.column_stack([zx, data.x]))
-    return data.x @ fit.coef[: data.k, 0]
-
-
 def centered_interacted_2sls(
     data: Dataset, prop: PropensityFit, centering: str = "first-stage"
 ) -> ScalarEstimate:
     """Interacted 2SLS on covariates centered at their complier means.
 
-    The non-constant columns are shifted by estimated complier means and
-    the first coefficient of the resulting interacted fit is the LATE
-    estimate. ``centering`` selects the complier-mean estimator:
+    Shifting the non-constant columns by complier means mu maps x to xG
+    with G unit upper-triangular, and the interacted fit is equivariant
+    under invertible column transformations, so the leading coefficient
+    of the centered fit equals ``beta[0] + mu @ beta[1:]`` of the
+    uncentered fit. That value is the LATE estimate and is computed from
+    a single uncentered fit. ``centering`` selects the complier-mean
+    estimator:
 
     * "first-stage": method-of-moments weights from the interacted first
-      stage, mu_k = sum_i share_i x_ik / sum_i share_i. The default; its
-      weights are smooth functions of the covariates, which keeps the
-      estimate stable when some propensities are extreme.
+      stage, mu_k = sum_i share_i x_ik / sum_i share_i, where
+      share = X c1[0] is the fitted instrument-arm gap of D (the first
+      stage's response D X_0 is D). The default; its weights are smooth
+      functions of the covariates, which keeps the estimate stable when
+      some propensities are extreme.
     * "kappa": the kappa-weighted means from ``complier_mean``.
 
     Either way the complier share implied by the kappa weights must clear
@@ -218,21 +211,18 @@ def centered_interacted_2sls(
     if not data.has_constant:
         raise ValueError("centered_interacted_2sls requires a dataset with a constant column")
     means = complier_mean(data, prop, range(1, data.k))
+    if centering not in ("first-stage", "kappa"):
+        raise ValueError(f"unknown centering {centering!r}")
+    fit = interacted_2sls(data)
     if centering == "kappa":
         mu = means.mu
-    elif centering == "first-stage":
-        share = first_stage_complier_share(data)
+    else:
+        share = data.x @ fit.c1[0]
         total = share.sum()
         if total <= 0.0:
             raise NoCompliersError("first-stage complier share sums to a non-positive value")
-        mu = (share @ data.x[:, 1:]) / total if data.k > 1 else np.empty(0)
-    else:
-        raise ValueError(f"unknown centering {centering!r}")
-    x0 = data.x.copy()
-    if data.k > 1:
-        x0[:, 1:] -= mu
-    fit = interacted_2sls(replace(data, x=x0))
-    return ScalarEstimate(value=float(fit.beta[0]), label="xx")
+        mu = (share @ data.x[:, 1:]) / total
+    return ScalarEstimate(value=float(fit.beta[0] + mu @ fit.beta[1:]), label="xx")
 
 
 def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:

@@ -219,20 +219,37 @@ def stratum_wald(data: Dataset, stratum_labels) -> list[ScalarEstimate]:
     labels = np.asarray(stratum_labels)
     if labels.shape != (data.n,):
         raise ValueError("stratum_labels must have one entry per unit")
+    levels, codes = np.unique(labels, return_inverse=True)
+    single_arm, d_diff, y_diff = _arm_moments(data, codes.reshape(-1), levels.size)
     estimates = []
-    for level in np.unique(labels):
-        mask = labels == level
-        z = data.z[mask]
-        if z.min() == z.max():
+    for j, level in enumerate(levels):
+        if single_arm[j]:
             raise DegenerateStratumError(f"stratum {level!r} contains a single instrument arm")
-        arm1 = mask & (data.z == 1.0)
-        arm0 = mask & (data.z == 0.0)
-        d_diff = data.d[arm1].mean() - data.d[arm0].mean()
-        if d_diff == 0.0:
+        if d_diff[j] == 0.0:
             raise DegenerateStratumError(f"stratum {level!r} has zero first-stage difference")
-        y_diff = data.y[arm1].mean() - data.y[arm0].mean()
-        estimates.append(ScalarEstimate(value=float(y_diff / d_diff), label="wald"))
+        estimates.append(ScalarEstimate(value=float(y_diff[j] / d_diff[j]), label="wald"))
     return estimates
+
+
+def _arm_moments(data: Dataset, codes: np.ndarray, m: int):
+    """Per-stratum instrument-arm gaps of the treatment and outcome means.
+
+    ``codes`` assigns each unit a stratum in 0..m-1. Returns
+    (single_arm, d_diff, y_diff): whether each stratum lacks an
+    instrument arm, and mean(. | Z=1) - mean(. | Z=0) of D and of Y
+    within each stratum (NaN where an arm is empty). The treatment sums
+    are exact integer counts.
+    """
+    arm1 = data.z == 1.0
+    c1, c0 = codes[arm1], codes[~arm1]
+    n1 = np.bincount(c1, minlength=m)
+    n0 = np.bincount(c0, minlength=m)
+
+    def gap(v: np.ndarray) -> np.ndarray:
+        return np.bincount(c1, v[arm1], m) / n1 - np.bincount(c0, v[~arm1], m) / n0
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (n1 == 0) | (n0 == 0), gap(data.d), gap(data.y)
 
 
 def _require_constant(data: Dataset, op: str) -> None:

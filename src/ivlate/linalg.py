@@ -35,8 +35,6 @@ class LsFit:
         ``regressors @ coef``.
     residuals : ndarray, shape (n, p)
         ``responses - fitted``; orthogonal to the design columns.
-    rank_ok : bool
-        True on every returned fit; rank failures raise instead.
     condition_estimate : float
         Ratio of the largest to the smallest QR pivot, a cheap condition
         number proxy.
@@ -45,7 +43,6 @@ class LsFit:
     coef: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
-    rank_ok: bool
     condition_estimate: float
 
 
@@ -105,7 +102,6 @@ def least_squares(responses, regressors) -> LsFit:
         coef=coef,
         fitted=fitted,
         residuals=y - fitted,
-        rank_ok=True,
         condition_estimate=float(diag[0] / diag[-1]),
     )
 

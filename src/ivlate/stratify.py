@@ -1,22 +1,23 @@
 """Propensity-score stratification.
 
 Units are binned on the estimated instrument propensity score at
-empirical quantiles ("equal-sized bins"); the bins become categorical
-covariates for the interacted 2SLS. Bins that end up empty, single-armed,
-or without first-stage variation are merged into their lower neighbor
-(the first bin merges upward) until every stratum is usable, so a
-requested count is an upper bound on the delivered count.
+empirical quantiles ("equal-sized bins"); the bins act as a categorical
+covariate, on which the interacted 2SLS collapses to per-stratum Wald
+ratios. Bins that end up empty, single-armed, or without first-stage
+variation are merged into their lower neighbor (the first bin merges
+upward) until every stratum is usable, so a requested count is an upper
+bound on the delivered count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .complier import PropensityFit, centered_interacted_2sls, fit_propensity
-from .errors import UnpartitionableError
-from .estimators import Dataset, interacted_2sls
+from .complier import PC_FLOOR, PropensityFit
+from .errors import NoCompliersError, UnpartitionableError
+from .estimators import Dataset, _arm_moments
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
     split) and a unit exactly on a cutpoint joins the lower stratum.
     When ``z`` (and optionally ``d``) are given, a stratum is only valid
     if it contains both instrument arms (and a nonzero first-stage
-    difference); invalid strata trigger merging.
+    difference); invalid strata trigger merging. ``z`` and ``d`` must be
+    binary with one entry per unit.
 
     Raises UnpartitionableError when even the fully merged single
     stratum is invalid.
@@ -68,68 +70,79 @@ def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
         raise ValueError("propensity scores must be finite and within [0, 1]")
     z = None if z is None else np.asarray(z, dtype=float).reshape(-1)
     d = None if d is None else np.asarray(d, dtype=float).reshape(-1)
+    for name, v in (("z", z), ("d", d)):
+        if v is not None and (v.shape != (n,) or not np.all((v == 0.0) | (v == 1.0))):
+            raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
     cuts = np.quantile(e, np.arange(1, k) / k) if k > 1 else np.empty(0)
     bins = np.searchsorted(cuts, e, side="left")
 
-    def valid(members: list[int]) -> bool:
-        mask = np.isin(bins, members)
-        if not mask.any():
+    # Per-bin tallies: units, Z = 1 units, treated Z = 1 units, treated
+    # Z = 0 units. A group of adjacent bins [lo, hi) sums a slice; the
+    # tallies are integers, so every validity decision is exact.
+    arm1 = np.zeros(n, dtype=bool) if z is None else z == 1.0
+    treated = np.zeros(n, dtype=bool) if d is None else d == 1.0
+    tallies = np.stack(
+        [np.bincount(bins[mask], minlength=k)
+         for mask in (np.ones(n, dtype=bool), arm1, treated & arm1, treated & ~arm1)]
+    )
+
+    def valid(lo: int, hi: int) -> bool:
+        units, units1, treated1, treated0 = tallies[:, lo:hi].sum(axis=1)
+        if units == 0:
             return False
         if z is not None:
-            zs = z[mask]
-            if zs.min() == zs.max():
+            if units1 in (0, units):
                 return False
-            if d is not None:
-                d_diff = d[mask & (z == 1.0)].mean() - d[mask & (z == 0.0)].mean()
-                if d_diff == 0.0:
-                    return False
+            if d is not None and treated1 / units1 - treated0 / (units - units1) == 0.0:
+                return False
         return True
 
-    groups: list[list[int]] = [[j] for j in range(k)]
+    groups = [(j, j + 1) for j in range(k)]
     while True:
-        bad = next((g for g, members in enumerate(groups) if not valid(members)), None)
+        bad = next((g for g, (lo, hi) in enumerate(groups) if not valid(lo, hi)), None)
         if bad is None:
             break
         if len(groups) == 1:
             raise UnpartitionableError("no valid propensity stratification exists")
-        if bad == 0:
-            groups[1] = groups[0] + groups[1]
-            del groups[0]
-        else:
-            groups[bad - 1] = groups[bad - 1] + groups[bad]
-            del groups[bad]
+        # Merge into the lower neighbor; the first group merges upward.
+        g = max(bad, 1)
+        groups[g - 1 : g + 1] = [(groups[g - 1][0], groups[g][1])]
 
-    final_k = len(groups)
-    labels = np.empty(n, dtype=int)
-    for idx, members in enumerate(groups):
-        labels[np.isin(bins, members)] = idx + 1
-    boundaries = np.array([cuts[groups[g][-1]] for g in range(final_k - 1)])
-    counts = np.bincount(labels, minlength=final_k + 1)[1:]
+    label_of_bin = np.empty(k, dtype=int)
+    for idx, (lo, hi) in enumerate(groups):
+        label_of_bin[lo:hi] = idx + 1
+    boundaries = cuts[[hi - 1 for _, hi in groups[:-1]]]
+    counts = np.add.reduceat(tallies[0], [lo for lo, _ in groups])
     return StratumPartition(
-        k=final_k, boundaries=boundaries, labels=labels, counts=counts, merged_from=k
+        k=len(groups),
+        boundaries=boundaries,
+        labels=label_of_bin[bins],
+        counts=counts,
+        merged_from=k,
     )
 
 
 def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedResult:
-    """LATE and per-stratum effects from an interacted fit on stratum dummies.
+    """LATE and per-stratum effects from per-stratum instrument-arm means.
 
-    The overall estimate comes from the centered interacted 2SLS with the
-    strata as covariates and a saturated propensity on the stratum labels
-    for the complier means. The per-stratum effects come from the
-    interacted fit on the full dummy basis without a constant.
+    On the saturated basis of stratum dummies the interacted 2SLS
+    coefficients are the stratum Wald ratios, beta_star_j = dy_j / dd_j,
+    where dy_j and dd_j are the Z = 1 minus Z = 0 gaps of mean Y and
+    mean D in stratum j. The centered interacted fit with a saturated
+    propensity averages them with complier-share weights n_j dd_j, so
+    tau_star = sum_j n_j dy_j / sum_j n_j dd_j. The kappa complier share
+    under a saturated propensity is sum_j n_j dd_j / n, and
+    NoCompliersError is raised when it does not exceed PC_FLOOR.
     """
     partition = partition_by_propensity(prop.ehat, k, z=data.z, d=data.d)
-    dummies = (partition.labels[:, None] == np.arange(1, partition.k + 1)).astype(float)
-
-    x_hat = np.column_stack([np.ones(data.n), dummies[:, 1:]])
-    data_hat = replace(data, x=x_hat, has_constant=True)
-    saturated = fit_propensity(data_hat, "saturated")
-    tau_star = centered_interacted_2sls(data_hat, saturated).value
-
-    data_tilde = replace(data, x=dummies, has_constant=False)
-    beta_star = interacted_2sls(data_tilde).beta
-    return StratifiedResult(tau_star=tau_star, beta_star=beta_star, partition=partition)
+    _, d_diff, y_diff = _arm_moments(data, partition.labels - 1, partition.k)
+    complier_mass = partition.counts @ d_diff
+    pc_hat = complier_mass / data.n
+    if pc_hat <= PC_FLOOR:
+        raise NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
+    tau_star = float(partition.counts @ y_diff / complier_mass)
+    return StratifiedResult(tau_star=tau_star, beta_star=y_diff / d_diff, partition=partition)
 
 
 def regressogram(data: Dataset, prop: PropensityFit, k: int) -> list[tuple[float, float, float]]:

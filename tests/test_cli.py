@@ -171,6 +171,28 @@ def test_estimate_csv_format(tmp_path):
     assert lines[1].startswith("++,")
 
 
+def test_report_with_control_character_in_input_path_is_valid_json(tmp_path):
+    path = export_design_a(tmp_path / "tab\there.csv", n=200, seed=6)
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--input", path, "--estimators", "++", "--b", "20",
+                 "--seed", "1", "--output", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["config"]["input"] == path
+
+
+def test_csv_with_byte_order_mark_matches_plain_file(tmp_path):
+    plain = export_design_a(tmp_path / "plain.csv", n=200, seed=7)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    reports = []
+    for path, out in ((plain, tmp_path / "p.json"), (str(bom), tmp_path / "b.json")):
+        assert main(["estimate", "--input", path, "--estimators", "++,xx", "--b", "20",
+                     "--seed", "1", "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    assert reports[1]["results"] == reports[0]["results"]
+    assert reports[1]["config"]["columns"][0] == "y"
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from ivlate.complier import (
     abadie_beta,
     centered_interacted_2sls,
     complier_mean,
-    first_stage_complier_share,
     fit_propensity,
     kappa_weights,
 )
@@ -236,7 +235,7 @@ def test_centering_invariant_to_covariate_shifts():
 
 def test_first_stage_share_is_exact_on_saturated_design():
     data, _ = generate(dgp_a(), 20_000, seed=56)
-    share = first_stage_complier_share(data)
+    share = data.x @ interacted_2sls(data).c1[0]
     for value in (0.0, 1.0):
         mask = data.x[:, 1] == value
         arm1 = mask & (data.z == 1.0)
