@@ -15,7 +15,10 @@ import argparse
 import csv
 import io
 import json
+import math
+import operator
 import sys
+from array import array
 
 import numpy as np
 
@@ -28,8 +31,8 @@ from .errors import (
     UnpartitionableError,
 )
 from .estimators import Dataset
-from .inference import bootstrap
-from .montecarlo import named_dgp, pipeline_for, run_study
+from .inference import bootstrap, bootstrap_tags
+from .montecarlo import evaluate_tags, named_dgp, pipeline_for, run_study
 from .stratify import stratified_late
 
 _EXIT_OK = 0
@@ -72,32 +75,29 @@ def ingest_csv(path: str, add_constant: bool = True) -> Dataset:
     if not x_names and not add_constant:
         raise SchemaError("no covariate columns and no constant requested")
 
-    index = {name: names.index(name) for name in names}
     n = len(rows)
     if n == 0:
         raise SchemaError("file contains a header but no data rows")
-    y = np.empty(n)
-    d = np.empty(n)
-    z = np.empty(n)
-    x = np.empty((n, len(x_names)))
+    pick = operator.itemgetter(*(names.index(name) for name in ("y", "d", "z", *x_names)))
+    values = array("d")
     for i, row in enumerate(rows):
         if len(row) != len(names):
             raise ValueError(f"row {i + 1}: expected {len(names)} fields, got {len(row)}")
         try:
-            y[i] = float(row[index["y"]])
-            d[i] = float(row[index["d"]])
-            z[i] = float(row[index["z"]])
-            for j, name in enumerate(x_names):
-                x[i, j] = float(row[index[name]])
+            cells = list(map(float, pick(row)))
         except ValueError:
             raise ValueError(f"row {i + 1}: non-numeric cell") from None
-        if not (np.isfinite(y[i]) and np.isfinite(x[i]).all()):
+        if not (math.isfinite(cells[0]) and all(map(math.isfinite, cells[3:]))):
             raise ValueError(f"row {i + 1}: non-finite cell")
-        if d[i] not in (0.0, 1.0):
-            raise ValueError(f"row {i + 1}: d must be 0 or 1, got {row[index['d']]!r}")
-        if z[i] not in (0.0, 1.0):
-            raise ValueError(f"row {i + 1}: z must be 0 or 1, got {row[index['z']]!r}")
+        if cells[1] not in (0.0, 1.0):
+            raise ValueError(f"row {i + 1}: d must be 0 or 1, got {pick(row)[1]!r}")
+        if cells[2] not in (0.0, 1.0):
+            raise ValueError(f"row {i + 1}: z must be 0 or 1, got {pick(row)[2]!r}")
+        values.extend(cells)
 
+    table = np.frombuffer(values).reshape(n, 3 + len(x_names))
+    y, d, z = (table[:, j].copy() for j in range(3))
+    x = table[:, 3:].copy()
     if add_constant:
         x = np.column_stack([np.ones(n), x])
     # Schema and cell contents are validated above; size and instrument-arm
@@ -176,11 +176,11 @@ def cmd_estimate(args) -> int:
     columns = _read_header(args.input)
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
 
+    boots = bootstrap_tags(data, evaluate_tags, tags, b=args.b, alpha=args.alpha, seed=args.seed)
     results = []
     failures = {}
     for tag in tags:
-        fn, _ = pipeline_for(tag)
-        boot = bootstrap(data, fn, b=args.b, alpha=args.alpha, seed=args.seed)
+        boot = boots[tag]
         results.append(
             {
                 "estimator": tag,

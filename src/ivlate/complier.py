@@ -125,11 +125,11 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
 
 def _irls_logistic(z, x, max_iter, tol):
     beta = np.zeros(x.shape[1])
+    eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
+    mu = expit(eta)
     dev_prev = np.inf
     converged = False
     for _ in range(max_iter):
-        eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
-        mu = expit(eta)
         w = mu * (1.0 - mu)
         working = eta + (z - mu) / w
         sw = np.sqrt(w)
@@ -141,7 +141,7 @@ def _irls_logistic(z, x, max_iter, tol):
             converged = True
             break
         dev_prev = dev
-    return expit(np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)), beta, converged
+    return mu, beta, converged
 
 
 def _saturated_scores(z, x):

@@ -15,7 +15,7 @@ not of shared code paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,16 +101,26 @@ class TwoSlsFit:
     ``beta`` holds the coefficients of the instrumented treatment block,
     ``gamma`` the second-stage coefficients of the covariates. ``c1`` and
     ``c0`` are the first-stage coefficient blocks on the instrument
-    interactions and on the covariates. ``fwl_design`` is the first-stage
-    fitted block residualized on the covariates; regressing the outcome
-    on it alone reproduces ``beta``.
+    interactions and on the covariates. ``fitted_block`` is the
+    first-stage fitted block and ``controls`` the covariate matrix, both
+    held by reference.
     """
 
     beta: np.ndarray
     gamma: np.ndarray
     c1: np.ndarray
     c0: np.ndarray
-    fwl_design: np.ndarray
+    fitted_block: np.ndarray = field(repr=False, compare=False)
+    controls: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def fwl_design(self) -> np.ndarray:
+        """The first-stage fitted block residualized on the covariates.
+
+        Regressing the outcome on it alone reproduces ``beta``. Computed
+        on access, since no estimator needs it.
+        """
+        return linalg.residualize(self.fitted_block, self.controls)
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,8 @@ def interacted_2sls(data: Dataset) -> TwoSlsFit:
         gamma=second.coef[k:, 0].copy(),
         c1=c1,
         c0=c0,
-        fwl_design=linalg.residualize(first.fitted, data.x),
+        fitted_block=first.fitted,
+        controls=data.x,
     )
 
 

@@ -1,6 +1,7 @@
 """Nonparametric bootstrap over arbitrary estimator pipelines.
 
-Replicates are iid row-resamples with a private random stream keyed by
+Replicates are iid row-resamples, drawn once and shared by every
+estimator bootstrapped together, with a private random stream keyed by
 (seed, replicate), so output depends only on the inputs and never on
 execution order. Replicates that fail an identification condition are
 dropped and counted rather than retried; retrying would bias the
@@ -45,6 +46,8 @@ def bootstrap(
 ) -> BootstrapResult:
     """Bootstrap ``pipeline`` over row-resamples of ``data``.
 
+    The one-pipeline case of ``bootstrap_tags``.
+
     Parameters
     ----------
     data : Dataset
@@ -66,37 +69,76 @@ def bootstrap(
     TooManyFailuresError
         If fewer than half the replicates survive identification checks.
     """
+
+    def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
+        try:
+            return {"": np.atleast_1d(np.asarray(pipeline(sample), dtype=float))}
+        except IdentificationError as exc:
+            return {"": exc}
+
+    return bootstrap_tags(data, evaluate, [""], b=b, alpha=alpha, seed=seed)[""]
+
+
+def bootstrap_tags(
+    data: Dataset,
+    evaluate: Callable[[Dataset, list[str]], dict[str, np.ndarray | IdentificationError]],
+    tags: list[str],
+    b: int = 1000,
+    alpha: float = 0.05,
+    seed: int = 0,
+) -> dict[str, BootstrapResult]:
+    """Bootstrap several estimators over one shared set of row-resamples.
+
+    ``evaluate(sample, tags)`` maps a sample to each tag's estimate, or
+    to the IdentificationError that tag raised on it, so work shared by
+    the tags (such as one propensity fit) happens once per sample. The
+    point estimates come first; replicate r then draws its resample once
+    from the stream (seed, r) and evaluates every tag whose point
+    estimate succeeded. Each tag's result equals a one-tag run.
+
+    Returns one BootstrapResult per tag.
+
+    Raises
+    ------
+    IdentificationError, TooManyFailuresError
+        Checked per tag in the order of ``tags``: the tag's point
+        estimate error first, then fewer than half of its replicates
+        surviving identification checks, reported with the tag's name.
+    """
     if b < 10:
         raise ValueError("bootstrap needs b >= 10 replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    point = np.atleast_1d(np.asarray(pipeline(data), dtype=float))
+    points = evaluate(data, tags)
+    live = [tag for tag in points if not isinstance(points[tag], IdentificationError)]
 
-    draws = []
-    failures = 0
-    for r in range(b):
+    draws: dict[str, list[np.ndarray]] = {tag: [] for tag in live}
+    for r in range(b if live else 0):
         rng = substream(seed, r, RESAMPLE)
         idx = rng.integers(0, data.n, size=data.n)
         sample = replace(data, y=data.y[idx], d=data.d[idx], z=data.z[idx], x=data.x[idx])
-        try:
-            est = np.atleast_1d(np.asarray(pipeline(sample), dtype=float))
-        except IdentificationError:
-            failures += 1
-            continue
-        draws.append(est)
+        for tag, est in evaluate(sample, live).items():
+            if not isinstance(est, IdentificationError):
+                draws[tag].append(est)
 
-    b_effective = len(draws)
-    if b_effective < b / 2:
-        raise TooManyFailuresError(
-            f"only {b_effective} of {b} bootstrap replicates were identified"
+    results = {}
+    for tag in tags:
+        if isinstance(points[tag], IdentificationError):
+            raise points[tag]
+        b_effective = len(draws[tag])
+        if b_effective < b / 2:
+            label = f"estimator {tag}: " if tag else ""
+            raise TooManyFailuresError(
+                f"{label}only {b_effective} of {b} bootstrap replicates were identified"
+            )
+        stacked = np.vstack(draws[tag])
+        results[tag] = BootstrapResult(
+            point=points[tag],
+            se=stacked.std(axis=0, ddof=1),
+            ci_lower=np.quantile(stacked, alpha / 2.0, axis=0),
+            ci_upper=np.quantile(stacked, 1.0 - alpha / 2.0, axis=0),
+            b_effective=b_effective,
+            b_requested=b,
+            seed=seed,
         )
-    stacked = np.vstack(draws)
-    return BootstrapResult(
-        point=point,
-        se=stacked.std(axis=0, ddof=1),
-        ci_lower=np.quantile(stacked, alpha / 2.0, axis=0),
-        ci_upper=np.quantile(stacked, 1.0 - alpha / 2.0, axis=0),
-        b_effective=b_effective,
-        b_requested=b,
-        seed=seed,
-    )
+    return results

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import streams
-from .complier import centered_interacted_2sls, fit_propensity
+from .complier import PropensityFit, centered_interacted_2sls, fit_propensity
 from .errors import (
     IdentificationError,
     InfiniteSupportError,
@@ -513,41 +513,83 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 
 _STRAT_TAG = re.compile(r"^strat-(\d+)$")
 
+# A tag's estimator maps (sample, propensity) to its estimate, where
+# ``propensity()`` returns the sample's logistic propensity fit.
+_Estimator = Callable[[Dataset, Callable[[], PropensityFit]], np.ndarray]
 
-def pipeline_for(tag: str) -> tuple[Callable[[Dataset], np.ndarray], str]:
-    """Resolve an estimator tag to (pipeline, truth kind).
 
-    Tags: "++" (additive), "x+" (interacted-additive), "xx" (centered
-    interacted with a logistic propensity refit), "beta" (interacted
-    coefficient vector), "strat-K" (propensity stratification with K
-    requested strata). Every pipeline re-estimates its propensity scores
-    from the data it receives.
-    """
+def _resolve(tag: str) -> tuple[_Estimator, str]:
+    """Resolve an estimator tag to (estimator, truth kind); see ``pipeline_for``."""
     if tag == "++":
-        return (lambda data: np.array([additive_2sls(data).value]), "tau_c")
+        return (lambda data, prop: np.array([additive_2sls(data).value]), "tau_c")
     if tag == "x+":
-        return (lambda data: np.array([interacted_additive_2sls(data).value]), "tau_c")
+        return (lambda data, prop: np.array([interacted_additive_2sls(data).value]), "tau_c")
     if tag == "xx":
-
-        def run_xx(data: Dataset) -> np.ndarray:
-            prop = fit_propensity(data, "logistic")
-            return np.array([centered_interacted_2sls(data, prop).value])
-
-        return (run_xx, "tau_c")
+        return (lambda data, prop: np.array([centered_interacted_2sls(data, prop()).value]), "tau_c")
     if tag == "beta":
-        return (lambda data: interacted_2sls(data).beta, "beta_c")
+        return (lambda data, prop: interacted_2sls(data).beta, "beta_c")
     match = _STRAT_TAG.match(tag)
     if match:
         strata = int(match.group(1))
         if strata < 1:
             raise ValueError(f"stratum count in {tag!r} must be positive")
-
-        def run_strat(data: Dataset) -> np.ndarray:
-            prop = fit_propensity(data, "logistic")
-            return np.array([stratified_late(data, prop, strata).tau_star])
-
-        return (run_strat, "tau_c")
+        return (lambda data, prop: np.array([stratified_late(data, prop(), strata).tau_star]), "tau_c")
     raise ValueError(f"unknown estimator tag {tag!r}")
+
+
+def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
+    """Evaluate estimator tags on one sample, sharing one propensity fit.
+
+    The logistic propensity is fitted on the first request of a tag that
+    needs it ("xx", "strat-K") and reused by every later one; "++", "x+"
+    and "beta" never fit it. If that fit fails identification, every tag
+    that needs it gets the same error. Returns, per distinct tag, its
+    estimate as a float array or the IdentificationError it raised;
+    other exceptions propagate.
+    """
+    estimators = {tag: _resolve(tag)[0] for tag in tags}
+    shared: list[PropensityFit | IdentificationError] = []
+
+    def propensity() -> PropensityFit:
+        if not shared:
+            try:
+                shared.append(fit_propensity(data, "logistic"))
+            except IdentificationError as exc:
+                shared.append(exc)
+        if isinstance(shared[0], IdentificationError):
+            raise shared[0]
+        return shared[0]
+
+    out: dict[str, np.ndarray | IdentificationError] = {}
+    for tag, estimate in estimators.items():
+        try:
+            out[tag] = np.atleast_1d(np.asarray(estimate(data, propensity), dtype=float))
+        except IdentificationError as exc:
+            out[tag] = exc
+    return out
+
+
+def pipeline_for(tag: str) -> tuple[Callable[[Dataset], np.ndarray], str]:
+    """Resolve an estimator tag to (pipeline, truth kind).
+
+    Tags: "++" (additive), "x+" (interacted-additive), "xx" (centered
+    interacted with a logistic propensity fit), "beta" (interacted
+    coefficient vector), "strat-K" (propensity stratification with K
+    requested strata). The pipeline is ``evaluate_tags`` on one tag: it
+    re-estimates its propensity scores from the data it receives and
+    raises the IdentificationError of a failed sample. To evaluate
+    several tags on one sample with one propensity fit, call
+    ``evaluate_tags`` instead.
+    """
+    _, kind = _resolve(tag)
+
+    def pipeline(data: Dataset) -> np.ndarray:
+        out = evaluate_tags(data, [tag])[tag]
+        if isinstance(out, IdentificationError):
+            raise out
+        return out
+
+    return (pipeline, kind)
 
 
 def study_truth(spec: DgpSpec, kind: str) -> np.ndarray:
@@ -577,25 +619,26 @@ def run_study(
 ) -> McSummary:
     """Replicate the design and summarize estimator bias and spread.
 
-    Replicate r draws from the stream (seed, r); failures of in-sample
-    identification are counted per estimator and excluded from the
-    summaries. With ``keep_estimates`` the per-replicate estimates are
-    retained for plotting or tail checks.
+    Replicate r draws from the stream (seed, r) and evaluates every tag
+    through one ``evaluate_tags`` call, so the propensity is fitted at
+    most once per replicate and shared by the tags that need it.
+    Failures of in-sample identification are counted per estimator and
+    excluded from the summaries. With ``keep_estimates`` the
+    per-replicate estimates are retained for plotting or tail checks.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    resolved = {tag: pipeline_for(tag) for tag in estimators}
-    truth = {tag: study_truth(spec, kind) for tag, (_, kind) in resolved.items()}
+    truth = {tag: study_truth(spec, _resolve(tag)[1]) for tag in estimators}
 
     draws: dict[str, list[np.ndarray]] = {tag: [] for tag in estimators}
     failures = {tag: 0 for tag in estimators}
     for r in range(reps):
         data, _ = generate(spec, n, seed, replicate=r)
-        for tag, (fn, _) in resolved.items():
-            try:
-                draws[tag].append(np.atleast_1d(np.asarray(fn(data), dtype=float)))
-            except IdentificationError:
+        for tag, out in evaluate_tags(data, estimators).items():
+            if isinstance(out, IdentificationError):
                 failures[tag] += 1
+            else:
+                draws[tag].append(out)
 
     bias: dict[str, np.ndarray] = {}
     sd: dict[str, np.ndarray] = {}

@@ -3,9 +3,9 @@ import pytest
 from _helpers import simulate_iv
 
 import ivlate.complier
-from ivlate.errors import RankDeficientError, TooManyFailuresError
+from ivlate.errors import NoCompliersError, RankDeficientError, TooManyFailuresError
 from ivlate.estimators import Dataset
-from ivlate.inference import bootstrap
+from ivlate.inference import bootstrap, bootstrap_tags
 from ivlate.montecarlo import pipeline_for
 
 
@@ -100,3 +100,29 @@ def test_estimator_pipelines_refit_propensity_in_every_replicate(monkeypatch):
     result = bootstrap(data, pipeline, b=25, seed=11)
     # one fit for the point estimate plus one per surviving replicate
     assert calls["n"] == 1 + result.b_effective + (result.b_requested - result.b_effective)
+
+
+def test_multi_tag_errors_are_checked_in_request_order():
+    data = simulate_iv(10, n=80)
+    seen = []
+
+    def evaluate(sample, tags):
+        seen.append(list(tags))
+        out = {}
+        for tag in tags:
+            if tag == "point-fails" and sample is data:
+                out[tag] = NoCompliersError("no compliers in the full sample")
+            elif tag == "resamples-fail" and sample is not data:
+                out[tag] = RankDeficientError("nope")
+            else:
+                out[tag] = np.array([sample.y.mean()])
+        return out
+
+    with pytest.raises(TooManyFailuresError, match="estimator resamples-fail: only 0 of 20"):
+        bootstrap_tags(data, evaluate, ["ok", "resamples-fail", "point-fails"], b=20, seed=1)
+    # A tag whose point estimate failed is not evaluated on the resamples.
+    assert seen[1:] == [["ok", "resamples-fail"]] * 20
+    with pytest.raises(NoCompliersError):
+        bootstrap_tags(data, evaluate, ["ok", "point-fails", "resamples-fail"], b=20, seed=1)
+    results = bootstrap_tags(data, evaluate, ["ok"], b=20, seed=1)
+    assert np.array_equal(results["ok"].se, bootstrap(data, mean_pipeline, b=20, seed=1).se)

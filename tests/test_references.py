@@ -7,22 +7,28 @@ and per-bin counts. The slow implementations those identities replace
 are kept here as references: a column-shifted refit, a dummy design with
 a saturated propensity and a centered fit, and a merge loop that masks
 all units at every check. Random small samples must give the same
-numbers (to 1e-9 relative), partitions, and error classes.
+numbers (to 1e-9 relative), partitions, and error classes. CSV ingestion
+parses rows into Python floats and builds its arrays once; the per-row
+numpy loop it replaces must give identical arrays or the same error on
+random small files.
 """
 
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ivlate import linalg
+from ivlate.cli import ingest_csv
 from ivlate.complier import PC_FLOOR, centered_interacted_2sls, complier_mean, fit_propensity
 from ivlate.errors import (
     IdentificationError,
     NoCompliersError,
     RankDeficientError,
+    SchemaError,
     UnpartitionableError,
 )
 from ivlate.estimators import Dataset, interacted_2sls
@@ -262,3 +268,125 @@ def test_unknown_centering_still_checks_the_floor_first():
     prop = fit_propensity(data, np.full(n, 0.5))
     with pytest.raises(NoCompliersError):
         centered_interacted_2sls(data, prop, centering="oracle")
+
+
+# ---------------------------------------------------------------------------
+# CSV ingestion
+# ---------------------------------------------------------------------------
+
+
+def ref_ingest_csv(path, add_constant=True):
+    """Fill numpy arrays row by row and check each row with numpy."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty file: missing header row") from None
+        rows = list(reader)
+
+    names = [h.strip() for h in header]
+    if len(set(names)) != len(names):
+        raise SchemaError(f"duplicate columns in header: {names}")
+    for required in ("y", "d", "z"):
+        if required not in names:
+            raise SchemaError(f"missing required column {required!r}")
+    x_names = [c for c in names if c not in ("y", "d", "z")]
+    bad = [c for c in x_names if not c.startswith("x")]
+    if bad:
+        raise SchemaError(f"unexpected non-covariate columns: {bad}")
+    if not x_names and not add_constant:
+        raise SchemaError("no covariate columns and no constant requested")
+
+    index = {name: names.index(name) for name in names}
+    n = len(rows)
+    if n == 0:
+        raise SchemaError("file contains a header but no data rows")
+    y = np.empty(n)
+    d = np.empty(n)
+    z = np.empty(n)
+    x = np.empty((n, len(x_names)))
+    for i, row in enumerate(rows):
+        if len(row) != len(names):
+            raise ValueError(f"row {i + 1}: expected {len(names)} fields, got {len(row)}")
+        try:
+            y[i] = float(row[index["y"]])
+            d[i] = float(row[index["d"]])
+            z[i] = float(row[index["z"]])
+            for j, name in enumerate(x_names):
+                x[i, j] = float(row[index[name]])
+        except ValueError:
+            raise ValueError(f"row {i + 1}: non-numeric cell") from None
+        if not (np.isfinite(y[i]) and np.isfinite(x[i]).all()):
+            raise ValueError(f"row {i + 1}: non-finite cell")
+        if d[i] not in (0.0, 1.0):
+            raise ValueError(f"row {i + 1}: d must be 0 or 1, got {row[index['d']]!r}")
+        if z[i] not in (0.0, 1.0):
+            raise ValueError(f"row {i + 1}: z must be 0 or 1, got {row[index['z']]!r}")
+
+    if add_constant:
+        x = np.column_stack([np.ones(n), x])
+    return Dataset(y=y, d=d, z=z, x=x, has_constant=add_constant)
+
+
+# Cell tokens by kind; "1_0" parses as 10 and padded cells parse.
+ODD_NUMBERS = ("-0", "0.0", "1.0", " 1 ", "1 ", " 0", "2", "-1.5", "0.25", "1e3", "1_0", "0_1")
+NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity")
+NON_NUMERIC = ("abc", "", " ", "0x1", "--1", "1,5")
+VALID_HEADERS = (
+    ("y", "d", "z"),
+    ("y", "d", "z", "x1"),
+    ("x2", "z", "y", "x1", "d"),
+    (" y", "d ", "z", "x1"),
+)
+BAD_HEADERS = (
+    ("y", "d", "z", "w1"),
+    ("y", "d", "x1"),
+    ("y", "d", "z", "x1", "x1"),
+)
+
+
+@st.composite
+def csv_files(draw):
+    header = draw(st.sampled_from(VALID_HEADERS if draw(st.integers(0, 5)) else BAD_HEADERS))
+    width = len(header)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        fields = width + draw(st.sampled_from((0,) * 12 + (-1, 1)))
+        # Mostly 0/1 cells, so files reach the later checks.
+        kinds = (NON_NUMERIC, NON_FINITE, ODD_NUMBERS, ODD_NUMBERS) + (("0", "1"),) * 8
+        rows.append([draw(st.sampled_from(draw(st.sampled_from(kinds)))) for _ in range(fields)])
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text, draw(st.booleans())
+
+
+@settings(PROPERTY, max_examples=400)
+@given(csv_files())
+@example(("y,d,z,x1\n1,0,1,0\n1,0,1,nan\n", True))
+@example(("x2,z,y,x1,d\n-inf,1,0,0,1\n", False))
+@example(("x2,z,y,x1,d\n0,1,0,NaN,1\n", True))
+@example(("y,d,z,x1\n1,nan,1,0\n", True))
+@example(("y,d,z,x1\n1,1,inf,0\n", True))
+@example(("y,d,z,x1\n1,1_0,1,0\n", True))
+@example(("y,d,z,x1\n 1 , 1 ,0 , -0 \n1_0,0,1,2\n", False))
+def test_ingest_matches_row_by_row_reference(tmp_path_factory, csv_file):
+    text, add_constant = csv_file
+    path = tmp_path_factory.mktemp("ingest") / "data.csv"
+    path.write_text(text, encoding="utf-8")
+
+    def load(fn):
+        try:
+            return fn(path, add_constant)
+        except ValueError as exc:  # SchemaError included
+            return exc
+
+    expected, got = load(ref_ingest_csv), load(ingest_csv)
+    if isinstance(expected, ValueError):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert not isinstance(got, ValueError), got
+    for name in ("y", "d", "z", "x"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.flags.c_contiguous
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert got.has_constant == expected.has_constant
