@@ -31,7 +31,7 @@ from .errors import (
     UnpartitionableError,
 )
 from .estimators import Dataset
-from .inference import bootstrap, bootstrap_tags
+from .inference import bootstrap, bootstrap_tags, require_distinct
 from .montecarlo import evaluate_tags, named_dgp, pipeline_for, run_study
 from .stratify import stratified_late
 
@@ -46,23 +46,27 @@ _EXIT_ESTIMATION = 3
 # ---------------------------------------------------------------------------
 
 
-def ingest_csv(path: str, add_constant: bool = True) -> Dataset:
+def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = None) -> Dataset:
     """Read a dataset from ``path``.
 
     Requires columns y, d, z plus zero or more x-prefixed covariate
     columns; a constant column is prepended unless ``add_constant`` is
-    False. Raises SchemaError for header problems and ValueError (with
-    the 1-based data row) for bad cells.
+    False. When ``header`` is a list, the stripped column names are
+    appended to it, so a caller can echo them without a second read.
+    Raises SchemaError for header problems and ValueError (with the
+    1-based data row) for bad cells.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            raw_header = next(reader)
         except StopIteration:
             raise SchemaError("empty file: missing header row") from None
         rows = list(reader)
 
-    names = [h.strip() for h in header]
+    names = [h.strip() for h in raw_header]
+    if header is not None:
+        header.extend(names)
     if len(set(names)) != len(names):
         raise SchemaError(f"duplicate columns in header: {names}")
     for required in ("y", "d", "z"):
@@ -108,11 +112,6 @@ def ingest_csv(path: str, add_constant: bool = True) -> Dataset:
 
 def _csv_num(value) -> str:
     return repr(float(value))
-
-
-def _read_header(path: str) -> list[str]:
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        return [h.strip() for h in next(csv.reader(handle))]
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,8 @@ def cmd_estimate(args) -> int:
     for tag in tags:
         if tag == "beta":
             raise InvalidSpecError("cmd_estimate reports scalar estimators only")
-    data = ingest_csv(args.input, add_constant=not args.no_constant)
-    columns = _read_header(args.input)
+    columns: list[str] = []
+    data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
 
     boots = bootstrap_tags(data, evaluate_tags, tags, b=args.b, alpha=args.alpha, seed=args.seed)
@@ -329,11 +328,12 @@ def _parse_tags(raw: str) -> list[str]:
     tags = [t.strip() for t in raw.split(",") if t.strip()]
     if not tags:
         raise InvalidSpecError("no estimators requested")
-    for tag in tags:
-        try:
+    try:
+        require_distinct(tags)
+        for tag in tags:
             pipeline_for(tag)
-        except ValueError as exc:
-            raise InvalidSpecError(str(exc)) from None
+    except ValueError as exc:
+        raise InvalidSpecError(str(exc)) from None
     return tags
 
 

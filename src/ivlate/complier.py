@@ -133,7 +133,9 @@ def _irls_logistic(z, x, max_iter, tol):
         w = mu * (1.0 - mu)
         working = eta + (z - mu) / w
         sw = np.sqrt(w)
-        beta = linalg.least_squares(sw * working, sw[:, None] * x).coef[:, 0]
+        # The weighted step on R of [sqrt(w) X | sqrt(w) working], not on n rows.
+        rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
+        beta = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
         eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
         mu = expit(eta)
         dev = -2.0 * float(np.sum(z * np.log(mu) + (1.0 - z) * np.log1p(-mu)))

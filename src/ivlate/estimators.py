@@ -8,9 +8,15 @@ The family differs only in which interactions enter each stage:
 * partially interacted / generalized first stage as restrictions or
   extensions of the above.
 
-Second stages always regress on the stored first-stage fitted values, so
-algebraic identities between the variants are properties of the numbers,
-not of shared code paths.
+Every variant is one call of ``_two_stage`` on the arrays it builds: the
+block [instruments | X | responses | Y] is reduced once to its
+triangular factor R, and both stages are least-squares fits on column
+blocks of R, the second on the first stage's fitted block R_design @ c1
+and the covariate columns. Since the block is Q R with Q orthonormal,
+these are the coefficients of the two n-row regressions. Variants whose
+inputs nest hand ``_two_stage`` identical arrays and so agree bit for
+bit; a generalized first stage whose rows end with the covariate row is
+handed over as its instrument columns plus X for that reason.
 """
 
 from __future__ import annotations
@@ -101,17 +107,22 @@ class TwoSlsFit:
     ``beta`` holds the coefficients of the instrumented treatment block,
     ``gamma`` the second-stage coefficients of the covariates. ``c1`` and
     ``c0`` are the first-stage coefficient blocks on the instrument
-    interactions and on the covariates. ``fitted_block`` is the
-    first-stage fitted block and ``controls`` the covariate matrix, both
-    held by reference.
+    interactions and on the covariates. ``instruments`` is the
+    instrument block Z*X and ``controls`` the covariate matrix, both held
+    by reference.
     """
 
     beta: np.ndarray
     gamma: np.ndarray
     c1: np.ndarray
     c0: np.ndarray
-    fitted_block: np.ndarray = field(repr=False, compare=False)
+    instruments: np.ndarray = field(repr=False, compare=False)
     controls: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def fitted_block(self) -> np.ndarray:
+        """The first-stage fitted values of D*X, one column per covariate."""
+        return self.instruments @ self.c1.T + self.controls @ self.c0.T
 
     @property
     def fwl_design(self) -> np.ndarray:
@@ -135,30 +146,43 @@ def _interact(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v[:, None] * x
 
 
+def _two_stage(responses: np.ndarray, instruments: np.ndarray, data: Dataset, controls: bool = True):
+    """lm(responses ~ instruments + X), then lm(Y ~ fitted + X), on one factor.
+
+    Reduces the block [instruments | X | responses | Y] to its triangular
+    factor R once. The first stage fits the response columns of R on
+    its instrument and X columns (instrument columns only when
+    ``controls`` is False); the second fits the Y column on R_design @ c1
+    and the X columns. Returns the first- and second-stage coefficient
+    matrices, which equal those of the two n-row fits.
+    """
+    a, k = instruments.shape[1], data.k
+    rmat = linalg.triangular_factor(instruments, data.x, responses, data.y)
+    design = rmat[:, : a + k if controls else a]
+    first = linalg.least_squares(rmat[:, a + k : -1], design)
+    second = linalg.least_squares(rmat[:, -1], np.column_stack([design @ first.coef, rmat[:, a : a + k]]))
+    return first.coef, second.coef
+
+
 def additive_2sls(data: Dataset) -> ScalarEstimate:
     """Additive 2SLS: lm(D ~ Z + X) then lm(Y ~ Dhat + X); returns the Dhat coefficient."""
     _require_constant(data, "additive_2sls")
-    first = linalg.least_squares(data.d, np.column_stack([data.z, data.x]))
-    second = linalg.least_squares(data.y, np.column_stack([first.fitted, data.x]))
-    return ScalarEstimate(value=float(second.coef[0, 0]), label="++")
+    _, second = _two_stage(data.d, data.z[:, None], data)
+    return ScalarEstimate(value=float(second[0, 0]), label="++")
 
 
 def interacted_2sls(data: Dataset) -> TwoSlsFit:
     """Interacted 2SLS: component-wise lm(D*X ~ Z*X + X) then lm(Y ~ DXhat + X)."""
     k = data.k
-    dx = _interact(data.d, data.x)
     zx = _interact(data.z, data.x)
-    first = linalg.least_squares(dx, np.column_stack([zx, data.x]))
+    first, second = _two_stage(_interact(data.d, data.x), zx, data)
     # Row j of c1/c0 holds the first-stage coefficients for response D*X_j.
-    c1 = first.coef[:k, :].T
-    c0 = first.coef[k:, :].T
-    second = linalg.least_squares(data.y, np.column_stack([first.fitted, data.x]))
     return TwoSlsFit(
-        beta=second.coef[:k, 0].copy(),
-        gamma=second.coef[k:, 0].copy(),
-        c1=c1,
-        c0=c0,
-        fitted_block=first.fitted,
+        beta=second[:k, 0].copy(),
+        gamma=second[k:, 0].copy(),
+        c1=first[:k, :].T,
+        c0=first[k:, :].T,
+        instruments=zx,
         controls=data.x,
     )
 
@@ -166,10 +190,8 @@ def interacted_2sls(data: Dataset) -> TwoSlsFit:
 def interacted_additive_2sls(data: Dataset) -> ScalarEstimate:
     """Interacted first stage, additive second: lm(D ~ Z*X + X) then lm(Y ~ Dhat + X)."""
     _require_constant(data, "interacted_additive_2sls")
-    zx = _interact(data.z, data.x)
-    first = linalg.least_squares(data.d, np.column_stack([zx, data.x]))
-    second = linalg.least_squares(data.y, np.column_stack([first.fitted, data.x]))
-    return ScalarEstimate(value=float(second.coef[0, 0]), label="x+")
+    _, second = _two_stage(data.d, _interact(data.z, data.x), data)
+    return ScalarEstimate(value=float(second[0, 0]), label="x+")
 
 
 def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarray:
@@ -188,11 +210,8 @@ def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarra
     if min(cols) < 0 or max(cols) >= data.k:
         raise ValueError(f"v_cols out of range for k = {data.k}")
     v = data.x[:, cols]
-    dv = _interact(data.d, v)
-    zv = _interact(data.z, v)
-    first = linalg.least_squares(dv, np.column_stack([zv, data.x]))
-    second = linalg.least_squares(data.y, np.column_stack([first.fitted, data.x]))
-    return second.coef[: len(cols), 0].copy()
+    _, second = _two_stage(_interact(data.d, v), _interact(data.z, v), data)
+    return second[: len(cols), 0].copy()
 
 
 def generalized_additive_2sls(
@@ -209,9 +228,13 @@ def generalized_additive_2sls(
     if len(widths) != 1 or rows[0].ndim != 1:
         raise ValueError("first_stage_builder must return fixed-width 1-d rows")
     r = np.vstack(rows)
-    first = linalg.least_squares(data.d, r)
-    second = linalg.least_squares(data.y, np.column_stack([first.fitted, data.x]))
-    return ScalarEstimate(value=float(second.coef[0, 0]), label="*+")
+    k = data.k
+    if r.shape[1] > k and np.array_equal(r[:, -k:], data.x):
+        # Rows ending with the covariate row make lm(D ~ R) an instrument + X first stage.
+        _, second = _two_stage(data.d, r[:, :-k], data)
+    else:
+        _, second = _two_stage(data.d, r, data, controls=False)
+    return ScalarEstimate(value=float(second[0, 0]), label="*+")
 
 
 def interacted_ols(data: Dataset) -> TwoSlsFit:

@@ -37,6 +37,13 @@ class BootstrapResult:
     seed: int
 
 
+def require_distinct(tags) -> None:
+    """Raise ValueError naming the first estimator tag that repeats an earlier one."""
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ValueError(f"estimator tag {tag!r} is repeated")
+
+
 def bootstrap(
     data: Dataset,
     pipeline: Callable[[Dataset], np.ndarray],
@@ -100,6 +107,8 @@ def bootstrap_tags(
 
     Raises
     ------
+    ValueError
+        If b < 10, alpha is outside (0, 1), or a tag is repeated.
     IdentificationError, TooManyFailuresError
         Checked per tag in the order of ``tags``: the tag's point
         estimate error first, then fewer than half of its replicates
@@ -109,6 +118,7 @@ def bootstrap_tags(
         raise ValueError("bootstrap needs b >= 10 replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    require_distinct(tags)
     points = evaluate(data, tags)
     live = [tag for tag in points if not isinstance(points[tag], IdentificationError)]
 

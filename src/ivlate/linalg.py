@@ -1,11 +1,19 @@
-"""Dense multi-response least squares and residualization.
+"""Dense multi-response least squares, triangular reduction, residualization.
 
-Every estimator in the package is expressed through the two functions in
-this module. Fits go through a column-pivoted QR factorization rather
-than the normal equations because interacted designs are moderately
-ill-conditioned. Rank deficiency is always an error, never resolved by a
-pseudo-inverse: downstream identification results presuppose full-rank
-designs, and silently dropping a direction would mask the violation.
+Every regression in the package is a ``least_squares`` call. Fits go
+through a column-pivoted QR factorization rather than the normal
+equations because interacted designs are moderately ill-conditioned.
+Rank deficiency is always an error, never resolved by a pseudo-inverse:
+downstream identification results presuppose full-rank designs, and
+silently dropping a direction would mask the violation.
+
+Chains of fits on one sample (both 2SLS stages, each IRLS step) first
+reduce the column-stacked n-row block to its triangular factor R with
+``triangular_factor`` and then fit on column blocks of R, which has at
+most as many rows as the block has columns. The block equals Q R with Q
+orthonormal, so every fit among its columns has the same coefficients,
+pivots and condition estimate on R, without squaring the condition
+number as the normal equations would.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NonFiniteError, RankDeficientError
 
@@ -104,6 +113,37 @@ def least_squares(responses, regressors) -> LsFit:
         residuals=y - fitted,
         condition_estimate=float(diag[0] / diag[-1]),
     )
+
+
+def triangular_factor(*blocks) -> np.ndarray:
+    """Upper-triangular factor R of the column-stacked ``blocks``.
+
+    The blocks (vectors or 2-d arrays with n rows each) are stacked into
+    an n-by-m block B = Q R, reduced by one unpivoted Householder QR;
+    Q is never formed. Returns R with shape (min(n, m), m). Columns of R
+    have the norms and inner products of the matching columns of B, so
+    ``least_squares`` on column blocks of R gives the coefficients it
+    gives on the columns of B, and with n < m it still sees only n rows.
+
+    Raises
+    ------
+    NonFiniteError
+        If any entry is NaN or infinite; checked before factoring.
+    """
+    cols = [np.asarray(b, dtype=float) for b in blocks]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    n = cols[0].shape[0]
+    if n < 1 or any(c.ndim != 2 or c.shape[0] != n for c in cols):
+        raise ValueError("blocks must be nonempty vectors or 2-d arrays with equal row counts")
+    stacked = np.empty((n, sum(c.shape[1] for c in cols)), order="F")
+    start = 0
+    for c in cols:
+        stacked[:, start : start + c.shape[1]] = c
+        start += c.shape[1]
+    if not np.all(np.isfinite(stacked)):
+        raise NonFiniteError("factored block contains non-finite entries")
+    factored = lapack.dgeqrf(stacked, overwrite_a=1)[0]
+    return np.triu(factored[: min(n, stacked.shape[1])])
 
 
 def residualize(targets, controls) -> np.ndarray:

@@ -32,6 +32,7 @@ from .estimators import (
     interacted_2sls,
     interacted_additive_2sls,
 )
+from .inference import require_distinct
 from .linalg import least_squares
 from .stratify import stratified_late
 
@@ -625,9 +626,11 @@ def run_study(
     Failures of in-sample identification are counted per estimator and
     excluded from the summaries. With ``keep_estimates`` the
     per-replicate estimates are retained for plotting or tail checks.
+    A repeated tag raises ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    require_distinct(estimators)
     truth = {tag: study_truth(spec, _resolve(tag)[1]) for tag in estimators}
 
     draws: dict[str, list[np.ndarray]] = {tag: [] for tag in estimators}

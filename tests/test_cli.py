@@ -97,6 +97,39 @@ def test_estimate_unknown_tag_is_config_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tags", ["xx,xx", "++,x+,++", "strat-5, strat-5"])
+def test_estimate_repeated_tag_is_config_error(tmp_path, capsys, tags):
+    path = export_design_a(tmp_path / "a.csv")
+    out = tmp_path / "out.json"
+    code = main(["estimate", "--input", path, "--estimators", tags, "--b", "20", "--output", str(out)])
+    assert code == 1
+    repeated = tags.split(",")[-1].strip()
+    assert f"estimator tag {repeated!r} is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_repeated_tag_is_config_error(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    args = ["simulate", "--dgp", "B", "--estimators", "++,xx,++", "--reps", "2",
+            "--n", "200", "--seed", "1", "--output", str(out)]
+    assert main(args) == 1
+    assert "estimator tag '++' is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_echoes_header_in_file_order(tmp_path):
+    data, _ = generate(dgp_a(), 200, seed=3)
+    rows = np.column_stack([data.x[:, 1], data.z, data.y, data.d]).tolist()
+    path = write_csv(tmp_path / "cols.csv", ["x1 ", " z", "y", "d"], rows)
+    header = []
+    ingest_csv(path, header=header)
+    assert header == ["x1", "z", "y", "d"]
+    out = tmp_path / "out.json"
+    assert main(["estimate", "--input", path, "--estimators", "++", "--b", "10",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["columns"] == header
+
+
 def test_estimate_missing_file_is_data_error(tmp_path):
     code = main(["estimate", "--input", str(tmp_path / "missing.csv"), "--b", "20"])
     assert code == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _helpers import simulate_iv
@@ -9,7 +11,7 @@ from ivlate.complier import (
     fit_propensity,
     kappa_weights,
 )
-from ivlate.errors import NoCompliersError, NoOverlapCellError
+from ivlate.errors import NoCompliersError, NonFiniteError, NoOverlapCellError
 from ivlate.estimators import Dataset, interacted_2sls
 from ivlate.montecarlo import dgp_a, generate
 
@@ -103,6 +105,21 @@ def test_supplied_scores_outside_unit_interval_rejected():
     data = simulate_iv(45, n=100)
     with pytest.raises(ValueError):
         _supplied(data, np.full(data.n, -0.1))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("column", ["x", "z"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_logistic_fit_rejects_a_non_finite_entry(column, value):
+    # The propensity model reads only z and x; y does not enter the fit.
+    data = simulate_iv(16, n=120)
+    bad = getattr(data, column).copy()
+    if column == "x":
+        bad[5, 1] = value
+    else:
+        bad[5] = value
+    with pytest.raises(NonFiniteError):
+        fit_propensity(replace(data, **{column: bad}), "logistic")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _helpers import dummy_coded, simulate_iv
 
-from ivlate.errors import DegenerateStratumError, RankDeficientError
+from ivlate.errors import DegenerateStratumError, NonFiniteError, RankDeficientError
 from ivlate.estimators import (
     Dataset,
     additive_2sls,
@@ -52,6 +54,44 @@ def test_from_arrays_requires_enough_rows():
     data = simulate_iv(2, n=400, k=3)
     with pytest.raises(ValueError):
         Dataset.from_arrays(data.y[:7], data.d[:7], data.z[:7], data.x[:7])
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input past validation
+# ---------------------------------------------------------------------------
+
+
+TWO_STAGE_ESTIMATORS = {
+    "additive": additive_2sls,
+    "interacted-additive": interacted_additive_2sls,
+    "interacted": interacted_2sls,
+    "interacted-ols": interacted_ols,
+    "partially-interacted": lambda data: partially_interacted_2sls(data, [0, 2]),
+    "generalized (z, x)": lambda data: generalized_additive_2sls(data, lambda z, xr: np.concatenate([[z], xr])),
+    "generalized (1, z, z x2)": lambda data: generalized_additive_2sls(
+        data, lambda z, xr: np.array([1.0, z, z * xr[2]])
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, column",
+    # Interacted OLS instruments with d, so z does not enter it.
+    [(name, col) for name in sorted(TWO_STAGE_ESTIMATORS) for col in "ydzx"
+     if (name, col) != ("interacted-ols", "z")],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_entry_raises_from_every_two_stage_estimator(name, column, value):
+    data = simulate_iv(15, n=120)
+    bad = getattr(data, column).copy()
+    if column == "x":
+        bad[37, 2] = value
+    else:
+        bad[37] = value
+    # Built directly, so Dataset.validate never sees the entry.
+    with pytest.raises(NonFiniteError):
+        TWO_STAGE_ESTIMATORS[name](replace(data, **{column: bad}))
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,16 @@ def test_multi_tag_errors_are_checked_in_request_order():
         bootstrap_tags(data, evaluate, ["ok", "point-fails", "resamples-fail"], b=20, seed=1)
     results = bootstrap_tags(data, evaluate, ["ok"], b=20, seed=1)
     assert np.array_equal(results["ok"].se, bootstrap(data, mean_pipeline, b=20, seed=1).se)
+
+
+def test_multi_tag_bootstrap_rejects_a_repeated_tag():
+    data = simulate_iv(11, n=80)
+    calls = []
+
+    def evaluate(sample, tags):
+        calls.append(tags)
+        return {tag: np.array([sample.y.mean()]) for tag in tags}
+
+    with pytest.raises(ValueError, match="estimator tag 'b' is repeated"):
+        bootstrap_tags(data, evaluate, ["a", "b", "b"], b=20, seed=1)
+    assert calls == []

@@ -126,3 +126,34 @@ def test_condition_estimate_reflects_scaling():
     x_bad[:, 1] *= 1e-6
     y = rng.standard_normal(30)
     assert linalg.least_squares(y, x_bad).condition_estimate > linalg.least_squares(y, x).condition_estimate
+
+
+def test_triangular_factor_keeps_inner_products_fits_and_pivots():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((60, 4)) * np.array([1.0, 1e3, 1e-3, 1.0])
+    y = rng.standard_normal((60, 2))
+    r = linalg.triangular_factor(x, y)
+    assert r.shape == (6, 6)
+    assert np.array_equal(r, np.triu(r))
+    assert np.allclose(r.T @ r, np.column_stack([x, y]).T @ np.column_stack([x, y]), rtol=1e-12, atol=1e-9)
+    tall, short = linalg.least_squares(y, x), linalg.least_squares(r[:, 4:], r[:, :4])
+    assert np.allclose(short.coef, tall.coef, rtol=1e-10, atol=0.0)
+    assert short.condition_estimate == pytest.approx(tall.condition_estimate, rel=1e-10)
+
+
+def test_triangular_factor_of_a_wide_block_keeps_the_row_count():
+    rng = np.random.default_rng(9)
+    r = linalg.triangular_factor(rng.standard_normal((3, 5)), rng.standard_normal(3))
+    assert r.shape == (3, 6)
+    with pytest.raises(ValueError, match=r"rows \(3\) as regressors \(5\)"):
+        linalg.least_squares(r[:, 5], r[:, :5])
+
+
+def test_triangular_factor_checks_finiteness_first():
+    x = np.ones((4, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.array([1.0, bad, 2.0, 3.0])
+        with pytest.raises(NonFiniteError):
+            linalg.triangular_factor(x, y)
+    with pytest.raises(ValueError):
+        linalg.triangular_factor(x, np.ones(3))

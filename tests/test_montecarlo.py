@@ -191,6 +191,15 @@ def test_run_study_is_deterministic():
     assert one.failures == two.failures
 
 
+def test_run_study_rejects_a_repeated_tag(monkeypatch):
+    calls = []
+    monkeypatch.setattr("ivlate.montecarlo.generate", lambda *a, **k: calls.append(a))
+    for tags in (["xx", "xx"], ["++", "beta", "strat-5", "beta"]):
+        with pytest.raises(ValueError, match=f"estimator tag '{tags[-1]}' is repeated"):
+            run_study(dgp_b(), tags, reps=2, n=100, seed=1)
+    assert calls == []  # rejected before any replicate is drawn
+
+
 def test_study_truth_sources():
     assert study_truth(dgp_a(), "tau_c")[0] == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert study_truth(dgp_b(), "tau_c")[0] == 2.0

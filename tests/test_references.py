@@ -10,16 +10,23 @@ all units at every check. Random small samples must give the same
 numbers (to 1e-9 relative), partitions, and error classes. CSV ingestion
 parses rows into Python floats and builds its arrays once; the per-row
 numpy loop it replaces must give identical arrays or the same error on
-random small files.
+random small files. The two-stage estimators and the logistic IRLS fit
+on the triangular factor of one column-stacked block; the two n-row
+fits per estimator and the n-row weighted IRLS step they replace must
+give the same coefficients (to 1e-9 relative) and the same error
+classes, rank deficiency included.
 """
 
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+
+from scipy.special import expit
 
 from ivlate import linalg
 from ivlate.cli import ingest_csv
@@ -31,7 +38,14 @@ from ivlate.errors import (
     SchemaError,
     UnpartitionableError,
 )
-from ivlate.estimators import Dataset, interacted_2sls
+from ivlate.estimators import (
+    Dataset,
+    additive_2sls,
+    generalized_additive_2sls,
+    interacted_2sls,
+    interacted_additive_2sls,
+    partially_interacted_2sls,
+)
 from ivlate.stratify import partition_by_propensity, stratified_late
 
 PROPERTY = settings(
@@ -390,3 +404,152 @@ def test_ingest_matches_row_by_row_reference(tmp_path_factory, csv_file):
         assert a.dtype == b.dtype and a.flags.c_contiguous
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     assert got.has_constant == expected.has_constant
+
+
+# ---------------------------------------------------------------------------
+# Two-stage fits and IRLS steps on one triangular factor
+# ---------------------------------------------------------------------------
+
+
+def ref_two_stage(responses, design, data):
+    """First stage on the n-row design, second on its stored n-row fitted block."""
+    first = linalg.least_squares(responses, design)
+    second = linalg.least_squares(data.y, np.column_stack([first.fitted, data.x]))
+    return first, second
+
+
+def ref_estimators(data, v_cols, builder):
+    """Reference values of the five two-stage estimators and of ``fwl_design``."""
+    zx, dx = data.z[:, None] * data.x, data.d[:, None] * data.x
+    v = data.x[:, v_cols]
+    rows = np.vstack([np.asarray(builder(float(zi), xi), dtype=float) for zi, xi in zip(data.z, data.x)])
+    return {
+        "++": lambda: ref_two_stage(data.d, np.column_stack([data.z, data.x]), data)[1].coef[0, 0],
+        "x+": lambda: ref_two_stage(data.d, np.column_stack([zx, data.x]), data)[1].coef[0, 0],
+        "beta": lambda: ref_two_stage(dx, np.column_stack([zx, data.x]), data)[1].coef[: data.k, 0],
+        "fwl": lambda: linalg.residualize(
+            ref_two_stage(dx, np.column_stack([zx, data.x]), data)[0].fitted, data.x
+        ),
+        "partial": lambda: ref_two_stage(
+            data.d[:, None] * v, np.column_stack([data.z[:, None] * v, data.x]), data
+        )[1].coef[: len(v_cols), 0],
+        "generalized": lambda: ref_two_stage(data.d, rows, data)[1].coef[0, 0],
+    }
+
+
+def new_estimators(data, v_cols, builder):
+    return {
+        "++": lambda: additive_2sls(data).value,
+        "x+": lambda: interacted_additive_2sls(data).value,
+        "beta": lambda: interacted_2sls(data).beta,
+        "fwl": lambda: interacted_2sls(data).fwl_design,
+        "partial": lambda: partially_interacted_2sls(data, v_cols),
+        "generalized": lambda: generalized_additive_2sls(data, builder).value,
+    }
+
+
+def ref_irls_coefficients(z, x, max_iter=100, tol=1e-8):
+    """The logistic IRLS with each weighted step fitted on the n-row design."""
+    beta = np.zeros(x.shape[1])
+    eta = np.clip(x @ beta, -30.0, 30.0)
+    mu = expit(eta)
+    dev_prev = np.inf
+    for _ in range(max_iter):
+        w = mu * (1.0 - mu)
+        working = eta + (z - mu) / w
+        sw = np.sqrt(w)
+        beta = linalg.least_squares(sw * working, sw[:, None] * x).coef[:, 0]
+        eta = np.clip(x @ beta, -30.0, 30.0)
+        mu = expit(eta)
+        dev = -2.0 * float(np.sum(z * np.log(mu) + (1.0 - z) * np.log1p(-mu)))
+        if np.isfinite(dev_prev) and abs(dev - dev_prev) < tol * (abs(dev_prev) + 1e-300):
+            break
+        dev_prev = dev
+    return beta
+
+
+def logistic_coefficients(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return fit_propensity(data, "logistic").coefficients
+
+
+# First-stage builders: two nest the additive and interacted-additive
+# designs (the covariates come last), one does not end with them.
+BUILDERS = {
+    "z, x": lambda z, xr: np.concatenate([[z], xr]),
+    "z x, x": lambda z, xr: np.concatenate([z * xr, xr]),
+    "1, z, z x_last": lambda z, xr: np.array([1.0, z, z * xr[-1]]),
+}
+
+
+@st.composite
+def iv_samples(draw, degenerate=None):
+    """Small constant-carrying dataset, optionally made rank deficient.
+
+    ``degenerate`` is None, "duplicate" (the last covariate copies the
+    one before it) or "flat" (a constant treatment, so the first stage
+    has no variation).
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(3 if degenerate == "duplicate" else 1, 4))
+    n = draw(st.integers(4 * k + 4 if degenerate else 8, 80))
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1)) * draw(st.sampled_from([1.0, 1e-3, 50.0]))])
+    if k > 1 and draw(st.booleans()):
+        x[:, 1] = rng.integers(0, 3, n)  # a categorical covariate
+    if degenerate == "duplicate":
+        x[:, -1] = x[:, -2]
+    e = expit(draw(st.floats(-1.5, 1.5)) * (x[:, -1] - x[:, -1].mean()))
+    z = (rng.random(n) < e).astype(float)
+    z[:2] = [0.0, 1.0]  # both instrument arms
+    complier = rng.random(n) < draw(st.floats(0.05, 1.0))
+    d = np.where(complier, z, (rng.random(n) < 0.3).astype(float))
+    if degenerate == "flat":
+        d = np.full(n, float(draw(st.integers(0, 1))))
+    y = x @ rng.standard_normal(k) + d * (1.0 + x[:, -1]) + rng.standard_normal(n)
+    v_cols = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    return Dataset(y=y, d=d, z=z, x=x, has_constant=True), v_cols, draw(st.sampled_from(sorted(BUILDERS)))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(iv_samples())
+def test_two_stage_estimators_match_two_tall_fits(sample):
+    data, v_cols, builder = sample
+    refs = ref_estimators(data, v_cols, BUILDERS[builder])
+    news = new_estimators(data, v_cols, BUILDERS[builder])
+    for name in refs:
+        kind, ref = outcome(refs[name])
+        new_kind, got = outcome(news[name])
+        assert new_kind == kind, (name, ref, got)
+        if kind == "error":
+            assert got is ref, name
+        else:
+            assert_close(got, ref)
+
+
+@PROPERTY
+@given(iv_samples())
+def test_logistic_coefficients_match_tall_irls(sample):
+    data = sample[0]
+    kind, ref = outcome(ref_irls_coefficients, data.z, data.x)
+    new_kind, got = outcome(logistic_coefficients, data)
+    assert new_kind == kind
+    if kind == "error":
+        assert got is ref
+    else:
+        assert_close(got, ref)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from(["duplicate", "flat"]).flatmap(lambda how: st.tuples(st.just(how), iv_samples(how))))
+def test_rank_deficiency_raises_on_both_routes(drawn):
+    how, (data, v_cols, builder) = drawn
+    refs = ref_estimators(data, v_cols, BUILDERS[builder])
+    news = new_estimators(data, v_cols, BUILDERS[builder])
+    for name in refs:
+        assert outcome(refs[name]) == ("error", RankDeficientError), name
+        assert outcome(news[name]) == ("error", RankDeficientError), name
+    if how == "duplicate":  # the covariates alone are rank deficient
+        assert outcome(ref_irls_coefficients, data.z, data.x) == ("error", RankDeficientError)
+        assert outcome(logistic_coefficients, data) == ("error", RankDeficientError)
