@@ -61,8 +61,6 @@ from .montecarlo import (
     pipeline_for,
     regressogram_deviation,
     run_study,
-    spec_from_json,
-    spec_to_json,
 )
 from .stratify import (
     StratifiedResult,
@@ -129,8 +127,6 @@ __all__ = [
     "regressogram_deviation",
     "residualize",
     "run_study",
-    "spec_from_json",
-    "spec_to_json",
     "stratified_late",
     "stratum_wald",
 ]

@@ -1,9 +1,11 @@
 """Command-line front door: estimate on a CSV, simulate a design, stratify.
 
 Input data is a UTF-8 CSV (a leading byte-order mark is accepted) with
-header ``y,d,z,x1,...,xm``. Reports are JSON (floats at 17 significant
-digits) or CSV; identical configuration and seed produce byte-identical
-output files.
+header ``y,d,z,x1,...,xm``. Reports are JSON or CSV, written by the
+standard library from one set of rows per command. Every number is a
+float at its shortest round-trip ``repr``; a non-finite value is
+``null`` in JSON and an empty cell in CSV. Identical configuration and
+seed produce byte-identical output files.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 estimation failure.
@@ -59,10 +61,12 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: missing header row") from None
-        rows = list(reader)
+            raw_header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    if raw_header is None:
+        raise SchemaError("empty file: missing header row")
 
     names = [h.strip() for h in raw_header]
     if header is not None:
@@ -110,47 +114,23 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     return Dataset(y=y, d=d, z=z, x=x, has_constant=add_constant)
 
 
-def _csv_num(value) -> str:
-    return repr(float(value))
-
-
 # ---------------------------------------------------------------------------
-# Deterministic serialization
+# Report writing
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "Infinity" if value > 0 else "-Infinity"
-    return format(value, ".17g")
+def _num(value) -> float | None:
+    """A report number: a Python float, or None when ``value`` is not finite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f'{inner}"{key}": {_to_json(val, indent + 1)}' for key, val in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_to_json(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _csv_text(header: list[str], rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -183,9 +163,9 @@ def cmd_estimate(args) -> int:
         results.append(
             {
                 "estimator": tag,
-                "point": float(boot.point[0]),
-                "sd": float(boot.se[0]),
-                "ci": [float(boot.ci_lower[0]), float(boot.ci_upper[0])],
+                "point": _num(boot.point[0]),
+                "sd": _num(boot.se[0]),
+                "ci": [_num(boot.ci_lower[0]), _num(boot.ci_upper[0])],
             }
         )
         failures[tag] = boot.b_requested - boot.b_effective
@@ -198,7 +178,7 @@ def cmd_estimate(args) -> int:
             "columns": columns,
             "estimators": tags,
             "b": args.b,
-            "alpha": args.alpha,
+            "alpha": _num(args.alpha),
             "seed": args.seed,
             "no_constant": bool(args.no_constant),
         },
@@ -206,7 +186,8 @@ def cmd_estimate(args) -> int:
         "warnings": [],
         "failures": failures,
     }
-    _emit_report(args, report, _results_csv(results))
+    rows = [(r["estimator"], r["point"], r["sd"], *r["ci"]) for r in results]
+    _emit_report(args, report, ["estimator", "point", "sd", "ci_low", "ci_high"], rows)
     _print_point_sd_table(results)
     return _EXIT_OK
 
@@ -222,9 +203,9 @@ def cmd_simulate(args) -> int:
         results.append(
             {
                 "estimator": tag,
-                "truth": [float(v) for v in summary.truth[tag]],
-                "bias": [float(v) for v in summary.bias[tag]],
-                "sd": [float(v) for v in summary.sd[tag]],
+                "truth": [_num(v) for v in summary.truth[tag]],
+                "bias": [_num(v) for v in summary.bias[tag]],
+                "sd": [_num(v) for v in summary.sd[tag]],
             }
         )
     report = {
@@ -240,24 +221,21 @@ def cmd_simulate(args) -> int:
         "warnings": [],
         "failures": summary.failures,
     }
-
-    lines = ["estimator,dim,truth,bias,sd"]
-    for tag in tags:
-        for dim in range(summary.truth[tag].size):
-            lines.append(
-                f"{tag},{dim},{_csv_num(summary.truth[tag][dim])},"
-                f"{_csv_num(summary.bias[tag][dim])},{_csv_num(summary.sd[tag][dim])}"
-            )
-    _emit_report(args, report, "\n".join(lines) + "\n")
+    rows = [
+        (r["estimator"], dim, *cells)
+        for r in results
+        for dim, cells in enumerate(zip(r["truth"], r["bias"], r["sd"]))
+    ]
+    _emit_report(args, report, ["estimator", "dim", "truth", "bias", "sd"], rows)
 
     if keep:
-        rep_lines = ["rep,estimator,dim,value"]
-        for tag in tags:
-            estimates = summary.estimates[tag]
-            for r in range(estimates.shape[0]):
-                for dim in range(estimates.shape[1]):
-                    rep_lines.append(f"{r},{tag},{dim},{_csv_num(estimates[r, dim])}")
-        _write_text(args.replicates_out, "\n".join(rep_lines) + "\n")
+        rows = [
+            (rep, tag, dim, _num(value))
+            for tag in tags
+            for rep, values in enumerate(summary.estimates[tag])
+            for dim, value in enumerate(values)
+        ]
+        _write_text(args.replicates_out, _csv_text(["rep", "estimator", "dim", "value"], rows))
     return _EXIT_OK
 
 
@@ -285,19 +263,14 @@ def cmd_stratify(args) -> int:
     bounds = point.partition.boundaries
     lows = np.concatenate([[0.0], bounds])
     highs = np.concatenate([bounds, [1.0]])
-    strata = []
-    csv_lines = ["interval_low,interval_high,estimate,ci_low,ci_high"]
-    for j in range(k_point):
-        row = {
-            "interval": [float(lows[j]), float(highs[j])],
-            "estimate": float(point.beta_star[j]),
-            "ci": [float(boot.ci_lower[j + 1]), float(boot.ci_upper[j + 1])],
+    strata = [
+        {
+            "interval": [_num(lows[j]), _num(highs[j])],
+            "estimate": _num(point.beta_star[j]),
+            "ci": [_num(boot.ci_lower[j + 1]), _num(boot.ci_upper[j + 1])],
         }
-        strata.append(row)
-        csv_lines.append(
-            f"{_csv_num(lows[j])},{_csv_num(highs[j])},{_csv_num(point.beta_star[j])},"
-            f"{_csv_num(boot.ci_lower[j + 1])},{_csv_num(boot.ci_upper[j + 1])}"
-        )
+        for j in range(k_point)
+    ]
 
     report = {
         "command": "stratify",
@@ -306,21 +279,22 @@ def cmd_stratify(args) -> int:
             "k": args.k,
             "k_effective": k_point,
             "b": args.b,
-            "alpha": args.alpha,
+            "alpha": _num(args.alpha),
             "seed": args.seed,
             "no_constant": bool(args.no_constant),
         },
         "late": {
-            "estimate": float(point.tau_star),
-            "sd": float(boot.se[0]),
-            "ci": [float(boot.ci_lower[0]), float(boot.ci_upper[0])],
+            "estimate": _num(point.tau_star),
+            "sd": _num(boot.se[0]),
+            "ci": [_num(boot.ci_lower[0]), _num(boot.ci_upper[0])],
         },
         "strata": strata,
         "warnings": warnings_list,
         "failures": {"strat": boot.b_requested - boot.b_effective},
     }
-    _emit_report(args, report, "\n".join(csv_lines) + "\n")
-    print(f"late estimate {_csv_num(point.tau_star)} ({k_point} strata)", file=sys.stderr)
+    rows = [(*row["interval"], row["estimate"], *row["ci"]) for row in strata]
+    _emit_report(args, report, ["interval_low", "interval_high", "estimate", "ci_low", "ci_high"], rows)
+    print(f"late estimate {report['late']['estimate']!r} ({k_point} strata)", file=sys.stderr)
     return _EXIT_OK
 
 
@@ -337,31 +311,23 @@ def _parse_tags(raw: str) -> list[str]:
     return tags
 
 
-def _results_csv(results: list[dict]) -> str:
-    lines = ["estimator,point,sd,ci_low,ci_high"]
-    for row in results:
-        lines.append(
-            f"{row['estimator']},{_csv_num(row['point'])},{_csv_num(row['sd'])},"
-            f"{_csv_num(row['ci'][0])},{_csv_num(row['ci'][1])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _print_point_sd_table(results: list[dict]) -> None:
     out = io.StringIO()
     tags = [row["estimator"] for row in results]
     width = max(10, *(len(t) for t in tags)) + 2
     out.write(" " * 8 + "".join(f"{t:>{width}}" for t in tags) + "\n")
-    out.write("point   " + "".join(f"{row['point']:>{width}.3f}" for row in results) + "\n")
-    out.write("sd      " + "".join(f"{row['sd']:>{width}.3f}" for row in results) + "\n")
+    for name in ("point", "sd"):
+        cells = ("-" if row[name] is None else f"{row[name]:.3f}" for row in results)
+        out.write(f"{name:<8}" + "".join(f"{c:>{width}}" for c in cells) + "\n")
     print(out.getvalue(), end="", file=sys.stderr)
 
 
-def _emit_report(args, report: dict, csv_text: str) -> None:
+def _emit_report(args, report: dict, header: list[str], rows) -> None:
     if args.format == "json":
-        _write_text(args.output, _to_json(report) + "\n")
+        text = json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     else:
-        _write_text(args.output, csv_text)
+        text = _csv_text(header, rows)
+    _write_text(args.output, text)
 
 
 # ---------------------------------------------------------------------------

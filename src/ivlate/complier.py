@@ -12,10 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import linalg
-from .errors import NoCompliersError, NoOverlapCellError
+from .errors import NoCompliersError, NonFiniteError, NoOverlapCellError
 from .estimators import Dataset, ScalarEstimate, interacted_2sls
 
 # Propensities are clipped into [CLIP, 1 - CLIP] to guard the kappa
@@ -123,6 +122,11 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
     )
 
 
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)); IRLS clips x to +-30, so exp never overflows."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def _irls_logistic(z, x, max_iter, tol):
     beta = np.zeros(x.shape[1])
     eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
@@ -147,6 +151,10 @@ def _irls_logistic(z, x, max_iter, tol):
 
 
 def _saturated_scores(z, x):
+    # A NaN row would otherwise form its own one-unit cell and fail as an
+    # identification error.
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise NonFiniteError("covariates or instrument contain non-finite entries")
     _, inverse = np.unique(x, axis=0, return_inverse=True)
     ehat = np.empty_like(z)
     for cell in range(inverse.max() + 1):

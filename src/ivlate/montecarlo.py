@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from . import streams
-from .complier import PropensityFit, centered_interacted_2sls, fit_propensity
+from .complier import PropensityFit, centered_interacted_2sls, expit, fit_propensity
 from .errors import (
     IdentificationError,
     InfiniteSupportError,
@@ -40,8 +39,6 @@ from .stratify import stratified_late
 U_NEVER = 0
 U_COMPLIER = 1
 U_ALWAYS = 2
-
-_TYPE_NAMES = ("never", "complier", "always")
 
 
 @dataclass(frozen=True)
@@ -271,55 +268,6 @@ def from_cells(name: str, cells, noise_sd: float = 0.0) -> DgpSpec:
         noise_sd=noise_sd,
         cells=cells,
     )
-
-
-def spec_to_json(spec: DgpSpec) -> dict:
-    """Serialize a design to a JSON-compatible document.
-
-    Finite-support designs serialize their cells in full; bundled
-    continuous designs serialize by name.
-    """
-    if spec.cells is not None:
-        return {
-            "name": spec.name,
-            "noise_sd": spec.noise_sd,
-            "cells": [
-                {
-                    "x": list(c.x),
-                    "prob": c.prob,
-                    "e": c.e,
-                    "p_always": c.p_always,
-                    "p_complier": c.p_complier,
-                    "y0_mean": dict(zip(_TYPE_NAMES, c.y0_mean)),
-                    "y1_mean": dict(zip(_TYPE_NAMES, c.y1_mean)),
-                }
-                for c in spec.cells
-            ],
-        }
-    if spec.name.upper() in ("A", "B", "C", "D"):
-        return {"name": spec.name}
-    raise InvalidSpecError(
-        f"design {spec.name!r} has continuous support and no bundled definition"
-    )
-
-
-def spec_from_json(doc: dict) -> DgpSpec:
-    """Rebuild a design from the document produced by ``spec_to_json``."""
-    if "cells" not in doc:
-        return named_dgp(str(doc["name"]))
-    cells = tuple(
-        DgpCell(
-            x=tuple(float(v) for v in c["x"]),
-            prob=float(c["prob"]),
-            e=float(c["e"]),
-            p_always=float(c["p_always"]),
-            p_complier=float(c["p_complier"]),
-            y0_mean=tuple(float(c.get("y0_mean", {}).get(t, 0.0)) for t in _TYPE_NAMES),
-            y1_mean=tuple(float(c.get("y1_mean", {}).get(t, 0.0)) for t in _TYPE_NAMES),
-        )
-        for c in doc["cells"]
-    )
-    return from_cells(str(doc.get("name", "custom")), cells, float(doc.get("noise_sd", 0.0)))
 
 
 # ---------------------------------------------------------------------------

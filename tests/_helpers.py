@@ -1,5 +1,7 @@
 """Shared builders for test datasets and finite-support designs."""
 
+import json
+
 import numpy as np
 from scipy.special import expit
 
@@ -80,3 +82,13 @@ def curved_spec():
             )
         )
     return from_cells("curved", tuple(cells))
+
+
+def load_report(path):
+    """Parse a report file as strict JSON: NaN and Infinity tokens are errors."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    with open(path, encoding="utf-8") as handle:
+        return json.loads(handle.read(), parse_constant=reject)

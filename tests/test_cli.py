@@ -1,7 +1,10 @@
-import json
+import warnings
 
 import numpy as np
 import pytest
+from _helpers import load_report
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ivlate.cli import ingest_csv, main
 from ivlate.errors import SchemaError
@@ -79,6 +82,15 @@ def test_non_finite_cell_rejected(tmp_path):
         ingest_csv(path)
 
 
+def test_over_long_field_is_a_schema_error_naming_the_line(tmp_path):
+    # The csv module refuses fields above its 131 072-character limit.
+    path = tmp_path / "long.csv"
+    path.write_text("y,d,z\n1,0,1\n" + "1" * 131_073 + ",0,1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="line 3"):
+        ingest_csv(str(path))
+    assert main(["estimate", "--input", str(path), "--b", "10"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # estimate command
 # ---------------------------------------------------------------------------
@@ -127,7 +139,7 @@ def test_estimate_echoes_header_in_file_order(tmp_path):
     out = tmp_path / "out.json"
     assert main(["estimate", "--input", path, "--estimators", "++", "--b", "10",
                  "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["columns"] == header
+    assert load_report(out)["config"]["columns"] == header
 
 
 def test_estimate_missing_file_is_data_error(tmp_path):
@@ -157,7 +169,7 @@ def test_estimate_report_is_deterministic_and_parses(tmp_path):
     assert main(args + [str(out1)]) == 0
     assert main(args + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    report = json.loads(out1.read_text())
+    report = load_report(out1)
     assert report["command"] == "estimate"
     assert [r["estimator"] for r in report["results"]] == ["++", "x+", "xx"]
     for row in report["results"]:
@@ -173,7 +185,7 @@ def test_estimators_coincide_with_wald_without_covariates(tmp_path):
     out = tmp_path / "r.json"
     assert main(["estimate", "--input", path, "--estimators", "++,x+,xx",
                  "--b", "20", "--seed", "2", "--output", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = load_report(out)
     z1 = data.z == 1.0
     wald = (data.y[z1].mean() - data.y[~z1].mean()) / (data.d[z1].mean() - data.d[~z1].mean())
     for row in report["results"]:
@@ -187,7 +199,7 @@ def test_estimate_round_trip_centered_estimator_lands_nearest_truth(tmp_path):
     out = tmp_path / "r.json"
     assert main(["estimate", "--input", path, "--estimators", "++,x+,xx",
                  "--b", "25", "--seed", "4", "--output", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = load_report(out)
     points = {row["estimator"]: row["point"] for row in report["results"]}
     assert all(np.isfinite(v) for v in points.values())
     gaps = {tag: abs(value - 1.0 / 9.0) for tag, value in points.items()}
@@ -209,7 +221,7 @@ def test_report_with_control_character_in_input_path_is_valid_json(tmp_path):
     out = tmp_path / "r.json"
     assert main(["estimate", "--input", path, "--estimators", "++", "--b", "20",
                  "--seed", "1", "--output", str(out)]) == 0
-    report = json.loads(out.read_text(encoding="utf-8"))
+    report = load_report(out)
     assert report["config"]["input"] == path
 
 
@@ -221,7 +233,7 @@ def test_csv_with_byte_order_mark_matches_plain_file(tmp_path):
     for path, out in ((plain, tmp_path / "p.json"), (str(bom), tmp_path / "b.json")):
         assert main(["estimate", "--input", path, "--estimators", "++,xx", "--b", "20",
                      "--seed", "1", "--output", str(out)]) == 0
-        reports.append(json.loads(out.read_text(encoding="utf-8")))
+        reports.append(load_report(out))
     assert reports[1]["results"] == reports[0]["results"]
     assert reports[1]["config"]["columns"][0] == "y"
 
@@ -245,7 +257,7 @@ def test_simulate_reports_and_per_replicate_csv(tmp_path):
         "--replicates-out", str(reps_out),
     ]
     assert main(args) == 0
-    report = json.loads(out.read_text())
+    report = load_report(out)
     assert report["config"]["dgp"] == "A"
     assert {r["estimator"] for r in report["results"]} == {"++", "xx"}
     lines = reps_out.read_text().strip().splitlines()
@@ -258,6 +270,23 @@ def test_simulate_reports_and_per_replicate_csv(tmp_path):
     assert main(args2) == 0
     assert out.read_bytes() == out2.read_bytes()
     assert reps_out.read_bytes() == reps2.read_bytes()
+
+
+def test_simulate_tag_failing_every_replicate_is_null_in_json_and_empty_in_csv(tmp_path):
+    # At n=6 the complier-centered fit is unidentified in all three replicates.
+    args = ["simulate", "--dgp", "A", "--n", "6", "--reps", "3", "--seed", "0",
+            "--estimators", "++,xx,strat-2"]
+    out, table = tmp_path / "sim.json", tmp_path / "sim.csv"
+    assert main(args + ["--output", str(out)]) == 0
+    assert main(args + ["--format", "csv", "--output", str(table)]) == 0
+    report = load_report(out)
+    assert report["failures"]["xx"] == 3
+    xx = report["results"][1]
+    assert xx["estimator"] == "xx" and xx["bias"] == [None] and xx["sd"] == [None]
+    assert xx["truth"][0] == pytest.approx(1.0 / 9.0)
+    row = table.read_text().splitlines()[2].split(",")
+    assert row[:2] == ["xx", "0"] and float(row[2]) == xx["truth"][0]
+    assert row[3:] == ["", ""]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +317,7 @@ def test_stratify_constant_scores_merge_with_warning(tmp_path, capsys):
                  "--seed", "5", "--output", str(out)]) == 0
     err = capsys.readouterr().err
     assert "merged 3 requested strata down to 1" in err
-    report = json.loads(out.read_text())
+    report = load_report(out)
     assert report["config"]["k_effective"] == 1
     assert len(report["strata"]) == 1
     assert report["warnings"]
@@ -314,10 +343,70 @@ def test_stratify_json_report_is_deterministic(tmp_path):
     assert main(args + [str(out1)]) == 0
     assert main(args + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    report = json.loads(out1.read_text())
+    report = load_report(out1)
     assert len(report["strata"]) == report["config"]["k_effective"]
     assert np.isfinite(report["late"]["estimate"])
 
 
 def test_help_exits_cleanly():
     assert main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Malformed input never escapes as a traceback
+# ---------------------------------------------------------------------------
+
+
+FUZZ_HEADERS = ("y,d,z,x1", "x1,z,y,d", "y,d,z", "y,d,z,x1,x1", "y,d,w1", "y,d", "")
+NUMBERS = ("0", "1", "0.25", "-1.5", "3")
+DIRTY_CELLS = ("2", "-1", "0.5", "nan", "inf", "-inf", "", "abc", '"1"', '"0', '1"', "\x00",
+               "1e308", " 1 ", "\ufeff1")
+STRAY_BYTES = (b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\r", b'"', b",", b"\n")
+
+
+@st.composite
+def malformed_csvs(draw):
+    """A well-formed CSV, then up to three defects: a dirty cell, a ragged row, a stray byte."""
+    header = draw(st.sampled_from(FUZZ_HEADERS))
+    names = header.split(",")
+    rows = [
+        [draw(st.sampled_from(("0", "1") if name in ("d", "z") else NUMBERS)) for name in names]
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    defects = draw(st.lists(st.sampled_from(("cell", "ragged", "byte")), max_size=3))
+    for defect in defects:
+        row = draw(st.sampled_from(rows)) if rows else []
+        if defect == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(DIRTY_CELLS))
+        elif defect == "ragged" and row:
+            row.append("1") if draw(st.booleans()) else row.pop()
+    raw = "".join(",".join(line) + "\n" for line in [names, *rows]).encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    for _ in range(defects.count("byte")):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(STRAY_BYTES)) + raw[at:]
+    return raw
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(("estimate", "stratify")), malformed_csvs())
+@example("estimate", b"y,d,z\n" + b"1" * 131_073 + b",0,1\n")
+@example("stratify", b"y,d,z,x1\n" + b"1" * 131_073 + b",0,1,0\n")
+@example("estimate", b"")
+@example("stratify", b"y,d,z,x1\n")
+@example("estimate", b'y,d,z\n1,0,"1\n0,1,0\n')
+@example("estimate", b"y,d,z\n\xff,0,1\n")
+def test_malformed_csv_gives_an_exit_code_and_strict_json(tmp_path_factory, command, raw):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, out = folder / "data.csv", folder / "report.json"
+    path.write_bytes(raw)
+    extra = ["--k", "2"] if command == "stratify" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # clipped propensities
+        code = main([command, "--input", str(path), "--b", "10", "--seed", "0",
+                     "--output", str(out), *extra])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        load_report(out)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _helpers import simulate_iv
+from _helpers import dummy_coded, simulate_iv
 
 from ivlate.complier import (
     abadie_beta,
@@ -120,6 +120,19 @@ def test_logistic_fit_rejects_a_non_finite_entry(column, value):
         bad[5] = value
     with pytest.raises(NonFiniteError):
         fit_propensity(replace(data, **{column: bad}), "logistic")
+
+
+@pytest.mark.parametrize("column", ["x", "z"])
+def test_saturated_fit_rejects_a_non_finite_entry(column):
+    # A NaN covariate row must not pass as a one-unit cell (NoOverlapCellError).
+    data, _ = dummy_coded(1)
+    bad = getattr(data, column).copy()
+    if column == "x":
+        bad[5, 1] = np.nan
+    else:
+        bad[5] = np.nan
+    with pytest.raises(NonFiniteError):
+        fit_propensity(replace(data, **{column: bad}), "saturated")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from ivlate.montecarlo import (
     oracle_estimands,
     pipeline_for,
     run_study,
-    spec_from_json,
-    spec_to_json,
     study_truth,
 )
 
@@ -223,27 +221,3 @@ def test_beta_pipeline_returns_vector_and_study_shapes_align():
     summary = run_study(dgp_c(), ["beta"], reps=3, n=400, seed=87)
     assert summary.bias["beta"].shape == (2,)
     assert summary.sd["beta"].shape == (2,)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trips
-# ---------------------------------------------------------------------------
-
-
-def test_named_design_roundtrip():
-    doc = spec_to_json(dgp_b())
-    assert doc == {"name": "B"}
-    rebuilt = spec_from_json(doc)
-    a, _ = generate(dgp_b(), 200, seed=88)
-    b, _ = generate(rebuilt, 200, seed=88)
-    assert np.array_equal(a.y, b.y)
-
-
-def test_finite_support_roundtrip_preserves_the_oracle():
-    spec = curved_spec()
-    rebuilt = spec_from_json(spec_to_json(spec))
-    first = oracle_estimands(spec)
-    second = oracle_estimands(rebuilt)
-    assert first.tau_c == second.tau_c
-    assert np.array_equal(first.beta_c, second.beta_c)
-    assert np.array_equal(first.b1, second.b1)

@@ -7,12 +7,11 @@ that equality for the replication engine and the CLI bootstrap, and
 count the fits and resamples the sharing saves.
 """
 
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from _helpers import simulate_iv
+from _helpers import load_report, simulate_iv
 
 import ivlate.inference
 import ivlate.montecarlo
@@ -131,7 +130,7 @@ def test_estimate_shares_one_resample_per_replicate(tmp_path, monkeypatch):
         code = main(["estimate", "--input", str(path), "--estimators", tags, "--b", "25",
                      "--seed", "6", "--output", str(tmp_path / out)])
         assert code == 0
-        return json.loads((tmp_path / out).read_text(encoding="utf-8"))
+        return load_report(tmp_path / out)
 
     resamples = []
     original = ivlate.inference.substream
