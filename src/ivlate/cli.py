@@ -108,9 +108,9 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     x = table[:, 3:].copy()
     if add_constant:
         x = np.column_stack([np.ones(n), x])
-    # Schema and cell contents are validated above; size and instrument-arm
-    # requirements surface through the estimation rank checks instead, so
-    # tiny files still load and echo correctly.
+    # Schema and cells are validated above; tiny files still load and echo.
+    # Too few rows for the fits or the strata is a data error (exit 2) and a
+    # single instrument arm an estimation failure (exit 3), both raised later.
     return Dataset(y=y, d=d, z=z, x=x, has_constant=add_constant)
 
 

@@ -8,20 +8,20 @@ The family differs only in which interactions enter each stage:
 * partially interacted / generalized first stage as restrictions or
   extensions of the above.
 
-Every variant is one call of ``_two_stage`` on the arrays it builds: the
-block [instruments | X | responses | Y] is reduced once to its
-triangular factor R, and both stages are least-squares fits on column
-blocks of R, the second on the first stage's fitted block R_design @ c1
-and the covariate columns. Since the block is Q R with Q orthonormal,
-these are the coefficients of the two n-row regressions. Variants whose
-inputs nest hand ``_two_stage`` identical arrays and so agree bit for
-bit; a generalized first stage whose rows end with the covariate row is
-handed over as its instrument columns plus X for that reason.
+Every variant fits column subsets of one block [Z*X | X | D*X | Y]: with
+X's column 0 the constant, Z and D are column 0 of Z*X and D*X. A
+``Dataset`` reduces the block once to its triangular factor R
+(``Dataset.factor``), and ``_two_stage`` fits both stages on column
+blocks of R, which give the coefficients of the two n-row regressions.
+Variants that nest select the same columns of the same R, so they agree
+bit for bit; a generalized first stage whose rows are leading Z*X columns
+then X reads R for that reason, and any other one factors its own block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +48,9 @@ class Dataset:
     has_constant : bool
         Whether column 0 of ``x`` is the constant. Categorical designs
         coded as a full set of dummies carry no constant.
+
+    The arrays are never mutated after construction; ``factor`` is cached
+    from them, and ``dataclasses.replace`` makes a new sample with its own.
     """
 
     y: np.ndarray
@@ -63,6 +66,11 @@ class Dataset:
     @property
     def k(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Triangular factor R of [Z*X | X | D*X | Y] (k, k, k and 1 columns), computed once."""
+        return linalg.triangular_factor(_interact(self.z, self.x), self.x, _interact(self.d, self.x), self.y)
 
     @classmethod
     def from_arrays(cls, y, d, z, x, has_constant: bool = True) -> "Dataset":
@@ -146,20 +154,17 @@ def _interact(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v[:, None] * x
 
 
-def _two_stage(responses: np.ndarray, instruments: np.ndarray, data: Dataset, controls: bool = True):
-    """lm(responses ~ instruments + X), then lm(Y ~ fitted + X), on one factor.
+def _two_stage(rmat: np.ndarray, a: int, k: int, instruments, responses, controls: bool = True):
+    """lm(responses ~ instruments + X), then lm(Y ~ fitted + X), on column blocks of R.
 
-    Reduces the block [instruments | X | responses | Y] to its triangular
-    factor R once. The first stage fits the response columns of R on
-    its instrument and X columns (instrument columns only when
-    ``controls`` is False); the second fits the Y column on R_design @ c1
-    and the X columns. Returns the first- and second-stage coefficient
-    matrices, which equal those of the two n-row fits.
+    ``rmat`` factors a block [A | X | B | Y] with a, k, any and 1 columns;
+    ``instruments`` and ``responses`` index columns of A and of B. The
+    first stage leaves out X when ``controls`` is False; the second always
+    includes it. Returns both stages' coefficient matrices, which equal
+    those of the two n-row fits.
     """
-    a, k = instruments.shape[1], data.k
-    rmat = linalg.triangular_factor(instruments, data.x, responses, data.y)
-    design = rmat[:, : a + k if controls else a]
-    first = linalg.least_squares(rmat[:, a + k : -1], design)
+    design = rmat[:, [*instruments, *(range(a, a + k) if controls else ())]]
+    first = linalg.least_squares(rmat[:, [a + k + j for j in responses]], design)
     second = linalg.least_squares(rmat[:, -1], np.column_stack([design @ first.coef, rmat[:, a : a + k]]))
     return first.coef, second.coef
 
@@ -167,22 +172,21 @@ def _two_stage(responses: np.ndarray, instruments: np.ndarray, data: Dataset, co
 def additive_2sls(data: Dataset) -> ScalarEstimate:
     """Additive 2SLS: lm(D ~ Z + X) then lm(Y ~ Dhat + X); returns the Dhat coefficient."""
     _require_constant(data, "additive_2sls")
-    _, second = _two_stage(data.d, data.z[:, None], data)
+    _, second = _two_stage(data.factor, data.k, data.k, [0], [0])
     return ScalarEstimate(value=float(second[0, 0]), label="++")
 
 
 def interacted_2sls(data: Dataset) -> TwoSlsFit:
     """Interacted 2SLS: component-wise lm(D*X ~ Z*X + X) then lm(Y ~ DXhat + X)."""
     k = data.k
-    zx = _interact(data.z, data.x)
-    first, second = _two_stage(_interact(data.d, data.x), zx, data)
+    first, second = _two_stage(data.factor, k, k, range(k), range(k))
     # Row j of c1/c0 holds the first-stage coefficients for response D*X_j.
     return TwoSlsFit(
         beta=second[:k, 0].copy(),
         gamma=second[k:, 0].copy(),
         c1=first[:k, :].T,
         c0=first[k:, :].T,
-        instruments=zx,
+        instruments=_interact(data.z, data.x),
         controls=data.x,
     )
 
@@ -190,7 +194,7 @@ def interacted_2sls(data: Dataset) -> TwoSlsFit:
 def interacted_additive_2sls(data: Dataset) -> ScalarEstimate:
     """Interacted first stage, additive second: lm(D ~ Z*X + X) then lm(Y ~ Dhat + X)."""
     _require_constant(data, "interacted_additive_2sls")
-    _, second = _two_stage(data.d, _interact(data.z, data.x), data)
+    _, second = _two_stage(data.factor, data.k, data.k, range(data.k), [0])
     return ScalarEstimate(value=float(second[0, 0]), label="x+")
 
 
@@ -209,8 +213,7 @@ def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarra
         raise ValueError("v_cols contains duplicates")
     if min(cols) < 0 or max(cols) >= data.k:
         raise ValueError(f"v_cols out of range for k = {data.k}")
-    v = data.x[:, cols]
-    _, second = _two_stage(_interact(data.d, v), _interact(data.z, v), data)
+    _, second = _two_stage(data.factor, data.k, data.k, cols, cols)
     return second[: len(cols), 0].copy()
 
 
@@ -228,12 +231,15 @@ def generalized_additive_2sls(
     if len(widths) != 1 or rows[0].ndim != 1:
         raise ValueError("first_stage_builder must return fixed-width 1-d rows")
     r = np.vstack(rows)
-    k = data.k
-    if r.shape[1] > k and np.array_equal(r[:, -k:], data.x):
-        # Rows ending with the covariate row make lm(D ~ R) an instrument + X first stage.
-        _, second = _two_stage(data.d, r[:, :-k], data)
+    k, a = data.k, r.shape[1] - data.k
+    # Rows ending with the covariate row make lm(D ~ R) an instrument + X first stage.
+    controls = a > 0 and np.array_equal(r[:, a:], data.x)
+    a = a if controls else r.shape[1]
+    if controls and a <= k and np.array_equal(r[:, :a], _interact(data.z, data.x[:, :a])):
+        rmat, width = data.factor, k  # leading Z*X columns
     else:
-        _, second = _two_stage(data.d, r, data, controls=False)
+        rmat, width = linalg.triangular_factor(r[:, :a], data.x, data.d, data.y), a
+    _, second = _two_stage(rmat, width, k, range(a), [0], controls)
     return ScalarEstimate(value=float(second[0, 0]), label="*+")
 
 
@@ -274,16 +280,15 @@ def _arm_moments(data: Dataset, codes: np.ndarray, m: int):
     within each stratum (NaN where an arm is empty). The treatment sums
     are exact integer counts.
     """
-    arm1 = data.z == 1.0
-    c1, c0 = codes[arm1], codes[~arm1]
-    n1 = np.bincount(c1, minlength=m)
-    n0 = np.bincount(c0, minlength=m)
+    cell = 2 * codes + (data.z == 1.0)
+    units = np.bincount(cell, minlength=2 * m).reshape(m, 2)
 
     def gap(v: np.ndarray) -> np.ndarray:
-        return np.bincount(c1, v[arm1], m) / n1 - np.bincount(c0, v[~arm1], m) / n0
+        arm_mean = np.bincount(cell, v, 2 * m).reshape(m, 2) / units
+        return arm_mean[:, 1] - arm_mean[:, 0]
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        return (n1 == 0) | (n0 == 0), gap(data.d), gap(data.y)
+        return (units == 0).any(axis=1), gap(data.d), gap(data.y)
 
 
 def _require_constant(data: Dataset, op: str) -> None:

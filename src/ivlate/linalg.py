@@ -7,13 +7,15 @@ Rank deficiency is always an error, never resolved by a pseudo-inverse:
 downstream identification results presuppose full-rank designs, and
 silently dropping a direction would mask the violation.
 
-Chains of fits on one sample (both 2SLS stages, each IRLS step) first
-reduce the column-stacked n-row block to its triangular factor R with
-``triangular_factor`` and then fit on column blocks of R, which has at
-most as many rows as the block has columns. The block equals Q R with Q
-orthonormal, so every fit among its columns has the same coefficients,
-pivots and condition estimate on R, without squaring the condition
-number as the normal equations would.
+Chains of fits on one sample (both 2SLS stages of every estimator, each
+IRLS step) first reduce the column-stacked n-row block to its triangular
+factor R with ``triangular_factor`` and then fit on column blocks of R,
+which has at most as many rows as the block has columns. The block
+equals Q R with Q orthonormal, so every fit among its columns has the
+same coefficients, pivots and condition estimate on R, without squaring
+the condition number as the normal equations would. Those fits are at
+most about 10 by 10, so ``least_squares`` calls LAPACK's ``dgeqp3``,
+``dormqr`` and ``dtrtrs`` directly, skipping scipy's wrapper overhead.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import NonFiniteError, RankDeficientError
@@ -61,7 +62,7 @@ def _as_matrix(values, name: str) -> np.ndarray:
         out = out[:, None]
     if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must be a nonempty vector or 2-d array")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return out
 
@@ -94,8 +95,11 @@ def least_squares(responses, regressors) -> LsFit:
     if n < q:
         raise ValueError(f"need at least as many rows ({n}) as regressors ({q})")
 
-    qmat, rmat, pivot = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(rmat))
+    # The dgeqp3 of scipy.linalg.qr(pivoting=True) (same pivots and R below
+    # LAPACK's 128-column blocking crossover), Q^T y from the stored
+    # reflectors without forming Q, and the dtrtrs of solve_triangular.
+    qr, jpvt, tau, _, _ = lapack.dgeqp3(x)
+    diag = np.abs(qr.diagonal()[:q])
     if diag[0] <= 0.0 or diag[-1] < RANK_RTOL * diag[0]:
         rank = 0 if diag[0] <= 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
         raise RankDeficientError(
@@ -103,16 +107,11 @@ def least_squares(responses, regressors) -> LsFit:
             f"{diag[-1] / diag[0] if diag[0] > 0 else 0.0:.2e})"
         )
 
-    coef_pivoted = scipy.linalg.solve_triangular(rmat, qmat.T @ y)
-    coef = np.empty_like(coef_pivoted)
-    coef[pivot] = coef_pivoted
+    qty = lapack.dormqr("L", "T", qr, tau, y, y.shape[1])[0]
+    coef = np.empty((q, y.shape[1]))
+    coef[jpvt - 1] = lapack.dtrtrs(qr[:q], qty[:q])[0]
     fitted = x @ coef
-    return LsFit(
-        coef=coef,
-        fitted=fitted,
-        residuals=y - fitted,
-        condition_estimate=float(diag[0] / diag[-1]),
-    )
+    return LsFit(coef, fitted, y - fitted, condition_estimate=float(diag[0] / diag[-1]))
 
 
 def triangular_factor(*blocks) -> np.ndarray:
@@ -140,7 +139,7 @@ def triangular_factor(*blocks) -> np.ndarray:
     for c in cols:
         stacked[:, start : start + c.shape[1]] = c
         start += c.shape[1]
-    if not np.all(np.isfinite(stacked)):
+    if not np.isfinite(stacked).all():
         raise NonFiniteError("factored block contains non-finite entries")
     factored = lapack.dgeqrf(stacked, overwrite_a=1)[0]
     return np.triu(factored[: min(n, stacked.shape[1])])

@@ -7,6 +7,11 @@ ratios. Bins that end up empty, single-armed, or without first-stage
 variation are merged into their lower neighbor (the first bin merges
 upward) until every stratum is usable, so a requested count is an upper
 bound on the delivered count.
+
+Tallies are bincounts over combined cells, (bin, arm, treated) for the
+merge loop and (stratum, arm) for the Wald ratios. A bincount adds each
+cell's entries in row order, so each sum equals a per-arm masked sum bit
+for bit.
 """
 
 from __future__ import annotations
@@ -77,26 +82,19 @@ def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
     cuts = np.quantile(e, np.arange(1, k) / k) if k > 1 else np.empty(0)
     bins = np.searchsorted(cuts, e, side="left")
 
-    # Per-bin tallies: units, Z = 1 units, treated Z = 1 units, treated
-    # Z = 0 units. A group of adjacent bins [lo, hi) sums a slice; the
-    # tallies are integers, so every validity decision is exact.
-    arm1 = np.zeros(n, dtype=bool) if z is None else z == 1.0
-    treated = np.zeros(n, dtype=bool) if d is None else d == 1.0
-    tallies = np.stack(
-        [np.bincount(bins[mask], minlength=k)
-         for mask in (np.ones(n, dtype=bool), arm1, treated & arm1, treated & ~arm1)]
-    )
+    # Per-bin counts of (Z, D) = (0, 0), (0, 1), (1, 0), (1, 1) units as Python-int
+    # prefix sums: bins [lo, hi) hold prefix[hi] - prefix[lo], exactly.
+    arm1, treated = (0 if v is None else v == 1.0 for v in (z, d))
+    tally = np.bincount(4 * bins + 2 * arm1 + treated, minlength=4 * k).reshape(k, 4)
+    prefix = [[0] * 4, *tally.cumsum(axis=0).tolist()]
 
     def valid(lo: int, hi: int) -> bool:
-        units, units1, treated1, treated0 = tallies[:, lo:hi].sum(axis=1)
-        if units == 0:
-            return False
-        if z is not None:
-            if units1 in (0, units):
-                return False
-            if d is not None and treated1 / units1 - treated0 / (units - units1) == 0.0:
-                return False
-        return True
+        untreated0, treated0, untreated1, treated1 = (u - v for u, v in zip(prefix[hi], prefix[lo]))
+        units0, units1 = untreated0 + treated0, untreated1 + treated1
+        if z is None:
+            return units0 > 0
+        # Both instrument arms and, given d, a nonzero first-stage gap.
+        return units0 > 0 and units1 > 0 and (d is None or treated1 / units1 - treated0 / units0 != 0.0)
 
     groups = [(j, j + 1) for j in range(k)]
     while True:
@@ -112,13 +110,11 @@ def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
     label_of_bin = np.empty(k, dtype=int)
     for idx, (lo, hi) in enumerate(groups):
         label_of_bin[lo:hi] = idx + 1
-    boundaries = cuts[[hi - 1 for _, hi in groups[:-1]]]
-    counts = np.add.reduceat(tallies[0], [lo for lo, _ in groups])
     return StratumPartition(
         k=len(groups),
-        boundaries=boundaries,
+        boundaries=cuts[[hi - 1 for _, hi in groups[:-1]]],
         labels=label_of_bin[bins],
-        counts=counts,
+        counts=np.add.reduceat(tally.sum(axis=1), [lo for lo, _ in groups]),
         merged_from=k,
     )
 

@@ -160,6 +160,31 @@ def test_estimate_degenerate_design_is_estimation_failure(tmp_path):
     assert main(["estimate", "--input", path, "--b", "20", "--seed", "3"]) == 3
 
 
+@pytest.mark.filterwarnings("ignore:.*clipped:RuntimeWarning")
+@pytest.mark.parametrize(
+    "rows, command, code, message",
+    [
+        # Fewer rows than regressors is a data error.
+        ([[1.0, 1, 1, 0.5], [0.0, 0, 0, 1.5]], "estimate", 2,
+         "data error: need at least as many rows (2) as regressors (3)"),
+        ([[1.0, 1, 1, 0.5], [0.0, 0, 0, 1.5]], "stratify", 2,
+         "data error: need at least 2k = 4 units, got 2"),
+        # A single instrument arm is an estimation failure.
+        ([[float(i), i % 2, 1, 0.1 * i] for i in range(40)], "estimate", 3, "estimation failure: "),
+        ([[float(i), i % 2, 1, 0.1 * i] for i in range(40)], "stratify", 3,
+         "estimation failure: no valid propensity stratification exists"),
+    ],
+)
+def test_too_few_rows_is_a_data_error_and_one_arm_an_estimation_failure(
+    tmp_path, capsys, rows, command, code, message
+):
+    path = write_csv(tmp_path / "small.csv", ["y", "d", "z", "x1"], rows)
+    extra = ["--k", "2"] if command == "stratify" else []
+    assert main([command, "--input", path, *extra, "--b", "10", "--output", str(tmp_path / "r.json")]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_estimate_report_is_deterministic_and_parses(tmp_path):
     path = export_design_a(tmp_path / "a.csv", n=300, seed=4)
     out1 = tmp_path / "r1.json"

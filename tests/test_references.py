@@ -20,17 +20,26 @@ classes, rank deficiency included.
 import csv
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import scipy.linalg
 from scipy.special import expit
 
-from ivlate import linalg
+from ivlate import estimators, linalg, stratify
 from ivlate.cli import ingest_csv
-from ivlate.complier import PC_FLOOR, centered_interacted_2sls, complier_mean, fit_propensity
+from ivlate.complier import (
+    PC_FLOOR,
+    PropensityFit,
+    centered_interacted_2sls,
+    complier_mean,
+    fit_propensity,
+    kappa_weights,
+)
 from ivlate.errors import (
     IdentificationError,
     NoCompliersError,
@@ -45,8 +54,10 @@ from ivlate.estimators import (
     interacted_2sls,
     interacted_additive_2sls,
     partially_interacted_2sls,
+    stratum_wald,
 )
-from ivlate.stratify import partition_by_propensity, stratified_late
+from ivlate.montecarlo import evaluate_tags
+from ivlate.stratify import StratumPartition, partition_by_propensity, stratified_late
 
 PROPERTY = settings(
     max_examples=150,
@@ -553,3 +564,251 @@ def test_rank_deficiency_raises_on_both_routes(drawn):
     if how == "duplicate":  # the covariates alone are rank deficient
         assert outcome(ref_irls_coefficients, data.z, data.x) == ("error", RankDeficientError)
         assert outcome(logistic_coefficients, data) == ("error", RankDeficientError)
+
+
+# ---------------------------------------------------------------------------
+# The least-squares kernel: direct LAPACK calls against scipy.linalg
+# ---------------------------------------------------------------------------
+
+
+def ref_least_squares(responses, regressors):
+    """scipy.linalg.qr with column pivoting, Q formed, then solve_triangular."""
+    y = linalg._as_matrix(responses, "responses")
+    x = linalg._as_matrix(regressors, "regressors")
+    n, q = x.shape
+    if n < q:
+        raise ValueError(f"need at least as many rows ({n}) as regressors ({q})")
+    qmat, rmat, pivot = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(rmat))
+    if diag[0] <= 0.0 or diag[-1] < linalg.RANK_RTOL * diag[0]:
+        rank = 0 if diag[0] <= 0.0 else int(np.sum(diag >= linalg.RANK_RTOL * diag[0]))
+        raise RankDeficientError(
+            f"design has effective rank {rank} < {q} (pivot ratio "
+            f"{diag[-1] / diag[0] if diag[0] > 0 else 0.0:.2e})"
+        )
+    coef_pivoted = scipy.linalg.solve_triangular(rmat, qmat.T @ y)
+    coef = np.empty_like(coef_pivoted)
+    coef[pivot] = coef_pivoted
+    fitted = x @ coef
+    return linalg.LsFit(coef, fitted, y - fitted, float(diag[0] / diag[-1]))
+
+
+def exact_outcome(fn, *args):
+    """Return ("ok", value) or ("error", exception class, message)."""
+    try:
+        return "ok", fn(*args)
+    except (IdentificationError, ValueError) as exc:
+        return "error", type(exc), str(exc)
+
+
+@st.composite
+def ls_problems(draw):
+    """Tall, square or triangular-factor designs with scaled and copied columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, p = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["tall", "square", "R"]))
+    n = q if shape == "square" else draw(st.integers(q + 1 if shape == "tall" else q, q + 40))
+    x = rng.standard_normal((n, q)) * 10.0 ** rng.uniform(-4.0, 4.0, q)
+    copy = draw(st.sampled_from(["none", "duplicate", "near-duplicate"]))
+    if q > 1 and copy != "none":
+        i, j = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+        x[:, j] = x[:, i] * (1.0 + 1e-13 if copy == "near-duplicate" else 1.0)
+    y = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-4.0, 4.0)
+    if shape == "R":
+        rmat = linalg.triangular_factor(x, y)
+        x, y = rmat[:, :q], rmat[:, q:]
+    return y, x
+
+
+@settings(PROPERTY, max_examples=400)
+@given(ls_problems())
+def test_least_squares_kernel_matches_scipy_qr_route(problem):
+    y, x = problem
+    ref, got = exact_outcome(ref_least_squares, y, x), exact_outcome(linalg.least_squares, y, x)
+    assert got[0] == ref[0]
+    if ref[0] == "error":
+        assert got == ref
+        return
+    got, ref = got[1], ref[1]
+    assert got.condition_estimate == ref.condition_estimate
+    # Errors are on the scale of the responses; a coefficient's is its
+    # error times the magnitude of its design column.
+    bound = 1e-12 * max(1.0, float(np.abs(y).max()))
+    assert np.abs((got.coef - ref.coef) * np.abs(x).max(axis=0)[:, None]).max() <= bound
+    assert np.abs(got.fitted - ref.fitted).max() <= bound
+    assert np.abs(got.residuals - ref.residuals).max() <= bound
+
+
+# ---------------------------------------------------------------------------
+# Strata from one bincount against per-mask tallies
+# ---------------------------------------------------------------------------
+
+
+def ref_partition_by_propensity(ehat, k, z=None, d=None):
+    """Four masked bincounts per bin and a numpy slice-sum per validity check."""
+    e = np.asarray(ehat, dtype=float).reshape(-1)
+    n = e.shape[0]
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n < 2 * k:
+        raise ValueError(f"need at least 2k = {2 * k} units, got {n}")
+    cuts = np.quantile(e, np.arange(1, k) / k) if k > 1 else np.empty(0)
+    bins = np.searchsorted(cuts, e, side="left")
+    arm1 = np.zeros(n, dtype=bool) if z is None else z == 1.0
+    treated = np.zeros(n, dtype=bool) if d is None else d == 1.0
+    tallies = np.stack(
+        [np.bincount(bins[mask], minlength=k)
+         for mask in (np.ones(n, dtype=bool), arm1, treated & arm1, treated & ~arm1)]
+    )
+
+    def valid(lo, hi):
+        units, units1, treated1, treated0 = tallies[:, lo:hi].sum(axis=1)
+        if units == 0:
+            return False
+        if z is not None:
+            if units1 in (0, units):
+                return False
+            if d is not None and treated1 / units1 - treated0 / (units - units1) == 0.0:
+                return False
+        return True
+
+    groups = [(j, j + 1) for j in range(k)]
+    while True:
+        bad = next((g for g, (lo, hi) in enumerate(groups) if not valid(lo, hi)), None)
+        if bad is None:
+            break
+        if len(groups) == 1:
+            raise UnpartitionableError("no valid propensity stratification exists")
+        g = max(bad, 1)
+        groups[g - 1 : g + 1] = [(groups[g - 1][0], groups[g][1])]
+    label_of_bin = np.empty(k, dtype=int)
+    for idx, (lo, hi) in enumerate(groups):
+        label_of_bin[lo:hi] = idx + 1
+    return StratumPartition(
+        k=len(groups),
+        boundaries=cuts[[hi - 1 for _, hi in groups[:-1]]],
+        labels=label_of_bin[bins],
+        counts=np.add.reduceat(tallies[0], [lo for lo, _ in groups]),
+        merged_from=k,
+    )
+
+
+def ref_arm_moments(data, codes, m):
+    """Per-stratum arm gaps from one bincount per instrument arm and moment."""
+    arm1 = data.z == 1.0
+    c1, c0 = codes[arm1], codes[~arm1]
+    n1 = np.bincount(c1, minlength=m)
+    n0 = np.bincount(c0, minlength=m)
+
+    def gap(v):
+        return np.bincount(c1, v[arm1], m) / n1 - np.bincount(c0, v[~arm1], m) / n0
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (n1 == 0) | (n0 == 0), gap(data.d), gap(data.y)
+
+
+@st.composite
+def strata_samples(draw):
+    """Scores on a coarse grid with sparse arms and sparse or absent treatment.
+
+    Ties, empty bins, single-arm bins and zero first-stage gaps are
+    common; a one-level grid or a constant treatment merges everything
+    into one stratum or leaves none valid.
+    """
+    k = draw(st.integers(1, 15))
+    n = draw(st.integers(2 * k, 2 * k + 40))
+    levels = draw(st.integers(1, 8))
+    ehat = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    z = np.array(draw(flags), dtype=float)
+    treatment = draw(st.sampled_from(["complier", "random", "none"]))
+    if treatment == "complier":
+        d = np.where(draw(flags), z, np.array(draw(flags), dtype=float))
+    else:
+        d = np.array(draw(flags), dtype=float) if treatment == "random" else np.zeros(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = Dataset(y=rng.standard_normal(n) + d, d=d, z=z, x=np.ones((n, 1)))
+    prop = PropensityFit(ehat=ehat, model="supplied", coefficients=None, converged=True)
+    labels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return data, prop, k, labels
+
+
+def assert_same_partition(got, ref):
+    assert (got.k, got.merged_from) == (ref.k, ref.merged_from)
+    for name in ("labels", "counts", "boundaries"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@settings(PROPERTY, max_examples=300)
+@given(strata_samples())
+def test_one_bincount_strata_equal_the_masked_tallies(sample):
+    data, prop, k, labels = sample
+    for z, d in ((None, None), (data.z, None), (data.z, data.d)):
+        ref = exact_outcome(ref_partition_by_propensity, prop.ehat, k, z, d)
+        got = exact_outcome(partition_by_propensity, prop.ehat, k, z, d)
+        assert got[0] == ref[0]
+        if ref[0] == "error":
+            assert got == ref
+        else:
+            assert_same_partition(got[1], ref[1])
+
+    with mock.patch.object(stratify, "partition_by_propensity", ref_partition_by_propensity), \
+            mock.patch.object(stratify, "_arm_moments", ref_arm_moments):
+        ref = exact_outcome(stratified_late, data, prop, k)
+    got = exact_outcome(stratified_late, data, prop, k)
+    assert got[0] == ref[0]
+    if ref[0] == "error":
+        assert got == ref
+    else:
+        assert got[1].tau_star == ref[1].tau_star
+        assert np.array_equal(got[1].beta_star, ref[1].beta_star)
+        assert_same_partition(got[1].partition, ref[1].partition)
+
+    strata = [labels] if ref[0] == "error" else [labels, ref[1].partition.labels]
+    for codes in strata:
+        with mock.patch.object(estimators, "_arm_moments", ref_arm_moments):
+            ref = exact_outcome(stratum_wald, data, codes)
+        got = exact_outcome(stratum_wald, data, codes)
+        assert got[0] == ref[0]
+        if ref[0] == "error":
+            assert got == ref
+        else:
+            assert [e.value for e in got[1]] == [e.value for e in ref[1]]
+
+
+# ---------------------------------------------------------------------------
+# Equivariance under constant-preserving covariate transformations
+# ---------------------------------------------------------------------------
+
+
+@settings(PROPERTY, max_examples=100)
+@given(iv_samples(), st.integers(0, 2**32 - 1))
+def test_two_stage_estimators_are_equivariant(sample, seed):
+    """With X -> X G and G[:, 0] = e1, ++, x+ and xx are invariant and beta maps to G^-1 beta.
+
+    The transformed sample is a ``replace`` of one whose factor is already
+    cached, so a stale factor would show as an unchanged beta.
+    """
+    data = sample[0]
+    rng = np.random.default_rng(seed)
+    g = np.eye(data.k)
+    g[:, 1:] = rng.standard_normal((data.k, data.k - 1))
+    g[1:, 1:] += 3.0 * np.eye(data.k - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        kind, prop = outcome(fit_propensity, data, "logistic")
+        if kind == "ok":
+            # Exactly at the identification floor the two fits may round to opposite sides of it.
+            assume(abs(kappa_weights(data, prop).kappa.mean() - PC_FLOOR) > 1e-9)
+        tags = ["++", "x+", "xx", "beta"]
+        before = evaluate_tags(data, tags)
+        after = evaluate_tags(replace(data, x=data.x @ g), tags)
+    if isinstance(before["beta"], np.ndarray):
+        before["beta"] = np.linalg.solve(g, before["beta"])
+    for tag in tags:
+        assert isinstance(after[tag], np.ndarray) == isinstance(before[tag], np.ndarray), tag
+        if isinstance(before[tag], np.ndarray):
+            scale = max(1.0, float(np.abs(before[tag]).max()))
+            assert np.abs(after[tag] - before[tag]).max() <= 1e-8 * scale, tag
+        else:
+            assert type(after[tag]) is type(before[tag]), tag

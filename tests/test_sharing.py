@@ -1,10 +1,10 @@
-"""One propensity fit and one resample per sample, shared by every tag.
+"""One propensity fit, one factor and one resample per sample, shared by every tag.
 
 Evaluating several estimator tags on one sample must give, bit for bit,
 what each tag gives on its own: the shared logistic propensity fit is
 the same deterministic computation on the same data. These tests pin
 that equality for the replication engine and the CLI bootstrap, and
-count the fits and resamples the sharing saves.
+count the fits, factorizations and resamples the sharing saves.
 """
 
 from dataclasses import replace
@@ -14,9 +14,12 @@ import pytest
 from _helpers import load_report, simulate_iv
 
 import ivlate.inference
+import ivlate.linalg
 import ivlate.montecarlo
 from ivlate.cli import main
+from ivlate.complier import fit_propensity
 from ivlate.errors import RankDeficientError
+from ivlate.estimators import additive_2sls, interacted_2sls, interacted_ols
 from ivlate.inference import bootstrap, bootstrap_tags
 from ivlate.montecarlo import dgp_a, dgp_b, evaluate_tags, generate, pipeline_for, run_study
 from ivlate.streams import RESAMPLE
@@ -148,3 +151,50 @@ def test_estimate_shares_one_resample_per_replicate(tmp_path, monkeypatch):
     singles = [estimate(tag, f"{i}.json") for i, tag in enumerate(["++", "x+", "xx", "strat-5"])]
     assert together["results"] == [s["results"][0] for s in singles]
     assert together["failures"] == {k: v for s in singles for k, v in s["failures"].items()}
+
+
+def counting_factor(monkeypatch):
+    """Count ``ivlate.linalg.triangular_factor`` calls (the n-row QRs)."""
+    calls = []
+    original = ivlate.linalg.triangular_factor
+
+    def counted(*blocks):
+        calls.append(blocks)
+        return original(*blocks)
+
+    monkeypatch.setattr("ivlate.linalg.triangular_factor", counted)
+    return calls
+
+
+def test_two_stage_tags_share_one_factor(monkeypatch):
+    data, _ = generate(dgp_b(), 300, seed=15)
+    expected = evaluate_tags(data, ["++", "x+", "beta"])
+    calls = counting_factor(monkeypatch)
+    fresh = replace(data)
+    got = evaluate_tags(fresh, ["++", "x+", "beta"])
+    assert len(calls) == 1
+    assert all(np.array_equal(got[tag], expected[tag]) for tag in expected)
+
+    calls.clear()
+    fit_propensity(replace(data), "logistic")
+    irls_steps = len(calls)
+    assert irls_steps > 1
+    calls.clear()
+    evaluate_tags(replace(data), ["++", "x+", "xx"])
+    assert len(calls) == 1 + irls_steps
+
+
+def test_a_changed_sample_gets_its_own_factor(monkeypatch):
+    data = simulate_iv(16, n=300)
+    calls = counting_factor(monkeypatch)
+    base = additive_2sls(data).value
+    # Adding 2 D to the outcome adds 2 to every IV estimate of the effect of D.
+    shifted = additive_2sls(replace(data, y=data.y + 2.0 * data.d)).value
+    assert len(calls) == 2
+    assert shifted == pytest.approx(base + 2.0, rel=1e-12)
+
+    calls.clear()
+    beta_iv = interacted_2sls(data).beta
+    beta_ols = interacted_ols(data).beta
+    assert len(calls) == 1  # the interacted OLS fit factors its own sample
+    assert not np.allclose(beta_iv, beta_ols)
