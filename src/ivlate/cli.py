@@ -154,6 +154,8 @@ def cmd_estimate(args) -> int:
     columns: list[str] = []
     data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
+    if data.z.min() == data.z.max():
+        raise IdentificationError("column 'z' is constant: both instrument arms are required")
 
     boots = bootstrap_tags(data, evaluate_tags, tags, b=args.b, alpha=args.alpha, seed=args.seed)
     results = []

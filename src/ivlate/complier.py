@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import linalg
 from .errors import NoCompliersError, NonFiniteError, NoOverlapCellError
@@ -26,6 +27,9 @@ CLIP = 1e-6
 PC_FLOOR = 0.01
 
 _ETA_BOUND = 30.0
+
+# Whitened IRLS steps lose about 1.1e-16 (max/min diag U)^2 relative accuracy: 1e-8 here.
+GRAM_RATIO_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,8 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
     ----------
     data : Dataset
     spec : {"logistic", "saturated"} or array-like
-        "logistic" fits P(Z = 1 | X) by maximum likelihood via
-        iteratively reweighted least squares on the covariate matrix.
+        "logistic" fits P(Z = 1 | X) by maximum likelihood via IRLS: one
+        n-row factor T of X per fit, then steps on k-by-k whitened Grams.
         "saturated" uses within-cell means of Z over distinct covariate
         rows and requires both arms in every cell. An array supplies
         externally computed scores.
@@ -133,13 +137,18 @@ def _irls_logistic(z, x, max_iter, tol):
     mu = expit(eta)
     dev_prev = np.inf
     converged = False
+    whiten = None
     for _ in range(max_iter):
         w = mu * (1.0 - mu)
         working = eta + (z - mu) / w
-        sw = np.sqrt(w)
-        # The weighted step on R of [sqrt(w) X | sqrt(w) working], not on n rows.
-        rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
-        beta = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
+        if whiten is None or (system := _whitened_system(*whiten, w, working)) is None:
+            sw = np.sqrt(w)
+            rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
+            system = rmat[:, -1], rmat[:, :-1]
+        beta = linalg.least_squares(*system).coef[:, 0]
+        if whiten is None:  # all first-step weights are 1/4, so R, rank checked, is X / 2's
+            tmat = 2.0 * rmat[: x.shape[1], :-1]
+            whiten = lapack.dtrtri(tmat)[0].T @ x.T, tmat
         eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
         mu = expit(eta)
         dev = -2.0 * float(np.sum(z * np.log(mu) + (1.0 - z) * np.log1p(-mu)))
@@ -148,6 +157,16 @@ def _irls_logistic(z, x, max_iter, tol):
             break
         dev_prev = dev
     return mu, beta, converged
+
+
+def _whitened_system(qt, tmat, w, working):
+    """Step on U T, a factor of sqrt(w) X: U'U = Q'WQ, Q = X T^-1 orthonormal (rows of ``qt``),
+    so U is conditioned like the weights. None if U does not exist or is ill-conditioned."""
+    qtw = qt * w
+    chol, info = lapack.dpotrf(qtw @ qt.T)
+    if info != 0 or (diag := chol.diagonal()).max() > GRAM_RATIO_MAX * diag.min():
+        return None
+    return lapack.dtrtrs(chol, qtw @ working, trans=1)[0], chol @ tmat
 
 
 def _saturated_scores(z, x):

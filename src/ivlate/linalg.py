@@ -7,15 +7,15 @@ Rank deficiency is always an error, never resolved by a pseudo-inverse:
 downstream identification results presuppose full-rank designs, and
 silently dropping a direction would mask the violation.
 
-Chains of fits on one sample (both 2SLS stages of every estimator, each
-IRLS step) first reduce the column-stacked n-row block to its triangular
-factor R with ``triangular_factor`` and then fit on column blocks of R,
-which has at most as many rows as the block has columns. The block
-equals Q R with Q orthonormal, so every fit among its columns has the
-same coefficients, pivots and condition estimate on R, without squaring
-the condition number as the normal equations would. Those fits are at
-most about 10 by 10, so ``least_squares`` calls LAPACK's ``dgeqp3``,
-``dormqr`` and ``dtrtrs`` directly, skipping scipy's wrapper overhead.
+Chains of fits on one sample (both 2SLS stages of every estimator, the
+first IRLS step) reduce the column-stacked n-row block to its triangular
+factor R with ``triangular_factor`` and fit on column blocks of R, which
+has at most as many rows as the block has columns; later IRLS steps fit
+on k-row factors from whitened Grams (see ``complier``). The block is
+Q R with Q orthonormal, so every fit among its columns has the same
+coefficients, pivots and condition estimate on R, without squaring the
+condition number. Those fits are at most about 10 by 10, so
+``least_squares`` calls ``dgeqp3``, ``dormqr`` and ``dtrtrs`` directly.
 """
 
 from __future__ import annotations

@@ -51,11 +51,21 @@ class StratifiedResult:
     partition: StratumPartition
 
 
+def _quantile_bins(e, k):
+    """Cuts np.quantile(e, j / k), 0 < j < k, by its linear rule on one sort (lerp's t >= 1/2
+    branch included), and each unit's count of cuts below it, as searchsorted(side="left")."""
+    index = (len(e) - 1) * (np.arange(1, k) / k)
+    at, t = index.astype(np.intp), index % 1.0
+    below, above = np.sort(e)[[at, at + 1]]
+    cuts = np.where(t >= 0.5, above - (above - below) * (1 - t), below + (above - below) * t)
+    return cuts, (e > cuts[:, None]).sum(axis=0)
+
+
 def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
     """Partition units into at most ``k`` propensity strata.
 
-    Cutpoints are empirical quantiles of ``ehat`` at probabilities
-    j / k, so ties share a stratum (units with equal scores are never
+    Cutpoints are ``np.quantile`` of ``ehat`` at j / k, read off one
+    sort, so ties share a stratum (units with equal scores are never
     split) and a unit exactly on a cutpoint joins the lower stratum.
     When ``z`` (and optionally ``d``) are given, a stratum is only valid
     if it contains both instrument arms (and a nonzero first-stage
@@ -79,8 +89,7 @@ def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
         if v is not None and (v.shape != (n,) or not np.all((v == 0.0) | (v == 1.0))):
             raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
-    cuts = np.quantile(e, np.arange(1, k) / k) if k > 1 else np.empty(0)
-    bins = np.searchsorted(cuts, e, side="left")
+    cuts, bins = _quantile_bins(e, k)
 
     # Per-bin counts of (Z, D) = (0, 0), (0, 1), (1, 0), (1, 1) units as Python-int
     # prefix sums: bins [lo, hi) hold prefix[hi] - prefix[lo], exactly.

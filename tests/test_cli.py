@@ -185,6 +185,16 @@ def test_too_few_rows_is_a_data_error_and_one_arm_an_estimation_failure(
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("arm", [0, 1])
+def test_constant_instrument_names_its_column(tmp_path, capsys, arm):
+    rows = [[float(i), i % 2, arm, 0.1 * i] for i in range(40)]
+    path = write_csv(tmp_path / "one_arm.csv", ["y", "d", "z", "x1"], rows)
+    assert main(["estimate", "--input", path, "--b", "10", "--output", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "estimation failure: column 'z' is constant: both instrument arms are required" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_estimate_report_is_deterministic_and_parses(tmp_path):
     path = export_design_a(tmp_path / "a.csv", n=300, seed=4)
     out1 = tmp_path / "r1.json"

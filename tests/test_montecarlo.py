@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from _helpers import categorical_spec, curved_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivlate.errors import InfiniteSupportError, InvalidSpecError
 from ivlate.linalg import least_squares
@@ -149,6 +151,47 @@ def test_weighting_limits_agree_with_projection_limits_when_linear():
         oracle = oracle_estimands(spec)
         assert oracle.plim_taa == pytest.approx(oracle.plim_taa_projection, abs=1e-10)
         assert oracle.plim_tia == pytest.approx(oracle.plim_tia_projection, abs=1e-10)
+
+
+@st.composite
+def dummy_coded_specs(draw):
+    """Finite-support designs whose covariates dummy-code 2 to 6 levels, with or without a constant."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(2, 6))
+    constant = draw(st.booleans())
+    probs = rng.uniform(0.05, 1.0, levels)
+    probs /= probs.sum()
+    cells = []
+    for j in range(levels):
+        dummies = [float(j == i) for i in range(levels)]
+        p_always = rng.uniform(0.0, 0.4)
+        cells.append(DgpCell(
+            x=tuple([1.0, *dummies[1:]] if constant else dummies),
+            prob=float(probs[j]),
+            e=rng.uniform(0.05, 0.95),
+            p_always=p_always,
+            p_complier=rng.uniform(0.05, 1.0 - p_always),
+            y0_mean=tuple(rng.uniform(-3.0, 3.0, 3)),
+            y1_mean=tuple(rng.uniform(-3.0, 3.0, 3)),
+        ))
+    return from_cells("dummies", cells)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dummy_coded_specs())
+def test_condition_ia_makes_weighting_and_projection_limits_equal(spec):
+    """Dummy-coded covariates saturate the cells, so the instrument
+    propensity is linear in them (the paper's condition (ia)) and the
+    weighting limits of ++ and x+ are the 2SLS probability limits."""
+    oracle = oracle_estimands(spec)
+    assert oracle.plim_taa == pytest.approx(oracle.plim_taa_projection, abs=1e-10)
+    assert oracle.plim_tia == pytest.approx(oracle.plim_tia_projection, abs=1e-10)
+
+
+def test_weighting_and_projection_limits_differ_without_condition_ia():
+    oracle = oracle_estimands(curved_spec())
+    assert abs(oracle.plim_taa - oracle.plim_taa_projection) > 1e-3
+    assert abs(oracle.plim_tia - oracle.plim_tia_projection) > 1e-3
 
 
 def test_bias_decomposition_reproduces_the_projection_limit():

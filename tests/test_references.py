@@ -14,7 +14,12 @@ random small files. The two-stage estimators and the logistic IRLS fit
 on the triangular factor of one column-stacked block; the two n-row
 fits per estimator and the n-row weighted IRLS step they replace must
 give the same coefficients (to 1e-9 relative) and the same error
-classes, rank deficiency included.
+classes, rank deficiency included. Later IRLS steps solve on the
+whitened k-by-k Gram; the n-row factor per step they replace must give
+the same convergence flag, errors and messages, scores to 1e-12 and
+coefficients to 1e-9, also on a quasi-separated design whose steps fall
+back to n rows. Partition cutpoints read off one sort must equal
+np.quantile, and their bins np.searchsorted, bit for bit.
 """
 
 import csv
@@ -30,7 +35,7 @@ from hypothesis import strategies as st
 import scipy.linalg
 from scipy.special import expit
 
-from ivlate import estimators, linalg, stratify
+from ivlate import complier, estimators, linalg, stratify
 from ivlate.cli import ingest_csv
 from ivlate.complier import (
     PC_FLOOR,
@@ -812,3 +817,130 @@ def test_two_stage_estimators_are_equivariant(sample, seed):
             assert np.abs(after[tag] - before[tag]).max() <= 1e-8 * scale, tag
         else:
             assert type(after[tag]) is type(before[tag]), tag
+
+
+# ---------------------------------------------------------------------------
+# Whitened IRLS steps against an n-row factor per step
+# ---------------------------------------------------------------------------
+
+
+def ref_irls_logistic(z, x, max_iter=100, tol=1e-8):
+    """The logistic IRLS that factors the n-row weighted block at every step."""
+    beta = np.zeros(x.shape[1])
+    eta = np.clip(x @ beta, -30.0, 30.0)
+    mu = complier.expit(eta)
+    dev_prev = np.inf
+    converged = False
+    for _ in range(max_iter):
+        w = mu * (1.0 - mu)
+        working = eta + (z - mu) / w
+        sw = np.sqrt(w)
+        rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
+        beta = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
+        eta = np.clip(x @ beta, -30.0, 30.0)
+        mu = complier.expit(eta)
+        dev = -2.0 * float(np.sum(z * np.log(mu) + (1.0 - z) * np.log1p(-mu)))
+        if np.isfinite(dev_prev) and abs(dev - dev_prev) < tol * (abs(dev_prev) + 1e-300):
+            converged = True
+            break
+        dev_prev = dev
+    return mu, beta, converged
+
+
+def assert_same_irls(z, x):
+    ref = exact_outcome(ref_irls_logistic, z, x)
+    got = exact_outcome(complier._irls_logistic, z, x, 100, 1e-8)
+    assert got[0] == ref[0]
+    if ref[0] == "error":
+        assert got == ref
+        return
+    (mu, beta, converged), (ref_mu, ref_beta, ref_converged) = got[1], ref[1]
+    assert converged == ref_converged
+    assert np.abs(mu - ref_mu).max() <= 1e-12
+    # Relative to the linear predictor: a coefficient's error times its column's magnitude.
+    scale = np.abs(x).max(axis=0)
+    assert np.abs((beta - ref_beta) * scale).max() <= 1e-9 * max(1.0, np.abs(ref_beta * scale).max())
+
+
+@st.composite
+def logistic_designs(draw):
+    """Tall designs: column scales 1e-3..1e3, near-collinear or copied columns, few rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["plain", "near-collinear", "copy", "few rows"]))
+    n = draw(st.integers(1, k - 1)) if shape == "few rows" and k > 1 else draw(st.integers(k + 2, 400))
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+    if k > 2 and shape == "near-collinear":
+        x[:, -1] = x[:, -2] + draw(st.sampled_from([1e-1, 1e-2, 1e-3])) * rng.standard_normal(n)
+    elif k > 1 and shape == "copy":
+        x[:, -1] = x[:, 0]
+    eta = draw(st.floats(-3.0, 3.0)) * (x[:, -1] - x[:, -1].mean()) + draw(st.floats(-1.0, 1.0))
+    z = (rng.random(n) < expit(eta)).astype(float)
+    x *= 10.0 ** rng.uniform(-3.0, 3.0, k)
+    return z, x
+
+
+@settings(PROPERTY, max_examples=300)
+@given(logistic_designs())
+def test_whitened_irls_matches_n_row_steps(design):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert_same_irls(*design)
+
+
+def test_quasi_separated_design_takes_the_n_row_fallback():
+    """Arms split by the sign of x1 except at x1 = 0: the fit pushes x1's
+    coefficient toward infinity, the weights of most units collapse and
+    the whitened Gram of the later steps is far from well conditioned."""
+    rng = np.random.default_rng(7)
+    n = 400
+    x1 = np.round(rng.standard_normal(n), 1)
+    x = np.column_stack([np.ones(n), x1, rng.standard_normal(n)])
+    z = np.where(x1 == 0.0, rng.random(n) < 0.5, x1 > 0.0).astype(float)
+    fell_back = []
+    original = complier._whitened_system
+
+    def counted(*args):
+        system = original(*args)
+        fell_back.append(system is None)
+        return system
+
+    with warnings.catch_warnings(), mock.patch.object(complier, "_whitened_system", counted):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert_same_irls(z, x)
+    assert any(fell_back) and not all(fell_back)
+
+
+# ---------------------------------------------------------------------------
+# Cutpoints from one sort against np.quantile and np.searchsorted
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def score_vectors(draw):
+    """Scores with ties, rounding or clusters; n from 2k, k from 1 to 20."""
+    k = draw(st.integers(1, 20))
+    n = draw(st.integers(2 * k, 2 * k + draw(st.sampled_from([0, 10, 300]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "rounded", "ties", "clustered", "grid"]))
+    e = rng.random(n)
+    if kind == "rounded":
+        e = np.round(e, draw(st.integers(0, 3)))
+    elif kind == "ties":
+        e = rng.choice(rng.random(draw(st.integers(1, 4))), n)
+    elif kind == "clustered":
+        e = np.clip(rng.choice([0.0, 0.3, 0.8, 1.0], n) + 1e-12 * rng.standard_normal(n), 0.0, 1.0)
+    elif kind == "grid":
+        levels = draw(st.integers(1, 8))
+        e = rng.integers(0, levels + 1, n) / levels
+    return e, k
+
+
+@settings(PROPERTY, max_examples=400)
+@given(score_vectors())
+def test_cutpoints_from_one_sort_equal_np_quantile(sample):
+    e, k = sample
+    cuts, bins = stratify._quantile_bins(e, k)
+    expected = np.quantile(e, np.arange(1, k) / k)
+    assert cuts.dtype == expected.dtype and cuts.tobytes() == expected.tobytes()
+    assert np.array_equal(bins, np.searchsorted(expected, e, side="left"))
