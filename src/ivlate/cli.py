@@ -198,7 +198,10 @@ def cmd_simulate(args) -> int:
     spec = named_dgp(args.dgp)
     tags = _parse_tags(args.estimators)
     keep = args.replicates_out is not None
-    summary = run_study(spec, tags, reps=args.reps, n=args.n, seed=args.seed, keep_estimates=keep)
+    try:
+        summary = run_study(spec, tags, reps=args.reps, n=args.n, seed=args.seed, keep_estimates=keep)
+    except ValueError as exc:  # simulate reads no data: a sample too small for a fit is a bad --n
+        raise InvalidSpecError(f"--n {args.n} is too small for these estimators: {exc}") from exc
 
     results = []
     for tag in tags:

@@ -1,12 +1,13 @@
 """Simulation designs, exact population oracles, and the replication engine.
 
-A design is described by a covariate law, an instrument propensity,
-compliance-type probabilities, and potential-outcome means. Designs with
-finite covariate support additionally carry their support cells, which
-lets the oracle compute every population quantity by exact enumeration:
-the complier effect and its projection coefficients, the implicit
-weights of the additive-second-stage estimators, the first-stage
-coefficient blocks, and the two bias terms of the interacted fit.
+A design's sampler draws the covariates and the units (covariate rows or
+drawn cell indices) that its instrument propensity, compliance-type
+probabilities and potential-outcome means take. Designs with finite
+covariate support additionally carry their support cells, which lets the
+oracle compute every population quantity by exact enumeration: the
+complier effect and its projection coefficients, the implicit weights of
+the additive-second-stage estimators, the first-stage coefficient
+blocks, and the two bias terms of the interacted fit.
 Continuous designs register closed-form truths instead.
 """
 
@@ -62,15 +63,15 @@ class DgpCell:
 class DgpSpec:
     """Generative description of a simulation design.
 
-    The callables are vectorized over rows of the covariate matrix.
-    ``cells`` is set for finite-support designs and enables the exact
-    oracle; continuous designs may register ``tau_c_value`` and
-    ``beta_c_value`` as closed-form truths.
+    ``draw_covariates(rng, n)`` returns ``(x, units)``: the (n, k) covariates
+    and what the other callables take in place of x (x, or drawn cell indices).
+    ``cells`` enables the exact oracle of a finite-support design; continuous
+    designs may register closed-form ``tau_c_value`` and ``beta_c_value``.
     """
 
     name: str
     k: int
-    draw_covariates: Callable[[np.random.Generator, int], np.ndarray]
+    draw_covariates: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     propensity: Callable[[np.ndarray], np.ndarray]
     p_always: Callable[[np.ndarray], np.ndarray]
     p_complier: Callable[[np.ndarray], np.ndarray]
@@ -174,7 +175,8 @@ def dgp_b() -> DgpSpec:
     """
 
     def draw(rng, n):
-        return np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        return x, x
 
     return DgpSpec(
         name="B",
@@ -199,7 +201,8 @@ def dgp_c() -> DgpSpec:
     """
 
     def draw(rng, n):
-        return np.column_stack([np.ones(n), rng.random(n)])
+        x = np.column_stack([np.ones(n), rng.random(n)])
+        return x, x
 
     return DgpSpec(
         name="C",
@@ -217,54 +220,53 @@ def dgp_c() -> DgpSpec:
 
 def named_dgp(name: str) -> DgpSpec:
     """Look up a bundled design by name; "D" is the design of study C."""
+    designs = {"A": dgp_a, "B": dgp_b, "C": dgp_c, "D": dgp_c}
     key = name.strip().upper()
-    if key == "A":
-        return dgp_a()
-    if key == "B":
-        return dgp_b()
-    if key in ("C", "D"):
-        return dgp_c()
-    raise InvalidSpecError(f"unknown design name {name!r}")
+    if key not in designs:
+        raise InvalidSpecError(f"unknown design name {name!r}")
+    return designs[key]()
+
+
+def _cell_arrays(cells) -> tuple[np.ndarray, ...]:
+    """Check a cell table; return x, prob, e, p_always, p_complier, y0, y1 by cell."""
+    if not cells:
+        raise InvalidSpecError("a finite-support design needs at least one cell")
+    if len({len(c.x) for c in cells}) != 1:
+        raise InvalidSpecError("all cells must share the covariate dimension")
+    xs = np.array([c.x for c in cells], dtype=float)
+    if len(set(map(tuple, xs.tolist()))) < len(cells):
+        raise InvalidSpecError("cells must have distinct covariate rows")
+    probs, e, pa, pc, y0, y1 = (np.array([getattr(c, f) for c in cells], dtype=float)
+                                for f in ("prob", "e", "p_always", "p_complier", "y0_mean", "y1_mean"))
+    if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
+        raise InvalidSpecError("cell probabilities must be nonnegative and sum to one")
+    if not np.all((e > 0.0) & (e < 1.0)):
+        raise InvalidSpecError("cell propensities must lie strictly inside (0, 1)")
+    if not (np.all(pa >= 0.0) and np.all(pc >= 0.0) and np.all(pa + pc <= 1.0 + 1e-12)):
+        raise InvalidSpecError("compliance-type probabilities must be a sub-distribution")
+    return xs, probs, e, pa, pc, y0, y1
 
 
 def from_cells(name: str, cells, noise_sd: float = 0.0) -> DgpSpec:
-    """Build a finite-support design from explicit support cells."""
+    """Build a finite-support design; its units are the drawn cell indices."""
     cells = tuple(cells)
-    if not cells:
-        raise InvalidSpecError("a finite-support design needs at least one cell")
-    k = len(cells[0].x)
-    xmat = np.array([c.x for c in cells], dtype=float)
-    probs = np.array([c.prob for c in cells], dtype=float)
-    e_arr = np.array([c.e for c in cells], dtype=float)
-    pa_arr = np.array([c.p_always for c in cells], dtype=float)
-    pc_arr = np.array([c.p_complier for c in cells], dtype=float)
-    y0_arr = np.array([c.y0_mean for c in cells], dtype=float)
-    y1_arr = np.array([c.y1_mean for c in cells], dtype=float)
+    xs, probs, e, pa, pc, y0, y1 = _cell_arrays(cells)
+    if not (np.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise InvalidSpecError("noise_sd must be finite and nonnegative")
 
-    if xmat.shape[1] != k or any(len(c.x) != k for c in cells):
-        raise InvalidSpecError("all cells must share the covariate dimension")
-    if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
-        raise InvalidSpecError("cell probabilities must be nonnegative and sum to one")
-    if np.any((e_arr <= 0.0) | (e_arr >= 1.0)):
-        raise InvalidSpecError("cell propensities must lie strictly inside (0, 1)")
-    if np.any(pa_arr < 0.0) or np.any(pc_arr < 0.0) or np.any(pa_arr + pc_arr > 1.0 + 1e-12):
-        raise InvalidSpecError("compliance-type probabilities must be a sub-distribution")
-
-    def cell_index(x: np.ndarray) -> np.ndarray:
-        match = np.all(x[:, None, :] == xmat[None, :, :], axis=2)
-        if not match.any(axis=1).all():
-            raise InvalidSpecError("covariate row outside the declared support")
-        return match.argmax(axis=1)
+    def draw(rng, n):
+        index = rng.choice(len(cells), size=n, p=probs)
+        return xs[index], index
 
     return DgpSpec(
         name=name,
-        k=k,
-        draw_covariates=lambda rng, n: xmat[rng.choice(len(cells), size=n, p=probs)],
-        propensity=lambda x: e_arr[cell_index(x)],
-        p_always=lambda x: pa_arr[cell_index(x)],
-        p_complier=lambda x: pc_arr[cell_index(x)],
-        y0_mean=lambda x, u: y0_arr[cell_index(x), u],
-        y1_mean=lambda x, u: y1_arr[cell_index(x), u],
+        k=xs.shape[1],
+        draw_covariates=draw,
+        propensity=lambda c: e[c],
+        p_always=lambda c: pa[c],
+        p_complier=lambda c: pc[c],
+        y0_mean=lambda c, u: y0[c, u],
+        y1_mean=lambda c, u: y1[c, u],
         noise_sd=noise_sd,
         cells=cells,
     )
@@ -284,16 +286,17 @@ def generate(spec: DgpSpec, n: int, seed: int, replicate: int = 0) -> tuple[Data
     """
     if n < 1:
         raise InvalidSpecError("n must be at least 1")
-    x = np.asarray(spec.draw_covariates(streams.substream(seed, replicate, streams.COVARIATES), n), dtype=float)
+    x, units = spec.draw_covariates(streams.substream(seed, replicate, streams.COVARIATES), n)
+    x = np.asarray(x, dtype=float)
     if x.shape != (n, spec.k) or not np.all(np.isfinite(x)):
         raise InvalidSpecError("covariate sampler returned a malformed matrix")
 
-    e = np.asarray(spec.propensity(x), dtype=float)
-    pa = np.asarray(spec.p_always(x), dtype=float)
-    pc = np.asarray(spec.p_complier(x), dtype=float)
-    if np.any((e <= 0.0) | (e >= 1.0)):
+    e = np.asarray(spec.propensity(units), dtype=float)
+    pa = np.asarray(spec.p_always(units), dtype=float)
+    pc = np.asarray(spec.p_complier(units), dtype=float)
+    if not np.all((e > 0.0) & (e < 1.0)):
         raise InvalidSpecError("propensity must lie strictly inside (0, 1) on the support")
-    if np.any(pa < 0.0) or np.any(pc < 0.0) or np.any(pa + pc > 1.0 + 1e-12):
+    if not (np.all(pa >= 0.0) and np.all(pc >= 0.0) and np.all(pa + pc <= 1.0 + 1e-12)):
         raise InvalidSpecError("compliance-type probabilities must be a sub-distribution")
 
     z = (streams.substream(seed, replicate, streams.INSTRUMENT).random(n) < e).astype(float)
@@ -301,8 +304,8 @@ def generate(spec: DgpSpec, n: int, seed: int, replicate: int = 0) -> tuple[Data
     u = np.where(r < pa, U_ALWAYS, np.where(r < pa + pc, U_COMPLIER, U_NEVER)).astype(np.int8)
     d = ((u == U_ALWAYS) | ((u == U_COMPLIER) & (z == 1.0))).astype(float)
 
-    y0 = np.asarray(spec.y0_mean(x, u), dtype=float)
-    y1 = np.asarray(spec.y1_mean(x, u), dtype=float)
+    y0 = np.asarray(spec.y0_mean(units, u), dtype=float)
+    y1 = np.asarray(spec.y1_mean(units, u), dtype=float)
     if spec.noise_sd > 0.0:
         eps = streams.substream(seed, replicate, streams.NOISE).standard_normal((n, 2))
         y0 = y0 + spec.noise_sd * eps[:, 0]
@@ -336,16 +339,9 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
             f"design {spec.name!r} has continuous covariate support; "
             "register closed-form truths instead"
         )
-    cells = spec.cells
     k = spec.k
-    xs = np.array([c.x for c in cells], dtype=float)
-    p = np.array([c.prob for c in cells], dtype=float)
-    e = np.array([c.e for c in cells], dtype=float)
-    pa = np.array([c.p_always for c in cells], dtype=float)
-    pc = np.array([c.p_complier for c in cells], dtype=float)
+    xs, p, e, pa, pc, y0m, y1m = _cell_arrays(spec.cells)  # y*m: (cell, type)
     pn = 1.0 - pa - pc
-    y0m = np.array([c.y0_mean for c in cells], dtype=float)  # (m, type)
-    y1m = np.array([c.y1_mean for c in cells], dtype=float)
     tau_cell = y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]
 
     p_c = float(p @ pc)
@@ -431,7 +427,7 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     resid_gram = m_zx_zx - m_zx_zx @ c2.T - c2 @ m_zx_zx + c2 @ xxt @ c2.T
     design_gram = c1 @ resid_gram @ c1.T
 
-    keys = [tuple(float(v) for v in c.x) for c in cells]
+    keys = list(map(tuple, xs.tolist()))
     return OracleEstimands(
         tau_c=tau_c,
         tau_c_by_cell=dict(zip(keys, tau_cell.tolist())),

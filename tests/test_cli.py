@@ -283,6 +283,27 @@ def test_simulate_requires_seed_and_known_design(tmp_path, capsys):
     assert main(["simulate", "--dgp", "Q", "--reps", "2", "--n", "60", "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "design, n, tags, cause",
+    [
+        ("B", "3", "++,x+,xx", "need at least as many rows (3) as regressors (4)"),
+        ("C", "5", "strat-3", "need at least 2k = 6 units, got 5"),
+    ],
+)
+def test_simulate_with_too_small_n_is_config_error(tmp_path, capsys, design, n, tags, cause):
+    # simulate reads no data, so a sample too small for a fit is a bad --n (exit 1, not 2).
+    out = tmp_path / "sim.json"
+    args = ["simulate", "--dgp", design, "--n", n, "--estimators", tags, "--reps", "2",
+            "--seed", "0", "--output", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # clipped scores on five units
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: --n {n} is too small" in err
+    assert cause in err
+    assert not out.exists()
+
+
 def test_simulate_reports_and_per_replicate_csv(tmp_path):
     out = tmp_path / "sim.json"
     reps_out = tmp_path / "reps.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _helpers import categorical_spec, curved_spec
@@ -8,6 +10,7 @@ from ivlate.errors import InfiniteSupportError, InvalidSpecError
 from ivlate.linalg import least_squares
 from ivlate.montecarlo import (
     DgpCell,
+    DgpSpec,
     U_ALWAYS,
     U_COMPLIER,
     dgp_a,
@@ -82,6 +85,70 @@ def test_invalid_specs_are_rejected():
         from_cells("bad", (DgpCell(x=(1.0,), prob=1.0, e=0.5, p_always=0.6, p_complier=0.5),))
     with pytest.raises(InvalidSpecError):
         generate(dgp_a(), 0, seed=1)
+
+
+def test_ragged_cells_name_the_covariate_dimension():
+    cells = (
+        DgpCell(x=(1.0, 0.0), prob=0.5, e=0.5, p_always=0.1, p_complier=0.5),
+        DgpCell(x=(1.0,), prob=0.5, e=0.5, p_always=0.1, p_complier=0.5),
+    )
+    with pytest.raises(InvalidSpecError, match="all cells must share the covariate dimension"):
+        from_cells("ragged", cells)
+
+
+def test_duplicate_covariate_rows_are_rejected_by_sampler_and_oracle():
+    # Two cells at one covariate row would give one law to both: reject them.
+    cells = (
+        DgpCell(x=(1.0, 0.0), prob=0.5, e=0.5, p_always=0.1, p_complier=0.5),
+        DgpCell(x=(1.0, 0.0), prob=0.5, e=0.9, p_always=0.1, p_complier=0.5),
+    )
+    with pytest.raises(InvalidSpecError, match="distinct covariate rows"):
+        from_cells("dup", cells)
+    with pytest.raises(InvalidSpecError, match="distinct covariate rows"):
+        oracle_estimands(replace(dgp_a(), cells=cells))
+
+
+@pytest.mark.parametrize("noise_sd", [-1.0, float("nan"), float("inf")])
+def test_noise_sd_must_be_finite_and_nonnegative(noise_sd):
+    with pytest.raises(InvalidSpecError, match="noise_sd"):
+        from_cells("noisy", dgp_a().cells, noise_sd=noise_sd)
+
+
+@pytest.mark.parametrize("field", ["prob", "e", "p_always", "p_complier"])
+def test_nan_cell_probabilities_are_rejected(field):
+    cell = DgpCell(x=(1.0,), prob=1.0, e=0.5, p_always=0.1, p_complier=0.5)
+    with pytest.raises(InvalidSpecError):
+        from_cells("nan", (replace(cell, **{field: float("nan")}),))
+
+
+def test_generate_rejects_nan_laws_of_a_user_design():
+    def draw(rng, n):
+        x = np.ones((n, 1))
+        return x, x
+
+    ok = DgpSpec(
+        name="user", k=1, draw_covariates=draw,
+        propensity=lambda x: np.full(x.shape[0], 0.5),
+        p_always=lambda x: np.full(x.shape[0], 0.1),
+        p_complier=lambda x: np.full(x.shape[0], 0.5),
+        y0_mean=lambda x, u: np.zeros(x.shape[0]),
+        y1_mean=lambda x, u: np.ones(x.shape[0]),
+    )
+    generate(ok, 10, seed=1)
+    nan = lambda x: np.full(x.shape[0], np.nan)  # noqa: E731
+    for law in ("propensity", "p_always", "p_complier"):
+        with pytest.raises(InvalidSpecError):
+            generate(replace(ok, **{law: nan}), 10, seed=1)
+
+
+def test_cell_sampler_returns_the_drawn_cell_index_as_units():
+    spec = categorical_spec()
+    x, units = spec.draw_covariates(np.random.default_rng(5), 500)
+    xs = np.array([c.x for c in spec.cells])
+    assert units.shape == (500,) and set(np.unique(units)) <= {0, 1, 2}
+    assert np.array_equal(x, xs[units])
+    data, latent = generate(spec, 500, seed=5)
+    assert np.array_equal(latent.e, np.array([c.e for c in spec.cells])[data.x.argmax(axis=1)])
 
 
 def test_named_lookup():

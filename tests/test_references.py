@@ -19,7 +19,10 @@ whitened k-by-k Gram; the n-row factor per step they replace must give
 the same convergence flag, errors and messages, scores to 1e-12 and
 coefficients to 1e-9, also on a quasi-separated design whose steps fall
 back to n rows. Partition cutpoints read off one sort must equal
-np.quantile, and their bins np.searchsorted, bit for bit.
+np.quantile, and their bins np.searchsorted, bit for bit. Finite-support
+designs evaluate their laws on the drawn cell index; the laws that
+recover each unit's cell from its covariate row, which they replace,
+must generate identical samples and latent truths.
 """
 
 import csv
@@ -33,6 +36,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
+from _helpers import curved_spec
 from scipy.special import expit
 
 from ivlate import complier, estimators, linalg, stratify
@@ -47,6 +51,7 @@ from ivlate.complier import (
 )
 from ivlate.errors import (
     IdentificationError,
+    InvalidSpecError,
     NoCompliersError,
     RankDeficientError,
     SchemaError,
@@ -61,7 +66,7 @@ from ivlate.estimators import (
     partially_interacted_2sls,
     stratum_wald,
 )
-from ivlate.montecarlo import evaluate_tags
+from ivlate.montecarlo import DgpCell, DgpSpec, dgp_a, evaluate_tags, from_cells, generate
 from ivlate.stratify import StratumPartition, partition_by_propensity, stratified_late
 
 PROPERTY = settings(
@@ -944,3 +949,86 @@ def test_cutpoints_from_one_sort_equal_np_quantile(sample):
     expected = np.quantile(e, np.arange(1, k) / k)
     assert cuts.dtype == expected.dtype and cuts.tobytes() == expected.tobytes()
     assert np.array_equal(bins, np.searchsorted(expected, e, side="left"))
+
+
+# ---------------------------------------------------------------------------
+# Finite-support generation: drawn cell index against the covariate-row lookup
+# ---------------------------------------------------------------------------
+
+
+def ref_from_cells(name, cells, noise_sd=0.0):
+    """Finite-support design whose laws recover each unit's cell from its covariate row."""
+    cells = tuple(cells)
+    xmat = np.array([c.x for c in cells], dtype=float)
+    probs = np.array([c.prob for c in cells], dtype=float)
+    e_arr = np.array([c.e for c in cells], dtype=float)
+    pa_arr = np.array([c.p_always for c in cells], dtype=float)
+    pc_arr = np.array([c.p_complier for c in cells], dtype=float)
+    y0_arr = np.array([c.y0_mean for c in cells], dtype=float)
+    y1_arr = np.array([c.y1_mean for c in cells], dtype=float)
+
+    def cell_index(x):
+        match = np.all(x[:, None, :] == xmat[None, :, :], axis=2)
+        if not match.any(axis=1).all():
+            raise InvalidSpecError("covariate row outside the declared support")
+        return match.argmax(axis=1)
+
+    def draw(rng, n):
+        x = xmat[rng.choice(len(cells), size=n, p=probs)]
+        return x, x
+
+    return DgpSpec(
+        name=name,
+        k=xmat.shape[1],
+        draw_covariates=draw,
+        propensity=lambda x: e_arr[cell_index(x)],
+        p_always=lambda x: pa_arr[cell_index(x)],
+        p_complier=lambda x: pc_arr[cell_index(x)],
+        y0_mean=lambda x, u: y0_arr[cell_index(x), u],
+        y1_mean=lambda x, u: y1_arr[cell_index(x), u],
+        noise_sd=noise_sd,
+        cells=cells,
+    )
+
+
+@st.composite
+def cell_designs(draw):
+    """Dummy-coded designs with or without a constant, or the curved design,
+    with or without outcome noise, and a sample size, seed and replicate."""
+    if draw(st.booleans()):
+        cells = curved_spec().cells
+    else:
+        levels = draw(st.integers(1, 4))
+        constant = draw(st.booleans())
+        weights = np.array([draw(st.integers(1, 20)) for _ in range(levels)], dtype=float)
+        unit = st.floats(0.02, 0.98)
+        mean = st.tuples(*[st.floats(-5.0, 5.0)] * 3)
+        cells = []
+        for j, prob in enumerate(weights / weights.sum()):
+            dummies = [float(j == level) for level in range(1 if constant else 0, levels)]
+            p_always = draw(st.floats(0.0, 0.5))
+            cells.append(DgpCell(
+                x=tuple(([1.0] if constant else []) + dummies), prob=float(prob), e=draw(unit),
+                p_always=p_always, p_complier=draw(st.floats(0.0, 1.0 - p_always)),
+                y0_mean=draw(mean), y1_mean=draw(mean),
+            ))
+    noise_sd = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.01, 3.0))
+    n = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    replicate = draw(st.integers(0, 50))
+    return tuple(cells), noise_sd, n, seed, replicate
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cell_designs())
+@example((dgp_a().cells, 0.0, 10_000, 20250802, 0))
+@example((curved_spec().cells, 0.5, 500, 7, 3))
+def test_cell_index_laws_match_the_covariate_row_lookup(design):
+    cells, noise_sd, n, seed, replicate = design
+    data, latent = generate(from_cells("new", cells, noise_sd), n, seed, replicate)
+    ref_data, ref_latent = generate(ref_from_cells("ref", cells, noise_sd), n, seed, replicate)
+    for got, ref, fields in ((data, ref_data, ("y", "d", "z", "x")), (latent, ref_latent, ("u", "y0", "y1", "tau", "e"))):
+        for name in fields:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert data.has_constant == ref_data.has_constant
