@@ -43,7 +43,7 @@ from .estimators import (
     stratum_wald,
 )
 from .inference import BootstrapResult, bootstrap, bootstrap_tags
-from .linalg import LsFit, least_squares, residualize
+from .linalg import LsFit, least_squares
 from .montecarlo import (
     DgpCell,
     DgpSpec,
@@ -125,7 +125,6 @@ __all__ = [
     "pipeline_for",
     "regressogram",
     "regressogram_deviation",
-    "residualize",
     "run_study",
     "stratified_late",
     "stratum_wald",

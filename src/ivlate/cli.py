@@ -393,26 +393,16 @@ def _validate_config(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _EXIT_OK if exc.code in (0, None) else _EXIT_CONFIG
-
-    try:
+        args = build_parser().parse_args(argv)
         _validate_config(args)
-        if args.command == "simulate":
-            named_dgp(args.dgp)  # fail fast on unknown names
-    except (InvalidSpecError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-
-    try:
         if args.command == "estimate":
             return cmd_estimate(args)
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_stratify(args)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        return _EXIT_OK if exc.code in (0, None) else _EXIT_CONFIG
     except InvalidSpecError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

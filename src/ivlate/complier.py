@@ -195,6 +195,13 @@ def kappa_weights(data: Dataset, prop: PropensityFit) -> KappaWeights:
     return KappaWeights(kappa=kappa, dkappa=dkappa)
 
 
+def require_compliers(pc_hat: float) -> float:
+    """Return the estimated complier share ``pc_hat``; NoCompliersError unless it exceeds PC_FLOOR."""
+    if pc_hat <= PC_FLOOR:
+        raise NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
+    return pc_hat
+
+
 def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> ComplierMeans:
     """Kappa-weighted means of the selected covariate columns among compliers.
 
@@ -203,9 +210,7 @@ def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> ComplierMeans:
     """
     cols = list(g_cols)
     kappa = kappa_weights(data, prop).kappa
-    pc_hat = float(kappa.mean())
-    if pc_hat <= PC_FLOOR:
-        raise NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
+    pc_hat = require_compliers(float(kappa.mean()))
     if cols:
         mu = (kappa @ data.x[:, cols]) / kappa.sum()
     else:
@@ -239,13 +244,14 @@ def centered_interacted_2sls(
     """
     if not data.has_constant:
         raise ValueError("centered_interacted_2sls requires a dataset with a constant column")
-    means = complier_mean(data, prop, range(1, data.k))
-    if centering not in ("first-stage", "kappa"):
-        raise ValueError(f"unknown centering {centering!r}")
-    fit = interacted_2sls(data)
     if centering == "kappa":
-        mu = means.mu
+        mu = complier_mean(data, prop, range(1, data.k)).mu
     else:
+        require_compliers(float(kappa_weights(data, prop).kappa.mean()))
+        if centering != "first-stage":
+            raise ValueError(f"unknown centering {centering!r}")
+    fit = interacted_2sls(data)
+    if centering == "first-stage":
         share = data.x @ fit.c1[0]
         total = share.sum()
         if total <= 0.0:
@@ -262,9 +268,7 @@ def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:
     probability estimated by mean(kappa).
     """
     weights = kappa_weights(data, prop)
-    pc_hat = float(weights.kappa.mean())
-    if pc_hat <= PC_FLOOR:
-        raise NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
+    pc_hat = require_compliers(float(weights.kappa.mean()))
     gram = (data.x * weights.kappa[:, None]).T @ data.x / weights.kappa.sum()
     rhs = (data.x * (weights.dkappa * data.y)[:, None]).mean(axis=0) / pc_hat
     # Solving the square system through the pivoted-QR path keeps the

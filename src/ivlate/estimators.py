@@ -20,7 +20,7 @@ then X reads R for that reason, and any other one factors its own block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -110,36 +110,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TwoSlsFit:
-    """Result of an interacted (or interacted-OLS) fit.
+    """Coefficients of an interacted (or interacted-OLS) fit.
 
     ``beta`` holds the coefficients of the instrumented treatment block,
     ``gamma`` the second-stage coefficients of the covariates. ``c1`` and
     ``c0`` are the first-stage coefficient blocks on the instrument
-    interactions and on the covariates. ``instruments`` is the
-    instrument block Z*X and ``controls`` the covariate matrix, both held
-    by reference.
+    interactions and on the covariates: row j fits D*X_j, so the fitted
+    block is ``(Z*X) @ c1.T + X @ c0.T``.
     """
 
     beta: np.ndarray
     gamma: np.ndarray
     c1: np.ndarray
     c0: np.ndarray
-    instruments: np.ndarray = field(repr=False, compare=False)
-    controls: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def fitted_block(self) -> np.ndarray:
-        """The first-stage fitted values of D*X, one column per covariate."""
-        return self.instruments @ self.c1.T + self.controls @ self.c0.T
-
-    @property
-    def fwl_design(self) -> np.ndarray:
-        """The first-stage fitted block residualized on the covariates.
-
-        Regressing the outcome on it alone reproduces ``beta``. Computed
-        on access, since no estimator needs it.
-        """
-        return linalg.residualize(self.fitted_block, self.controls)
 
 
 @dataclass(frozen=True)
@@ -180,15 +163,7 @@ def interacted_2sls(data: Dataset) -> TwoSlsFit:
     """Interacted 2SLS: component-wise lm(D*X ~ Z*X + X) then lm(Y ~ DXhat + X)."""
     k = data.k
     first, second = _two_stage(data.factor, k, k, range(k), range(k))
-    # Row j of c1/c0 holds the first-stage coefficients for response D*X_j.
-    return TwoSlsFit(
-        beta=second[:k, 0].copy(),
-        gamma=second[k:, 0].copy(),
-        c1=first[:k, :].T,
-        c0=first[k:, :].T,
-        instruments=_interact(data.z, data.x),
-        controls=data.x,
-    )
+    return TwoSlsFit(second[:k, 0].copy(), second[k:, 0].copy(), first[:k, :].T, first[k:, :].T)
 
 
 def interacted_additive_2sls(data: Dataset) -> ScalarEstimate:

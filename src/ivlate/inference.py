@@ -10,6 +10,7 @@ resampling law.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -42,6 +43,25 @@ def require_distinct(tags) -> None:
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
             raise ValueError(f"estimator tag {tag!r} is repeated")
+
+
+@contextlib.contextmanager
+def replicate_errors(seed: int, replicate: int):
+    """Re-raise a replicate's error with ``seed S, replicate r: `` before its message.
+
+    The error keeps its class and has the original as its cause; a class
+    whose constructor does not take one message propagates unchanged.
+    """
+    try:
+        yield
+    except Exception as exc:
+        try:
+            named = type(exc)(f"seed {seed}, replicate {replicate}: {exc}")
+        except TypeError:
+            named = None
+        if named is None:
+            raise
+        raise named from exc
 
 
 def bootstrap(
@@ -113,6 +133,10 @@ def bootstrap_tags(
         Checked per tag in the order of ``tags``: the tag's point
         estimate error first, then fewer than half of its replicates
         surviving identification checks, reported with the tag's name.
+    Exception
+        Any other error a replicate raises aborts the run, as its own
+        class with ``seed S, replicate r: `` before its message; skipping
+        such replicates would bias the resampling law.
     """
     if b < 10:
         raise ValueError("bootstrap needs b >= 10 replicates")
@@ -127,7 +151,9 @@ def bootstrap_tags(
         rng = substream(seed, r, RESAMPLE)
         idx = rng.integers(0, data.n, size=data.n)
         sample = replace(data, y=data.y[idx], d=data.d[idx], z=data.z[idx], x=data.x[idx])
-        for tag, est in evaluate(sample, live).items():
+        with replicate_errors(seed, r):
+            ests = evaluate(sample, live)
+        for tag, est in ests.items():
             if not isinstance(est, IdentificationError):
                 draws[tag].append(est)
 

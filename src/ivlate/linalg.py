@@ -1,4 +1,4 @@
-"""Dense multi-response least squares, triangular reduction, residualization.
+"""Dense multi-response least squares and triangular reduction.
 
 Every regression in the package is a ``least_squares`` call. Fits go
 through a column-pivoted QR factorization rather than the normal
@@ -40,19 +40,14 @@ class LsFit:
     Attributes
     ----------
     coef : ndarray, shape (q, p)
-        One coefficient column per response column.
-    fitted : ndarray, shape (n, p)
-        ``regressors @ coef``.
-    residuals : ndarray, shape (n, p)
-        ``responses - fitted``; orthogonal to the design columns.
+        One coefficient column per response column; the fitted values
+        are ``regressors @ coef``.
     condition_estimate : float
         Ratio of the largest to the smallest QR pivot, a cheap condition
         number proxy.
     """
 
     coef: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
     condition_estimate: float
 
 
@@ -110,8 +105,7 @@ def least_squares(responses, regressors) -> LsFit:
     qty = lapack.dormqr("L", "T", qr, tau, y, y.shape[1])[0]
     coef = np.empty((q, y.shape[1]))
     coef[jpvt - 1] = lapack.dtrtrs(qr[:q], qty[:q])[0]
-    fitted = x @ coef
-    return LsFit(coef, fitted, y - fitted, condition_estimate=float(diag[0] / diag[-1]))
+    return LsFit(coef, condition_estimate=float(diag[0] / diag[-1]))
 
 
 def triangular_factor(*blocks) -> np.ndarray:
@@ -144,11 +138,3 @@ def triangular_factor(*blocks) -> np.ndarray:
     factored = lapack.dgeqrf(stacked, overwrite_a=1)[0]
     return np.triu(factored[: min(n, stacked.shape[1])])
 
-
-def residualize(targets, controls) -> np.ndarray:
-    """Return ``targets`` minus their least-squares projection on ``controls``.
-
-    The result has columns orthogonal to every control column. Applying
-    the projection twice is a no-op up to float noise.
-    """
-    return least_squares(targets, controls).residuals

@@ -32,7 +32,7 @@ from .estimators import (
     interacted_2sls,
     interacted_additive_2sls,
 )
-from .inference import require_distinct
+from .inference import replicate_errors, require_distinct
 from .linalg import least_squares
 from .stratify import stratified_late
 
@@ -236,6 +236,8 @@ def _cell_arrays(cells) -> tuple[np.ndarray, ...]:
     xs = np.array([c.x for c in cells], dtype=float)
     if len(set(map(tuple, xs.tolist()))) < len(cells):
         raise InvalidSpecError("cells must have distinct covariate rows")
+    if any(np.shape(m) != (3,) for c in cells for m in (c.y0_mean, c.y1_mean)):
+        raise InvalidSpecError("y0_mean and y1_mean need three entries per cell (never, complier, always)")
     probs, e, pa, pc, y0, y1 = (np.array([getattr(c, f) for c in cells], dtype=float)
                                 for f in ("prob", "e", "p_always", "p_complier", "y0_mean", "y1_mean"))
     if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
@@ -286,7 +288,10 @@ def generate(spec: DgpSpec, n: int, seed: int, replicate: int = 0) -> tuple[Data
     """
     if n < 1:
         raise InvalidSpecError("n must be at least 1")
-    x, units = spec.draw_covariates(streams.substream(seed, replicate, streams.COVARIATES), n)
+    drawn = spec.draw_covariates(streams.substream(seed, replicate, streams.COVARIATES), n)
+    if not (isinstance(drawn, tuple) and len(drawn) == 2):
+        raise InvalidSpecError("draw_covariates must return an (x, units) tuple")
+    x, units = drawn
     x = np.asarray(x, dtype=float)
     if x.shape != (n, spec.k) or not np.all(np.isfinite(x)):
         raise InvalidSpecError("covariate sampler returned a malformed matrix")
@@ -568,7 +573,9 @@ def run_study(
     through one ``evaluate_tags`` call, so the propensity is fitted at
     most once per replicate and shared by the tags that need it.
     Failures of in-sample identification are counted per estimator and
-    excluded from the summaries. With ``keep_estimates`` the
+    excluded from the summaries. Any other error aborts the study, its
+    message prefixed with the seed and replicate; skipping such
+    replicates would bias the summaries. With ``keep_estimates`` the
     per-replicate estimates are retained for plotting or tail checks.
     A repeated tag raises ValueError.
     """
@@ -580,8 +587,10 @@ def run_study(
     draws: dict[str, list[np.ndarray]] = {tag: [] for tag in estimators}
     failures = {tag: 0 for tag in estimators}
     for r in range(reps):
-        data, _ = generate(spec, n, seed, replicate=r)
-        for tag, out in evaluate_tags(data, estimators).items():
+        with replicate_errors(seed, r):
+            data, _ = generate(spec, n, seed, replicate=r)
+            outs = evaluate_tags(data, estimators)
+        for tag, out in outs.items():
             if isinstance(out, IdentificationError):
                 failures[tag] += 1
             else:

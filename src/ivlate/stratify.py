@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complier import PC_FLOOR, PropensityFit
-from .errors import NoCompliersError, UnpartitionableError
+from .complier import PropensityFit, require_compliers
+from .errors import UnpartitionableError
 from .estimators import Dataset, _arm_moments
 
 
@@ -143,9 +143,7 @@ def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedRes
     partition = partition_by_propensity(prop.ehat, k, z=data.z, d=data.d)
     _, d_diff, y_diff = _arm_moments(data, partition.labels - 1, partition.k)
     complier_mass = partition.counts @ d_diff
-    pc_hat = complier_mass / data.n
-    if pc_hat <= PC_FLOOR:
-        raise NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
+    require_compliers(complier_mass / data.n)
     tau_star = float(partition.counts @ y_diff / complier_mass)
     return StratifiedResult(tau_star=tau_star, beta_star=y_diff / d_diff, partition=partition)
 

@@ -6,6 +6,7 @@ import numpy as np
 from scipy.special import expit
 
 from ivlate.estimators import Dataset
+from ivlate.linalg import least_squares
 from ivlate.montecarlo import DgpCell, from_cells
 
 
@@ -82,6 +83,20 @@ def curved_spec():
             )
         )
     return from_cells("curved", tuple(cells))
+
+
+def residualize(targets, controls):
+    """``targets``, as columns, minus their least-squares fit on ``controls``."""
+    y, x = (np.asarray(a, dtype=float).reshape(len(a), -1) for a in (targets, controls))
+    return y - x @ least_squares(y, x).coef
+
+
+def fwl_design(data, fit):
+    """The first-stage fitted block of an interacted fit, residualized on the covariates.
+
+    Regressing the outcome on it alone reproduces ``fit.beta`` (partialling out).
+    """
+    return residualize((data.z[:, None] * data.x) @ fit.c1.T + data.x @ fit.c0.T, data.x)
 
 
 def load_report(path):

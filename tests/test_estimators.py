@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _helpers import dummy_coded, simulate_iv
+from _helpers import dummy_coded, fwl_design, simulate_iv
 
 from ivlate.errors import DegenerateStratumError, NonFiniteError, RankDeficientError
 from ivlate.estimators import (
@@ -149,7 +149,7 @@ def test_fwl_identity():
     for seed in range(5):
         data = simulate_iv(seed, n=250)
         fit = interacted_2sls(data)
-        direct = least_squares(data.y, fit.fwl_design).coef[:, 0]
+        direct = least_squares(data.y, fwl_design(data, fit)).coef[:, 0]
         assert np.abs(fit.beta - direct).max() <= 1e-8 * max(1.0, np.abs(fit.beta).max())
 
 
@@ -157,8 +157,9 @@ def test_first_stage_blocks_reproduce_fitted_values():
     data = simulate_iv(6, n=200)
     fit = interacted_2sls(data)
     dx_hat = (data.z[:, None] * data.x) @ fit.c1.T + data.x @ fit.c0.T
-    first = least_squares(data.d[:, None] * data.x, np.column_stack([data.z[:, None] * data.x, data.x]))
-    assert np.allclose(dx_hat, first.fitted, atol=1e-10)
+    design = np.column_stack([data.z[:, None] * data.x, data.x])
+    first = least_squares(data.d[:, None] * data.x, design)
+    assert np.allclose(dx_hat, design @ first.coef, atol=1e-10)
 
 
 def test_transformation_equivariance_of_beta():
@@ -188,10 +189,10 @@ def test_forbidden_regression_equality_for_dummies():
     # With categorical covariates the component-wise first stage equals the
     # scalar first stage times the dummies, entrywise.
     data, _ = dummy_coded(10)
-    zx = data.z[:, None] * data.x
-    multi = least_squares(data.d[:, None] * data.x, np.column_stack([zx, data.x]))
-    scalar = least_squares(data.d, np.column_stack([zx, data.x]))
-    assert np.abs(multi.fitted - scalar.fitted[:, 0][:, None] * data.x).max() <= 1e-10
+    design = np.column_stack([data.z[:, None] * data.x, data.x])
+    multi = design @ least_squares(data.d[:, None] * data.x, design).coef
+    scalar = design @ least_squares(data.d, design).coef
+    assert np.abs(multi - scalar[:, 0][:, None] * data.x).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,21 @@ def test_bootstrap_se_of_the_mean_tracks_analytic_value():
     assert result.ci_lower[0] < result.point[0] < result.ci_upper[0]
 
 
+def test_a_resample_error_outside_identification_names_its_replicate():
+    calls = []
+
+    def pipeline(data):
+        calls.append(None)
+        if len(calls) == 4:  # the point estimate, then replicates 0, 1, 2
+            raise ZeroDivisionError("boom")
+        return np.array([data.y.mean()])
+
+    with pytest.raises(ZeroDivisionError, match=r"^seed 5, replicate 2: boom$") as info:
+        bootstrap(simulate_iv(4, n=60), pipeline, b=10, seed=5)
+    assert str(info.value.__cause__) == "boom"
+    assert len(calls) == 4
+
+
 def test_bootstrap_is_deterministic():
     data = simulate_iv(4, n=120)
     first = bootstrap(data, mean_pipeline, b=60, alpha=0.1, seed=9)

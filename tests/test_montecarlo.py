@@ -108,6 +108,19 @@ def test_duplicate_covariate_rows_are_rejected_by_sampler_and_oracle():
         oracle_estimands(replace(dgp_a(), cells=cells))
 
 
+def test_outcome_means_need_three_entries_per_cell():
+    # Outcome means are indexed by compliance type (never, complier, always).
+    short = DgpCell(x=(1.0,), prob=1.0, e=0.5, p_always=0.1, p_complier=0.5, y0_mean=(0.0, 1.0))
+    with pytest.raises(InvalidSpecError, match="three entries per cell"):
+        from_cells("short", (short,))
+    ragged = (
+        DgpCell(x=(1.0, 0.0), prob=0.5, e=0.5, p_always=0.1, p_complier=0.5, y1_mean=(1.0, 2.0, 3.0)),
+        DgpCell(x=(1.0, 1.0), prob=0.5, e=0.5, p_always=0.1, p_complier=0.5, y1_mean=(1.0, 2.0, 3.0, 4.0)),
+    )
+    with pytest.raises(InvalidSpecError, match="three entries per cell"):
+        from_cells("ragged", ragged)
+
+
 @pytest.mark.parametrize("noise_sd", [-1.0, float("nan"), float("inf")])
 def test_noise_sd_must_be_finite_and_nonnegative(noise_sd):
     with pytest.raises(InvalidSpecError, match="noise_sd"):
@@ -139,6 +152,16 @@ def test_generate_rejects_nan_laws_of_a_user_design():
     for law in ("propensity", "p_always", "p_complier"):
         with pytest.raises(InvalidSpecError):
             generate(replace(ok, **{law: nan}), 10, seed=1)
+
+
+@pytest.mark.parametrize("n", [50, 2])
+def test_generate_names_a_sampler_that_returns_only_the_matrix(n):
+    # At n = 2 the (2, k) matrix would unpack into two rows.
+    def matrix_only(rng, n):
+        return np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+
+    with pytest.raises(InvalidSpecError, match="draw_covariates must return an"):
+        generate(replace(dgp_b(), draw_covariates=matrix_only), n, seed=1)
 
 
 def test_cell_sampler_returns_the_drawn_cell_index_as_units():
@@ -306,6 +329,31 @@ def test_run_study_rejects_a_repeated_tag(monkeypatch):
         with pytest.raises(ValueError, match=f"estimator tag '{tags[-1]}' is repeated"):
             run_study(dgp_b(), tags, reps=2, n=100, seed=1)
     assert calls == []  # rejected before any replicate is drawn
+
+
+def test_a_replicate_error_outside_identification_names_its_replicate():
+    calls = []
+
+    def law(x, u):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ZeroDivisionError("boom")
+        return x[:, 1] ** 2
+
+    with pytest.raises(ZeroDivisionError, match=r"^seed 7, replicate 2: boom$") as info:
+        run_study(replace(dgp_b(), y1_mean=law), ["++"], reps=4, n=100, seed=7)
+    assert str(info.value.__cause__) == "boom"
+    assert len(calls) == 3  # the study stops at the failing replicate
+
+    # A class that cannot be built from one message propagates as it is.
+    undecodable = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def unreadable(x, u):
+        raise undecodable
+
+    with pytest.raises(UnicodeDecodeError) as info:
+        run_study(replace(dgp_b(), y1_mean=unreadable), ["++"], reps=1, n=100, seed=7)
+    assert info.value is undecodable
 
 
 def test_study_truth_sources():

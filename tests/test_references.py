@@ -36,7 +36,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
-from _helpers import curved_spec
+from _helpers import curved_spec, fwl_design, residualize
 from scipy.special import expit
 
 from ivlate import complier, estimators, linalg, stratify
@@ -435,12 +435,12 @@ def test_ingest_matches_row_by_row_reference(tmp_path_factory, csv_file):
 def ref_two_stage(responses, design, data):
     """First stage on the n-row design, second on its stored n-row fitted block."""
     first = linalg.least_squares(responses, design)
-    second = linalg.least_squares(data.y, np.column_stack([first.fitted, data.x]))
+    second = linalg.least_squares(data.y, np.column_stack([design @ first.coef, data.x]))
     return first, second
 
 
 def ref_estimators(data, v_cols, builder):
-    """Reference values of the five two-stage estimators and of ``fwl_design``."""
+    """Reference values of the five two-stage estimators and of the FWL design."""
     zx, dx = data.z[:, None] * data.x, data.d[:, None] * data.x
     v = data.x[:, v_cols]
     rows = np.vstack([np.asarray(builder(float(zi), xi), dtype=float) for zi, xi in zip(data.z, data.x)])
@@ -448,8 +448,9 @@ def ref_estimators(data, v_cols, builder):
         "++": lambda: ref_two_stage(data.d, np.column_stack([data.z, data.x]), data)[1].coef[0, 0],
         "x+": lambda: ref_two_stage(data.d, np.column_stack([zx, data.x]), data)[1].coef[0, 0],
         "beta": lambda: ref_two_stage(dx, np.column_stack([zx, data.x]), data)[1].coef[: data.k, 0],
-        "fwl": lambda: linalg.residualize(
-            ref_two_stage(dx, np.column_stack([zx, data.x]), data)[0].fitted, data.x
+        "fwl": lambda: residualize(
+            np.column_stack([zx, data.x]) @ ref_two_stage(dx, np.column_stack([zx, data.x]), data)[0].coef,
+            data.x,
         ),
         "partial": lambda: ref_two_stage(
             data.d[:, None] * v, np.column_stack([data.z[:, None] * v, data.x]), data
@@ -463,7 +464,7 @@ def new_estimators(data, v_cols, builder):
         "++": lambda: additive_2sls(data).value,
         "x+": lambda: interacted_additive_2sls(data).value,
         "beta": lambda: interacted_2sls(data).beta,
-        "fwl": lambda: interacted_2sls(data).fwl_design,
+        "fwl": lambda: fwl_design(data, interacted_2sls(data)),
         "partial": lambda: partially_interacted_2sls(data, v_cols),
         "generalized": lambda: generalized_additive_2sls(data, builder).value,
     }
@@ -599,8 +600,7 @@ def ref_least_squares(responses, regressors):
     coef_pivoted = scipy.linalg.solve_triangular(rmat, qmat.T @ y)
     coef = np.empty_like(coef_pivoted)
     coef[pivot] = coef_pivoted
-    fitted = x @ coef
-    return linalg.LsFit(coef, fitted, y - fitted, float(diag[0] / diag[-1]))
+    return linalg.LsFit(coef, float(diag[0] / diag[-1]))
 
 
 def exact_outcome(fn, *args):
@@ -645,8 +645,9 @@ def test_least_squares_kernel_matches_scipy_qr_route(problem):
     # error times the magnitude of its design column.
     bound = 1e-12 * max(1.0, float(np.abs(y).max()))
     assert np.abs((got.coef - ref.coef) * np.abs(x).max(axis=0)[:, None]).max() <= bound
-    assert np.abs(got.fitted - ref.fitted).max() <= bound
-    assert np.abs(got.residuals - ref.residuals).max() <= bound
+    fitted, ref_fitted = x @ got.coef, x @ ref.coef
+    assert np.abs(fitted - ref_fitted).max() <= bound
+    assert np.abs((y - fitted) - (y - ref_fitted)).max() <= bound
 
 
 # ---------------------------------------------------------------------------
