@@ -9,7 +9,6 @@ finite-support population oracles.
 
 from .complier import (
     ComplierMeans,
-    KappaWeights,
     PropensityFit,
     abadie_beta,
     centered_interacted_2sls,
@@ -82,7 +81,6 @@ __all__ = [
     "IdentificationError",
     "InfiniteSupportError",
     "InvalidSpecError",
-    "KappaWeights",
     "LatentTruth",
     "LsFit",
     "McSummary",

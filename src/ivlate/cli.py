@@ -35,7 +35,7 @@ from .errors import (
 from .estimators import Dataset
 from .inference import bootstrap, bootstrap_tags, require_distinct
 from .montecarlo import evaluate_tags, named_dgp, pipeline_for, run_study
-from .stratify import stratified_late
+from .stratify import regressogram, stratified_late
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -265,16 +265,13 @@ def cmd_stratify(args) -> int:
 
     boot = bootstrap(data, strat_pipeline, b=args.b, alpha=args.alpha, seed=args.seed)
 
-    bounds = point.partition.boundaries
-    lows = np.concatenate([[0.0], bounds])
-    highs = np.concatenate([bounds, [1.0]])
     strata = [
         {
-            "interval": [_num(lows[j]), _num(highs[j])],
-            "estimate": _num(point.beta_star[j]),
+            "interval": [_num(low), _num(high)],
+            "estimate": _num(estimate),
             "ci": [_num(boot.ci_lower[j + 1]), _num(boot.ci_upper[j + 1])],
         }
-        for j in range(k_point)
+        for j, (low, high, estimate) in enumerate(regressogram(point))
     ]
 
     report = {

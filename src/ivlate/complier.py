@@ -51,18 +51,6 @@ class PropensityFit:
 
 
 @dataclass(frozen=True)
-class KappaWeights:
-    """Kappa weights and their instrument-residual variant.
-
-    kappa_i  = 1 - D_i (1 - Z_i) / (1 - e_i) - (1 - D_i) Z_i / e_i
-    dkappa_i = (Z_i - e_i) / (e_i (1 - e_i))
-    """
-
-    kappa: np.ndarray
-    dkappa: np.ndarray
-
-
-@dataclass(frozen=True)
 class ComplierMeans:
     """Kappa-weighted covariate means among compliers plus the complier share."""
 
@@ -187,12 +175,16 @@ def _saturated_scores(z, x):
     return ehat
 
 
-def kappa_weights(data: Dataset, prop: PropensityFit) -> KappaWeights:
-    """Entrywise kappa and delta-kappa weights from estimated propensities."""
+def kappa_weights(data: Dataset, prop: PropensityFit) -> np.ndarray:
+    """Entrywise kappa weights, 1 - D (1 - Z) / (1 - e) - (1 - D) Z / e, at the estimated e."""
     e = prop.ehat
-    kappa = 1.0 - data.d * (1.0 - data.z) / (1.0 - e) - (1.0 - data.d) * data.z / e
-    dkappa = (data.z - e) / (e * (1.0 - e))
-    return KappaWeights(kappa=kappa, dkappa=dkappa)
+    return 1.0 - data.d * (1.0 - data.z) / (1.0 - e) - (1.0 - data.d) * data.z / e
+
+
+def dkappa_weights(data: Dataset, prop: PropensityFit) -> np.ndarray:
+    """Entrywise instrument-residual weights, (Z - e) / (e (1 - e)), at the estimated e."""
+    e = prop.ehat
+    return (data.z - e) / (e * (1.0 - e))
 
 
 def require_compliers(pc_hat: float) -> float:
@@ -209,7 +201,7 @@ def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> ComplierMeans:
     share, does not exceed PC_FLOOR.
     """
     cols = list(g_cols)
-    kappa = kappa_weights(data, prop).kappa
+    kappa = kappa_weights(data, prop)
     pc_hat = require_compliers(float(kappa.mean()))
     if cols:
         mu = (kappa @ data.x[:, cols]) / kappa.sum()
@@ -236,8 +228,13 @@ def centered_interacted_2sls(
       share = X c1[0] is the fitted instrument-arm gap of D (the first
       stage's response D X_0 is D). The default; its weights are smooth
       functions of the covariates, which keeps the estimate stable when
-      some propensities are extreme.
+      some propensities are extreme. Consistent for the LATE under the
+      paper's condition (i), E[Z X | X] linear in X (categorical
+      covariates or a randomly assigned instrument), where the share's
+      limit weights X as the complier share does; not under (ii) alone.
     * "kappa": the kappa-weighted means from ``complier_mean``.
+      Consistent, given consistent propensities, under (i) or under
+      (ii): the interacted outcome model holds for every compliance type.
 
     Either way the complier share implied by the kappa weights must clear
     the identification floor.
@@ -247,7 +244,7 @@ def centered_interacted_2sls(
     if centering == "kappa":
         mu = complier_mean(data, prop, range(1, data.k)).mu
     else:
-        require_compliers(float(kappa_weights(data, prop).kappa.mean()))
+        require_compliers(float(kappa_weights(data, prop).mean()))
         if centering != "first-stage":
             raise ValueError(f"unknown centering {centering!r}")
     fit = interacted_2sls(data)
@@ -267,10 +264,10 @@ def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:
     with the first factor a kappa-weighted Gram matrix and the complier
     probability estimated by mean(kappa).
     """
-    weights = kappa_weights(data, prop)
-    pc_hat = require_compliers(float(weights.kappa.mean()))
-    gram = (data.x * weights.kappa[:, None]).T @ data.x / weights.kappa.sum()
-    rhs = (data.x * (weights.dkappa * data.y)[:, None]).mean(axis=0) / pc_hat
+    kappa = kappa_weights(data, prop)
+    pc_hat = require_compliers(float(kappa.mean()))
+    gram = (data.x * kappa[:, None]).T @ data.x / kappa.sum()
+    rhs = (data.x * (dkappa_weights(data, prop) * data.y)[:, None]).mean(axis=0) / pc_hat
     # Solving the square system through the pivoted-QR path keeps the
     # rank check consistent with every other fit.
     return linalg.least_squares(rhs, gram).coef[:, 0].copy()

@@ -6,8 +6,10 @@ probabilities and potential-outcome means take. Designs with finite
 covariate support additionally carry their support cells, which lets the
 oracle compute every population quantity by exact enumeration: the
 complier effect and its projection coefficients, the implicit weights of
-the additive-second-stage estimators, the first-stage coefficient
-blocks, and the two bias terms of the interacted fit.
+the additive-second-stage estimators, and the two bias terms of the
+interacted fit. The estimators' probability limits come from their own
+two-stage fits on the population factor: such a design is a weighted
+sample of cell-by-instrument-arm-by-compliance-type atoms.
 Continuous designs register closed-form truths instead.
 """
 
@@ -28,12 +30,13 @@ from .errors import (
 )
 from .estimators import (
     Dataset,
+    _two_stage,
     additive_2sls,
     interacted_2sls,
     interacted_additive_2sls,
 )
 from .inference import replicate_errors, require_distinct
-from .linalg import least_squares
+from .linalg import least_squares, triangular_factor
 from .stratify import stratified_late
 
 # Compliance-type codes.
@@ -101,16 +104,20 @@ class OracleEstimands:
     Cell-indexed maps are keyed by the covariate tuple. ``plim_taa`` and
     ``plim_tia`` are the weighted averages of the conditional complier
     effects under the additive and interacted-additive weights; the
-    ``*_projection`` values recompute the same limits from the population
-    moment matrices and must agree whenever the instrument-interaction
-    linearity condition holds.
+    ``*_projection`` values are the probability limits of those two fits,
+    from the estimators' own two stages on the population factor, and
+    must agree with them whenever the instrument-interaction linearity
+    condition holds. ``plim_beta_2sls`` is the interacted fit's limit.
+    ``plim_xx_first_stage`` and ``plim_xx_kappa`` are the limits of the
+    centered interacted fit under its two centerings; both are None when
+    column 0 of the covariates is not the constant, and the first-stage
+    one also when its complier share E[X c1[0]] is not positive.
     """
 
     tau_c: float
     tau_c_by_cell: dict[tuple[float, ...], float]
     beta_c: np.ndarray
     p_complier: float
-    pi_by_cell: dict[tuple[float, ...], float]
     pi_tilde_coeffs: np.ndarray
     w_plus: dict[tuple[float, ...], float]
     w_times: dict[tuple[float, ...], float]
@@ -119,12 +126,11 @@ class OracleEstimands:
     b2: np.ndarray
     plim_taa: float
     plim_tia: float
-    c1: np.ndarray
-    c0: np.ndarray
-    c2: np.ndarray
     plim_beta_2sls: np.ndarray
     plim_taa_projection: float
     plim_tia_projection: float
+    plim_xx_first_stage: float | None
+    plim_xx_kappa: float | None
     interacted_design_gram: np.ndarray
 
 
@@ -337,7 +343,8 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 
     Everything is an exact finite sum over support cells (and, for the
     regression limits, over the cell-by-instrument-by-type atoms), so
-    results carry no Monte Carlo error.
+    results carry no Monte Carlo error. The regression limits are the
+    estimators' ``_two_stage`` fits on one triangular factor of the atoms.
     """
     if spec.cells is None:
         raise InfiniteSupportError(
@@ -373,50 +380,36 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     plim_taa = float(p @ (w_plus_arr * tau_cell))
     plim_tia = float(p @ (w_times_arr * tau_cell))
 
-    # Population moments over the (cell, z, type) atoms. Outcomes enter
-    # every limit linearly, so type-conditional means suffice.
-    p_d1_z1 = pa + pc          # P(D = 1 | Z = 1, cell)
-    p_d1_z0 = pa               # P(D = 1 | Z = 0, cell)
-    ey_z1 = pa * y1m[:, U_ALWAYS] + pc * y1m[:, U_COMPLIER] + pn * y0m[:, U_NEVER]
-    ey_z0 = pa * y1m[:, U_ALWAYS] + pc * y0m[:, U_COMPLIER] + pn * y0m[:, U_NEVER]
-    ey = e * ey_z1 + (1.0 - e) * ey_z0
-    ed = pa + e * pc
+    # The design is a weighted sample of (cell, z, type) atoms. D follows
+    # from (z, type); outcomes enter every limit linearly, so Y is the
+    # type's outcome mean. The factor of sqrt(w) [Z X | Z | X | D X | D | Y]
+    # is then the population factor, and the estimators' own two stages on
+    # it give their probability limits.
+    atoms = np.meshgrid(np.arange(len(p)), [0.0, 1.0], [U_NEVER, U_COMPLIER, U_ALWAYS], indexing="ij")
+    cell, z, u = (a.ravel() for a in atoms)
+    d = ((u == U_ALWAYS) | ((u == U_COMPLIER) & (z == 1.0))).astype(float)
+    p_type = np.column_stack([pn, pc, pa])  # columns in type-code order, as y0m and y1m
+    sw = np.sqrt(p[cell] * np.where(z == 1.0, e[cell], 1.0 - e[cell]) * p_type[cell, u])
+    sx = sw[:, None] * xs[cell]
+    factor = triangular_factor(z[:, None] * sx, sw * z, sx, d[:, None] * sx, sw * d,
+                               sw * np.where(d == 1.0, y1m[cell, u], y0m[cell, u]))
+    first, second = _two_stage(factor, k + 1, k, range(k), range(k))
+    plim_beta_2sls, c1 = second[:k, 0], first[:k].T
+    plim_taa_proj = float(_two_stage(factor, k + 1, k, [k], [k])[1][0, 0])
+    plim_tia_proj = float(_two_stage(factor, k + 1, k, range(k), [k])[1][0, 0])
 
+    # The centered fit's limit beta[0] + mu @ beta[1:], at the complier means
+    # mu of each centering: share-weighted with share = X c1[0], or E[X | complier].
+    plim_xx_first_stage = plim_xx_kappa = None
+    if np.all(xs[:, 0] == 1.0):
+        beta0, beta1 = plim_beta_2sls[0], plim_beta_2sls[1:]
+        share = p * (xs @ c1[0])
+        if share.sum() > 0.0:
+            plim_xx_first_stage = float(beta0 + (share @ xs[:, 1:]) / share.sum() @ beta1)
+        plim_xx_kappa = float(beta0 + cell_given_c @ xs[:, 1:] @ beta1)
+
+    # The two bias terms of the interacted fit.
     m_zx_zx = np.einsum("i,ij,il->jl", p * e, xs, xs)
-    m_zx_dx = np.einsum("i,ij,il->jl", p * e * p_d1_z1, xs, xs)
-    m_x_dx = np.einsum("i,ij,il->jl", p * ed, xs, xs)
-    m_zx_y = (p * e * ey_z1) @ xs
-    m_x_y = (p * ey) @ xs
-
-    # Interacted fit: just-identified, instruments (Z X, X), regressors (D X, X).
-    a_full = np.block([[m_zx_dx, m_zx_zx], [m_x_dx, xxt]])
-    plim_beta_full = _solve(a_full, np.concatenate([m_zx_y, m_x_y]))
-    plim_beta_2sls = plim_beta_full[:k]
-
-    # Additive fit: instruments (Z, X), regressors (D, X).
-    e_z = float(p @ e)
-    e_zd = float(p @ (e * p_d1_z1))
-    e_zx = (p * e) @ xs
-    e_xd = (p * ed) @ xs
-    e_zy = float(p @ (e * ey_z1))
-    a_add = np.block([[np.array([[e_zd]]), e_zx[None, :]], [e_xd[:, None], xxt]])
-    plim_taa_proj = float(_solve(a_add, np.concatenate([[e_zy], m_x_y]))[0])
-
-    # Interacted-additive fit: overidentified, instruments (Z X, X),
-    # regressors (D, X); limit via the projected moment matrices.
-    m_ww = np.block([[m_zx_zx, m_zx_zx], [m_zx_zx, xxt]])
-    e_zx_d = (p * e * p_d1_z1) @ xs
-    m_wq = np.block([[e_zx_d[:, None], m_zx_zx], [e_xd[:, None], xxt]])
-    m_wy = np.concatenate([m_zx_y, m_x_y])
-    proj = _solve(m_ww, np.column_stack([m_wq, m_wy]))
-    m_qq_hat = m_wq.T @ proj[:, :-1]
-    m_qy_hat = m_wq.T @ proj[:, -1]
-    plim_tia_proj = float(_solve(m_qq_hat, m_qy_hat)[0])
-
-    # First-stage coefficient blocks and the two bias terms.
-    c1c0 = _solve(m_ww.T, np.vstack([m_zx_dx, m_x_dx])).T
-    c1 = c1c0[:, :k]
-    c0 = c1c0[:, k:]
     c2 = _solve(xxt.T, m_zx_zx.T).T
 
     delta_cell = pc * y0m[:, U_COMPLIER] + pn * y0m[:, U_NEVER] + pa * (
@@ -438,7 +431,6 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
         tau_c_by_cell=dict(zip(keys, tau_cell.tolist())),
         beta_c=beta_c,
         p_complier=p_c,
-        pi_by_cell=dict(zip(keys, pi.tolist())),
         pi_tilde_coeffs=a_tilde,
         w_plus=dict(zip(keys, w_plus_arr.tolist())),
         w_times=dict(zip(keys, w_times_arr.tolist())),
@@ -447,12 +439,11 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
         b2=b2,
         plim_taa=plim_taa,
         plim_tia=plim_tia,
-        c1=c1,
-        c0=c0,
-        c2=c2,
         plim_beta_2sls=plim_beta_2sls,
         plim_taa_projection=plim_taa_proj,
         plim_tia_projection=plim_tia_proj,
+        plim_xx_first_stage=plim_xx_first_stage,
+        plim_xx_kappa=plim_xx_kappa,
         interacted_design_gram=design_gram,
     )
 

@@ -148,17 +148,11 @@ def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedRes
     return StratifiedResult(tau_star=tau_star, beta_star=y_diff / d_diff, partition=partition)
 
 
-def regressogram(data: Dataset, prop: PropensityFit, k: int) -> list[tuple[float, float, float]]:
+def regressogram(result: StratifiedResult) -> list[tuple[float, float, float]]:
     """Piecewise-constant approximation of the conditional LATE over the propensity.
 
-    Returns one (interval_low, interval_high, estimate) triple per
-    stratum, with the outer intervals extended to 0 and 1.
+    Returns one (interval_low, interval_high, estimate) triple per stratum
+    of ``result``, with the outer intervals extended to 0 and 1.
     """
-    result = stratified_late(data, prop, k)
-    bounds = result.partition.boundaries
-    lows = np.concatenate([[0.0], bounds])
-    highs = np.concatenate([bounds, [1.0]])
-    return [
-        (float(lo), float(hi), float(est))
-        for lo, hi, est in zip(lows, highs, result.beta_star)
-    ]
+    bounds = result.partition.boundaries.tolist()
+    return list(zip([0.0, *bounds], [*bounds, 1.0], result.beta_star.tolist()))

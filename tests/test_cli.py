@@ -7,8 +7,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ivlate.cli import ingest_csv, main
+from ivlate.complier import fit_propensity
 from ivlate.errors import SchemaError
-from ivlate.montecarlo import dgp_a, generate
+from ivlate.montecarlo import dgp_a, dgp_c, generate
+from ivlate.stratify import regressogram, stratified_late
 
 
 def write_csv(path, header, rows):
@@ -380,8 +382,6 @@ def test_stratify_constant_scores_merge_with_warning(tmp_path, capsys):
 
 
 def test_stratify_emits_at_most_k_rows(tmp_path):
-    from ivlate.montecarlo import dgp_c
-
     data, _ = generate(dgp_c(), 1000, seed=11)
     rows = np.column_stack([data.y, data.d, data.z, data.x[:, 1]]).tolist()
     path = write_csv(tmp_path / "c.csv", ["y", "d", "z", "x1"], rows)
@@ -390,6 +390,22 @@ def test_stratify_emits_at_most_k_rows(tmp_path):
                  "--seed", "3", "--format", "csv", "--output", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert 2 <= len(lines) <= 11
+
+
+def test_stratify_report_rows_are_the_regressogram(tmp_path):
+    # tests/test_stratify.py checks that the regressogram's intervals tile [0, 1].
+    data, _ = generate(dgp_c(), 1000, seed=11)
+    rows = np.column_stack([data.y, data.d, data.z, data.x[:, 1]]).tolist()
+    path = write_csv(tmp_path / "c.csv", ["y", "d", "z", "x1"], rows)
+    out = tmp_path / "s.json"
+    assert main(["stratify", "--input", path, "--k", "10", "--b", "20",
+                 "--seed", "3", "--output", str(out)]) == 0
+    sample = ingest_csv(path)
+    bins = regressogram(stratified_late(sample, fit_propensity(sample, "logistic"), 10))
+    report = load_report(out)
+    assert len(bins) == report["config"]["k_effective"] > 1
+    assert [row["interval"] for row in report["strata"]] == [[low, high] for low, high, _ in bins]
+    assert [row["estimate"] for row in report["strata"]] == [b[2] for b in bins]
 
 
 def test_stratify_json_report_is_deterministic(tmp_path):

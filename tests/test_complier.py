@@ -8,6 +8,7 @@ from ivlate.complier import (
     abadie_beta,
     centered_interacted_2sls,
     complier_mean,
+    dkappa_weights,
     fit_propensity,
     kappa_weights,
 )
@@ -143,28 +144,28 @@ def test_saturated_fit_rejects_a_non_finite_entry(column):
 def test_kappa_is_one_under_perfect_compliance():
     data = simulate_iv(46, n=150)
     perfect = Dataset(y=data.y, d=data.z.copy(), z=data.z, x=data.x, has_constant=True)
-    weights = kappa_weights(perfect, _supplied(perfect, np.full(perfect.n, 0.4)))
-    assert np.abs(weights.kappa - 1.0).max() <= 1e-12
+    kappa = kappa_weights(perfect, _supplied(perfect, np.full(perfect.n, 0.4)))
+    assert np.abs(kappa - 1.0).max() <= 1e-12
 
 
 def test_kappa_single_unit_formulas():
     one = Dataset(
         y=np.zeros(1), d=np.array([0.0]), z=np.array([1.0]), x=np.ones((1, 1)), has_constant=True
     )
-    weights = kappa_weights(one, _supplied(one, [0.5]))
-    assert weights.kappa[0] == pytest.approx(-1.0, abs=1e-12)
+    kappa = kappa_weights(one, _supplied(one, [0.5]))
+    assert kappa[0] == pytest.approx(-1.0, abs=1e-12)
 
     treated = Dataset(
         y=np.zeros(1), d=np.array([1.0]), z=np.array([1.0]), x=np.ones((1, 1)), has_constant=True
     )
-    weights = kappa_weights(treated, _supplied(treated, [0.8]))
-    assert weights.dkappa[0] == pytest.approx(1.25, abs=1e-12)
+    dkappa = dkappa_weights(treated, _supplied(treated, [0.8]))
+    assert dkappa[0] == pytest.approx(1.25, abs=1e-12)
 
 
 def test_kappa_mean_equals_ipw_first_stage_exactly_under_saturation():
     data, _ = generate(dgp_a(), 10_000, seed=47)
     prop = fit_propensity(data, "saturated")
-    kappa = kappa_weights(data, prop).kappa
+    kappa = kappa_weights(data, prop)
     ipw = (data.d * data.z / prop.ehat - data.d * (1.0 - data.z) / (1.0 - prop.ehat)).mean()
     assert abs(kappa.mean() - ipw) <= 1e-12
 
@@ -172,7 +173,7 @@ def test_kappa_mean_equals_ipw_first_stage_exactly_under_saturation():
 def test_kappa_mean_tracks_ipw_first_stage_under_logistic_scores():
     data = simulate_iv(48, n=10_000, k=3)
     prop = fit_propensity(data, "logistic")
-    kappa = kappa_weights(data, prop).kappa
+    kappa = kappa_weights(data, prop)
     ipw = (data.d * data.z / prop.ehat - data.d * (1.0 - data.z) / (1.0 - prop.ehat)).mean()
     assert abs(kappa.mean() - ipw) <= 4.0 / np.sqrt(data.n)
 
@@ -180,7 +181,7 @@ def test_kappa_mean_tracks_ipw_first_stage_under_logistic_scores():
 def test_dkappa_sums_to_zero_within_saturated_cells():
     data, _ = generate(dgp_a(), 5_000, seed=49)
     prop = fit_propensity(data, "saturated")
-    dkappa = kappa_weights(data, prop).dkappa
+    dkappa = dkappa_weights(data, prop)
     for value in (0.0, 1.0):
         mask = data.x[:, 1] == value
         assert abs(dkappa[mask].sum()) <= 1e-10 * mask.sum()

@@ -300,6 +300,89 @@ def test_oracle_rejects_continuous_designs():
         oracle_estimands(dgp_b())
 
 
+# ---------------------------------------------------------------------------
+# Theorems 1-2: probability limits of the interacted and centered fits
+# ---------------------------------------------------------------------------
+
+
+def four_point_cells(e, p_complier, y0_mean, y1_mean, probs=(0.25,) * 4, p_always=(0.1,) * 4):
+    """Cells at x = (1, j), j = 0..3; the outcome means are per cell, by type."""
+    return tuple(
+        DgpCell(x=(1.0, float(j)), prob=probs[j], e=e[j], p_always=p_always[j],
+                p_complier=p_complier[j], y0_mean=tuple(y0_mean[j]), y1_mean=tuple(y1_mean[j]))
+        for j in range(4)
+    )
+
+
+@st.composite
+def four_point_specs(draw, condition):
+    """Random four-point designs on the basis (1, j) under condition (ib) or (ii).
+
+    (ib): the instrument propensity is constant; outcome means are free.
+    (ii): Y(0) = X'gamma and Y(1) = X'gamma + X'b for every compliance
+    type; the propensity is free, so not linear in X.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.uniform(0.05, 1.0, 4)
+    p_always = rng.uniform(0.0, 0.4, 4)
+    p_complier = rng.uniform(0.05, 1.0 - p_always)
+    if condition == "ib":
+        e = np.full(4, rng.uniform(0.05, 0.95))
+        y0, y1 = rng.uniform(-3.0, 3.0, (2, 4, 3))
+    else:
+        e = rng.uniform(0.05, 0.95, 4)
+        gamma, b = rng.uniform(-3.0, 3.0, (2, 2))
+        y0 = np.repeat((gamma[0] + gamma[1] * np.arange(4.0))[:, None], 3, axis=1)
+        y1 = y0 + (b[0] + b[1] * np.arange(4.0))[:, None]
+    return from_cells(condition, four_point_cells(e, p_complier, y0, y1, probs / probs.sum(), p_always))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(four_point_specs("ib"))
+def test_constant_propensity_makes_both_centerings_consistent(spec):
+    oracle = oracle_estimands(spec)
+    assert np.abs(oracle.plim_beta_2sls - oracle.beta_c).max() <= 1e-10
+    assert oracle.plim_xx_first_stage == pytest.approx(oracle.tau_c, abs=1e-10)
+    assert oracle.plim_xx_kappa == pytest.approx(oracle.tau_c, abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(four_point_specs("ii"))
+def test_linear_outcomes_make_the_kappa_centering_consistent(spec):
+    oracle = oracle_estimands(spec)
+    assert np.abs(oracle.plim_beta_2sls - oracle.beta_c).max() <= 1e-10
+    assert oracle.plim_xx_kappa == pytest.approx(oracle.tau_c, abs=1e-10)
+
+
+def test_first_stage_centering_misses_under_linear_outcomes_alone():
+    # Condition (ii) with a propensity that is not linear in (1, j): the
+    # first-stage share X c1[0] is then not the complier share.
+    y0 = [[0.5 + 0.2 * j] * 3 for j in range(4)]
+    y1 = [[0.5 + 0.2 * j + 1.0 + j] * 3 for j in range(4)]
+    oracle = oracle_estimands(from_cells("ii", four_point_cells((0.5, 0.9, 0.5, 0.1), (0.3, 0.6, 0.3, 0.6), y0, y1)))
+    assert oracle.plim_xx_kappa == pytest.approx(oracle.tau_c, abs=1e-10)
+    assert abs(oracle.plim_xx_first_stage - oracle.tau_c) > 0.1
+
+
+def test_neither_condition_misses_with_both_centerings():
+    oracle = oracle_estimands(curved_spec())
+    assert np.abs(oracle.plim_beta_2sls - oracle.beta_c).max() > 0.1
+    assert abs(oracle.plim_xx_first_stage - oracle.tau_c) > 0.05
+    assert abs(oracle.plim_xx_kappa - oracle.tau_c) > 0.05
+
+
+def test_centered_limits_need_a_constant_and_a_positive_first_stage_share():
+    dummies = oracle_estimands(categorical_spec())
+    assert dummies.plim_xx_first_stage is None and dummies.plim_xx_kappa is None
+    # Complier shares this small against extreme propensities give E[X c1[0]] <= 0.
+    unit = [[0.0, 1.0, 0.0]] * 4
+    oracle = oracle_estimands(from_cells("weak", four_point_cells(
+        (0.05, 0.95, 0.1, 0.1), (0.05, 0.05, 0.15, 0.5), [[0.0] * 3] * 4, unit,
+        probs=(0.5, 0.3, 0.15, 0.05), p_always=(0.4, 0.25, 0.35, 0.1))))
+    assert oracle.plim_xx_first_stage is None
+    assert oracle.plim_xx_kappa is not None
+
+
 def test_large_sample_estimate_close_to_oracle_effect():
     pipeline, _ = pipeline_for("xx")
     data, _ = generate(dgp_a(), 100_000, seed=85)

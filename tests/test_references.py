@@ -22,7 +22,11 @@ back to n rows. Partition cutpoints read off one sort must equal
 np.quantile, and their bins np.searchsorted, bit for bit. Finite-support
 designs evaluate their laws on the drawn cell index; the laws that
 recover each unit's cell from its covariate row, which they replace,
-must generate identical samples and latent truths.
+must generate identical samples and latent truths. The oracle's
+regression limits are the estimators' two stages on the factor of a
+design's weighted atoms; the population moment blocks they replace must
+give the same limits to 1e-10 on the bundled, curved and categorical
+designs and on random finite-support designs.
 """
 
 import csv
@@ -36,7 +40,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
-from _helpers import curved_spec, fwl_design, residualize
+from _helpers import categorical_spec, curved_spec, fwl_design, residualize
 from scipy.special import expit
 
 from ivlate import complier, estimators, linalg, stratify
@@ -66,7 +70,7 @@ from ivlate.estimators import (
     partially_interacted_2sls,
     stratum_wald,
 )
-from ivlate.montecarlo import DgpCell, DgpSpec, dgp_a, evaluate_tags, from_cells, generate
+from ivlate.montecarlo import DgpCell, DgpSpec, dgp_a, evaluate_tags, from_cells, generate, oracle_estimands
 from ivlate.stratify import StratumPartition, partition_by_propensity, stratified_late
 
 PROPERTY = settings(
@@ -810,7 +814,7 @@ def test_two_stage_estimators_are_equivariant(sample, seed):
         kind, prop = outcome(fit_propensity, data, "logistic")
         if kind == "ok":
             # Exactly at the identification floor the two fits may round to opposite sides of it.
-            assume(abs(kappa_weights(data, prop).kappa.mean() - PC_FLOOR) > 1e-9)
+            assume(abs(kappa_weights(data, prop).mean() - PC_FLOOR) > 1e-9)
         tags = ["++", "x+", "xx", "beta"]
         before = evaluate_tags(data, tags)
         after = evaluate_tags(replace(data, x=data.x @ g), tags)
@@ -1033,3 +1037,96 @@ def test_cell_index_laws_match_the_covariate_row_lookup(design):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert data.has_constant == ref_data.has_constant
+
+
+# ---------------------------------------------------------------------------
+# Oracle regression limits: population moment blocks
+# ---------------------------------------------------------------------------
+
+
+def ref_oracle_estimands(spec):
+    """The interacted, additive and interacted-additive limits, and the
+    first-stage-centered limit (None without a constant or with a
+    non-positive share), solved from hand-built population moment blocks."""
+    xs = np.array([c.x for c in spec.cells], dtype=float)
+    p, e, pa, pc = (np.array([getattr(c, f) for c in spec.cells]) for f in ("prob", "e", "p_always", "p_complier"))
+    y0m, y1m = (np.array([getattr(c, f) for c in spec.cells]) for f in ("y0_mean", "y1_mean"))
+    pn, k = 1.0 - pa - pc, xs.shape[1]
+
+    def solve(a, b):
+        return linalg.least_squares(b, a).coef[:, 0] if b.ndim == 1 else linalg.least_squares(b, a).coef
+
+    def moments(weights):
+        return np.einsum("i,ij,il->jl", weights, xs, xs)
+
+    p_d1_z1 = pa + pc  # P(D = 1 | Z = 1, cell)
+    ey_z1 = pa * y1m[:, 2] + pc * y1m[:, 1] + pn * y0m[:, 0]
+    ey_z0 = pa * y1m[:, 2] + pc * y0m[:, 1] + pn * y0m[:, 0]
+    ey, ed = e * ey_z1 + (1.0 - e) * ey_z0, pa + e * pc
+    xxt, m_zx_zx, m_zx_dx, m_x_dx = moments(p), moments(p * e), moments(p * e * p_d1_z1), moments(p * ed)
+    m_zx_y, m_x_y = (p * e * ey_z1) @ xs, (p * ey) @ xs
+
+    # Interacted: instruments (Z X, X), regressors (D X, X).
+    a_full = np.block([[m_zx_dx, m_zx_zx], [m_x_dx, xxt]])
+    beta = solve(a_full, np.concatenate([m_zx_y, m_x_y]))[:k]
+
+    # Additive: instruments (Z, X), regressors (D, X).
+    e_xd = (p * ed) @ xs
+    a_add = np.block([[np.array([[p @ (e * p_d1_z1)]]), ((p * e) @ xs)[None, :]], [e_xd[:, None], xxt]])
+    taa = float(solve(a_add, np.concatenate([[p @ (e * ey_z1)], m_x_y]))[0])
+
+    # Interacted-additive: instruments (Z X, X), regressors (D, X), through the projected moments.
+    m_ww = np.block([[m_zx_zx, m_zx_zx], [m_zx_zx, xxt]])
+    m_wq = np.block([[((p * e * p_d1_z1) @ xs)[:, None], m_zx_zx], [e_xd[:, None], xxt]])
+    proj = solve(m_ww, np.column_stack([m_wq, np.concatenate([m_zx_y, m_x_y])]))
+    tia = float(solve(m_wq.T @ proj[:, :-1], m_wq.T @ proj[:, -1])[0])
+
+    # First-stage blocks of the interacted fit, and the centered limit at share = X c1[0].
+    c1 = solve(m_ww.T, np.vstack([m_zx_dx, m_x_dx])).T[:, :k]
+    share = p * (xs @ c1[0])
+    first_stage = None
+    if np.all(xs[:, 0] == 1.0) and share.sum() > 0.0:
+        first_stage = float(beta[0] + (share @ xs[:, 1:]) / share.sum() @ beta[1:])
+    return {"plim_beta_2sls": beta, "plim_taa_projection": taa, "plim_tia_projection": tia,
+            "plim_xx_first_stage": first_stage}
+
+
+@st.composite
+def oracle_designs(draw):
+    """Finite-support designs that dummy-code 2 to 5 levels, with or without
+    a constant, or that place 3 to 5 points on the basis (1, j)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(2, 5))
+    basis = draw(st.sampled_from(["dummies", "dummies and constant", "(1, j)"]))
+    if basis == "(1, j)":
+        xs = [(1.0, float(j)) for j in range(levels + 1)]
+    else:
+        xs = [tuple(float(j == i) for i in range(levels)) for j in range(levels)]
+        if basis == "dummies and constant":
+            xs = [(1.0, *x[1:]) for x in xs]
+    probs = rng.uniform(0.05, 1.0, len(xs))
+    cells = []
+    for x, prob in zip(xs, probs / probs.sum()):
+        p_always = rng.uniform(0.0, 0.4)
+        cells.append(DgpCell(
+            x=x, prob=float(prob), e=rng.uniform(0.05, 0.95), p_always=p_always,
+            p_complier=rng.uniform(0.05, 1.0 - p_always),
+            y0_mean=tuple(rng.uniform(-3.0, 3.0, 3)), y1_mean=tuple(rng.uniform(-3.0, 3.0, 3)),
+        ))
+    return from_cells(basis, cells)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(oracle_designs())
+@example(dgp_a())
+@example(curved_spec())
+@example(categorical_spec())
+def test_oracle_limits_match_the_population_moment_blocks(spec):
+    oracle, ref = oracle_estimands(spec), ref_oracle_estimands(spec)
+    assert np.abs(oracle.plim_beta_2sls - ref["plim_beta_2sls"]).max() <= 1e-10
+    assert oracle.plim_taa_projection == pytest.approx(ref["plim_taa_projection"], abs=1e-10)
+    assert oracle.plim_tia_projection == pytest.approx(ref["plim_tia_projection"], abs=1e-10)
+    if ref["plim_xx_first_stage"] is None:
+        assert oracle.plim_xx_first_stage is None
+    else:
+        assert oracle.plim_xx_first_stage == pytest.approx(ref["plim_xx_first_stage"], abs=1e-10)

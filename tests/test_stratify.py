@@ -151,8 +151,8 @@ def test_constant_effect_gives_flat_stratum_estimates():
 def test_regressogram_interval_layout():
     data = simulate_iv(76, n=400)
     prop = fit_propensity(data, "logistic")
-    bins = regressogram(data, prop, 4)
     result = stratified_late(data, prop, 4)
+    bins = regressogram(result)
     assert len(bins) == result.partition.k
     lows = [b[0] for b in bins]
     highs = [b[1] for b in bins]
