@@ -8,7 +8,6 @@ finite-support population oracles.
 """
 
 from .complier import (
-    ComplierMeans,
     PropensityFit,
     abadie_beta,
     centered_interacted_2sls,
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .estimators import (
     Dataset,
-    ScalarEstimate,
     TwoSlsFit,
     additive_2sls,
     generalized_additive_2sls,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapResult",
-    "ComplierMeans",
     "Dataset",
     "DegenerateStratumError",
     "DgpCell",
@@ -90,7 +87,6 @@ __all__ = [
     "OracleEstimands",
     "PropensityFit",
     "RankDeficientError",
-    "ScalarEstimate",
     "SchemaError",
     "StratifiedResult",
     "StratumPartition",

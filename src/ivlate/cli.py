@@ -154,8 +154,7 @@ def cmd_estimate(args) -> int:
     columns: list[str] = []
     data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
-    if data.z.min() == data.z.max():
-        raise IdentificationError("column 'z' is constant: both instrument arms are required")
+    _require_both_arms(data)
 
     boots = bootstrap_tags(data, evaluate_tags, tags, b=args.b, alpha=args.alpha, seed=args.seed)
     results = []
@@ -246,6 +245,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_stratify(args) -> int:
     data = ingest_csv(args.input, add_constant=not args.no_constant)
+    _require_both_arms(data)
     prop = fit_propensity(data, "logistic")
     point = stratified_late(data, prop, args.k)
     k_point = point.partition.k
@@ -298,6 +298,11 @@ def cmd_stratify(args) -> int:
     _emit_report(args, report, ["interval_low", "interval_high", "estimate", "ci_low", "ci_high"], rows)
     print(f"late estimate {report['late']['estimate']!r} ({k_point} strata)", file=sys.stderr)
     return _EXIT_OK
+
+
+def _require_both_arms(data: Dataset) -> None:
+    if data.z.min() == data.z.max():
+        raise IdentificationError("column 'z' is constant: both instrument arms are required")
 
 
 def _parse_tags(raw: str) -> list[str]:

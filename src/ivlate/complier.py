@@ -16,7 +16,7 @@ from scipy.linalg import lapack
 
 from . import linalg
 from .errors import NoCompliersError, NonFiniteError, NoOverlapCellError
-from .estimators import Dataset, ScalarEstimate, interacted_2sls
+from .estimators import Dataset, interacted_2sls
 
 # Propensities are clipped into [CLIP, 1 - CLIP] to guard the kappa
 # denominators; clip events are counted and surfaced as a warning.
@@ -36,26 +36,16 @@ GRAM_RATIO_MAX = 1e4
 class PropensityFit:
     """Estimated instrument propensity scores e(X) = P(Z = 1 | X).
 
-    ``model`` is one of "logistic", "saturated", "supplied".
-    ``coefficients`` holds the logistic coefficients and is None
-    otherwise. ``converged`` is False when the iterative fit hit its
-    iteration cap; the last iterate is still returned so seeded
-    pipelines proceed deterministically.
+    ``coefficients`` holds the logistic coefficients and is None for a
+    saturated or supplied score. ``converged`` is False when the
+    iterative fit hit its iteration cap; the last iterate is still
+    returned so seeded pipelines proceed deterministically.
     """
 
     ehat: np.ndarray
-    model: str
     coefficients: np.ndarray | None
     converged: bool
     n_clipped: int = 0
-
-
-@dataclass(frozen=True)
-class ComplierMeans:
-    """Kappa-weighted covariate means among compliers plus the complier share."""
-
-    mu: np.ndarray
-    pc_hat: float
 
 
 def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) -> PropensityFit:
@@ -79,11 +69,9 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
     if isinstance(spec, str):
         if spec == "logistic":
             raw, coef, converged = _irls_logistic(data.z, data.x, max_iter, tol)
-            model = "logistic"
         elif spec == "saturated":
             raw = _saturated_scores(data.z, data.x)
             coef, converged = None, True
-            model = "saturated"
         else:
             raise ValueError(f"unknown propensity spec {spec!r}")
     else:
@@ -93,7 +81,6 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
         if not np.all(np.isfinite(raw)) or raw.min() < 0.0 or raw.max() > 1.0:
             raise ValueError("supplied propensities must be finite and within [0, 1]")
         coef, converged = None, True
-        model = "supplied"
 
     clipped = np.clip(raw, CLIP, 1.0 - CLIP)
     n_clipped = int(np.sum(clipped != raw))
@@ -109,9 +96,7 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
             RuntimeWarning,
             stacklevel=2,
         )
-    return PropensityFit(
-        ehat=clipped, model=model, coefficients=coef, converged=converged, n_clipped=n_clipped
-    )
+    return PropensityFit(ehat=clipped, coefficients=coef, converged=converged, n_clipped=n_clipped)
 
 
 def expit(x):
@@ -194,25 +179,20 @@ def require_compliers(pc_hat: float) -> float:
     return pc_hat
 
 
-def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> ComplierMeans:
-    """Kappa-weighted means of the selected covariate columns among compliers.
+def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> np.ndarray:
+    """Kappa-weighted means of the selected covariate columns among compliers, one per column.
 
     Raises NoCompliersError when mean(kappa), the estimated complier
     share, does not exceed PC_FLOOR.
     """
-    cols = list(g_cols)
     kappa = kappa_weights(data, prop)
-    pc_hat = require_compliers(float(kappa.mean()))
-    if cols:
-        mu = (kappa @ data.x[:, cols]) / kappa.sum()
-    else:
-        mu = np.empty(0)
-    return ComplierMeans(mu=np.atleast_1d(mu), pc_hat=pc_hat)
+    require_compliers(float(kappa.mean()))
+    return (kappa @ data.x[:, list(g_cols)]) / kappa.sum()
 
 
 def centered_interacted_2sls(
     data: Dataset, prop: PropensityFit, centering: str = "first-stage"
-) -> ScalarEstimate:
+) -> float:
     """Interacted 2SLS on covariates centered at their complier means.
 
     Shifting the non-constant columns by complier means mu maps x to xG
@@ -237,12 +217,13 @@ def centered_interacted_2sls(
       (ii): the interacted outcome model holds for every compliance type.
 
     Either way the complier share implied by the kappa weights must clear
-    the identification floor.
+    the identification floor. "first-stage" also requires mean(share),
+    the complier share its weights divide by, to clear that floor.
     """
     if not data.has_constant:
         raise ValueError("centered_interacted_2sls requires a dataset with a constant column")
     if centering == "kappa":
-        mu = complier_mean(data, prop, range(1, data.k)).mu
+        mu = complier_mean(data, prop, range(1, data.k))
     else:
         require_compliers(float(kappa_weights(data, prop).mean()))
         if centering != "first-stage":
@@ -251,10 +232,9 @@ def centered_interacted_2sls(
     if centering == "first-stage":
         share = data.x @ fit.c1[0]
         total = share.sum()
-        if total <= 0.0:
-            raise NoCompliersError("first-stage complier share sums to a non-positive value")
+        require_compliers(total / data.n)
         mu = (share @ data.x[:, 1:]) / total
-    return ScalarEstimate(value=float(fit.beta[0] + mu @ fit.beta[1:]), label="xx")
+    return float(fit.beta[0] + mu @ fit.beta[1:])
 
 
 def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:

@@ -125,14 +125,6 @@ class TwoSlsFit:
     c0: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScalarEstimate:
-    """A single treatment-effect estimate with its estimator tag."""
-
-    value: float
-    label: str
-
-
 def _interact(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v[:, None] * x
 
@@ -152,11 +144,11 @@ def _two_stage(rmat: np.ndarray, a: int, k: int, instruments, responses, control
     return first.coef, second.coef
 
 
-def additive_2sls(data: Dataset) -> ScalarEstimate:
+def additive_2sls(data: Dataset) -> float:
     """Additive 2SLS: lm(D ~ Z + X) then lm(Y ~ Dhat + X); returns the Dhat coefficient."""
     _require_constant(data, "additive_2sls")
     _, second = _two_stage(data.factor, data.k, data.k, [0], [0])
-    return ScalarEstimate(value=float(second[0, 0]), label="++")
+    return float(second[0, 0])
 
 
 def interacted_2sls(data: Dataset) -> TwoSlsFit:
@@ -166,11 +158,11 @@ def interacted_2sls(data: Dataset) -> TwoSlsFit:
     return TwoSlsFit(second[:k, 0].copy(), second[k:, 0].copy(), first[:k, :].T, first[k:, :].T)
 
 
-def interacted_additive_2sls(data: Dataset) -> ScalarEstimate:
+def interacted_additive_2sls(data: Dataset) -> float:
     """Interacted first stage, additive second: lm(D ~ Z*X + X) then lm(Y ~ Dhat + X)."""
     _require_constant(data, "interacted_additive_2sls")
     _, second = _two_stage(data.factor, data.k, data.k, range(data.k), [0])
-    return ScalarEstimate(value=float(second[0, 0]), label="x+")
+    return float(second[0, 0])
 
 
 def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarray:
@@ -194,7 +186,7 @@ def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarra
 
 def generalized_additive_2sls(
     data: Dataset, first_stage_builder: Callable[[float, np.ndarray], Sequence[float]]
-) -> ScalarEstimate:
+) -> float:
     """Arbitrary first stage lm(D ~ R) with R built row-wise, additive second stage.
 
     ``first_stage_builder(z_i, x_row)`` must return a fixed-width row of
@@ -215,7 +207,7 @@ def generalized_additive_2sls(
     else:
         rmat, width = linalg.triangular_factor(r[:, :a], data.x, data.d, data.y), a
     _, second = _two_stage(rmat, width, k, range(a), [0], controls)
-    return ScalarEstimate(value=float(second[0, 0]), label="*+")
+    return float(second[0, 0])
 
 
 def interacted_ols(data: Dataset) -> TwoSlsFit:
@@ -223,10 +215,11 @@ def interacted_ols(data: Dataset) -> TwoSlsFit:
     return interacted_2sls(replace(data, z=data.d))
 
 
-def stratum_wald(data: Dataset, stratum_labels) -> list[ScalarEstimate]:
+def stratum_wald(data: Dataset, stratum_labels) -> np.ndarray:
     """Per-stratum Wald estimates, ordered by sorted stratum label.
 
     For each stratum: (mean Y | Z=1 - mean Y | Z=0) / (mean D | Z=1 - mean D | Z=0).
+    On the stratum dummies these are the interacted 2SLS coefficients.
 
     Raises DegenerateStratumError when a stratum lacks an instrument arm
     or its first-stage difference is exactly zero.
@@ -236,14 +229,12 @@ def stratum_wald(data: Dataset, stratum_labels) -> list[ScalarEstimate]:
         raise ValueError("stratum_labels must have one entry per unit")
     levels, codes = np.unique(labels, return_inverse=True)
     single_arm, d_diff, y_diff = _arm_moments(data, codes.reshape(-1), levels.size)
-    estimates = []
     for j, level in enumerate(levels):
         if single_arm[j]:
             raise DegenerateStratumError(f"stratum {level!r} contains a single instrument arm")
         if d_diff[j] == 0.0:
             raise DegenerateStratumError(f"stratum {level!r} has zero first-stage difference")
-        estimates.append(ScalarEstimate(value=float(y_diff[j] / d_diff[j]), label="wald"))
-    return estimates
+    return y_diff / d_diff
 
 
 def _arm_moments(data: Dataset, codes: np.ndarray, m: int):

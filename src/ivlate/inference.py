@@ -35,7 +35,6 @@ class BootstrapResult:
     ci_upper: np.ndarray
     b_effective: int
     b_requested: int
-    seed: int
 
 
 def require_distinct(tags) -> None:
@@ -175,6 +174,5 @@ def bootstrap_tags(
             ci_upper=np.quantile(stacked, 1.0 - alpha / 2.0, axis=0),
             b_effective=b_effective,
             b_requested=b,
-            seed=seed,
         )
     return results

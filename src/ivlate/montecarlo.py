@@ -138,10 +138,6 @@ class OracleEstimands:
 class McSummary:
     """Bias and spread of estimators over replications of one design."""
 
-    dgp: str
-    n: int
-    reps: int
-    seed: int
     truth: dict[str, np.ndarray]
     bias: dict[str, np.ndarray]
     sd: dict[str, np.ndarray]
@@ -452,7 +448,7 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 # Estimator pipelines and the replication engine
 # ---------------------------------------------------------------------------
 
-_STRAT_TAG = re.compile(r"^strat-(\d+)$")
+_STRAT_TAG = re.compile(r"^strat-([1-9][0-9]*)$")
 
 # A tag's estimator maps (sample, propensity) to its estimate, where
 # ``propensity()`` returns the sample's logistic propensity fit.
@@ -462,18 +458,16 @@ _Estimator = Callable[[Dataset, Callable[[], PropensityFit]], np.ndarray]
 def _resolve(tag: str) -> tuple[_Estimator, str]:
     """Resolve an estimator tag to (estimator, truth kind); see ``pipeline_for``."""
     if tag == "++":
-        return (lambda data, prop: np.array([additive_2sls(data).value]), "tau_c")
+        return (lambda data, prop: np.array([additive_2sls(data)]), "tau_c")
     if tag == "x+":
-        return (lambda data, prop: np.array([interacted_additive_2sls(data).value]), "tau_c")
+        return (lambda data, prop: np.array([interacted_additive_2sls(data)]), "tau_c")
     if tag == "xx":
-        return (lambda data, prop: np.array([centered_interacted_2sls(data, prop()).value]), "tau_c")
+        return (lambda data, prop: np.array([centered_interacted_2sls(data, prop())]), "tau_c")
     if tag == "beta":
         return (lambda data, prop: interacted_2sls(data).beta, "beta_c")
-    match = _STRAT_TAG.match(tag)
+    match = _STRAT_TAG.fullmatch(tag)
     if match:
         strata = int(match.group(1))
-        if strata < 1:
-            raise ValueError(f"stratum count in {tag!r} must be positive")
         return (lambda data, prop: np.array([stratified_late(data, prop(), strata).tau_star]), "tau_c")
     raise ValueError(f"unknown estimator tag {tag!r}")
 
@@ -516,7 +510,7 @@ def pipeline_for(tag: str) -> tuple[Callable[[Dataset], np.ndarray], str]:
     Tags: "++" (additive), "x+" (interacted-additive), "xx" (centered
     interacted with a logistic propensity fit), "beta" (interacted
     coefficient vector), "strat-K" (propensity stratification with K
-    requested strata). The pipeline is ``evaluate_tags`` on one tag: it
+    requested strata, K a positive integer without leading zeros). The pipeline is ``evaluate_tags`` on one tag: it
     re-estimates its propensity scores from the data it receives and
     raises the IdentificationError of a failed sample. To evaluate
     several tags on one sample with one propensity fit, call
@@ -600,10 +594,6 @@ def run_study(
             bias[tag] = stacked.mean(axis=0) - truth[tag]
             sd[tag] = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros(truth[tag].size)
     return McSummary(
-        dgp=spec.name,
-        n=n,
-        reps=reps,
-        seed=seed,
         truth=truth,
         bias=bias,
         sd=sd,

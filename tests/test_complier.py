@@ -87,7 +87,7 @@ def test_logistic_iteration_cap_flags_non_convergence():
     with pytest.warns(RuntimeWarning):
         prop = fit_propensity(data, "logistic", max_iter=1)
     assert not prop.converged
-    assert prop.model == "logistic"
+    assert prop.coefficients is not None
 
 
 def test_supplied_scores_are_clipped_with_warning():
@@ -98,7 +98,7 @@ def test_supplied_scores_are_clipped_with_warning():
     with pytest.warns(RuntimeWarning):
         prop = _supplied(data, raw)
     assert prop.n_clipped == 2
-    assert prop.model == "supplied"
+    assert prop.coefficients is None
     assert prop.ehat.min() >= 1e-6 and prop.ehat.max() <= 1.0 - 1e-6
 
 
@@ -195,25 +195,25 @@ def test_dkappa_sums_to_zero_within_saturated_cells():
 def test_complier_mean_perfect_compliance_gives_sample_means():
     data = simulate_iv(50, n=300, k=3)
     perfect = Dataset(y=data.y, d=data.z.copy(), z=data.z, x=data.x, has_constant=True)
-    means = complier_mean(perfect, _supplied(perfect, np.full(perfect.n, 0.5)), [1, 2])
-    assert means.pc_hat == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(means.mu, perfect.x[:, 1:].mean(axis=0), atol=1e-12)
+    prop = _supplied(perfect, np.full(perfect.n, 0.5))
+    assert kappa_weights(perfect, prop).mean() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(complier_mean(perfect, prop, [1, 2]), perfect.x[:, 1:].mean(axis=0), atol=1e-12)
 
 
 def test_complier_mean_constant_column_is_exact():
     data = simulate_iv(51, n=300)
     prop = fit_propensity(data, "logistic")
-    means = complier_mean(data, prop, [0])
-    assert means.mu[0] == pytest.approx(1.0, abs=1e-12)
+    (mean,) = complier_mean(data, prop, [0])
+    assert mean == pytest.approx(1.0, abs=1e-12)
 
 
 def test_complier_mean_on_binary_design_recovers_conditional_share():
     # P(X1 = 1 | complier) = 0.5 * 0.2 / 0.45 = 2/9
     data, _ = generate(dgp_a(), 100_000, seed=52)
     prop = fit_propensity(data, "saturated")
-    means = complier_mean(data, prop, [1])
-    assert abs(means.mu[0] - 2.0 / 9.0) <= 0.02
-    assert abs(means.pc_hat - 0.45) <= 0.02
+    (mean,) = complier_mean(data, prop, [1])
+    assert abs(mean - 2.0 / 9.0) <= 0.02
+    assert abs(kappa_weights(data, prop).mean() - 0.45) <= 0.02
 
 
 def test_no_compliers_floor():
@@ -242,9 +242,7 @@ def test_centered_estimator_exact_under_constant_effect_and_perfect_compliance()
     data = Dataset(y=y, d=z.copy(), z=z, x=x, has_constant=True)
     prop = fit_propensity(data, "logistic")
     for centering in ("first-stage", "kappa"):
-        est = centered_interacted_2sls(data, prop, centering=centering)
-        assert est.value == pytest.approx(2.5, abs=1e-9)
-        assert est.label == "xx"
+        assert centered_interacted_2sls(data, prop, centering=centering) == pytest.approx(2.5, abs=1e-9)
 
 
 def test_centering_invariant_to_covariate_shifts():
@@ -259,8 +257,8 @@ def test_centering_invariant_to_covariate_shifts():
     )
     prop_shifted = fit_propensity(shifted, "logistic")
     for centering in ("first-stage", "kappa"):
-        base = centered_interacted_2sls(data, prop, centering=centering).value
-        moved = centered_interacted_2sls(shifted, prop_shifted, centering=centering).value
+        base = centered_interacted_2sls(data, prop, centering=centering)
+        moved = centered_interacted_2sls(shifted, prop_shifted, centering=centering)
         assert moved == pytest.approx(base, abs=1e-8 * max(1.0, abs(base)))
 
 

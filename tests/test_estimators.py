@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from _helpers import dummy_coded, fwl_design, simulate_iv
 
+from ivlate.complier import centered_interacted_2sls, complier_mean, fit_propensity
 from ivlate.errors import DegenerateStratumError, NonFiniteError, RankDeficientError
 from ivlate.estimators import (
     Dataset,
@@ -99,6 +100,24 @@ def test_non_finite_entry_raises_from_every_two_stage_estimator(name, column, va
 # ---------------------------------------------------------------------------
 
 
+def test_estimators_return_numbers():
+    data = simulate_iv(17, n=200)
+    prop = fit_propensity(data, "logistic")
+    scalars = (
+        additive_2sls(data),
+        interacted_additive_2sls(data),
+        generalized_additive_2sls(data, lambda z, xr: np.concatenate([[z], xr])),
+        centered_interacted_2sls(data, prop),
+    )
+    assert all(type(value) is float for value in scalars)
+    assert complier_mean(data, prop, [1]).shape == (1,)
+    assert complier_mean(data, prop, []).shape == (0,)
+    dummies, cat = dummy_coded(18)
+    walds = stratum_wald(dummies, cat)
+    assert isinstance(walds, np.ndarray) and walds.dtype == float
+    assert np.abs(walds - interacted_2sls(dummies).beta).max() <= 1e-10
+
+
 def test_additive_2sls_perfect_compliance_unit_effect():
     rng = np.random.default_rng(3)
     n = 60
@@ -106,7 +125,7 @@ def test_additive_2sls_perfect_compliance_unit_effect():
     z[:2] = [0.0, 1.0]
     x = np.column_stack([np.ones(n), rng.standard_normal(n)])
     data = Dataset(y=z.copy(), d=z.copy(), z=z, x=x, has_constant=True)
-    assert additive_2sls(data).value == pytest.approx(1.0, abs=1e-10)
+    assert additive_2sls(data) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_additive_2sls_matches_two_step_normal_equations():
@@ -122,8 +141,7 @@ def test_additive_2sls_matches_two_step_normal_equations():
     dhat = w @ np.linalg.solve(w.T @ w, w.T @ d)
     q = np.column_stack([dhat, x])
     expected = np.linalg.solve(q.T @ q, q.T @ y)[0]
-    assert additive_2sls(data).value == pytest.approx(expected, abs=1e-10)
-    assert additive_2sls(data).label == "++"
+    assert additive_2sls(data) == pytest.approx(expected, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +159,7 @@ def test_interacted_2sls_constant_only_covariate_is_wald():
 def test_interacted_2sls_dummy_coding_equals_stratum_wald():
     data, cat = dummy_coded(5)
     fit = interacted_2sls(data)
-    walds = [est.value for est in stratum_wald(data, cat)]
-    assert np.abs(fit.beta - np.array(walds)).max() <= 1e-10
+    assert np.abs(fit.beta - stratum_wald(data, cat)).max() <= 1e-10
 
 
 def test_fwl_identity():
@@ -179,9 +196,9 @@ def test_scalar_estimators_invariant_to_constant_preserving_transforms():
     data = simulate_iv(9, n=300, k=3)
     gamma = np.array([[1.0, 0.0, 0.0], [0.7, 2.0, -1.0], [-0.3, 0.5, 1.5]])
     transformed = Dataset(y=data.y, d=data.d, z=data.z, x=data.x @ gamma.T, has_constant=True)
-    assert additive_2sls(transformed).value == pytest.approx(additive_2sls(data).value, rel=1e-8)
-    assert interacted_additive_2sls(transformed).value == pytest.approx(
-        interacted_additive_2sls(data).value, rel=1e-8
+    assert additive_2sls(transformed) == pytest.approx(additive_2sls(data), rel=1e-8)
+    assert interacted_additive_2sls(transformed) == pytest.approx(
+        interacted_additive_2sls(data), rel=1e-8
     )
 
 
@@ -203,16 +220,15 @@ def test_forbidden_regression_equality_for_dummies():
 def test_interacted_additive_collapses_to_additive_with_constant_only():
     data = simulate_iv(11, n=200)
     collapsed = Dataset(y=data.y, d=data.d, z=data.z, x=data.x[:, :1], has_constant=True)
-    assert interacted_additive_2sls(collapsed).value == additive_2sls(collapsed).value
+    assert interacted_additive_2sls(collapsed) == additive_2sls(collapsed)
 
 
 def test_generalized_first_stage_nesting_is_exact():
     data = simulate_iv(12, n=220)
     as_additive = generalized_additive_2sls(data, lambda z, xr: np.concatenate([[z], xr]))
-    assert as_additive.value == additive_2sls(data).value
+    assert as_additive == additive_2sls(data)
     as_hybrid = generalized_additive_2sls(data, lambda z, xr: np.concatenate([z * xr, xr]))
-    assert as_hybrid.value == interacted_additive_2sls(data).value
-    assert as_additive.label == "*+"
+    assert as_hybrid == interacted_additive_2sls(data)
 
 
 def test_generalized_first_stage_matches_independent_two_step():
@@ -223,7 +239,7 @@ def test_generalized_first_stage_matches_independent_two_step():
     dhat = r @ np.linalg.solve(r.T @ r, r.T @ data.d)
     q = np.column_stack([dhat, data.x])
     expected = np.linalg.solve(q.T @ q, q.T @ data.y)[0]
-    assert estimate.value == pytest.approx(expected, abs=1e-10)
+    assert estimate == pytest.approx(expected, abs=1e-10)
 
 
 def test_generalized_first_stage_rejects_ragged_rows():
@@ -247,7 +263,7 @@ def test_partial_interactions_with_all_columns_reduce_to_interacted():
 def test_partial_interactions_with_constant_reduce_to_additive():
     data = simulate_iv(16, n=260, k=3)
     partial = partially_interacted_2sls(data, [0])
-    assert partial[0] == additive_2sls(data).value
+    assert partial[0] == additive_2sls(data)
 
 
 def test_partial_interactions_match_independent_projection():
@@ -321,8 +337,7 @@ def test_stratum_wald_perfect_compliance_scaled_outcome():
     z[:2] = [0.0, 1.0]
     data = Dataset(y=3.0 * z, d=z.copy(), z=z, x=np.ones((n, 1)), has_constant=True)
     (est,) = stratum_wald(data, np.zeros(n))
-    assert est.value == pytest.approx(3.0, abs=1e-12)
-    assert est.label == "wald"
+    assert est == pytest.approx(3.0, abs=1e-12)
 
 
 def test_stratum_wald_matches_hand_computed_cell_means():
@@ -333,8 +348,7 @@ def test_stratum_wald_matches_hand_computed_cell_means():
     z = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
     labels = np.array([1, 1, 1, 1, 2, 2, 2, 2])
     data = Dataset(y=y, d=d, z=z, x=np.ones((8, 1)), has_constant=True)
-    values = [est.value for est in stratum_wald(data, labels)]
-    assert values == pytest.approx([3.0, 6.0], abs=1e-12)
+    assert stratum_wald(data, labels) == pytest.approx([3.0, 6.0], abs=1e-12)
 
 
 def test_stratum_wald_rejects_single_arm_and_zero_first_stage():

@@ -6,7 +6,8 @@ from _helpers import categorical_spec, curved_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivlate.errors import InfiniteSupportError, InvalidSpecError
+from ivlate.complier import PC_FLOOR, centered_interacted_2sls, fit_propensity, kappa_weights
+from ivlate.errors import InfiniteSupportError, InvalidSpecError, NoCompliersError
 from ivlate.linalg import least_squares
 from ivlate.montecarlo import (
     DgpCell,
@@ -383,6 +384,19 @@ def test_centered_limits_need_a_constant_and_a_positive_first_stage_share():
     assert oracle.plim_xx_kappa is not None
 
 
+def test_first_stage_centering_floors_the_share_it_divides_by():
+    # Weak-design cells with P(complier) = 0.19: the kappa share clears the
+    # floor, while the first-stage share X c1[0] averages 0.005.
+    cells = four_point_cells(
+        (0.05, 0.95, 0.1, 0.1), (0.275, 0.05, 0.15, 0.275), [[0.0] * 3] * 4, [[0.0, 1.0, 0.0]] * 4,
+        probs=(0.5, 0.3, 0.15, 0.05), p_always=(0.4, 0.25, 0.35, 0.1))
+    data, _ = generate(from_cells("weak", cells), 100_000, seed=1)
+    prop = fit_propensity(data, "saturated")
+    assert kappa_weights(data, prop).mean() > PC_FLOOR
+    with pytest.raises(NoCompliersError, match="0.0052"):
+        centered_interacted_2sls(data, prop)
+
+
 def test_large_sample_estimate_close_to_oracle_effect():
     pipeline, _ = pipeline_for("xx")
     data, _ = generate(dgp_a(), 100_000, seed=85)
@@ -454,8 +468,9 @@ def test_pipeline_tags():
         assert kind in ("tau_c", "beta_c")
     with pytest.raises(ValueError):
         pipeline_for("magic")
-    with pytest.raises(ValueError):
-        pipeline_for("strat-0")
+    for tag in ("strat-0", "strat-05", "strat-5\n"):
+        with pytest.raises(ValueError, match="unknown estimator tag"):
+            pipeline_for(tag)
 
 
 def test_beta_pipeline_returns_vector_and_study_shapes_align():
