@@ -196,9 +196,8 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = named_dgp(args.dgp)
     tags = _parse_tags(args.estimators)
-    keep = args.replicates_out is not None
     try:
-        summary = run_study(spec, tags, reps=args.reps, n=args.n, seed=args.seed, keep_estimates=keep)
+        summary = run_study(spec, tags, reps=args.reps, n=args.n, seed=args.seed)
     except ValueError as exc:  # simulate reads no data: a sample too small for a fit is a bad --n
         raise InvalidSpecError(f"--n {args.n} is too small for these estimators: {exc}") from exc
 
@@ -232,7 +231,7 @@ def cmd_simulate(args) -> int:
     ]
     _emit_report(args, report, ["estimator", "dim", "truth", "bias", "sd"], rows)
 
-    if keep:
+    if args.replicates_out is not None:
         rows = [
             (rep, tag, dim, _num(value))
             for tag in tags

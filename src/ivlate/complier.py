@@ -31,6 +31,10 @@ _ETA_BOUND = 30.0
 # Whitened IRLS steps lose about 1.1e-16 (max/min diag U)^2 relative accuracy: 1e-8 here.
 GRAM_RATIO_MAX = 1e4
 
+# IRLS stops at this many steps, or once the deviance changes by less than IRLS_TOL relative.
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PropensityFit:
@@ -48,7 +52,7 @@ class PropensityFit:
     n_clipped: int = 0
 
 
-def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) -> PropensityFit:
+def fit_propensity(data: Dataset, spec) -> PropensityFit:
     """Estimate the instrument propensity score.
 
     Parameters
@@ -56,11 +60,11 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
     data : Dataset
     spec : {"logistic", "saturated"} or array-like
         "logistic" fits P(Z = 1 | X) by maximum likelihood via IRLS: one
-        n-row factor T of X per fit, then steps on k-by-k whitened Grams.
+        n-row factor T of X per fit, then up to IRLS_MAX_ITER steps on
+        k-by-k whitened Grams, to a relative deviance change below IRLS_TOL.
         "saturated" uses within-cell means of Z over distinct covariate
         rows and requires both arms in every cell. An array supplies
         externally computed scores.
-    max_iter, tol : IRLS iteration cap and relative deviance tolerance.
 
     Returns
     -------
@@ -68,7 +72,7 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            raw, coef, converged = _irls_logistic(data.z, data.x, max_iter, tol)
+            raw, coef, converged = _irls_logistic(data.z, data.x)
         elif spec == "saturated":
             raw = _saturated_scores(data.z, data.x)
             coef, converged = None, True
@@ -92,7 +96,7 @@ def fit_propensity(data: Dataset, spec, max_iter: int = 100, tol: float = 1e-8) 
         )
     if not converged:
         warnings.warn(
-            f"logistic propensity fit did not converge within {max_iter} iterations",
+            f"logistic propensity fit did not converge within {IRLS_MAX_ITER} iterations",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -104,14 +108,14 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _irls_logistic(z, x, max_iter, tol):
+def _irls_logistic(z, x):
     beta = np.zeros(x.shape[1])
     eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
     mu = expit(eta)
     dev_prev = np.inf
     converged = False
     whiten = None
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         w = mu * (1.0 - mu)
         working = eta + (z - mu) / w
         if whiten is None or (system := _whitened_system(*whiten, w, working)) is None:
@@ -125,7 +129,7 @@ def _irls_logistic(z, x, max_iter, tol):
         eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
         mu = expit(eta)
         dev = -2.0 * float(np.sum(z * np.log(mu) + (1.0 - z) * np.log1p(-mu)))
-        if np.isfinite(dev_prev) and abs(dev - dev_prev) < tol * (abs(dev_prev) + 1e-300):
+        if np.isfinite(dev_prev) and abs(dev - dev_prev) < IRLS_TOL * (abs(dev_prev) + 1e-300):
             converged = True
             break
         dev_prev = dev

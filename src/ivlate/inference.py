@@ -1,6 +1,7 @@
-"""Nonparametric bootstrap over arbitrary estimator pipelines.
+"""Nonparametric bootstrap over arbitrary estimator pipelines, and the
+replicate loop that bootstraps and Monte Carlo studies share.
 
-Replicates are iid row-resamples, drawn once and shared by every
+Bootstrap replicates are iid row-resamples, drawn once and shared by every
 estimator bootstrapped together, with a private random stream keyed by
 (seed, replicate), so output depends only on the inputs and never on
 execution order. Replicates that fail an identification condition are
@@ -10,7 +11,6 @@ resampling law.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,23 +44,37 @@ def require_distinct(tags) -> None:
             raise ValueError(f"estimator tag {tag!r} is repeated")
 
 
-@contextlib.contextmanager
-def replicate_errors(seed: int, replicate: int):
-    """Re-raise a replicate's error with ``seed S, replicate r: `` before its message.
+def run_replicates(
+    seed: int, reps: int, step: Callable[[int], dict], tags
+) -> tuple[dict[str, list[np.ndarray]], dict[str, int]]:
+    """The one replicate loop: call ``step(r)`` for each replicate r < reps.
 
-    The error keeps its class and has the original as its cause; a class
-    whose constructor does not take one message propagates unchanged.
+    ``step(r)`` maps replicate r to each tag's estimate or to the
+    IdentificationError the tag raised. Returns each tag's estimates in
+    replicate order and its count of identification failures. Any other
+    error aborts the loop, as its own class with ``seed S, replicate r: ``
+    before its message and the original as its cause; a class whose
+    constructor does not take one message propagates unchanged.
     """
-    try:
-        yield
-    except Exception as exc:
+    draws: dict[str, list[np.ndarray]] = {tag: [] for tag in tags}
+    failures = {tag: 0 for tag in tags}
+    for r in range(reps):
         try:
-            named = type(exc)(f"seed {seed}, replicate {replicate}: {exc}")
-        except TypeError:
-            named = None
-        if named is None:
-            raise
-        raise named from exc
+            outs = step(r)
+        except Exception as exc:
+            try:
+                named = type(exc)(f"seed {seed}, replicate {r}: {exc}")
+            except TypeError:
+                named = None
+            if named is None:
+                raise
+            raise named from exc
+        for tag, out in outs.items():
+            if isinstance(out, IdentificationError):
+                failures[tag] += 1
+            else:
+                draws[tag].append(out)
+    return draws, failures
 
 
 def bootstrap(
@@ -133,9 +147,9 @@ def bootstrap_tags(
         estimate error first, then fewer than half of its replicates
         surviving identification checks, reported with the tag's name.
     Exception
-        Any other error a replicate raises aborts the run, as its own
-        class with ``seed S, replicate r: `` before its message; skipping
-        such replicates would bias the resampling law.
+        Any other error a replicate raises aborts the run, named by
+        ``run_replicates``; skipping such replicates would bias the
+        resampling law.
     """
     if b < 10:
         raise ValueError("bootstrap needs b >= 10 replicates")
@@ -145,16 +159,11 @@ def bootstrap_tags(
     points = evaluate(data, tags)
     live = [tag for tag in points if not isinstance(points[tag], IdentificationError)]
 
-    draws: dict[str, list[np.ndarray]] = {tag: [] for tag in live}
-    for r in range(b if live else 0):
-        rng = substream(seed, r, RESAMPLE)
-        idx = rng.integers(0, data.n, size=data.n)
-        sample = replace(data, y=data.y[idx], d=data.d[idx], z=data.z[idx], x=data.x[idx])
-        with replicate_errors(seed, r):
-            ests = evaluate(sample, live)
-        for tag, est in ests.items():
-            if not isinstance(est, IdentificationError):
-                draws[tag].append(est)
+    def step(r: int) -> dict[str, np.ndarray | IdentificationError]:
+        idx = substream(seed, r, RESAMPLE).integers(0, data.n, size=data.n)
+        return evaluate(replace(data, y=data.y[idx], d=data.d[idx], z=data.z[idx], x=data.x[idx]), live)
+
+    draws, _ = run_replicates(seed, b if live else 0, step, live)
 
     results = {}
     for tag in tags:

@@ -1,4 +1,4 @@
-"""Simulation designs, exact population oracles, and the replication engine.
+"""Simulation designs, exact population oracles, and Monte Carlo studies.
 
 A design's sampler draws the covariates and the units (covariate rows or
 drawn cell indices) that its instrument propensity, compliance-type
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import streams
-from .complier import PropensityFit, centered_interacted_2sls, expit, fit_propensity
+from .complier import PC_FLOOR, PropensityFit, centered_interacted_2sls, expit, fit_propensity
 from .errors import (
     IdentificationError,
     InfiniteSupportError,
@@ -35,7 +35,7 @@ from .estimators import (
     interacted_2sls,
     interacted_additive_2sls,
 )
-from .inference import replicate_errors, require_distinct
+from .inference import require_distinct, run_replicates
 from .linalg import least_squares, triangular_factor
 from .stratify import stratified_late
 
@@ -109,9 +109,11 @@ class OracleEstimands:
     must agree with them whenever the instrument-interaction linearity
     condition holds. ``plim_beta_2sls`` is the interacted fit's limit.
     ``plim_xx_first_stage`` and ``plim_xx_kappa`` are the limits of the
-    centered interacted fit under its two centerings; both are None when
-    column 0 of the covariates is not the constant, and the first-stage
-    one also when its complier share E[X c1[0]] is not positive.
+    centered interacted fit under its two centerings. They follow the
+    estimator's complier-share floors, taken at the population: both are
+    None when column 0 of the covariates is not the constant or
+    P(complier) is at most PC_FLOOR, and the first-stage one also when
+    its share E[X c1[0]] is at most PC_FLOOR.
     """
 
     tau_c: float
@@ -136,13 +138,15 @@ class OracleEstimands:
 
 @dataclass(frozen=True)
 class McSummary:
-    """Bias and spread of estimators over replications of one design."""
+    """Bias and spread of estimators over replications of one design.
+
+    ``estimates`` holds each tag's identified replicate estimates, one per row."""
 
     truth: dict[str, np.ndarray]
     bias: dict[str, np.ndarray]
     sd: dict[str, np.ndarray]
     failures: dict[str, int]
-    estimates: dict[str, np.ndarray] | None = None
+    estimates: dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +338,16 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return least_squares(b, a).coef[:, 0] if b.ndim == 1 else least_squares(b, a).coef
 
 
+def _complier_law(cells) -> tuple[float, np.ndarray, float]:
+    """P(complier), the cell law given complier, and tau_c of a cell table."""
+    _, p, _, _, pc, y0m, y1m = _cell_arrays(cells)
+    p_c = float(p @ pc)
+    if p_c <= 0.0:
+        raise InvalidSpecError("the design admits no compliers")
+    cell_given_c = p * pc / p_c
+    return p_c, cell_given_c, float(cell_given_c @ (y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]))
+
+
 def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     """Compute all population quantities of a finite-support design exactly.
 
@@ -351,12 +365,7 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     xs, p, e, pa, pc, y0m, y1m = _cell_arrays(spec.cells)  # y*m: (cell, type)
     pn = 1.0 - pa - pc
     tau_cell = y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]
-
-    p_c = float(p @ pc)
-    if p_c <= 0.0:
-        raise InvalidSpecError("the design admits no compliers")
-    cell_given_c = p * pc / p_c
-    tau_c = float(cell_given_c @ tau_cell)
+    p_c, cell_given_c, tau_c = _complier_law(spec.cells)
 
     xxt = np.einsum("i,ij,il->jl", p, xs, xs)
     exx_c = np.einsum("i,ij,il->jl", cell_given_c, xs, xs)
@@ -396,11 +405,12 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 
     # The centered fit's limit beta[0] + mu @ beta[1:], at the complier means
     # mu of each centering: share-weighted with share = X c1[0], or E[X | complier].
+    # Each limit exists where the estimator's complier-share floors pass.
     plim_xx_first_stage = plim_xx_kappa = None
-    if np.all(xs[:, 0] == 1.0):
+    if np.all(xs[:, 0] == 1.0) and p_c > PC_FLOOR:
         beta0, beta1 = plim_beta_2sls[0], plim_beta_2sls[1:]
         share = p * (xs @ c1[0])
-        if share.sum() > 0.0:
+        if share.sum() > PC_FLOOR:
             plim_xx_first_stage = float(beta0 + (share @ xs[:, 1:]) / share.sum() @ beta1)
         plim_xx_kappa = float(beta0 + cell_given_c @ xs[:, 1:] @ beta1)
 
@@ -445,7 +455,7 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 
 
 # ---------------------------------------------------------------------------
-# Estimator pipelines and the replication engine
+# Estimator pipelines and studies
 # ---------------------------------------------------------------------------
 
 _STRAT_TAG = re.compile(r"^strat-([1-9][0-9]*)$")
@@ -531,7 +541,7 @@ def study_truth(spec: DgpSpec, kind: str) -> np.ndarray:
     """True value of an estimand: oracle when enumerable, registered otherwise."""
     if kind == "tau_c":
         if spec.cells is not None:
-            return np.array([oracle_estimands(spec).tau_c])
+            return np.array([_complier_law(spec.cells)[2]])
         if spec.tau_c_value is not None:
             return np.array([spec.tau_c_value])
     elif kind == "beta_c":
@@ -544,62 +554,40 @@ def study_truth(spec: DgpSpec, kind: str) -> np.ndarray:
     raise InvalidSpecError(f"design {spec.name!r} registers no truth for {kind}")
 
 
-def run_study(
-    spec: DgpSpec,
-    estimators: list[str],
-    reps: int,
-    n: int,
-    seed: int,
-    keep_estimates: bool = False,
-) -> McSummary:
+def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int) -> McSummary:
     """Replicate the design and summarize estimator bias and spread.
 
     Replicate r draws from the stream (seed, r) and evaluates every tag
     through one ``evaluate_tags`` call, so the propensity is fitted at
-    most once per replicate and shared by the tags that need it.
-    Failures of in-sample identification are counted per estimator and
-    excluded from the summaries. Any other error aborts the study, its
-    message prefixed with the seed and replicate; skipping such
-    replicates would bias the summaries. With ``keep_estimates`` the
-    per-replicate estimates are retained for plotting or tail checks.
-    A repeated tag raises ValueError.
+    most once per replicate and shared by the tags that need it. The
+    replicates run through ``inference.run_replicates``: failures of
+    in-sample identification are counted per estimator and excluded from
+    the summaries and estimates, and any other error aborts the study,
+    its message prefixed with the seed and replicate. A repeated tag
+    raises ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     require_distinct(estimators)
     truth = {tag: study_truth(spec, _resolve(tag)[1]) for tag in estimators}
 
-    draws: dict[str, list[np.ndarray]] = {tag: [] for tag in estimators}
-    failures = {tag: 0 for tag in estimators}
-    for r in range(reps):
-        with replicate_errors(seed, r):
-            data, _ = generate(spec, n, seed, replicate=r)
-            outs = evaluate_tags(data, estimators)
-        for tag, out in outs.items():
-            if isinstance(out, IdentificationError):
-                failures[tag] += 1
-            else:
-                draws[tag].append(out)
+    def step(r: int) -> dict[str, np.ndarray | IdentificationError]:
+        return evaluate_tags(generate(spec, n, seed, replicate=r)[0], estimators)
 
+    draws, failures = run_replicates(seed, reps, step, estimators)
     bias: dict[str, np.ndarray] = {}
     sd: dict[str, np.ndarray] = {}
-    kept: dict[str, np.ndarray] = {}
+    estimates: dict[str, np.ndarray] = {}
     for tag in estimators:
         stacked = np.vstack(draws[tag]) if draws[tag] else np.empty((0, truth[tag].size))
-        kept[tag] = stacked
+        estimates[tag] = stacked
         if stacked.shape[0] == 0:
             bias[tag] = np.full(truth[tag].size, np.nan)
             sd[tag] = np.full(truth[tag].size, np.nan)
         else:
             bias[tag] = stacked.mean(axis=0) - truth[tag]
             sd[tag] = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros(truth[tag].size)
-    return McSummary(
-        truth=truth,
-        bias=bias,
-        sd=sd,
-        failures=failures,
-        estimates=kept if keep_estimates else None,
-    )
+    return McSummary(truth=truth, bias=bias, sd=sd, failures=failures, estimates=estimates)
 
 
 def regressogram_deviation(
@@ -610,21 +598,22 @@ def regressogram_deviation(
     For each replicate, compares the per-stratum estimates against the
     average individual effect of the units in each stratum (for the
     bundled quadratic design, the stratum-averaged squared propensity).
-    Identification failures are skipped.
+    The replicates run through ``inference.run_replicates``:
+    identification failures are skipped, and any other error aborts,
+    its message prefixed with the seed and replicate.
     """
-    deviations = []
-    for r in range(reps):
+
+    def step(r: int) -> dict[str, float | IdentificationError]:
         data, latent = generate(spec, n, seed, replicate=r)
         try:
-            prop = fit_propensity(data, "logistic")
-            result = stratified_late(data, prop, k)
-        except IdentificationError:
-            continue
-        per_stratum = []
-        for j in range(1, result.partition.k + 1):
-            mask = result.partition.labels == j
-            per_stratum.append(abs(result.beta_star[j - 1] - latent.tau[mask].mean()))
-        deviations.append(float(np.mean(per_stratum)))
+            result = stratified_late(data, fit_propensity(data, "logistic"), k)
+        except IdentificationError as exc:
+            return {"": exc}
+        labels = result.partition.labels
+        per_stratum = [abs(b - latent.tau[labels == j].mean()) for j, b in enumerate(result.beta_star, 1)]
+        return {"": np.mean(per_stratum)}
+
+    deviations = run_replicates(seed, reps, step, [""])[0][""]
     if not deviations:
         raise IdentificationError("every replicate failed stratification")
     return float(np.mean(deviations))

@@ -61,16 +61,16 @@ def _quantile_bins(e, k):
     return cuts, (e > cuts[:, None]).sum(axis=0)
 
 
-def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
+def partition_by_propensity(ehat, k: int, z, d) -> StratumPartition:
     """Partition units into at most ``k`` propensity strata.
 
     Cutpoints are ``np.quantile`` of ``ehat`` at j / k, read off one
     sort, so ties share a stratum (units with equal scores are never
     split) and a unit exactly on a cutpoint joins the lower stratum.
-    When ``z`` (and optionally ``d``) are given, a stratum is only valid
-    if it contains both instrument arms (and a nonzero first-stage
-    difference); invalid strata trigger merging. ``z`` and ``d`` must be
-    binary with one entry per unit.
+    A stratum is valid if it contains both instrument arms ``z`` and a
+    nonzero first-stage difference in the treatment ``d``; invalid
+    strata trigger merging. ``z`` and ``d`` must be binary with one
+    entry per unit.
 
     Raises UnpartitionableError when even the fully merged single
     stratum is invalid.
@@ -83,27 +83,22 @@ def partition_by_propensity(ehat, k: int, z=None, d=None) -> StratumPartition:
         raise ValueError(f"need at least 2k = {2 * k} units, got {n}")
     if not np.all(np.isfinite(e)) or e.min() < 0.0 or e.max() > 1.0:
         raise ValueError("propensity scores must be finite and within [0, 1]")
-    z = None if z is None else np.asarray(z, dtype=float).reshape(-1)
-    d = None if d is None else np.asarray(d, dtype=float).reshape(-1)
+    z, d = (np.asarray(v, dtype=float).reshape(-1) for v in (z, d))
     for name, v in (("z", z), ("d", d)):
-        if v is not None and (v.shape != (n,) or not np.all((v == 0.0) | (v == 1.0))):
+        if v.shape != (n,) or not np.all((v == 0.0) | (v == 1.0)):
             raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
     cuts, bins = _quantile_bins(e, k)
 
     # Per-bin counts of (Z, D) = (0, 0), (0, 1), (1, 0), (1, 1) units as Python-int
     # prefix sums: bins [lo, hi) hold prefix[hi] - prefix[lo], exactly.
-    arm1, treated = (0 if v is None else v == 1.0 for v in (z, d))
-    tally = np.bincount(4 * bins + 2 * arm1 + treated, minlength=4 * k).reshape(k, 4)
+    tally = np.bincount(4 * bins + 2 * (z == 1.0) + (d == 1.0), minlength=4 * k).reshape(k, 4)
     prefix = [[0] * 4, *tally.cumsum(axis=0).tolist()]
 
     def valid(lo: int, hi: int) -> bool:
         untreated0, treated0, untreated1, treated1 = (u - v for u, v in zip(prefix[hi], prefix[lo]))
         units0, units1 = untreated0 + treated0, untreated1 + treated1
-        if z is None:
-            return units0 > 0
-        # Both instrument arms and, given d, a nonzero first-stage gap.
-        return units0 > 0 and units1 > 0 and (d is None or treated1 / units1 - treated0 / units0 != 0.0)
+        return units0 > 0 and units1 > 0 and treated1 / units1 - treated0 / units0 != 0.0
 
     groups = [(j, j + 1) for j in range(k)]
     while True:

@@ -71,9 +71,7 @@ def table_study():
 
 @pytest.fixture(scope="module")
 def design_a_study():
-    return run_study(
-        dgp_a(), ["++", "x+", "xx"], reps=1000, n=10_000, seed=20250802, keep_estimates=True
-    )
+    return run_study(dgp_a(), ["++", "x+", "xx"], reps=1000, n=10_000, seed=20250802)
 
 
 # ---------------------------------------------------------------------------

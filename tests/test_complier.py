@@ -82,10 +82,11 @@ def test_logistic_irls_matches_grid_search_likelihood_maximizer():
     assert np.abs(prop.coefficients - center).max() <= 1e-3
 
 
-def test_logistic_iteration_cap_flags_non_convergence():
+def test_logistic_iteration_cap_flags_non_convergence(monkeypatch):
     data = simulate_iv(43, n=200)
-    with pytest.warns(RuntimeWarning):
-        prop = fit_propensity(data, "logistic", max_iter=1)
+    monkeypatch.setattr("ivlate.complier.IRLS_MAX_ITER", 1)
+    with pytest.warns(RuntimeWarning, match="within 1 iterations"):
+        prop = fit_propensity(data, "logistic")
     assert not prop.converged
     assert prop.coefficients is not None
 

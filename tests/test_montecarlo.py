@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivlate.complier import PC_FLOOR, centered_interacted_2sls, fit_propensity, kappa_weights
-from ivlate.errors import InfiniteSupportError, InvalidSpecError, NoCompliersError
+from ivlate.errors import InfiniteSupportError, InvalidSpecError, NoCompliersError, RankDeficientError
 from ivlate.linalg import least_squares
 from ivlate.montecarlo import (
     DgpCell,
@@ -22,6 +22,7 @@ from ivlate.montecarlo import (
     named_dgp,
     oracle_estimands,
     pipeline_for,
+    regressogram_deviation,
     run_study,
     study_truth,
 )
@@ -390,11 +391,14 @@ def test_first_stage_centering_floors_the_share_it_divides_by():
     cells = four_point_cells(
         (0.05, 0.95, 0.1, 0.1), (0.275, 0.05, 0.15, 0.275), [[0.0] * 3] * 4, [[0.0, 1.0, 0.0]] * 4,
         probs=(0.5, 0.3, 0.15, 0.05), p_always=(0.4, 0.25, 0.35, 0.1))
-    data, _ = generate(from_cells("weak", cells), 100_000, seed=1)
+    spec = from_cells("weak", cells)
+    data, _ = generate(spec, 100_000, seed=1)
     prop = fit_propensity(data, "saturated")
     assert kappa_weights(data, prop).mean() > PC_FLOOR
     with pytest.raises(NoCompliersError, match="0.0052"):
         centered_interacted_2sls(data, prop)
+    # The oracle takes the same floor at the population share E[X c1[0]] = 0.0031.
+    assert oracle_estimands(spec).plim_xx_first_stage is None
 
 
 def test_large_sample_estimate_close_to_oracle_effect():
@@ -411,8 +415,8 @@ def test_large_sample_estimate_close_to_oracle_effect():
 
 def test_run_study_is_deterministic():
     spec = dgp_a()
-    one = run_study(spec, ["++", "xx"], reps=3, n=500, seed=86, keep_estimates=True)
-    two = run_study(spec, ["++", "xx"], reps=3, n=500, seed=86, keep_estimates=True)
+    one = run_study(spec, ["++", "xx"], reps=3, n=500, seed=86)
+    two = run_study(spec, ["++", "xx"], reps=3, n=500, seed=86)
     for tag in ("++", "xx"):
         assert np.array_equal(one.estimates[tag], two.estimates[tag])
         assert np.array_equal(one.bias[tag], two.bias[tag])
@@ -428,7 +432,11 @@ def test_run_study_rejects_a_repeated_tag(monkeypatch):
     assert calls == []  # rejected before any replicate is drawn
 
 
-def test_a_replicate_error_outside_identification_names_its_replicate():
+@pytest.mark.parametrize("study", [
+    lambda spec: run_study(spec, ["++"], reps=4, n=100, seed=7),
+    lambda spec: regressogram_deviation(spec, n=100, reps=4, k=2, seed=7),
+], ids=["run_study", "regressogram_deviation"])
+def test_a_replicate_error_outside_identification_names_its_replicate(study):
     calls = []
 
     def law(x, u):
@@ -438,7 +446,7 @@ def test_a_replicate_error_outside_identification_names_its_replicate():
         return x[:, 1] ** 2
 
     with pytest.raises(ZeroDivisionError, match=r"^seed 7, replicate 2: boom$") as info:
-        run_study(replace(dgp_b(), y1_mean=law), ["++"], reps=4, n=100, seed=7)
+        study(replace(dgp_b(), y1_mean=law))
     assert str(info.value.__cause__) == "boom"
     assert len(calls) == 3  # the study stops at the failing replicate
 
@@ -449,8 +457,23 @@ def test_a_replicate_error_outside_identification_names_its_replicate():
         raise undecodable
 
     with pytest.raises(UnicodeDecodeError) as info:
-        run_study(replace(dgp_b(), y1_mean=unreadable), ["++"], reps=1, n=100, seed=7)
+        study(replace(dgp_b(), y1_mean=unreadable))
     assert info.value is undecodable
+
+
+def test_complier_effect_truth_needs_no_complier_projection():
+    # Compliers live in one cell only, so E[XX' | complier] is singular and
+    # beta_c is undefined, while tau_c is the complier cell's effect.
+    spec = from_cells("one complier cell", (
+        DgpCell(x=(1.0, 0.0), prob=0.5, e=0.5, p_always=0.1, p_complier=0.6, y1_mean=(1.0, 2.0, 1.0)),
+        DgpCell(x=(1.0, 1.0), prob=0.5, e=0.7, p_always=0.2, p_complier=0.0, y1_mean=(3.0, 3.0, 3.0)),
+    ))
+    assert study_truth(spec, "tau_c").tolist() == [2.0]
+    summary = run_study(spec, ["++"], reps=3, n=400, seed=8)
+    assert summary.truth["++"].tolist() == [2.0]
+    assert summary.estimates["++"].shape == (3 - summary.failures["++"], 1)
+    with pytest.raises(RankDeficientError):
+        study_truth(spec, "beta_c")
 
 
 def test_study_truth_sources():

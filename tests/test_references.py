@@ -109,7 +109,7 @@ def ref_centered_interacted_2sls(data, prop, centering="first-stage"):
     return float(interacted_2sls(replace(data, x=x0)).beta[0])
 
 
-def ref_partition(ehat, k, z=None, d=None):
+def ref_partition(ehat, k, z, d):
     """Merge loop that masks every unit with np.isin at every validity check."""
     e = np.asarray(ehat, dtype=float)
     n = e.shape[0]
@@ -122,15 +122,10 @@ def ref_partition(ehat, k, z=None, d=None):
         mask = np.isin(bins, members)
         if not mask.any():
             return False
-        if z is not None:
-            zs = z[mask]
-            if zs.min() == zs.max():
-                return False
-            if d is not None:
-                d_diff = d[mask & (z == 1.0)].mean() - d[mask & (z == 0.0)].mean()
-                if d_diff == 0.0:
-                    return False
-        return True
+        zs = z[mask]
+        if zs.min() == zs.max():
+            return False
+        return d[mask & (z == 1.0)].mean() - d[mask & (z == 0.0)].mean() != 0.0
 
     groups = [[j] for j in range(k)]
     while True:
@@ -202,8 +197,7 @@ def partition_inputs(draw):
     flags = st.lists(st.booleans(), min_size=n, max_size=n)
     z = np.array(draw(flags), dtype=float)
     d = np.array(draw(flags), dtype=float) if draw(st.booleans()) else np.zeros(n)
-    which = draw(st.sampled_from(["none", "z", "zd"]))
-    return ehat, k, (z if which != "none" else None), (d if which == "zd" else None)
+    return ehat, k, z, d
 
 
 @st.composite
@@ -659,7 +653,7 @@ def test_least_squares_kernel_matches_scipy_qr_route(problem):
 # ---------------------------------------------------------------------------
 
 
-def ref_partition_by_propensity(ehat, k, z=None, d=None):
+def ref_partition_by_propensity(ehat, k, z, d):
     """Four masked bincounts per bin and a numpy slice-sum per validity check."""
     e = np.asarray(ehat, dtype=float).reshape(-1)
     n = e.shape[0]
@@ -669,8 +663,7 @@ def ref_partition_by_propensity(ehat, k, z=None, d=None):
         raise ValueError(f"need at least 2k = {2 * k} units, got {n}")
     cuts = np.quantile(e, np.arange(1, k) / k) if k > 1 else np.empty(0)
     bins = np.searchsorted(cuts, e, side="left")
-    arm1 = np.zeros(n, dtype=bool) if z is None else z == 1.0
-    treated = np.zeros(n, dtype=bool) if d is None else d == 1.0
+    arm1, treated = z == 1.0, d == 1.0
     tallies = np.stack(
         [np.bincount(bins[mask], minlength=k)
          for mask in (np.ones(n, dtype=bool), arm1, treated & arm1, treated & ~arm1)]
@@ -678,14 +671,9 @@ def ref_partition_by_propensity(ehat, k, z=None, d=None):
 
     def valid(lo, hi):
         units, units1, treated1, treated0 = tallies[:, lo:hi].sum(axis=1)
-        if units == 0:
+        if units1 in (0, units):
             return False
-        if z is not None:
-            if units1 in (0, units):
-                return False
-            if d is not None and treated1 / units1 - treated0 / (units - units1) == 0.0:
-                return False
-        return True
+        return treated1 / units1 - treated0 / (units - units1) != 0.0
 
     groups = [(j, j + 1) for j in range(k)]
     while True:
@@ -758,14 +746,13 @@ def assert_same_partition(got, ref):
 @given(strata_samples())
 def test_one_bincount_strata_equal_the_masked_tallies(sample):
     data, prop, k, labels = sample
-    for z, d in ((None, None), (data.z, None), (data.z, data.d)):
-        ref = exact_outcome(ref_partition_by_propensity, prop.ehat, k, z, d)
-        got = exact_outcome(partition_by_propensity, prop.ehat, k, z, d)
-        assert got[0] == ref[0]
-        if ref[0] == "error":
-            assert got == ref
-        else:
-            assert_same_partition(got[1], ref[1])
+    ref = exact_outcome(ref_partition_by_propensity, prop.ehat, k, data.z, data.d)
+    got = exact_outcome(partition_by_propensity, prop.ehat, k, data.z, data.d)
+    assert got[0] == ref[0]
+    if ref[0] == "error":
+        assert got == ref
+    else:
+        assert_same_partition(got[1], ref[1])
 
     with mock.patch.object(stratify, "partition_by_propensity", ref_partition_by_propensity), \
             mock.patch.object(stratify, "_arm_moments", ref_arm_moments):
@@ -859,7 +846,7 @@ def ref_irls_logistic(z, x, max_iter=100, tol=1e-8):
 
 def assert_same_irls(z, x):
     ref = exact_outcome(ref_irls_logistic, z, x)
-    got = exact_outcome(complier._irls_logistic, z, x, 100, 1e-8)
+    got = exact_outcome(complier._irls_logistic, z, x)
     assert got[0] == ref[0]
     if ref[0] == "error":
         assert got == ref
@@ -1046,8 +1033,8 @@ def test_cell_index_laws_match_the_covariate_row_lookup(design):
 
 def ref_oracle_estimands(spec):
     """The interacted, additive and interacted-additive limits, and the
-    first-stage-centered limit (None without a constant or with a
-    non-positive share), solved from hand-built population moment blocks."""
+    first-stage-centered limit (None without a constant, or with P(complier)
+    or the share at most PC_FLOOR), solved from hand-built population moment blocks."""
     xs = np.array([c.x for c in spec.cells], dtype=float)
     p, e, pa, pc = (np.array([getattr(c, f) for c in spec.cells]) for f in ("prob", "e", "p_always", "p_complier"))
     y0m, y1m = (np.array([getattr(c, f) for c in spec.cells]) for f in ("y0_mean", "y1_mean"))
@@ -1085,7 +1072,7 @@ def ref_oracle_estimands(spec):
     c1 = solve(m_ww.T, np.vstack([m_zx_dx, m_x_dx])).T[:, :k]
     share = p * (xs @ c1[0])
     first_stage = None
-    if np.all(xs[:, 0] == 1.0) and share.sum() > 0.0:
+    if np.all(xs[:, 0] == 1.0) and p @ pc > PC_FLOOR and share.sum() > PC_FLOOR:
         first_stage = float(beta[0] + (share @ xs[:, 1:]) / share.sum() @ beta[1:])
     return {"plim_beta_2sls": beta, "plim_taa_projection": taa, "plim_tia_projection": tia,
             "plim_xx_first_stage": first_stage}

@@ -3,7 +3,7 @@
 Evaluating several estimator tags on one sample must give, bit for bit,
 what each tag gives on its own: the shared logistic propensity fit is
 the same deterministic computation on the same data. These tests pin
-that equality for the replication engine and the CLI bootstrap, and
+that equality for the study runner and the CLI bootstrap, and
 count the fits, factorizations and resamples the sharing saves.
 """
 
@@ -60,10 +60,10 @@ def counting_fit(monkeypatch, fail_on=None):
 @pytest.mark.parametrize("design", sorted(STUDIES))
 def test_all_tags_together_equal_each_tag_alone(design):
     make, tags, reps, n, seed = STUDIES[design]
-    together = run_study(make(), list(tags), reps=reps, n=n, seed=seed, keep_estimates=True)
+    together = run_study(make(), list(tags), reps=reps, n=n, seed=seed)
     assert any(together.failures[tag] for tag in tags if tag not in ("++", "x+", "beta"))
     for tag in tags:
-        alone = run_study(make(), [tag], reps=reps, n=n, seed=seed, keep_estimates=True)
+        alone = run_study(make(), [tag], reps=reps, n=n, seed=seed)
         assert together.failures[tag] == alone.failures[tag]
         assert np.array_equal(together.estimates[tag], alone.estimates[tag])
         assert np.array_equal(together.bias[tag], alone.bias[tag], equal_nan=True)
@@ -84,12 +84,12 @@ def test_one_propensity_fit_per_replicate(monkeypatch):
 def test_failed_shared_fit_fails_each_propensity_tag_once(monkeypatch):
     spec, reps, n, seed = dgp_b(), 5, 300, 4
     tags = ["++", "x+", "beta", *PROPENSITY_TAGS]
-    baseline = run_study(spec, tags, reps=reps, n=n, seed=seed, keep_estimates=True)
+    baseline = run_study(spec, tags, reps=reps, n=n, seed=seed)
     assert all(count == 0 for count in baseline.failures.values())
 
     bad, _ = generate(spec, n, seed, replicate=2)
     calls = counting_fit(monkeypatch, fail_on=bad)
-    summary = run_study(spec, tags, reps=reps, n=n, seed=seed, keep_estimates=True)
+    summary = run_study(spec, tags, reps=reps, n=n, seed=seed)
     assert len(calls) == reps  # the failed fit is not retried for later tags
     keep = [r for r in range(reps) if r != 2]
     for tag in tags:

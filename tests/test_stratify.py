@@ -28,8 +28,14 @@ def unbalanced_binary_spec():
 # ---------------------------------------------------------------------------
 
 
+def alternating(n):
+    """Instrument arms 0, 1, 0, 1, ... with treatment equal to the instrument."""
+    z = np.tile([0.0, 1.0], n // 2)
+    return z, z
+
+
 def test_single_stratum_contains_everything():
-    part = partition_by_propensity(np.linspace(0.1, 0.9, 20), 1)
+    part = partition_by_propensity(np.linspace(0.1, 0.9, 20), 1, *alternating(20))
     assert part.k == 1
     assert np.all(part.labels == 1)
     assert part.counts.tolist() == [20]
@@ -38,14 +44,14 @@ def test_single_stratum_contains_everything():
 
 def test_ten_sorted_scores_split_into_consecutive_pairs():
     ehat = np.arange(1, 11) / 10.0
-    part = partition_by_propensity(ehat, 5)
+    part = partition_by_propensity(ehat, 5, *alternating(10))
     assert part.labels.tolist() == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
     assert np.allclose(part.boundaries, [0.28, 0.46, 0.64, 0.82], atol=1e-12)
     assert part.counts.tolist() == [2, 2, 2, 2, 2]
 
 
 def test_constant_scores_merge_to_single_stratum():
-    part = partition_by_propensity(np.full(30, 0.37), 4)
+    part = partition_by_propensity(np.full(30, 0.37), 4, *alternating(30))
     assert part.k == 1
     assert part.merged_from == 4
     assert np.all(part.labels == 1)
@@ -53,7 +59,7 @@ def test_constant_scores_merge_to_single_stratum():
 
 def test_tied_scores_share_a_stratum():
     ehat = np.array([0.2] * 6 + [0.8] * 4)
-    part = partition_by_propensity(ehat, 2)
+    part = partition_by_propensity(ehat, 2, *alternating(10))
     assert part.k == 2
     assert np.all(part.labels[:6] == 1) and np.all(part.labels[6:] == 2)
 
@@ -61,7 +67,7 @@ def test_tied_scores_share_a_stratum():
 def test_single_arm_bins_get_merged():
     ehat = np.concatenate([np.linspace(0.1, 0.4, 10), np.linspace(0.6, 0.9, 10)])
     z = np.concatenate([np.tile([0.0, 1.0], 5), np.ones(10)])  # top half single-arm
-    part = partition_by_propensity(ehat, 2, z=z)
+    part = partition_by_propensity(ehat, 2, z=z, d=z)
     assert part.k == 1
     assert part.merged_from == 2
 
@@ -76,11 +82,11 @@ def test_unpartitionable_when_first_stage_is_flat():
 
 def test_partition_validates_inputs():
     with pytest.raises(ValueError):
-        partition_by_propensity(np.linspace(0.1, 0.9, 10), 0)
+        partition_by_propensity(np.linspace(0.1, 0.9, 10), 0, *alternating(10))
     with pytest.raises(ValueError):
-        partition_by_propensity(np.linspace(0.1, 0.9, 10), 6)  # n < 2k
+        partition_by_propensity(np.linspace(0.1, 0.9, 10), 6, *alternating(10))  # n < 2k
     with pytest.raises(ValueError):
-        partition_by_propensity(np.array([0.5, 1.2, 0.3, 0.4]), 2)
+        partition_by_propensity(np.array([0.5, 1.2, 0.3, 0.4]), 2, *alternating(4))
 
 
 @pytest.mark.parametrize("k", [2, 5, 9])
