@@ -7,6 +7,10 @@ float at its shortest round-trip ``repr``; a non-finite value is
 ``null`` in JSON and an empty cell in CSV. Identical configuration and
 seed produce byte-identical output files.
 
+The ``estimate`` and ``stratify`` bootstraps fit the full sample's
+logistic propensity once, from zero, and start each resample's fit from
+its coefficients (see ``complier.fit_propensity``).
+
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 estimation failure.
 """
@@ -16,11 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import operator
 import sys
-from array import array
 
 import numpy as np
 
@@ -57,6 +61,11 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     appended to it, so a caller can echo them without a second read.
     Raises SchemaError for header problems and ValueError (with the
     1-based data row) for bad cells.
+
+    Every cell goes through Python's ``float`` in one pass, and y/x
+    finiteness and binary d and z are checked on whole columns. Only a
+    file that fails a check is walked row by row, so the error names the
+    first bad row and the first check it fails.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -83,35 +92,53 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     if not x_names and not add_constant:
         raise SchemaError("no covariate columns and no constant requested")
 
-    n = len(rows)
+    n, width = len(rows), len(names)
     if n == 0:
         raise SchemaError("file contains a header but no data rows")
-    pick = operator.itemgetter(*(names.index(name) for name in ("y", "d", "z", *x_names)))
-    values = array("d")
-    for i, row in enumerate(rows):
-        if len(row) != len(names):
-            raise ValueError(f"row {i + 1}: expected {len(names)} fields, got {len(row)}")
+    order = [names.index(name) for name in ("y", "d", "z", *x_names)]
+    columns = None  # y, d, z, x1, ... as strided views of the row-major cells
+    if set(map(len, rows)) == {width}:
         try:
-            cells = list(map(float, pick(row)))
+            cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, n * width)
+            columns = [cells[j::width] for j in order]
         except ValueError:
-            raise ValueError(f"row {i + 1}: non-numeric cell") from None
-        if not (math.isfinite(cells[0]) and all(map(math.isfinite, cells[3:]))):
-            raise ValueError(f"row {i + 1}: non-finite cell")
-        if cells[1] not in (0.0, 1.0):
-            raise ValueError(f"row {i + 1}: d must be 0 or 1, got {pick(row)[1]!r}")
-        if cells[2] not in (0.0, 1.0):
-            raise ValueError(f"row {i + 1}: z must be 0 or 1, got {pick(row)[2]!r}")
-        values.extend(cells)
+            pass
+    if columns is None or not (
+        all(np.isfinite(column).all() for column in columns[:1] + columns[3:])
+        and _is_binary(columns[1])
+        and _is_binary(columns[2])
+    ):
+        pick = operator.itemgetter(*order)
+        for i, row in enumerate(rows):
+            _check_row(i, row, width, pick)
 
-    table = np.frombuffer(values).reshape(n, 3 + len(x_names))
-    y, d, z = (table[:, j].copy() for j in range(3))
-    x = table[:, 3:].copy()
-    if add_constant:
-        x = np.column_stack([np.ones(n), x])
+    y, d, z = (column.copy() for column in columns[:3])
+    x = np.column_stack(([np.ones(n)] if add_constant else []) + columns[3:])
     # Schema and cells are validated above; tiny files still load and echo.
     # Too few rows for the fits or the strata is a data error (exit 2) and a
     # single instrument arm an estimation failure (exit 3), both raised later.
     return Dataset(y=y, d=d, z=z, x=x, has_constant=add_constant)
+
+
+def _is_binary(column: np.ndarray) -> bool:
+    return bool(((column == 0.0) | (column == 1.0)).all())
+
+
+def _check_row(i: int, row: list[str], width: int, pick) -> None:
+    """Raise the ValueError for data row ``i + 1`` at the first check it fails, if any;
+    ``pick`` reorders its cells to y, d, z, x."""
+    if len(row) != width:
+        raise ValueError(f"row {i + 1}: expected {width} fields, got {len(row)}")
+    try:
+        cells = list(map(float, pick(row)))
+    except ValueError:
+        raise ValueError(f"row {i + 1}: non-numeric cell") from None
+    if not (math.isfinite(cells[0]) and all(map(math.isfinite, cells[3:]))):
+        raise ValueError(f"row {i + 1}: non-finite cell")
+    if cells[1] not in (0.0, 1.0):
+        raise ValueError(f"row {i + 1}: d must be 0 or 1, got {pick(row)[1]!r}")
+    if cells[2] not in (0.0, 1.0):
+        raise ValueError(f"row {i + 1}: z must be 0 or 1, got {pick(row)[2]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +183,16 @@ def cmd_estimate(args) -> int:
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
     _require_both_arms(data)
 
-    boots = bootstrap_tags(data, evaluate_tags, tags, b=args.b, alpha=args.alpha, seed=args.seed)
+    # bootstrap_tags evaluates ``data`` itself first, fitting its propensity cold;
+    # every resample's logistic fit then starts from that fit's coefficients.
+    point_fit = []
+
+    def evaluate(sample: Dataset, live: list[str]):
+        if sample is data:
+            return evaluate_tags(sample, live, fits=point_fit)
+        return evaluate_tags(sample, live, start=point_fit[0].coefficients if point_fit else None)
+
+    boots = bootstrap_tags(data, evaluate, tags, b=args.b, alpha=args.alpha, seed=args.seed)
     results = []
     failures = {}
     for tag in tags:
@@ -233,9 +269,9 @@ def cmd_simulate(args) -> int:
 
     if args.replicates_out is not None:
         rows = [
-            (rep, tag, dim, _num(value))
+            (int(rep), tag, dim, _num(value))
             for tag in tags
-            for rep, values in enumerate(summary.estimates[tag])
+            for rep, values in zip(summary.replicates[tag], summary.estimates[tag])
             for dim, value in enumerate(values)
         ]
         _write_text(args.replicates_out, _csv_text(["rep", "estimator", "dim", "value"], rows))
@@ -256,10 +292,13 @@ def cmd_stratify(args) -> int:
         print(warnings_list[-1], file=sys.stderr)
 
     def strat_pipeline(sample: Dataset) -> np.ndarray:
-        prop_b = fit_propensity(sample, "logistic")
-        res = stratified_late(sample, prop_b, args.k)
-        if res.partition.k != k_point:
-            raise UnpartitionableError("replicate merged to a different stratum count")
+        # bootstrap evaluates ``data`` itself first: that is ``point``. Each resample's
+        # logistic fit starts from the point fit's coefficients.
+        res = point
+        if sample is not data:
+            res = stratified_late(sample, fit_propensity(sample, "logistic", prop.coefficients), args.k)
+            if res.partition.k != k_point:
+                raise UnpartitionableError("replicate merged to a different stratum count")
         return np.concatenate([[res.tau_star], res.beta_star])
 
     boot = bootstrap(data, strat_pipeline, b=args.b, alpha=args.alpha, seed=args.seed)

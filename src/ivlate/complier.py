@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import linalg
-from .errors import NoCompliersError, NonFiniteError, NoOverlapCellError
+from .errors import IdentificationError, NoCompliersError, NonFiniteError, NoOverlapCellError
 from .estimators import Dataset, interacted_2sls
 
 # Propensities are clipped into [CLIP, 1 - CLIP] to guard the kappa
@@ -52,7 +52,7 @@ class PropensityFit:
     n_clipped: int = 0
 
 
-def fit_propensity(data: Dataset, spec) -> PropensityFit:
+def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
     """Estimate the instrument propensity score.
 
     Parameters
@@ -65,6 +65,15 @@ def fit_propensity(data: Dataset, spec) -> PropensityFit:
         "saturated" uses within-cell means of Z over distinct covariate
         rows and requires both arms in every cell. An array supplies
         externally computed scores.
+    start : array-like, optional
+        Coefficients the logistic IRLS starts from instead of zero, such
+        as the full sample's fit for a bootstrap resample. The fit from
+        ``start`` takes T from its own first step. If that fit raises an
+        IdentificationError, does not converge, or ends with eta at its
+        clip (a separated sample), it is dropped and the fit reruns from
+        zero. So a start moves the scores only within the IRLS tolerance
+        and never changes which samples fail or converge. Used by
+        "logistic" only.
 
     Returns
     -------
@@ -72,7 +81,7 @@ def fit_propensity(data: Dataset, spec) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            raw, coef, converged = _irls_logistic(data.z, data.x)
+            raw, coef, converged = _irls_logistic(data.z, data.x, start)
         elif spec == "saturated":
             raw = _saturated_scores(data.z, data.x)
             coef, converged = None, True
@@ -108,10 +117,34 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _irls_logistic(z, x):
-    beta = np.zeros(x.shape[1])
+def _irls_logistic(z, x, start=None):
+    """(scores, coefficients, converged) of the IRLS from ``start``, or from zero when
+    ``start`` is None or its fit raises an IdentificationError, does not converge or
+    reaches the eta clip. A clipped eta marks a (quasi-)separated sample, whose
+    likelihood has no maximum, so where its fit stops depends on where it starts."""
+    if start is not None:
+        try:
+            fit = _irls_steps(z, x, np.asarray(start, dtype=float))
+        except IdentificationError:
+            fit = None
+        if fit is not None and fit[2] and np.abs(x @ fit[1]).max() < _ETA_BOUND:
+            return fit
+    return _irls_steps(z, x, np.zeros(x.shape[1]))
+
+
+def _irls_steps(z, x, beta):
+    """IRLS from ``beta``. T, the first step's factor of sqrt(w) X, whitens every later step.
+
+    Each step forms one exponential, ex = exp(-eta) at the clipped eta:
+    mu = 1 / (1 + ex), and the deviance is 2 sum log1p(exp((1 - 2z) eta))
+    with exp((1 - 2z) eta) = z ex + (1 - z) / ex, one positive term per
+    unit. Nothing cancels, so a deviance near zero (a separated sample)
+    keeps its relative accuracy in the stop rule.
+    """
     eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
-    mu = expit(eta)
+    ex = np.exp(-eta)
+    mu = 1.0 / (1.0 + ex)
+    z_comp = 1.0 - z
     dev_prev = np.inf
     converged = False
     whiten = None
@@ -123,12 +156,13 @@ def _irls_logistic(z, x):
             rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
             system = rmat[:, -1], rmat[:, :-1]
         beta = linalg.least_squares(*system).coef[:, 0]
-        if whiten is None:  # all first-step weights are 1/4, so R, rank checked, is X / 2's
-            tmat = 2.0 * rmat[: x.shape[1], :-1]
+        if whiten is None:  # the fit checked R's rank, so T is invertible
+            tmat = rmat[: x.shape[1], :-1]
             whiten = lapack.dtrtri(tmat)[0].T @ x.T, tmat
         eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
-        mu = expit(eta)
-        dev = -2.0 * float(np.sum(z * np.log(mu) + (1.0 - z) * np.log1p(-mu)))
+        ex = np.exp(-eta)
+        mu = 1.0 / (1.0 + ex)
+        dev = 2.0 * float(np.log1p(z * ex + z_comp / ex).sum())
         if np.isfinite(dev_prev) and abs(dev - dev_prev) < IRLS_TOL * (abs(dev_prev) + 1e-300):
             converged = True
             break
@@ -137,8 +171,9 @@ def _irls_logistic(z, x):
 
 
 def _whitened_system(qt, tmat, w, working):
-    """Step on U T, a factor of sqrt(w) X: U'U = Q'WQ, Q = X T^-1 orthonormal (rows of ``qt``),
-    so U is conditioned like the weights. None if U does not exist or is ill-conditioned."""
+    """Step on U T, a factor of sqrt(w) X: U'U = Q'WQ with Q = X T^-1 (rows of ``qt``) and
+    Q'W0Q = I at the first step's weights W0, so U is conditioned like W / W0. None if U does
+    not exist or is ill-conditioned."""
     qtw = qt * w
     chol, info = lapack.dpotrf(qtw @ qt.T)
     if info != 0 or (diag := chol.diagonal()).max() > GRAM_RATIO_MAX * diag.min():

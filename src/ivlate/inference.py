@@ -46,17 +46,18 @@ def require_distinct(tags) -> None:
 
 def run_replicates(
     seed: int, reps: int, step: Callable[[int], dict], tags
-) -> tuple[dict[str, list[np.ndarray]], dict[str, int]]:
+) -> tuple[dict[str, list[tuple[int, np.ndarray]]], dict[str, int]]:
     """The one replicate loop: call ``step(r)`` for each replicate r < reps.
 
     ``step(r)`` maps replicate r to each tag's estimate or to the
-    IdentificationError the tag raised. Returns each tag's estimates in
-    replicate order and its count of identification failures. Any other
-    error aborts the loop, as its own class with ``seed S, replicate r: ``
-    before its message and the original as its cause; a class whose
-    constructor does not take one message propagates unchanged.
+    IdentificationError the tag raised. Returns each tag's (replicate,
+    estimate) pairs in replicate order and its count of identification
+    failures. Any other error aborts the loop, as its own class with
+    ``seed S, replicate r: `` before its message and the original as its
+    cause; a class whose constructor does not take one message
+    propagates unchanged.
     """
-    draws: dict[str, list[np.ndarray]] = {tag: [] for tag in tags}
+    draws: dict[str, list[tuple[int, np.ndarray]]] = {tag: [] for tag in tags}
     failures = {tag: 0 for tag in tags}
     for r in range(reps):
         try:
@@ -73,7 +74,7 @@ def run_replicates(
             if isinstance(out, IdentificationError):
                 failures[tag] += 1
             else:
-                draws[tag].append(out)
+                draws[tag].append((r, out))
     return draws, failures
 
 
@@ -175,7 +176,7 @@ def bootstrap_tags(
             raise TooManyFailuresError(
                 f"{label}only {b_effective} of {b} bootstrap replicates were identified"
             )
-        stacked = np.vstack(draws[tag])
+        stacked = np.vstack([estimate for _, estimate in draws[tag]])
         results[tag] = BootstrapResult(
             point=points[tag],
             se=stacked.std(axis=0, ddof=1),

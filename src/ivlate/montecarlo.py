@@ -140,13 +140,15 @@ class OracleEstimands:
 class McSummary:
     """Bias and spread of estimators over replications of one design.
 
-    ``estimates`` holds each tag's identified replicate estimates, one per row."""
+    ``estimates`` holds each tag's identified replicate estimates, one per
+    row, and ``replicates`` the index of the replicate each row came from."""
 
     truth: dict[str, np.ndarray]
     bias: dict[str, np.ndarray]
     sd: dict[str, np.ndarray]
     failures: dict[str, int]
     estimates: dict[str, np.ndarray]
+    replicates: dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +484,18 @@ def _resolve(tag: str) -> tuple[_Estimator, str]:
     raise ValueError(f"unknown estimator tag {tag!r}")
 
 
-def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
+def evaluate_tags(
+    data: Dataset, tags, start=None, fits: list | None = None
+) -> dict[str, np.ndarray | IdentificationError]:
     """Evaluate estimator tags on one sample, sharing one propensity fit.
 
     The logistic propensity is fitted on the first request of a tag that
     needs it ("xx", "strat-K") and reused by every later one; "++", "x+"
     and "beta" never fit it. If that fit fails identification, every tag
-    that needs it gets the same error. Returns, per distinct tag, its
+    that needs it gets the same error. ``start`` is the fit's start
+    vector (see ``fit_propensity``): a bootstrap can start each resample
+    from the full sample's coefficients. When ``fits`` is a list, a
+    successful fit is appended to it. Returns, per distinct tag, its
     estimate as a float array or the IdentificationError it raised;
     other exceptions propagate.
     """
@@ -498,9 +505,12 @@ def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationE
     def propensity() -> PropensityFit:
         if not shared:
             try:
-                shared.append(fit_propensity(data, "logistic"))
+                shared.append(fit_propensity(data, "logistic", start))
             except IdentificationError as exc:
                 shared.append(exc)
+            else:
+                if fits is not None:
+                    fits.append(shared[0])
         if isinstance(shared[0], IdentificationError):
             raise shared[0]
         return shared[0]
@@ -578,8 +588,10 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
     bias: dict[str, np.ndarray] = {}
     sd: dict[str, np.ndarray] = {}
     estimates: dict[str, np.ndarray] = {}
+    replicates: dict[str, np.ndarray] = {}
     for tag in estimators:
-        stacked = np.vstack(draws[tag]) if draws[tag] else np.empty((0, truth[tag].size))
+        replicates[tag] = np.array([r for r, _ in draws[tag]], dtype=int)
+        stacked = np.vstack([v for _, v in draws[tag]]) if draws[tag] else np.empty((0, truth[tag].size))
         estimates[tag] = stacked
         if stacked.shape[0] == 0:
             bias[tag] = np.full(truth[tag].size, np.nan)
@@ -587,7 +599,9 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
         else:
             bias[tag] = stacked.mean(axis=0) - truth[tag]
             sd[tag] = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros(truth[tag].size)
-    return McSummary(truth=truth, bias=bias, sd=sd, failures=failures, estimates=estimates)
+    return McSummary(
+        truth=truth, bias=bias, sd=sd, failures=failures, estimates=estimates, replicates=replicates
+    )
 
 
 def regressogram_deviation(
@@ -600,8 +614,11 @@ def regressogram_deviation(
     bundled quadratic design, the stratum-averaged squared propensity).
     The replicates run through ``inference.run_replicates``:
     identification failures are skipped, and any other error aborts,
-    its message prefixed with the seed and replicate.
+    its message prefixed with the seed and replicate. Raises ValueError
+    when ``reps`` is below 1.
     """
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
 
     def step(r: int) -> dict[str, float | IdentificationError]:
         data, latent = generate(spec, n, seed, replicate=r)
@@ -613,7 +630,7 @@ def regressogram_deviation(
         per_stratum = [abs(b - latent.tau[labels == j].mean()) for j, b in enumerate(result.beta_star, 1)]
         return {"": np.mean(per_stratum)}
 
-    deviations = run_replicates(seed, reps, step, [""])[0][""]
+    deviations = [deviation for _, deviation in run_replicates(seed, reps, step, [""])[0][""]]
     if not deviations:
         raise IdentificationError("every replicate failed stratification")
     return float(np.mean(deviations))

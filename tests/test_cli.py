@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ivlate.cli import ingest_csv, main
 from ivlate.complier import fit_propensity
 from ivlate.errors import SchemaError
-from ivlate.montecarlo import dgp_a, dgp_c, generate
+from ivlate.inference import bootstrap, bootstrap_tags
+from ivlate.montecarlo import dgp_a, dgp_b, dgp_c, evaluate_tags, generate
 from ivlate.stratify import regressogram, stratified_late
 
 
@@ -344,6 +345,22 @@ def test_simulate_reports_and_per_replicate_csv(tmp_path):
     assert reps_out.read_bytes() == reps2.read_bytes()
 
 
+def test_replicates_out_numbers_rows_by_the_replicate_that_produced_them(tmp_path):
+    # At n=20, xx fails identification in one of the eight replicates.
+    reps_out = tmp_path / "r.csv"
+    assert main(["simulate", "--dgp", "A", "--estimators", "++,xx", "--n", "20", "--reps", "8",
+                 "--seed", "3", "--output", str(tmp_path / "s.json"),
+                 "--replicates-out", str(reps_out)]) == 0
+    rows = [line.split(",") for line in reps_out.read_text().splitlines()[1:]]
+    assert [int(rep) for rep, tag, _, _ in rows if tag == "++"] == list(range(8))
+    assert len([rep for rep, tag, _, _ in rows if tag == "xx"]) == 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for rep, tag, dim, value in rows:
+            sample = generate(dgp_a(), 20, seed=3, replicate=int(rep))[0]
+            assert float(value) == evaluate_tags(sample, [tag])[tag][int(dim)], (rep, tag)
+
+
 def test_simulate_tag_failing_every_replicate_is_null_in_json_and_empty_in_csv(tmp_path):
     # At n=6 the complier-centered fit is unidentified in all three replicates.
     args = ["simulate", "--dgp", "A", "--n", "6", "--reps", "3", "--seed", "0",
@@ -432,6 +449,67 @@ def test_stratify_json_report_is_deterministic(tmp_path):
     report = load_report(out1)
     assert len(report["strata"]) == report["config"]["k_effective"]
     assert np.isfinite(report["late"]["estimate"])
+
+
+def export_design_b(path, n=600, seed=2):
+    data, _ = generate(dgp_b(), n, seed=seed)
+    rows = np.column_stack([data.y, data.d, data.z, data.x[:, 1:]])
+    return write_csv(path, ["y", "d", "z", "x1", "x2"], rows.tolist())
+
+
+def counting_fits(monkeypatch, module: str):
+    """Record the start of every logistic fit that the named module makes."""
+    starts = []
+
+    def fit(data, spec, start=None):
+        starts.append(start)
+        return fit_propensity(data, spec, start)
+
+    monkeypatch.setattr(f"{module}.fit_propensity", fit)
+    return starts
+
+
+def test_estimate_bootstrap_warm_starts_match_cold_fits(tmp_path, monkeypatch):
+    path = export_design_b(tmp_path / "b.csv")
+    tags = ["++", "xx", "strat-5"]
+    cold = bootstrap_tags(ingest_csv(path), evaluate_tags, tags, b=40, seed=5)
+    starts = counting_fits(monkeypatch, "ivlate.montecarlo")
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--input", path, "--estimators", ",".join(tags), "--b", "40",
+                 "--seed", "5", "--output", str(out)]) == 0
+    # The full sample is fitted once, cold; each resample starts from its coefficients.
+    assert starts[0] is None and len(starts) == 41
+    assert all(np.array_equal(start, starts[1]) for start in starts[1:])
+    report = load_report(out)
+    for row in report["results"]:
+        boot = cold[row["estimator"]]
+        assert row["point"] == boot.point[0]
+        assert row["sd"] == pytest.approx(boot.se[0], rel=1e-6, abs=0.0)
+        assert row["ci"] == pytest.approx([boot.ci_lower[0], boot.ci_upper[0]], rel=1e-6, abs=0.0)
+        assert report["failures"][row["estimator"]] == boot.b_requested - boot.b_effective
+
+
+def test_stratify_bootstrap_warm_starts_match_cold_fits(tmp_path, monkeypatch):
+    path = export_design_b(tmp_path / "b.csv")
+    data = ingest_csv(path)
+
+    def cold_pipeline(sample):
+        res = stratified_late(sample, fit_propensity(sample, "logistic"), 4)
+        return np.concatenate([[res.tau_star], res.beta_star])
+
+    cold = bootstrap(data, cold_pipeline, b=40, seed=5)
+    starts = counting_fits(monkeypatch, "ivlate.cli")
+    out = tmp_path / "s.json"
+    assert main(["stratify", "--input", path, "--k", "4", "--b", "40", "--seed", "5",
+                 "--output", str(out)]) == 0
+    assert starts[0] is None and len(starts) == 41
+    report = load_report(out)
+    assert report["config"]["k_effective"] == 4
+    assert report["late"]["estimate"] == cold.point[0]
+    assert report["late"]["sd"] == pytest.approx(cold.se[0], rel=1e-6, abs=0.0)
+    lows = [report["late"]["ci"][0]] + [row["ci"][0] for row in report["strata"]]
+    assert lows == pytest.approx(cold.ci_lower.tolist(), rel=1e-6, abs=0.0)
+    assert report["failures"]["strat"] == cold.b_requested - cold.b_effective
 
 
 def test_help_exits_cleanly():

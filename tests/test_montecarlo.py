@@ -461,6 +461,15 @@ def test_a_replicate_error_outside_identification_names_its_replicate(study):
     assert info.value is undecodable
 
 
+@pytest.mark.parametrize("study", [
+    lambda: run_study(dgp_b(), ["++"], reps=0, n=100, seed=1),
+    lambda: regressogram_deviation(dgp_c(), n=100, reps=0, k=2, seed=1),
+], ids=["run_study", "regressogram_deviation"])
+def test_zero_replicates_is_a_value_error(study):
+    with pytest.raises(ValueError, match="^reps must be at least 1$"):
+        study()
+
+
 def test_complier_effect_truth_needs_no_complier_projection():
     # Compliers live in one cell only, so E[XX' | complier] is singular and
     # beta_c is undefined, while tau_c is the complier cell's effect.
