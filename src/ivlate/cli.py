@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .complier import fit_propensity
+from .complier import PropensityFit, fit_propensity
 from .errors import (
     IdentificationError,
     InvalidSpecError,
@@ -59,8 +59,9 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     columns; a constant column is prepended unless ``add_constant`` is
     False. When ``header`` is a list, the stripped column names are
     appended to it, so a caller can echo them without a second read.
-    Raises SchemaError for header problems and ValueError (with the
-    1-based data row) for bad cells.
+    Raises SchemaError for header problems and bytes that are not UTF-8
+    (with the 1-based file line), and ValueError (with the 1-based data
+    row) for bad cells.
 
     Every cell goes through Python's ``float`` in one pass, and y/x
     finiteness and binary d and z are checked on whole columns. Only a
@@ -74,6 +75,8 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
             rows = list(reader)
         except csv.Error as exc:
             raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise SchemaError(f"line {_undecodable_line(path)}: not valid UTF-8") from None
     if raw_header is None:
         raise SchemaError("empty file: missing header row")
 
@@ -118,6 +121,18 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     # Too few rows for the fits or the strata is a data error (exit 2) and a
     # single instrument arm an estimation failure (exit 3), both raised later.
     return Dataset(y=y, d=d, z=z, x=x, has_constant=add_constant)
+
+
+def _undecodable_line(path: str) -> int:
+    """The 1-based line of the first byte of ``path`` that is not UTF-8, found on the raw bytes:
+    the text reader's error offsets skip a byte-order mark and restart with each chunk it decodes."""
+    with open(path, "rb") as handle:
+        raw = handle.read().removeprefix(b"\xef\xbb\xbf")
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[: exc.start]
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
 
 
 def _is_binary(column: np.ndarray) -> bool:
@@ -183,16 +198,9 @@ def cmd_estimate(args) -> int:
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
     _require_both_arms(data)
 
-    # bootstrap_tags evaluates ``data`` itself first, fitting its propensity cold;
-    # every resample's logistic fit then starts from that fit's coefficients.
-    point_fit = []
-
-    def evaluate(sample: Dataset, live: list[str]):
-        if sample is data:
-            return evaluate_tags(sample, live, fits=point_fit)
-        return evaluate_tags(sample, live, start=point_fit[0].coefficients if point_fit else None)
-
-    boots = bootstrap_tags(data, evaluate, tags, b=args.b, alpha=args.alpha, seed=args.seed)
+    fit = _bootstrap_fit(data)
+    boots = bootstrap_tags(data, lambda sample, live: evaluate_tags(sample, live, fit), tags,
+                           b=args.b, alpha=args.alpha, seed=args.seed)
     results = []
     failures = {}
     for tag in tags:
@@ -281,8 +289,8 @@ def cmd_simulate(args) -> int:
 def cmd_stratify(args) -> int:
     data = ingest_csv(args.input, add_constant=not args.no_constant)
     _require_both_arms(data)
-    prop = fit_propensity(data, "logistic")
-    point = stratified_late(data, prop, args.k)
+    fit = _bootstrap_fit(data)
+    point = stratified_late(data, fit(data), args.k)
     k_point = point.partition.k
     warnings_list = []
     if k_point < args.k:
@@ -292,11 +300,9 @@ def cmd_stratify(args) -> int:
         print(warnings_list[-1], file=sys.stderr)
 
     def strat_pipeline(sample: Dataset) -> np.ndarray:
-        # bootstrap evaluates ``data`` itself first: that is ``point``. Each resample's
-        # logistic fit starts from the point fit's coefficients.
-        res = point
+        res = point  # bootstrap evaluates ``data`` itself first
         if sample is not data:
-            res = stratified_late(sample, fit_propensity(sample, "logistic", prop.coefficients), args.k)
+            res = stratified_late(sample, fit(sample), args.k)
             if res.partition.k != k_point:
                 raise UnpartitionableError("replicate merged to a different stratum count")
         return np.concatenate([[res.tau_star], res.beta_star])
@@ -336,6 +342,21 @@ def cmd_stratify(args) -> int:
     _emit_report(args, report, ["interval_low", "interval_high", "estimate", "ci_low", "ci_high"], rows)
     print(f"late estimate {report['late']['estimate']!r} ({k_point} strata)", file=sys.stderr)
     return _EXIT_OK
+
+
+def _bootstrap_fit(data: Dataset):
+    """The logistic propensity fit of a bootstrap of ``data``: ``data`` is fitted once, from zero,
+    and every other sample starts from its coefficients (from zero if that fit failed)."""
+    point = []
+
+    def fit(sample: Dataset) -> PropensityFit:
+        if sample is not data:
+            return fit_propensity(sample, "logistic", point[0].coefficients if point else None)
+        if not point:
+            point.append(fit_propensity(data, "logistic"))
+        return point[0]
+
+    return fit
 
 
 def _require_both_arms(data: Dataset) -> None:

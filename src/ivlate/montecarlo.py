@@ -4,12 +4,13 @@ A design's sampler draws the covariates and the units (covariate rows or
 drawn cell indices) that its instrument propensity, compliance-type
 probabilities and potential-outcome means take. Designs with finite
 covariate support additionally carry their support cells, which lets the
-oracle compute every population quantity by exact enumeration: the
-complier effect and its projection coefficients, the implicit weights of
-the additive-second-stage estimators, and the two bias terms of the
-interacted fit. The estimators' probability limits come from their own
-two-stage fits on the population factor: such a design is a weighted
-sample of cell-by-instrument-arm-by-compliance-type atoms.
+oracle compute its population quantities by exact enumeration: the
+complier effect and its projection coefficients, and the implicit weights
+of the additive-second-stage estimators with the weighted averages of
+conditional complier effects they give. The estimators' probability
+limits come from their own two-stage fits on the population factor: such
+a design is a weighted sample of cell-by-instrument-arm-by-compliance-type
+atoms.
 Continuous designs register closed-form truths instead.
 """
 
@@ -101,10 +102,14 @@ class LatentTruth:
 class OracleEstimands:
     """Exact population quantities of a finite-support design.
 
-    Cell-indexed maps are keyed by the covariate tuple. ``plim_taa`` and
-    ``plim_tia`` are the weighted averages of the conditional complier
-    effects under the additive and interacted-additive weights; the
-    ``*_projection`` values are the probability limits of those two fits,
+    Cell-indexed maps are keyed by the covariate tuple. ``tau_c`` is the
+    complier effect (``tau_c_by_cell`` by cell), ``beta_c`` its projection
+    coefficients on the covariates among compliers, and ``p_complier``
+    P(complier). ``w_plus``, ``w_times`` and ``w`` are the implicit cell
+    weights of the additive, interacted-additive and correct-first-stage
+    limits, and ``plim_taa`` and ``plim_tia`` the conditional complier
+    effects averaged under the first two. The ``*_projection`` values are
+    the probability limits of the additive and interacted-additive fits,
     from the estimators' own two stages on the population factor, and
     must agree with them whenever the instrument-interaction linearity
     condition holds. ``plim_beta_2sls`` is the interacted fit's limit.
@@ -120,12 +125,9 @@ class OracleEstimands:
     tau_c_by_cell: dict[tuple[float, ...], float]
     beta_c: np.ndarray
     p_complier: float
-    pi_tilde_coeffs: np.ndarray
     w_plus: dict[tuple[float, ...], float]
     w_times: dict[tuple[float, ...], float]
     w: dict[tuple[float, ...], float]
-    b1: np.ndarray
-    b2: np.ndarray
     plim_taa: float
     plim_tia: float
     plim_beta_2sls: np.ndarray
@@ -133,7 +135,6 @@ class OracleEstimands:
     plim_tia_projection: float
     plim_xx_first_stage: float | None
     plim_xx_kappa: float | None
-    interacted_design_gram: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,8 @@ def generate(spec: DgpSpec, n: int, seed: int, replicate: int = 0) -> tuple[Data
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a square population system through the rank-checked LS path."""
-    return least_squares(b, a).coef[:, 0] if b.ndim == 1 else least_squares(b, a).coef
+    """Solve a square population system for one right-hand side through the rank-checked LS path."""
+    return least_squares(b, a).coef[:, 0]
 
 
 def _complier_law(cells) -> tuple[float, np.ndarray, float]:
@@ -369,21 +370,15 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     tau_cell = y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]
     p_c, cell_given_c, tau_c = _complier_law(spec.cells)
 
-    xxt = np.einsum("i,ij,il->jl", p, xs, xs)
     exx_c = np.einsum("i,ij,il->jl", cell_given_c, xs, xs)
     beta_c = _solve(exx_c, cell_given_c @ (xs * tau_cell[:, None]))
 
     # Implicit weights of the additive-second-stage limits.
     v = e * (1.0 - e)
-    pi = pc
-    a_tilde = _solve(
-        np.einsum("i,ij,il->jl", p * v, xs, xs),
-        (p * v * pi) @ xs,
-    )
-    pi_tilde = xs @ a_tilde
-    w_plus_arr = v * pi / float(p @ (v * pi))
-    w_times_arr = v * pi_tilde * pi / float(p @ (v * pi_tilde**2))
-    w_arr = v * pi**2 / float(p @ (v * pi**2))
+    pi_tilde = xs @ _solve(np.einsum("i,ij,il->jl", p * v, xs, xs), (p * v * pc) @ xs)
+    w_plus_arr = v * pc / float(p @ (v * pc))
+    w_times_arr = v * pi_tilde * pc / float(p @ (v * pi_tilde**2))
+    w_arr = v * pc**2 / float(p @ (v * pc**2))
     plim_taa = float(p @ (w_plus_arr * tau_cell))
     plim_tia = float(p @ (w_times_arr * tau_cell))
 
@@ -416,35 +411,15 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
             plim_xx_first_stage = float(beta0 + (share @ xs[:, 1:]) / share.sum() @ beta1)
         plim_xx_kappa = float(beta0 + cell_given_c @ xs[:, 1:] @ beta1)
 
-    # The two bias terms of the interacted fit.
-    m_zx_zx = np.einsum("i,ij,il->jl", p * e, xs, xs)
-    c2 = _solve(xxt.T, m_zx_zx.T).T
-
-    delta_cell = pc * y0m[:, U_COMPLIER] + pn * y0m[:, U_NEVER] + pa * (
-        y1m[:, U_ALWAYS] - xs @ beta_c
-    )
-    g_delta = _solve(xxt, p @ (xs * delta_cell[:, None]))
-    gap_z = e[:, None] * xs - xs @ c2.T
-    gap_delta = delta_cell - xs @ g_delta
-    b1 = c1 @ ((p * gap_delta) @ gap_z)
-    eps_cell = tau_cell - xs @ beta_c
-    b2 = c1 @ (np.eye(k) - c2) @ ((p * pc * e * eps_cell) @ xs)
-
-    resid_gram = m_zx_zx - m_zx_zx @ c2.T - c2 @ m_zx_zx + c2 @ xxt @ c2.T
-    design_gram = c1 @ resid_gram @ c1.T
-
     keys = list(map(tuple, xs.tolist()))
     return OracleEstimands(
         tau_c=tau_c,
         tau_c_by_cell=dict(zip(keys, tau_cell.tolist())),
         beta_c=beta_c,
         p_complier=p_c,
-        pi_tilde_coeffs=a_tilde,
         w_plus=dict(zip(keys, w_plus_arr.tolist())),
         w_times=dict(zip(keys, w_times_arr.tolist())),
         w=dict(zip(keys, w_arr.tolist())),
-        b1=b1,
-        b2=b2,
         plim_taa=plim_taa,
         plim_tia=plim_tia,
         plim_beta_2sls=plim_beta_2sls,
@@ -452,7 +427,6 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
         plim_tia_projection=plim_tia_proj,
         plim_xx_first_stage=plim_xx_first_stage,
         plim_xx_kappa=plim_xx_kappa,
-        interacted_design_gram=design_gram,
     )
 
 
@@ -484,20 +458,22 @@ def _resolve(tag: str) -> tuple[_Estimator, str]:
     raise ValueError(f"unknown estimator tag {tag!r}")
 
 
+def _cold_fit(data: Dataset) -> PropensityFit:
+    return fit_propensity(data, "logistic")
+
+
 def evaluate_tags(
-    data: Dataset, tags, start=None, fits: list | None = None
+    data: Dataset, tags, fit: Callable[[Dataset], PropensityFit] = _cold_fit
 ) -> dict[str, np.ndarray | IdentificationError]:
     """Evaluate estimator tags on one sample, sharing one propensity fit.
 
-    The logistic propensity is fitted on the first request of a tag that
-    needs it ("xx", "strat-K") and reused by every later one; "++", "x+"
-    and "beta" never fit it. If that fit fails identification, every tag
-    that needs it gets the same error. ``start`` is the fit's start
-    vector (see ``fit_propensity``): a bootstrap can start each resample
-    from the full sample's coefficients. When ``fits`` is a list, a
-    successful fit is appended to it. Returns, per distinct tag, its
-    estimate as a float array or the IdentificationError it raised;
-    other exceptions propagate.
+    ``fit(data)`` is called on the first request of a tag that needs the
+    propensity ("xx", "strat-K") and reused by every later one; "++",
+    "x+" and "beta" never call it. The default fits the logistic
+    propensity from zero; a bootstrap can pass a warm-starting fit. If
+    the fit fails identification, every tag that needs it gets the same
+    error. Returns, per distinct tag, its estimate as a float array or
+    the IdentificationError it raised; other exceptions propagate.
     """
     estimators = {tag: _resolve(tag)[0] for tag in tags}
     shared: list[PropensityFit | IdentificationError] = []
@@ -505,12 +481,9 @@ def evaluate_tags(
     def propensity() -> PropensityFit:
         if not shared:
             try:
-                shared.append(fit_propensity(data, "logistic", start))
+                shared.append(fit(data))
             except IdentificationError as exc:
                 shared.append(exc)
-            else:
-                if fits is not None:
-                    fits.append(shared[0])
         if isinstance(shared[0], IdentificationError):
             raise shared[0]
         return shared[0]

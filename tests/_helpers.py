@@ -1,10 +1,11 @@
-"""Shared builders for test datasets and finite-support designs."""
+"""Shared builders for test datasets and finite-support designs, and the oracle's moment-block reference."""
 
 import json
 
 import numpy as np
 from scipy.special import expit
 
+from ivlate.complier import PC_FLOOR
 from ivlate.estimators import Dataset
 from ivlate.linalg import least_squares
 from ivlate.montecarlo import DgpCell, from_cells
@@ -83,6 +84,79 @@ def curved_spec():
             )
         )
     return from_cells("curved", tuple(cells))
+
+
+def ref_oracle_estimands(spec):
+    """A finite-support design's limits, solved from hand-built population moment blocks.
+
+    Returns the complier projection ``beta_c``; the interacted,
+    additive and interacted-additive limits; the first-stage-centered
+    limit (None without a constant, or with P(complier) or the share at
+    most PC_FLOOR); the coefficients of the interacted-additive share
+    projection ``pi_tilde_coeffs``; and the interacted fit's two bias
+    terms ``b1``, ``b2`` with its design Gram, so that the interacted
+    limit is ``beta_c + solve(design_gram, b1 + b2)``.
+    """
+    xs = np.array([c.x for c in spec.cells], dtype=float)
+    p, e, pa, pc = (np.array([getattr(c, f) for c in spec.cells]) for f in ("prob", "e", "p_always", "p_complier"))
+    y0m, y1m = (np.array([getattr(c, f) for c in spec.cells]) for f in ("y0_mean", "y1_mean"))
+    pn, k = 1.0 - pa - pc, xs.shape[1]
+
+    def solve(a, b):
+        return least_squares(b, a).coef[:, 0] if b.ndim == 1 else least_squares(b, a).coef
+
+    def moments(weights):
+        return np.einsum("i,ij,il->jl", weights, xs, xs)
+
+    # Complier projection and the interacted-additive share projection.
+    tau_cell, cell_given_c = y1m[:, 1] - y0m[:, 1], p * pc / (p @ pc)
+    beta_c = solve(moments(cell_given_c), cell_given_c @ (xs * tau_cell[:, None]))
+    v = e * (1.0 - e)
+    pi_tilde_coeffs = solve(moments(p * v), (p * v * pc) @ xs)
+
+    p_d1_z1 = pa + pc  # P(D = 1 | Z = 1, cell)
+    ey_z1 = pa * y1m[:, 2] + pc * y1m[:, 1] + pn * y0m[:, 0]
+    ey_z0 = pa * y1m[:, 2] + pc * y0m[:, 1] + pn * y0m[:, 0]
+    ey, ed = e * ey_z1 + (1.0 - e) * ey_z0, pa + e * pc
+    xxt, m_zx_zx, m_zx_dx, m_x_dx = moments(p), moments(p * e), moments(p * e * p_d1_z1), moments(p * ed)
+    m_zx_y, m_x_y = (p * e * ey_z1) @ xs, (p * ey) @ xs
+
+    # Interacted: instruments (Z X, X), regressors (D X, X).
+    a_full = np.block([[m_zx_dx, m_zx_zx], [m_x_dx, xxt]])
+    beta = solve(a_full, np.concatenate([m_zx_y, m_x_y]))[:k]
+
+    # Additive: instruments (Z, X), regressors (D, X).
+    e_xd = (p * ed) @ xs
+    a_add = np.block([[np.array([[p @ (e * p_d1_z1)]]), ((p * e) @ xs)[None, :]], [e_xd[:, None], xxt]])
+    taa = float(solve(a_add, np.concatenate([[p @ (e * ey_z1)], m_x_y]))[0])
+
+    # Interacted-additive: instruments (Z X, X), regressors (D, X), through the projected moments.
+    m_ww = np.block([[m_zx_zx, m_zx_zx], [m_zx_zx, xxt]])
+    m_wq = np.block([[((p * e * p_d1_z1) @ xs)[:, None], m_zx_zx], [e_xd[:, None], xxt]])
+    proj = solve(m_ww, np.column_stack([m_wq, np.concatenate([m_zx_y, m_x_y])]))
+    tia = float(solve(m_wq.T @ proj[:, :-1], m_wq.T @ proj[:, -1])[0])
+
+    # First-stage blocks of the interacted fit, and the centered limit at share = X c1[0].
+    c1 = solve(m_ww.T, np.vstack([m_zx_dx, m_x_dx])).T[:, :k]
+    share = p * (xs @ c1[0])
+    first_stage = None
+    if np.all(xs[:, 0] == 1.0) and p @ pc > PC_FLOOR and share.sum() > PC_FLOOR:
+        first_stage = float(beta[0] + (share @ xs[:, 1:]) / share.sum() @ beta[1:])
+
+    # The interacted fit's bias terms. With c2 the projection of Z X on X,
+    # b1 pairs the projection residuals of E[Z X | X] and of
+    # delta = E[Y - D X beta_c | X, Z = 0], and b2 the residual of Z X
+    # with the complier projection error tau - X beta_c.
+    c2 = solve(xxt.T, m_zx_zx.T).T
+    delta = pc * y0m[:, 1] + pn * y0m[:, 0] + pa * (y1m[:, 2] - xs @ beta_c)
+    gap_z = e[:, None] * xs - xs @ c2.T
+    gap_delta = delta - xs @ solve(xxt, p @ (xs * delta[:, None]))
+    b1 = c1 @ ((p * gap_delta) @ gap_z)
+    b2 = c1 @ (np.eye(k) - c2) @ ((p * pc * e * (tau_cell - xs @ beta_c)) @ xs)
+    resid_gram = m_zx_zx - m_zx_zx @ c2.T - c2 @ m_zx_zx + c2 @ xxt @ c2.T
+    return {"beta_c": beta_c, "plim_beta_2sls": beta, "plim_taa_projection": taa, "plim_tia_projection": tia,
+            "plim_xx_first_stage": first_stage, "pi_tilde_coeffs": pi_tilde_coeffs,
+            "b1": b1, "b2": b2, "design_gram": c1 @ resid_gram @ c1.T}
 
 
 def residualize(targets, controls):

@@ -94,6 +94,21 @@ def test_over_long_field_is_a_schema_error_naming_the_line(tmp_path):
     assert main(["estimate", "--input", str(path), "--b", "10"]) == 2
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("bad_row", [3, 2000])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, bom, newline, bad_row):
+    # Row 2000 lies past the first chunk that the text reader decodes.
+    rows = [b"1.5,1,0,0.25"] * 2500
+    rows[bad_row - 1] = b"1.5,1,0,0.2\xff5"
+    path = tmp_path / "latin.csv"
+    path.write_bytes(bom + newline.join([b"y,d,z,x1", *rows]) + newline)
+    with pytest.raises(SchemaError, match=f"^line {bad_row + 1}: not valid UTF-8$"):
+        ingest_csv(str(path))
+    assert main(["estimate", "--input", str(path), "--b", "10"]) == 2
+    assert capsys.readouterr().err == f"data error: line {bad_row + 1}: not valid UTF-8\n"
+
+
 # ---------------------------------------------------------------------------
 # estimate command
 # ---------------------------------------------------------------------------
@@ -473,7 +488,7 @@ def test_estimate_bootstrap_warm_starts_match_cold_fits(tmp_path, monkeypatch):
     path = export_design_b(tmp_path / "b.csv")
     tags = ["++", "xx", "strat-5"]
     cold = bootstrap_tags(ingest_csv(path), evaluate_tags, tags, b=40, seed=5)
-    starts = counting_fits(monkeypatch, "ivlate.montecarlo")
+    starts = counting_fits(monkeypatch, "ivlate.cli")
     out = tmp_path / "r.json"
     assert main(["estimate", "--input", path, "--estimators", ",".join(tags), "--b", "40",
                  "--seed", "5", "--output", str(out)]) == 0

@@ -1,12 +1,14 @@
-"""The README's library quick tour runs as written, and every exported name resolves."""
+"""The README's library quick tour runs as written, every exported name
+resolves, and the README names every field the oracle returns."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 
 import ivlate
-from ivlate.montecarlo import dgp_b, generate
+from ivlate.montecarlo import OracleEstimands, dgp_b, generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +30,8 @@ def test_readme_quick_tour_runs_on_a_generated_sample():
 def test_every_exported_name_resolves():
     assert sorted(set(ivlate.__all__)) == sorted(ivlate.__all__)
     assert [name for name in ivlate.__all__ if not hasattr(ivlate, name)] == []
+
+
+def test_readme_names_every_oracle_field():
+    text = README.read_text(encoding="utf-8")
+    assert [f.name for f in dataclasses.fields(OracleEstimands) if f"`{f.name}`" not in text] == []

@@ -26,7 +26,8 @@ must generate identical samples and latent truths. The oracle's
 regression limits are the estimators' two stages on the factor of a
 design's weighted atoms; the population moment blocks they replace must
 give the same limits to 1e-10 on the bundled, curved and categorical
-designs and on random finite-support designs.
+designs and on random finite-support designs, and their bias terms must
+carry the complier projection to the oracle's interacted limit.
 """
 
 import csv
@@ -40,7 +41,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
-from _helpers import categorical_spec, curved_spec, fwl_design, residualize
+from _helpers import categorical_spec, curved_spec, fwl_design, ref_oracle_estimands, residualize
 from scipy.special import expit
 
 from ivlate import complier, estimators, linalg, stratify
@@ -1112,53 +1113,6 @@ def test_cell_index_laws_match_the_covariate_row_lookup(design):
 # ---------------------------------------------------------------------------
 
 
-def ref_oracle_estimands(spec):
-    """The interacted, additive and interacted-additive limits, and the
-    first-stage-centered limit (None without a constant, or with P(complier)
-    or the share at most PC_FLOOR), solved from hand-built population moment blocks."""
-    xs = np.array([c.x for c in spec.cells], dtype=float)
-    p, e, pa, pc = (np.array([getattr(c, f) for c in spec.cells]) for f in ("prob", "e", "p_always", "p_complier"))
-    y0m, y1m = (np.array([getattr(c, f) for c in spec.cells]) for f in ("y0_mean", "y1_mean"))
-    pn, k = 1.0 - pa - pc, xs.shape[1]
-
-    def solve(a, b):
-        return linalg.least_squares(b, a).coef[:, 0] if b.ndim == 1 else linalg.least_squares(b, a).coef
-
-    def moments(weights):
-        return np.einsum("i,ij,il->jl", weights, xs, xs)
-
-    p_d1_z1 = pa + pc  # P(D = 1 | Z = 1, cell)
-    ey_z1 = pa * y1m[:, 2] + pc * y1m[:, 1] + pn * y0m[:, 0]
-    ey_z0 = pa * y1m[:, 2] + pc * y0m[:, 1] + pn * y0m[:, 0]
-    ey, ed = e * ey_z1 + (1.0 - e) * ey_z0, pa + e * pc
-    xxt, m_zx_zx, m_zx_dx, m_x_dx = moments(p), moments(p * e), moments(p * e * p_d1_z1), moments(p * ed)
-    m_zx_y, m_x_y = (p * e * ey_z1) @ xs, (p * ey) @ xs
-
-    # Interacted: instruments (Z X, X), regressors (D X, X).
-    a_full = np.block([[m_zx_dx, m_zx_zx], [m_x_dx, xxt]])
-    beta = solve(a_full, np.concatenate([m_zx_y, m_x_y]))[:k]
-
-    # Additive: instruments (Z, X), regressors (D, X).
-    e_xd = (p * ed) @ xs
-    a_add = np.block([[np.array([[p @ (e * p_d1_z1)]]), ((p * e) @ xs)[None, :]], [e_xd[:, None], xxt]])
-    taa = float(solve(a_add, np.concatenate([[p @ (e * ey_z1)], m_x_y]))[0])
-
-    # Interacted-additive: instruments (Z X, X), regressors (D, X), through the projected moments.
-    m_ww = np.block([[m_zx_zx, m_zx_zx], [m_zx_zx, xxt]])
-    m_wq = np.block([[((p * e * p_d1_z1) @ xs)[:, None], m_zx_zx], [e_xd[:, None], xxt]])
-    proj = solve(m_ww, np.column_stack([m_wq, np.concatenate([m_zx_y, m_x_y])]))
-    tia = float(solve(m_wq.T @ proj[:, :-1], m_wq.T @ proj[:, -1])[0])
-
-    # First-stage blocks of the interacted fit, and the centered limit at share = X c1[0].
-    c1 = solve(m_ww.T, np.vstack([m_zx_dx, m_x_dx])).T[:, :k]
-    share = p * (xs @ c1[0])
-    first_stage = None
-    if np.all(xs[:, 0] == 1.0) and p @ pc > PC_FLOOR and share.sum() > PC_FLOOR:
-        first_stage = float(beta[0] + (share @ xs[:, 1:]) / share.sum() @ beta[1:])
-    return {"plim_beta_2sls": beta, "plim_taa_projection": taa, "plim_tia_projection": tia,
-            "plim_xx_first_stage": first_stage}
-
-
 @st.composite
 def oracle_designs(draw):
     """Finite-support designs that dummy-code 2 to 5 levels, with or without
@@ -1191,6 +1145,7 @@ def oracle_designs(draw):
 @example(categorical_spec())
 def test_oracle_limits_match_the_population_moment_blocks(spec):
     oracle, ref = oracle_estimands(spec), ref_oracle_estimands(spec)
+    assert np.abs(oracle.beta_c - ref["beta_c"]).max() <= 1e-10
     assert np.abs(oracle.plim_beta_2sls - ref["plim_beta_2sls"]).max() <= 1e-10
     assert oracle.plim_taa_projection == pytest.approx(ref["plim_taa_projection"], abs=1e-10)
     assert oracle.plim_tia_projection == pytest.approx(ref["plim_tia_projection"], abs=1e-10)
@@ -1198,3 +1153,14 @@ def test_oracle_limits_match_the_population_moment_blocks(spec):
         assert oracle.plim_xx_first_stage is None
     else:
         assert oracle.plim_xx_first_stage == pytest.approx(ref["plim_xx_first_stage"], abs=1e-10)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(oracle_designs())
+@example(curved_spec())
+def test_interacted_limit_is_the_complier_projection_plus_the_bias_terms(spec):
+    """plim beta = beta_c + G^-1 (b1 + b2), with the bias terms and the design
+    Gram G from the moment blocks and the limit from the oracle's own fit."""
+    oracle, ref = oracle_estimands(spec), ref_oracle_estimands(spec)
+    correction = linalg.least_squares(ref["b1"] + ref["b2"], ref["design_gram"]).coef[:, 0]
+    assert np.abs(oracle.plim_beta_2sls - (ref["beta_c"] + correction)).max() <= 1e-10
