@@ -7,9 +7,11 @@ float at its shortest round-trip ``repr``; a non-finite value is
 ``null`` in JSON and an empty cell in CSV. Identical configuration and
 seed produce byte-identical output files.
 
-The ``estimate`` and ``stratify`` bootstraps fit the full sample's
-logistic propensity once, from zero, and start each resample's fit from
-its coefficients (see ``complier.fit_propensity``).
+The ``estimate`` and ``stratify`` bootstraps run through
+``inference.bootstrap_tags`` (each resample is the point sample with
+counts). They fit the full sample's logistic propensity once, from zero,
+and start each resample's fit from its coefficients (see
+``complier.fit_propensity``).
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 estimation failure.
@@ -32,12 +34,14 @@ from .complier import PropensityFit, fit_propensity
 from .errors import (
     IdentificationError,
     InvalidSpecError,
+    RankDeficientError,
     SchemaError,
     TooManyFailuresError,
     UnpartitionableError,
 )
 from .estimators import Dataset
-from .inference import bootstrap, bootstrap_tags, require_distinct
+from .inference import bootstrap_tags, require_distinct
+from .linalg import dependent_columns, triangular_factor
 from .montecarlo import evaluate_tags, named_dgp, pipeline_for, run_study
 from .stratify import regressogram, stratified_late
 
@@ -196,7 +200,7 @@ def cmd_estimate(args) -> int:
     columns: list[str] = []
     data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
-    _require_both_arms(data)
+    _require_identifiable(data, columns)
 
     fit = _bootstrap_fit(data)
     boots = bootstrap_tags(data, lambda sample, live: evaluate_tags(sample, live, fit), tags,
@@ -287,8 +291,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stratify(args) -> int:
-    data = ingest_csv(args.input, add_constant=not args.no_constant)
-    _require_both_arms(data)
+    columns: list[str] = []
+    data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
+    _require_identifiable(data, columns)
     fit = _bootstrap_fit(data)
     point = stratified_late(data, fit(data), args.k)
     k_point = point.partition.k
@@ -299,15 +304,18 @@ def cmd_stratify(args) -> int:
         )
         print(warnings_list[-1], file=sys.stderr)
 
-    def strat_pipeline(sample: Dataset) -> np.ndarray:
-        res = point  # bootstrap evaluates ``data`` itself first
-        if sample is not data:
-            res = stratified_late(sample, fit(sample), args.k)
-            if res.partition.k != k_point:
-                raise UnpartitionableError("replicate merged to a different stratum count")
-        return np.concatenate([[res.tau_star], res.beta_star])
+    def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
+        try:
+            res = point  # the bootstrap evaluates ``data`` itself first
+            if sample is not data:
+                res = stratified_late(sample, fit(sample), args.k)
+                if res.partition.k != k_point:
+                    raise UnpartitionableError("replicate merged to a different stratum count")
+        except IdentificationError as exc:
+            return {"": exc}
+        return {"": np.concatenate([[res.tau_star], res.beta_star])}
 
-    boot = bootstrap(data, strat_pipeline, b=args.b, alpha=args.alpha, seed=args.seed)
+    boot = bootstrap_tags(data, evaluate, [""], b=args.b, alpha=args.alpha, seed=args.seed)[""]
 
     strata = [
         {
@@ -359,9 +367,21 @@ def _bootstrap_fit(data: Dataset):
     return fit
 
 
-def _require_both_arms(data: Dataset) -> None:
+def _require_identifiable(data: Dataset, columns: list[str]) -> None:
+    """Raise an IdentificationError naming the column that leaves the sample unidentified: a
+    constant ``z``, or the first covariate that is zero or collinear with the constant and
+    earlier covariates, by ``linalg.dependent_columns`` on one factor of X."""
     if data.z.min() == data.z.max():
         raise IdentificationError("column 'z' is constant: both instrument arms are required")
+    if data.n < data.k:
+        return  # too few rows: the fits raise the data error
+    dependent = dependent_columns(triangular_factor(data.x))
+    if dependent.any():
+        j = int(dependent.argmax())
+        names = ["constant"] * data.has_constant + [c for c in columns if c not in ("y", "d", "z")]
+        earlier = "the constant and earlier covariates" if data.has_constant else "earlier covariates"
+        why = "zero" if j == 0 else f"collinear with {earlier}"
+        raise RankDeficientError(f"column {names[j]!r} is {why}")
 
 
 def _parse_tags(raw: str) -> list[str]:

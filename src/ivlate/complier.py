@@ -28,9 +28,6 @@ PC_FLOOR = 0.01
 
 _ETA_BOUND = 30.0
 
-# Whitened IRLS steps lose about 1.1e-16 (max/min diag U)^2 relative accuracy: 1e-8 here.
-GRAM_RATIO_MAX = 1e4
-
 # IRLS stops at this many steps, or once the deviance changes by less than IRLS_TOL relative.
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
@@ -63,8 +60,10 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
         n-row factor T of X per fit, then up to IRLS_MAX_ITER steps on
         k-by-k whitened Grams, to a relative deviance change below IRLS_TOL.
         "saturated" uses within-cell means of Z over distinct covariate
-        rows and requires both arms in every cell. An array supplies
-        externally computed scores.
+        rows and requires both arms in every cell; it takes no weighted
+        sample. An array supplies externally computed scores, one per row.
+        A weighted sample's logistic fit whitens every step by its point
+        sample's factor of X / 2, or fits its ``rows`` where it cannot.
     start : array-like, optional
         Coefficients the logistic IRLS starts from instead of zero, such
         as the full sample's fit for a bootstrap resample. The fit from
@@ -81,8 +80,10 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            raw, coef, converged = _irls_logistic(data.z, data.x, start)
+            raw, coef, converged = _weighted_logistic(data, start)
         elif spec == "saturated":
+            if data.weights is not None:
+                raise ValueError("the saturated propensity takes no weighted sample")
             raw = _saturated_scores(data.z, data.x)
             coef, converged = None, True
         else:
@@ -96,7 +97,7 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
         coef, converged = None, True
 
     clipped = np.clip(raw, CLIP, 1.0 - CLIP)
-    n_clipped = int(np.sum(clipped != raw))
+    n_clipped = int(np.sum(data.weighted(clipped != raw)))
     if n_clipped:
         warnings.warn(
             f"{n_clipped} propensity value(s) clipped into [{CLIP}, {1 - CLIP}]",
@@ -117,22 +118,55 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _irls_logistic(z, x, start=None):
+class _RowsNeeded(Exception):
+    """A weighted IRLS step whose whitened Gram is ill-conditioned: refit on the rows."""
+
+
+def _weighted_logistic(data: Dataset, start):
+    """``_irls_logistic`` on ``data``, weighted on its point's whitening, or on its ``rows``
+    where a step cannot be, the scores then read off the coefficients."""
+    if data.weights is None:
+        return _irls_logistic(data.z, data.x, start)
+    point, drawn = data.origin
+    try:
+        if (whiten := _whitening(point)) is None:
+            raise _RowsNeeded
+        whiten = whiten[0].take(drawn, axis=1), whiten[1]
+        return _irls_logistic(data.z, data.x, start, data.weights, whiten)
+    except _RowsNeeded:
+        _, coef, converged = _irls_logistic(data.rows.z, data.rows.x, start)
+        return expit(np.clip(data.x @ coef, -_ETA_BOUND, _ETA_BOUND)), coef, converged
+
+
+def _whitening(point: Dataset):
+    """(Q', T) of the point sample's first IRLS step from zero, where every weight is 1/4:
+    T is R of X / 2 and Q = X T^-1. Cached on the sample; None if T is singular."""
+    if "_whitening" not in point.__dict__:
+        tmat = linalg.triangular_factor(0.5 * point.x)
+        inverse, info = lapack.dtrtri(tmat) if point.n >= point.k else (None, 1)
+        point.__dict__["_whitening"] = None if info != 0 else (inverse.T @ point.x.T, tmat)
+    return point.__dict__["_whitening"]
+
+
+def _irls_logistic(z, x, start=None, counts=None, whiten=None):
     """(scores, coefficients, converged) of the IRLS from ``start``, or from zero when
     ``start`` is None or its fit raises an IdentificationError, does not converge or
     reaches the eta clip. A clipped eta marks a (quasi-)separated sample, whose
-    likelihood has no maximum, so where its fit stops depends on where it starts."""
+    likelihood has no maximum, so where its fit stops depends on where it starts.
+    ``counts`` and ``whiten`` go to ``_irls_steps``; rows with no count are not in the sample."""
     if start is not None:
         try:
-            fit = _irls_steps(z, x, np.asarray(start, dtype=float))
+            fit = _irls_steps(z, x, np.asarray(start, dtype=float), counts, whiten)
         except IdentificationError:
             fit = None
-        if fit is not None and fit[2] and np.abs(x @ fit[1]).max() < _ETA_BOUND:
-            return fit
-    return _irls_steps(z, x, np.zeros(x.shape[1]))
+        if fit is not None and fit[2]:
+            eta = np.abs(x @ fit[1])
+            if (eta if counts is None else eta[counts > 0]).max() < _ETA_BOUND:
+                return fit
+    return _irls_steps(z, x, np.zeros(x.shape[1]), counts, whiten)
 
 
-def _irls_steps(z, x, beta):
+def _irls_steps(z, x, beta, counts=None, whiten=None):
     """IRLS from ``beta``. T, the first step's factor of sqrt(w) X, whitens every later step.
 
     Each step forms one exponential, ex = exp(-eta) at the clipped eta:
@@ -140,6 +174,10 @@ def _irls_steps(z, x, beta):
     with exp((1 - 2z) eta) = z ex + (1 - z) / ex, one positive term per
     unit. Nothing cancels, so a deviance near zero (a separated sample)
     keeps its relative accuracy in the stop rule.
+
+    With ``counts``, row i enters weights and deviance counts[i] times and
+    every step is whitened by ``whiten`` (see ``_whitening``); one that
+    cannot be raises _RowsNeeded.
     """
     eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
     ex = np.exp(-eta)
@@ -147,11 +185,13 @@ def _irls_steps(z, x, beta):
     z_comp = 1.0 - z
     dev_prev = np.inf
     converged = False
-    whiten = None
     for _ in range(IRLS_MAX_ITER):
         w = mu * (1.0 - mu)
         working = eta + (z - mu) / w
-        if whiten is None or (system := _whitened_system(*whiten, w, working)) is None:
+        unit_w = w if counts is None else counts * w
+        if whiten is None or (system := _whitened_system(*whiten, unit_w, working)) is None:
+            if counts is not None:
+                raise _RowsNeeded
             sw = np.sqrt(w)
             rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
             system = rmat[:, -1], rmat[:, :-1]
@@ -162,7 +202,8 @@ def _irls_steps(z, x, beta):
         eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
         ex = np.exp(-eta)
         mu = 1.0 / (1.0 + ex)
-        dev = 2.0 * float(np.log1p(z * ex + z_comp / ex).sum())
+        terms = np.log1p(z * ex + z_comp / ex)
+        dev = 2.0 * float(terms.sum() if counts is None else counts @ terms)
         if np.isfinite(dev_prev) and abs(dev - dev_prev) < IRLS_TOL * (abs(dev_prev) + 1e-300):
             converged = True
             break
@@ -175,8 +216,8 @@ def _whitened_system(qt, tmat, w, working):
     Q'W0Q = I at the first step's weights W0, so U is conditioned like W / W0. None if U does
     not exist or is ill-conditioned."""
     qtw = qt * w
-    chol, info = lapack.dpotrf(qtw @ qt.T)
-    if info != 0 or (diag := chol.diagonal()).max() > GRAM_RATIO_MAX * diag.min():
+    chol = linalg.bounded_cholesky(qtw @ qt.T)
+    if chol is None:
         return None
     return lapack.dtrtrs(chol, qtw @ working, trans=1)[0], chol @ tmat
 
@@ -224,8 +265,8 @@ def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> np.ndarray:
     Raises NoCompliersError when mean(kappa), the estimated complier
     share, does not exceed PC_FLOOR.
     """
-    kappa = kappa_weights(data, prop)
-    require_compliers(float(kappa.mean()))
+    kappa = data.weighted(kappa_weights(data, prop))
+    require_compliers(float(kappa.sum()) / data.size)
     return (kappa @ data.x[:, list(g_cols)]) / kappa.sum()
 
 
@@ -264,14 +305,14 @@ def centered_interacted_2sls(
     if centering == "kappa":
         mu = complier_mean(data, prop, range(1, data.k))
     else:
-        require_compliers(float(kappa_weights(data, prop).mean()))
+        require_compliers(float(data.weighted(kappa_weights(data, prop)).sum()) / data.size)
         if centering != "first-stage":
             raise ValueError(f"unknown centering {centering!r}")
     fit = interacted_2sls(data)
     if centering == "first-stage":
-        share = data.x @ fit.c1[0]
+        share = data.weighted(data.x @ fit.c1[0])
         total = share.sum()
-        require_compliers(total / data.n)
+        require_compliers(total / data.size)
         mu = (share @ data.x[:, 1:]) / total
     return float(fit.beta[0] + mu @ fit.beta[1:])
 
@@ -283,10 +324,11 @@ def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:
     with the first factor a kappa-weighted Gram matrix and the complier
     probability estimated by mean(kappa).
     """
-    kappa = kappa_weights(data, prop)
-    pc_hat = require_compliers(float(kappa.mean()))
+    kappa = data.weighted(kappa_weights(data, prop))
+    pc_hat = require_compliers(float(kappa.sum()) / data.size)
     gram = (data.x * kappa[:, None]).T @ data.x / kappa.sum()
-    rhs = (data.x * (dkappa_weights(data, prop) * data.y)[:, None]).mean(axis=0) / pc_hat
+    moments = data.weighted(data.x * (dkappa_weights(data, prop) * data.y)[:, None])
+    rhs = moments.sum(axis=0) / data.size / pc_hat
     # Solving the square system through the pivoted-QR path keeps the
     # rank check consistent with every other fit.
     return linalg.least_squares(rhs, gram).coef[:, 0].copy()

@@ -16,6 +16,8 @@ blocks of R, which give the coefficients of the two n-row regressions.
 Variants that nest select the same columns of the same R, so they agree
 bit for bit; a generalized first stage whose rows are leading Z*X columns
 then X reads R for that reason, and any other one factors its own block.
+A weighted sample (a bootstrap resample with counts) reads its R off its
+point sample's factorization instead of factoring n rows.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ class Dataset:
     has_constant : bool
         Whether column 0 of ``x`` is the constant. Categorical designs
         coded as a full set of dummies carry no constant.
+    weights : ndarray, shape (n,), optional
+        Frequency counts (whole numbers as floats): row i enters
+        ``weights[i]`` times, so a bootstrap resample is its point sample's
+        drawn rows with counts (``resample``); None means once. Estimators
+        weigh their sums through ``weighted`` and ``size``, and read the
+        point sample's factors, or ``rows`` where those cannot serve.
+        ``generalized_additive_2sls`` and the saturated propensity raise
+        ValueError on a weighted sample.
 
     The arrays are never mutated after construction; ``factor`` is cached
     from them, and ``dataclasses.replace`` makes a new sample with its own.
@@ -58,6 +68,7 @@ class Dataset:
     z: np.ndarray
     x: np.ndarray
     has_constant: bool = True
+    weights: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -67,10 +78,67 @@ class Dataset:
     def k(self) -> int:
         return self.x.shape[1]
 
+    @property
+    def size(self) -> float:
+        """Sample size: n, or the total count."""
+        return self.n if self.weights is None else float(self.weights.sum())
+
+    def weighted(self, v: np.ndarray) -> np.ndarray:
+        """``v`` (an entry or row per row) times each row's count: its sums are the sample's."""
+        if self.weights is None:
+            return v
+        return v * (self.weights if v.ndim == 1 else self.weights[:, None])
+
+    def resample(self, counts: np.ndarray) -> "Dataset":
+        """This sample with row i drawn ``counts[i]`` times: the drawn rows weighted by their
+        counts, reading this sample's factors."""
+        if self.weights is not None:
+            raise ValueError("resample draws from an unweighted sample")
+        drawn = np.nonzero(np.asarray(counts) > 0)[0]
+        sample = Dataset(self.y[drawn], self.d[drawn], self.z[drawn], self.x.take(drawn, axis=0),
+                         self.has_constant, np.asarray(counts, dtype=float)[drawn])
+        sample.__dict__["origin"] = self, drawn  # the cached_property slot
+        return sample
+
+    @cached_property
+    def origin(self) -> tuple["Dataset", np.ndarray]:
+        """The unweighted sample whose factors a weighted one reads, and the index of its rows
+        there: its own rows, unless it came from ``resample``."""
+        return replace(self, weights=None), np.arange(self.n)
+
+    @cached_property
+    def rows(self) -> "Dataset":
+        """The sample as rows, row i repeated ``weights[i]`` times in order."""
+        if self.weights is None:
+            return self
+        idx = np.repeat(np.arange(self.n), self.weights.astype(np.intp))
+        return Dataset(self.y[idx], self.d[idx], self.z[idx], self.x[idx], self.has_constant)
+
     @cached_property
     def factor(self) -> np.ndarray:
-        """Triangular factor R of [Z*X | X | D*X | Y] (k, k, k and 1 columns), computed once."""
-        return linalg.triangular_factor(_interact(self.z, self.x), self.x, _interact(self.d, self.x), self.y)
+        """Triangular factor R of [Z*X | X | D*X | Y] (k, k, k and 1 columns), computed once.
+        A weighted sample's is U R from the point's B = Q R, with U'U = Q'CQ for the counts
+        C (see ``linalg``), or that of ``rows`` when ``bounded_cholesky`` gives no U."""
+        if self.weights is None:
+            return linalg.triangular_factor(*self._block())
+        point, drawn = self.origin
+        if (q := point.basis) is None:
+            return self.rows.factor
+        counts = np.zeros(point.n)
+        counts[drawn] = self.weights
+        chol = linalg.bounded_cholesky((q.T * counts) @ q)
+        return self.rows.factor if chol is None else chol @ point.factor
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        """Orthonormal Q of the block = Q ``factor``, computed once for resamples; None if a
+        column is dependent, where U R would carry R's rounding instead of the rows'."""
+        if linalg.dependent_columns(self.factor).any():
+            return None
+        return linalg.orthonormal_basis(*self._block())
+
+    def _block(self):
+        return _interact(self.z, self.x), self.x, _interact(self.d, self.x), self.y
 
     @classmethod
     def from_arrays(cls, y, d, z, x, has_constant: bool = True) -> "Dataset":
@@ -193,6 +261,8 @@ def generalized_additive_2sls(
     finite regressors; no intercept is added, so include one if wanted.
     """
     _require_constant(data, "generalized_additive_2sls")
+    if data.weights is not None:
+        raise ValueError("generalized_additive_2sls takes no weighted sample")
     rows = [np.asarray(first_stage_builder(float(zi), xi), dtype=float) for zi, xi in zip(data.z, data.x)]
     widths = {row.shape for row in rows}
     if len(widths) != 1 or rows[0].ndim != 1:
@@ -243,14 +313,14 @@ def _arm_moments(data: Dataset, codes: np.ndarray, m: int):
     ``codes`` assigns each unit a stratum in 0..m-1. Returns
     (single_arm, d_diff, y_diff): whether each stratum lacks an
     instrument arm, and mean(. | Z=1) - mean(. | Z=0) of D and of Y
-    within each stratum (NaN where an arm is empty). The treatment sums
-    are exact integer counts.
+    within each stratum (NaN where an arm is empty). Sums are weighted
+    by the sample's counts; the treatment sums are exact integer counts.
     """
     cell = 2 * codes + (data.z == 1.0)
-    units = np.bincount(cell, minlength=2 * m).reshape(m, 2)
+    units = np.bincount(cell, data.weights, 2 * m).reshape(m, 2)
 
     def gap(v: np.ndarray) -> np.ndarray:
-        arm_mean = np.bincount(cell, v, 2 * m).reshape(m, 2) / units
+        arm_mean = np.bincount(cell, data.weighted(v), 2 * m).reshape(m, 2) / units
         return arm_mean[:, 1] - arm_mean[:, 0]
 
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -1,17 +1,19 @@
 """Nonparametric bootstrap over arbitrary estimator pipelines, and the
 replicate loop that bootstraps and Monte Carlo studies share.
 
-Bootstrap replicates are iid row-resamples, drawn once and shared by every
-estimator bootstrapped together, with a private random stream keyed by
-(seed, replicate), so output depends only on the inputs and never on
-execution order. Replicates that fail an identification condition are
-dropped and counted rather than retried; retrying would bias the
-resampling law.
+Bootstrap replicate r draws n rows iid, once, from a private stream keyed
+by (seed, replicate), and every estimator bootstrapped together shares the
+draw, so output depends only on the inputs and never on execution order.
+A replicate is the point sample with counts c = bincount(drawn indices):
+a weighted ``Dataset`` of the drawn rows that reads the point sample's
+factors. A user pipeline, which knows nothing of weights, gets its rows.
+Replicates that fail an identification condition are dropped and counted
+rather than retried; retrying would bias the resampling law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,7 +89,9 @@ def bootstrap(
 ) -> BootstrapResult:
     """Bootstrap ``pipeline`` over row-resamples of ``data``.
 
-    The one-pipeline case of ``bootstrap_tags``.
+    The one-pipeline case of ``bootstrap_tags``, except that ``pipeline``
+    receives each resample as its rows (``Dataset.rows``), so a package
+    pipeline agrees with its tag's ``bootstrap_tags`` to rounding.
 
     Parameters
     ----------
@@ -113,7 +117,7 @@ def bootstrap(
 
     def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
         try:
-            return {"": np.atleast_1d(np.asarray(pipeline(sample), dtype=float))}
+            return {"": np.atleast_1d(np.asarray(pipeline(sample.rows), dtype=float))}
         except IdentificationError as exc:
             return {"": exc}
 
@@ -136,6 +140,11 @@ def bootstrap_tags(
     point estimates come first; replicate r then draws its resample once
     from the stream (seed, r) and evaluates every tag whose point
     estimate succeeded. Each tag's result equals a one-tag run.
+
+    A resample reaches ``evaluate`` as ``data.resample(counts)``, its
+    drawn rows with their counts as frequency weights; the package's
+    estimators honour them, and an ``evaluate`` that does not must read
+    ``sample.rows``.
 
     Returns one BootstrapResult per tag.
 
@@ -162,7 +171,7 @@ def bootstrap_tags(
 
     def step(r: int) -> dict[str, np.ndarray | IdentificationError]:
         idx = substream(seed, r, RESAMPLE).integers(0, data.n, size=data.n)
-        return evaluate(replace(data, y=data.y[idx], d=data.d[idx], z=data.z[idx], x=data.x[idx]), live)
+        return evaluate(data.resample(np.bincount(idx, minlength=data.n)), live)
 
     draws, _ = run_replicates(seed, b if live else 0, step, live)
 

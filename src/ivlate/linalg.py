@@ -16,10 +16,15 @@ Q R with Q orthonormal, so every fit among its columns has the same
 coefficients, pivots and condition estimate on R, without squaring the
 condition number. Those fits are at most about 10 by 10, so
 ``least_squares`` calls ``dgeqp3``, ``dormqr`` and ``dtrtrs`` directly.
+
+The block with row i counted c_i times (a bootstrap resample) has Gram
+R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_cholesky``, Q from
+``orthonormal_basis``) factors it; Q'CQ is conditioned like C.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,9 @@ from .errors import NonFiniteError, RankDeficientError
 # Categorical dummy designs produce exact zeros plus float noise, so the
 # threshold is far above machine epsilon but far below any real pivot.
 RANK_RTOL = 1e-10
+
+# Fits on U T, U'U = Q'WQ, lose about 1.1e-16 (max/min diag U)^2 relative accuracy: 1e-8 here.
+GRAM_RATIO_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,8 @@ def _as_matrix(values, name: str) -> np.ndarray:
         out = out[:, None]
     if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must be a nonempty vector or 2-d array")
-    if not np.isfinite(out).all():
+    # A finite sum has finite terms; an overflowed one gets the entrywise check.
+    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return out
 
@@ -94,18 +103,21 @@ def least_squares(responses, regressors) -> LsFit:
     # LAPACK's 128-column blocking crossover), Q^T y from the stored
     # reflectors without forming Q, and the dtrtrs of solve_triangular.
     qr, jpvt, tau, _, _ = lapack.dgeqp3(x)
-    diag = np.abs(qr.diagonal()[:q])
-    if diag[0] <= 0.0 or diag[-1] < RANK_RTOL * diag[0]:
-        rank = 0 if diag[0] <= 0.0 else int(np.sum(diag >= RANK_RTOL * diag[0]))
+    # Pivoting orders |diag R| non-increasingly, so the checks read its first and last entries.
+    first, last = abs(float(qr[0, 0])), abs(float(qr[q - 1, q - 1]))
+    if first <= 0.0 or last < RANK_RTOL * first:
+        diag = np.abs(qr.diagonal()[:q])
+        rank = 0 if first <= 0.0 else int(np.sum(diag >= RANK_RTOL * first))
         raise RankDeficientError(
             f"design has effective rank {rank} < {q} (pivot ratio "
-            f"{diag[-1] / diag[0] if diag[0] > 0 else 0.0:.2e})"
+            f"{last / first if first > 0 else 0.0:.2e})"
         )
 
-    qty = lapack.dormqr("L", "T", qr, tau, y, y.shape[1])[0]
-    coef = np.empty((q, y.shape[1]))
+    p = y.shape[1]
+    qty = lapack.dormqr("L", "T", qr, tau, y, p)[0]
+    coef = np.empty((q, p))
     coef[jpvt - 1] = lapack.dtrtrs(qr[:q], qty[:q])[0]
-    return LsFit(coef, condition_estimate=float(diag[0] / diag[-1]))
+    return LsFit(coef, first / last)
 
 
 def triangular_factor(*blocks) -> np.ndarray:
@@ -123,6 +135,18 @@ def triangular_factor(*blocks) -> np.ndarray:
     NonFiniteError
         If any entry is NaN or infinite; checked before factoring.
     """
+    factored = _householder(blocks)[0]
+    return np.triu(factored[: min(factored.shape)])
+
+
+def orthonormal_basis(*blocks) -> np.ndarray:
+    """The Q, Fortran-ordered and (n, min(n, m)), of B = Q ``triangular_factor(*blocks)``."""
+    factored, tau = _householder(blocks)
+    return lapack.dorgqr(factored[:, : min(factored.shape)], tau, overwrite_a=1)[0]
+
+
+def _householder(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """dgeqrf's reflectors and scalars for the column-stacked ``blocks``."""
     cols = [np.asarray(b, dtype=float) for b in blocks]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     n = cols[0].shape[0]
@@ -135,6 +159,20 @@ def triangular_factor(*blocks) -> np.ndarray:
         start += c.shape[1]
     if not np.isfinite(stacked).all():
         raise NonFiniteError("factored block contains non-finite entries")
-    factored = lapack.dgeqrf(stacked, overwrite_a=1)[0]
-    return np.triu(factored[: min(n, stacked.shape[1])])
+    return lapack.dgeqrf(stacked, overwrite_a=1)[:2]
 
+
+def dependent_columns(rmat: np.ndarray) -> np.ndarray:
+    """Whether each column of the block factored by ``rmat`` is within RANK_RTOL of the span of
+    the earlier ones: |R_jj|, its distance from it, is at most RANK_RTOL times its norm."""
+    diag = np.zeros(rmat.shape[1])
+    diag[: min(rmat.shape)] = np.abs(rmat.diagonal())
+    return diag <= RANK_RTOL * np.linalg.norm(rmat, axis=0)
+
+
+def bounded_cholesky(gram: np.ndarray) -> np.ndarray | None:
+    """U with U'U = ``gram``; None if it does not exist or max/min diag U exceeds GRAM_RATIO_MAX."""
+    chol, info = lapack.dpotrf(gram)
+    if info != 0 or (diag := chol.diagonal()).max() > GRAM_RATIO_MAX * diag.min():
+        return None
+    return chol

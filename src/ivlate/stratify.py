@@ -11,7 +11,8 @@ bound on the delivered count.
 Tallies are bincounts over combined cells, (bin, arm, treated) for the
 merge loop and (stratum, arm) for the Wald ratios. A bincount adds each
 cell's entries in row order, so each sum equals a per-arm masked sum bit
-for bit.
+for bit. Counts (a bootstrap resample's) weigh the tallies and repeat
+the scores the cutpoints come from, so strata are those of the rows.
 """
 
 from __future__ import annotations
@@ -51,17 +52,19 @@ class StratifiedResult:
     partition: StratumPartition
 
 
-def _quantile_bins(e, k):
+def _quantile_bins(e, k, counts=None):
     """Cuts np.quantile(e, j / k), 0 < j < k, by its linear rule on one sort (lerp's t >= 1/2
-    branch included), and each unit's count of cuts below it, as searchsorted(side="left")."""
-    index = (len(e) - 1) * (np.arange(1, k) / k)
+    branch included), and each unit's count of cuts below it, as searchsorted(side="left").
+    With ``counts``, the cuts are those of the scores repeated by their counts."""
+    scores = np.sort(e if counts is None else np.repeat(e, counts))
+    index = (len(scores) - 1) * (np.arange(1, k) / k)
     at, t = index.astype(np.intp), index % 1.0
-    below, above = np.sort(e)[[at, at + 1]]
+    below, above = scores[[at, at + 1]]
     cuts = np.where(t >= 0.5, above - (above - below) * (1 - t), below + (above - below) * t)
     return cuts, (e > cuts[:, None]).sum(axis=0)
 
 
-def partition_by_propensity(ehat, k: int, z, d) -> StratumPartition:
+def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition:
     """Partition units into at most ``k`` propensity strata.
 
     Cutpoints are ``np.quantile`` of ``ehat`` at j / k, read off one
@@ -70,13 +73,18 @@ def partition_by_propensity(ehat, k: int, z, d) -> StratumPartition:
     A stratum is valid if it contains both instrument arms ``z`` and a
     nonzero first-stage difference in the treatment ``d``; invalid
     strata trigger merging. ``z`` and ``d`` must be binary with one
-    entry per unit.
+    entry per unit. Whole-number ``counts`` repeat unit i counts[i]
+    times; labels stay one per unit.
 
     Raises UnpartitionableError when even the fully merged single
     stratum is invalid.
     """
     e = np.asarray(ehat, dtype=float).reshape(-1)
-    n = e.shape[0]
+    reps = None if counts is None else np.asarray(counts).astype(np.intp)
+    whole = reps is None or (reps.shape == e.shape and (reps >= 0).all() and np.array_equal(reps, counts))
+    if not whole:
+        raise ValueError("counts must be non-negative whole numbers, one per unit")
+    n = e.shape[0] if reps is None else int(reps.sum())
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 2 * k:
@@ -85,14 +93,14 @@ def partition_by_propensity(ehat, k: int, z, d) -> StratumPartition:
         raise ValueError("propensity scores must be finite and within [0, 1]")
     z, d = (np.asarray(v, dtype=float).reshape(-1) for v in (z, d))
     for name, v in (("z", z), ("d", d)):
-        if v.shape != (n,) or not np.all((v == 0.0) | (v == 1.0)):
+        if v.shape != e.shape or not np.all((v == 0.0) | (v == 1.0)):
             raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
-    cuts, bins = _quantile_bins(e, k)
+    cuts, bins = _quantile_bins(e, k, reps)
 
     # Per-bin counts of (Z, D) = (0, 0), (0, 1), (1, 0), (1, 1) units as Python-int
     # prefix sums: bins [lo, hi) hold prefix[hi] - prefix[lo], exactly.
-    tally = np.bincount(4 * bins + 2 * (z == 1.0) + (d == 1.0), minlength=4 * k).reshape(k, 4)
+    tally = np.bincount(4 * bins + 2 * (z == 1.0) + (d == 1.0), reps, 4 * k).astype(int).reshape(k, 4)
     prefix = [[0] * 4, *tally.cumsum(axis=0).tolist()]
 
     def valid(lo: int, hi: int) -> bool:
@@ -135,10 +143,10 @@ def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedRes
     under a saturated propensity is sum_j n_j dd_j / n, and
     NoCompliersError is raised when it does not exceed PC_FLOOR.
     """
-    partition = partition_by_propensity(prop.ehat, k, z=data.z, d=data.d)
+    partition = partition_by_propensity(prop.ehat, k, z=data.z, d=data.d, counts=data.weights)
     _, d_diff, y_diff = _arm_moments(data, partition.labels - 1, partition.k)
     complier_mass = partition.counts @ d_diff
-    require_compliers(complier_mass / data.n)
+    require_compliers(complier_mass / data.size)
     tau_star = float(partition.counts @ y_diff / complier_mass)
     return StratifiedResult(tau_star=tau_star, beta_star=y_diff / d_diff, partition=partition)
 

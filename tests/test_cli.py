@@ -227,6 +227,21 @@ def test_constant_instrument_names_its_column(tmp_path, capsys, command, arm):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "stratify"])
+@pytest.mark.parametrize("case, column", [("constant", "x1"), ("duplicate", "x2")])
+def test_collinear_covariate_names_its_column(tmp_path, capsys, command, case, column):
+    x1 = [3.0 if case == "constant" else 0.1 * i for i in range(40)]
+    x2 = x1 if case == "duplicate" else [(0.37 * i) % 1.0 for i in range(40)]
+    rows = [[float(i), i % 2, (i // 2) % 2, x1[i], x2[i]] for i in range(40)]
+    path = write_csv(tmp_path / "collinear.csv", ["y", "d", "z", "x1", "x2"], rows)
+    extra = ["--k", "2"] if command == "stratify" else []
+    assert main([command, "--input", path, *extra, "--b", "10", "--output", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    expected = f"column '{column}' is collinear with the constant and earlier covariates"
+    assert f"estimation failure: {expected}" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_estimate_report_is_deterministic_and_parses(tmp_path):
     path = export_design_a(tmp_path / "a.csv", n=300, seed=4)
     out1 = tmp_path / "r1.json"

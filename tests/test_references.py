@@ -663,8 +663,9 @@ def test_least_squares_kernel_matches_scipy_qr_route(problem):
 # ---------------------------------------------------------------------------
 
 
-def ref_partition_by_propensity(ehat, k, z, d):
-    """Four masked bincounts per bin and a numpy slice-sum per validity check."""
+def ref_partition_by_propensity(ehat, k, z, d, counts=None):
+    """Four masked bincounts per bin and a numpy slice-sum per validity check; unweighted only."""
+    assert counts is None
     e = np.asarray(ehat, dtype=float).reshape(-1)
     n = e.shape[0]
     if k < 1:

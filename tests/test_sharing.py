@@ -109,15 +109,20 @@ def test_pipeline_raises_the_shared_fit_error(monkeypatch):
 
 
 def test_multi_tag_bootstrap_equals_one_tag_bootstraps():
+    """One-tag ``bootstrap_tags`` runs see the same weighted resamples, so they agree bit for
+    bit; ``bootstrap`` hands the pipeline the drawn rows, which agree to rounding."""
     data = simulate_iv(13, n=300)
     tags = ["++", "x+", "xx", "strat-5"]
     together = bootstrap_tags(data, evaluate_tags, tags, b=30, alpha=0.1, seed=2)
     for tag in tags:
-        alone = bootstrap(data, pipeline_for(tag)[0], b=30, alpha=0.1, seed=2)
+        alone = bootstrap_tags(data, evaluate_tags, [tag], b=30, alpha=0.1, seed=2)[tag]
+        rows = bootstrap(data, pipeline_for(tag)[0], b=30, alpha=0.1, seed=2)
         got = together[tag]
         for field in ("point", "se", "ci_lower", "ci_upper"):
             assert np.array_equal(getattr(got, field), getattr(alone, field))
-        assert (got.b_effective, got.b_requested) == (alone.b_effective, 30)
+            assert getattr(got, field) == pytest.approx(getattr(rows, field), rel=1e-10, abs=0.0)
+        assert np.array_equal(got.point, rows.point)
+        assert (got.b_effective, got.b_requested) == (alone.b_effective, 30) == (rows.b_effective, 30)
 
 
 def test_estimate_shares_one_resample_per_replicate(tmp_path, monkeypatch):
