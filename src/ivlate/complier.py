@@ -62,8 +62,10 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
         "saturated" uses within-cell means of Z over distinct covariate
         rows and requires both arms in every cell; it takes no weighted
         sample. An array supplies externally computed scores, one per row.
-        A weighted sample's logistic fit whitens every step by its point
-        sample's factor of X / 2, or fits its ``rows`` where it cannot.
+        A weighted sample's logistic fit weighs every step and the deviance
+        by its weights; a resample whitens its steps by its point sample's
+        factor of X / 2, and a step that cannot be whitened factors the
+        sqrt(weights)-scaled rows.
     start : array-like, optional
         Coefficients the logistic IRLS starts from instead of zero, such
         as the full sample's fit for a bootstrap resample. The fit from
@@ -80,7 +82,10 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            raw, coef, converged = _weighted_logistic(data, start)
+            whiten = None  # a resample's steps are whitened by its point sample's factor
+            if data.origin is not None and (point := _whitening(data.origin[0])) is not None:
+                whiten = point[0].take(data.origin[1], axis=1), point[1]
+            raw, coef, converged = _irls_logistic(data.z, data.x, start, data.weights, whiten)
         elif spec == "saturated":
             if data.weights is not None:
                 raise ValueError("the saturated propensity takes no weighted sample")
@@ -116,26 +121,6 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
 def expit(x):
     """The logistic function 1 / (1 + exp(-x)); IRLS clips x to +-30, so exp never overflows."""
     return 1.0 / (1.0 + np.exp(-x))
-
-
-class _RowsNeeded(Exception):
-    """A weighted IRLS step whose whitened Gram is ill-conditioned: refit on the rows."""
-
-
-def _weighted_logistic(data: Dataset, start):
-    """``_irls_logistic`` on ``data``, weighted on its point's whitening, or on its ``rows``
-    where a step cannot be, the scores then read off the coefficients."""
-    if data.weights is None:
-        return _irls_logistic(data.z, data.x, start)
-    point, drawn = data.origin
-    try:
-        if (whiten := _whitening(point)) is None:
-            raise _RowsNeeded
-        whiten = whiten[0].take(drawn, axis=1), whiten[1]
-        return _irls_logistic(data.z, data.x, start, data.weights, whiten)
-    except _RowsNeeded:
-        _, coef, converged = _irls_logistic(data.rows.z, data.rows.x, start)
-        return expit(np.clip(data.x @ coef, -_ETA_BOUND, _ETA_BOUND)), coef, converged
 
 
 def _whitening(point: Dataset):
@@ -175,9 +160,9 @@ def _irls_steps(z, x, beta, counts=None, whiten=None):
     unit. Nothing cancels, so a deviance near zero (a separated sample)
     keeps its relative accuracy in the stop rule.
 
-    With ``counts``, row i enters weights and deviance counts[i] times and
-    every step is whitened by ``whiten`` (see ``_whitening``); one that
-    cannot be raises _RowsNeeded.
+    With ``counts``, row i enters the weights and deviance counts[i] times.
+    A step that ``whiten`` (see ``_whitening``) cannot whiten factors the
+    rows scaled by sqrt(counts w), as a first step without ``whiten`` does.
     """
     eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
     ex = np.exp(-eta)
@@ -190,9 +175,7 @@ def _irls_steps(z, x, beta, counts=None, whiten=None):
         working = eta + (z - mu) / w
         unit_w = w if counts is None else counts * w
         if whiten is None or (system := _whitened_system(*whiten, unit_w, working)) is None:
-            if counts is not None:
-                raise _RowsNeeded
-            sw = np.sqrt(w)
+            sw = np.sqrt(unit_w)
             rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
             system = rmat[:, -1], rmat[:, :-1]
         beta = linalg.least_squares(*system).coef[:, 0]

@@ -16,8 +16,9 @@ blocks of R, which give the coefficients of the two n-row regressions.
 Variants that nest select the same columns of the same R, so they agree
 bit for bit; a generalized first stage whose rows are leading Z*X columns
 then X reads R for that reason, and any other one factors its own block.
-A weighted sample (a bootstrap resample with counts) reads its R off its
-point sample's factorization instead of factoring n rows.
+A weighted sample factors its block with row i scaled by sqrt(w_i); a
+bootstrap resample with counts reads that R off its point sample's
+factorization instead, where it can.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ class Dataset:
         Whether column 0 of ``x`` is the constant. Categorical designs
         coded as a full set of dummies carry no constant.
     weights : ndarray, shape (n,), optional
-        Frequency counts (whole numbers as floats): row i enters
-        ``weights[i]`` times, so a bootstrap resample is its point sample's
-        drawn rows with counts (``resample``); None means once. Estimators
-        weigh their sums through ``weighted`` and ``size``, and read the
-        point sample's factors, or ``rows`` where those cannot serve.
-        ``generalized_additive_2sls`` and the saturated propensity raise
-        ValueError on a weighted sample.
+        Non-negative row weights: row i enters every sum ``weights[i]``
+        times, so a bootstrap resample is its point sample's drawn rows
+        with counts (``resample``) and a finite population is its atoms
+        with their probabilities; None means once. Estimators weigh their
+        sums through ``weighted`` and ``size`` and their fits through
+        sqrt(w)-scaled rows. Only ``rows`` and the strata need whole
+        numbers. ``generalized_additive_2sls`` and the saturated
+        propensity raise ValueError on a weighted sample.
 
     The arrays are never mutated after construction; ``factor`` is cached
     from them, and ``dataclasses.replace`` makes a new sample with its own.
@@ -69,6 +71,9 @@ class Dataset:
     x: np.ndarray
     has_constant: bool = True
     weights: np.ndarray | None = None
+    # The unweighted sample whose factors a resample reads, and the index of its rows
+    # there; ``resample`` sets it, and any other sample has None.
+    origin = None
 
     @property
     def n(self) -> int:
@@ -97,37 +102,31 @@ class Dataset:
         drawn = np.nonzero(np.asarray(counts) > 0)[0]
         sample = Dataset(self.y[drawn], self.d[drawn], self.z[drawn], self.x.take(drawn, axis=0),
                          self.has_constant, np.asarray(counts, dtype=float)[drawn])
-        sample.__dict__["origin"] = self, drawn  # the cached_property slot
+        sample.__dict__["origin"] = self, drawn  # past the frozen __setattr__
         return sample
-
-    @cached_property
-    def origin(self) -> tuple["Dataset", np.ndarray]:
-        """The unweighted sample whose factors a weighted one reads, and the index of its rows
-        there: its own rows, unless it came from ``resample``."""
-        return replace(self, weights=None), np.arange(self.n)
 
     @cached_property
     def rows(self) -> "Dataset":
         """The sample as rows, row i repeated ``weights[i]`` times in order."""
         if self.weights is None:
             return self
-        idx = np.repeat(np.arange(self.n), self.weights.astype(np.intp))
+        reps = self.weights.astype(np.intp)
+        if not ((reps >= 0).all() and np.array_equal(reps, self.weights)):
+            raise ValueError("weights must be non-negative whole numbers to repeat rows")
+        idx = np.repeat(np.arange(self.n), reps)
         return Dataset(self.y[idx], self.d[idx], self.z[idx], self.x[idx], self.has_constant)
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """Triangular factor R of [Z*X | X | D*X | Y] (k, k, k and 1 columns), computed once.
-        A weighted sample's is U R from the point's B = Q R, with U'U = Q'CQ for the counts
-        C (see ``linalg``), or that of ``rows`` when ``bounded_cholesky`` gives no U."""
-        if self.weights is None:
-            return linalg.triangular_factor(*self._block())
-        point, drawn = self.origin
-        if (q := point.basis) is None:
-            return self.rows.factor
-        counts = np.zeros(point.n)
-        counts[drawn] = self.weights
-        chol = linalg.bounded_cholesky((q.T * counts) @ q)
-        return self.rows.factor if chol is None else chol @ point.factor
+        """Triangular factor R of [Z*X | X | D*X | Y] (k, k, k and 1 columns), rows scaled by
+        sqrt(w), computed once. A resample's is U R from its point's B = Q R, with U'U = Q'CQ
+        for the counts C (see ``linalg``), where ``bounded_cholesky`` gives a U."""
+        if self.origin is not None and (q := self.origin[0].basis) is not None:
+            counts = np.zeros(q.shape[0])
+            counts[self.origin[1]] = self.weights
+            if (chol := linalg.bounded_cholesky((q.T * counts) @ q)) is not None:
+                return chol @ self.origin[0].factor
+        return linalg.triangular_factor(*self._block())
 
     @cached_property
     def basis(self) -> np.ndarray | None:
@@ -138,7 +137,11 @@ class Dataset:
         return linalg.orthonormal_basis(*self._block())
 
     def _block(self):
-        return _interact(self.z, self.x), self.x, _interact(self.d, self.x), self.y
+        x, y = self.x, self.y
+        if self.weights is not None:
+            root = np.sqrt(self.weights)
+            x, y = root[:, None] * x, root * y
+        return _interact(self.z, x), x, _interact(self.d, x), y
 
     @classmethod
     def from_arrays(cls, y, d, z, x, has_constant: bool = True) -> "Dataset":

@@ -7,37 +7,26 @@ covariate support additionally carry their support cells, which lets the
 oracle compute its population quantities by exact enumeration: the
 complier effect and its projection coefficients, and the implicit weights
 of the additive-second-stage estimators with the weighted averages of
-conditional complier effects they give. The estimators' probability
-limits come from their own two-stage fits on the population factor: such
-a design is a weighted sample of cell-by-instrument-arm-by-compliance-type
-atoms.
-Continuous designs register closed-form truths instead.
+conditional complier effects they give. Such a design is a weighted sample
+of cell-by-instrument-arm-by-compliance-type atoms, weighted by their
+probabilities, and the public estimators run on that sample give their
+probability limits. Continuous designs register closed-form truths instead.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import streams
-from .complier import PC_FLOOR, PropensityFit, centered_interacted_2sls, expit, fit_propensity
-from .errors import (
-    IdentificationError,
-    InfiniteSupportError,
-    InvalidSpecError,
-)
-from .estimators import (
-    Dataset,
-    _two_stage,
-    additive_2sls,
-    interacted_2sls,
-    interacted_additive_2sls,
-)
+from .complier import PropensityFit, centered_interacted_2sls, expit, fit_propensity
+from .errors import IdentificationError, InfiniteSupportError, InvalidSpecError, NoCompliersError
+from .estimators import Dataset, additive_2sls, interacted_2sls, interacted_additive_2sls
 from .inference import require_distinct, run_replicates
-from .linalg import least_squares, triangular_factor
+from .linalg import least_squares
 from .stratify import stratified_late
 
 # Compliance-type codes.
@@ -108,17 +97,20 @@ class OracleEstimands:
     P(complier). ``w_plus``, ``w_times`` and ``w`` are the implicit cell
     weights of the additive, interacted-additive and correct-first-stage
     limits, and ``plim_taa`` and ``plim_tia`` the conditional complier
-    effects averaged under the first two. The ``*_projection`` values are
-    the probability limits of the additive and interacted-additive fits,
-    from the estimators' own two stages on the population factor, and
-    must agree with them whenever the instrument-interaction linearity
-    condition holds. ``plim_beta_2sls`` is the interacted fit's limit.
-    ``plim_xx_first_stage`` and ``plim_xx_kappa`` are the limits of the
-    centered interacted fit under its two centerings. They follow the
-    estimator's complier-share floors, taken at the population: both are
-    None when column 0 of the covariates is not the constant or
-    P(complier) is at most PC_FLOOR, and the first-stage one also when
-    its share E[X c1[0]] is at most PC_FLOOR.
+    effects averaged under the first two. The other limits are those of
+    the estimators run on the design as a weighted sample of its atoms.
+    The ``*_projection`` values are the limits of the additive and
+    interacted-additive fits, which must agree with the weighted averages
+    whenever the instrument-interaction linearity condition holds. Both
+    fits see X only through its span, so a design without a constant whose
+    cell rows sum to one (a full dummy coding) is recoded with column 0 as
+    the constant; any other design without one gets None. ``plim_beta_2sls``
+    is the interacted fit's limit. ``plim_xx_first_stage`` and
+    ``plim_xx_kappa`` are the limits of the centered interacted fit under
+    its two centerings, at the true propensity: None when column 0 is not
+    the constant or where the estimator's own complier-share floors
+    raise NoCompliersError on the population (P(complier), and for the
+    first-stage one also its share E[X c1[0]], at most PC_FLOOR).
     """
 
     tau_c: float
@@ -131,8 +123,8 @@ class OracleEstimands:
     plim_taa: float
     plim_tia: float
     plim_beta_2sls: np.ndarray
-    plim_taa_projection: float
-    plim_tia_projection: float
+    plim_taa_projection: float | None
+    plim_tia_projection: float | None
     plim_xx_first_stage: float | None
     plim_xx_kappa: float | None
 
@@ -357,14 +349,13 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     Everything is an exact finite sum over support cells (and, for the
     regression limits, over the cell-by-instrument-by-type atoms), so
     results carry no Monte Carlo error. The regression limits are the
-    estimators' ``_two_stage`` fits on one triangular factor of the atoms.
+    public estimators on one weighted ``Dataset`` of the atoms.
     """
     if spec.cells is None:
         raise InfiniteSupportError(
             f"design {spec.name!r} has continuous covariate support; "
             "register closed-form truths instead"
         )
-    k = spec.k
     xs, p, e, pa, pc, y0m, y1m = _cell_arrays(spec.cells)  # y*m: (cell, type)
     pn = 1.0 - pa - pc
     tau_cell = y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]
@@ -382,34 +373,30 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     plim_taa = float(p @ (w_plus_arr * tau_cell))
     plim_tia = float(p @ (w_times_arr * tau_cell))
 
-    # The design is a weighted sample of (cell, z, type) atoms. D follows
-    # from (z, type); outcomes enter every limit linearly, so Y is the
-    # type's outcome mean. The factor of sqrt(w) [Z X | Z | X | D X | D | Y]
-    # is then the population factor, and the estimators' own two stages on
-    # it give their probability limits.
+    # The design is a weighted sample of (cell, z, type) atoms, each weighted
+    # by its probability. D follows from (z, type); outcomes enter every limit
+    # linearly, so Y is the type's outcome mean. The public estimators on this
+    # sample give their probability limits, floors included (with sum w = 1).
     atoms = np.meshgrid(np.arange(len(p)), [0.0, 1.0], [U_NEVER, U_COMPLIER, U_ALWAYS], indexing="ij")
     cell, z, u = (a.ravel() for a in atoms)
     d = ((u == U_ALWAYS) | ((u == U_COMPLIER) & (z == 1.0))).astype(float)
     p_type = np.column_stack([pn, pc, pa])  # columns in type-code order, as y0m and y1m
-    sw = np.sqrt(p[cell] * np.where(z == 1.0, e[cell], 1.0 - e[cell]) * p_type[cell, u])
-    sx = sw[:, None] * xs[cell]
-    factor = triangular_factor(z[:, None] * sx, sw * z, sx, d[:, None] * sx, sw * d,
-                               sw * np.where(d == 1.0, y1m[cell, u], y0m[cell, u]))
-    first, second = _two_stage(factor, k + 1, k, range(k), range(k))
-    plim_beta_2sls, c1 = second[:k, 0], first[:k].T
-    plim_taa_proj = float(_two_stage(factor, k + 1, k, [k], [k])[1][0, 0])
-    plim_tia_proj = float(_two_stage(factor, k + 1, k, range(k), [k])[1][0, 0])
-
-    # The centered fit's limit beta[0] + mu @ beta[1:], at the complier means
-    # mu of each centering: share-weighted with share = X c1[0], or E[X | complier].
-    # Each limit exists where the estimator's complier-share floors pass.
-    plim_xx_first_stage = plim_xx_kappa = None
-    if np.all(xs[:, 0] == 1.0) and p_c > PC_FLOOR:
-        beta0, beta1 = plim_beta_2sls[0], plim_beta_2sls[1:]
-        share = p * (xs @ c1[0])
-        if share.sum() > PC_FLOOR:
-            plim_xx_first_stage = float(beta0 + (share @ xs[:, 1:]) / share.sum() @ beta1)
-        plim_xx_kappa = float(beta0 + cell_given_c @ xs[:, 1:] @ beta1)
+    population = Dataset(np.where(d == 1.0, y1m[cell, u], y0m[cell, u]), d, z, xs[cell],
+                         bool(np.all(xs[:, 0] == 1.0)),
+                         p[cell] * np.where(z == 1.0, e[cell], 1.0 - e[cell]) * p_type[cell, u])
+    # ++ and x+ see X only through its span, so a full dummy coding, whose cell
+    # rows sum to one, is recoded with its column 0 as the constant.
+    spanned = population
+    if not population.has_constant and np.all(xs.sum(axis=1) == 1.0):
+        spanned = replace(population, x=np.column_stack([np.ones(cell.size), xs[cell, 1:]]),
+                          has_constant=True)
+    plim_xx = {"first-stage": None, "kappa": None}
+    for centering in plim_xx if population.has_constant else ():
+        try:  # at the true e, unclipped
+            plim_xx[centering] = centered_interacted_2sls(population, PropensityFit(e[cell], None, True),
+                                                          centering)
+        except NoCompliersError:
+            pass
 
     keys = list(map(tuple, xs.tolist()))
     return OracleEstimands(
@@ -422,11 +409,11 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
         w=dict(zip(keys, w_arr.tolist())),
         plim_taa=plim_taa,
         plim_tia=plim_tia,
-        plim_beta_2sls=plim_beta_2sls,
-        plim_taa_projection=plim_taa_proj,
-        plim_tia_projection=plim_tia_proj,
-        plim_xx_first_stage=plim_xx_first_stage,
-        plim_xx_kappa=plim_xx_kappa,
+        plim_beta_2sls=interacted_2sls(population).beta,
+        plim_taa_projection=additive_2sls(spanned) if spanned.has_constant else None,
+        plim_tia_projection=interacted_additive_2sls(spanned) if spanned.has_constant else None,
+        plim_xx_first_stage=plim_xx["first-stage"],
+        plim_xx_kappa=plim_xx["kappa"],
     )
 
 

@@ -298,6 +298,23 @@ def test_bias_decomposition_reproduces_the_projection_limit():
     assert np.abs(oracle.plim_beta_2sls - (oracle.beta_c + correction)).max() <= 1e-10
 
 
+def test_projection_limits_need_covariates_that_span_the_constant():
+    # No column is the constant and the cell rows do not sum to one, so ++ and x+,
+    # which need a constant, have no limit; the interacted fit, which does not, has one.
+    spec = from_cells("no-constant", (
+        DgpCell(x=(1.0, 0.0), prob=0.3, e=0.4, p_always=0.1, p_complier=0.6,
+                y0_mean=(0.0, 0.5, 1.0), y1_mean=(1.0, 2.0, 1.5)),
+        DgpCell(x=(0.0, 2.0), prob=0.3, e=0.6, p_always=0.2, p_complier=0.5,
+                y0_mean=(0.2, 0.1, 0.0), y1_mean=(1.0, -1.0, 0.5)),
+        DgpCell(x=(1.0, 1.0), prob=0.4, e=0.7, p_always=0.1, p_complier=0.4,
+                y0_mean=(0.3, 0.0, 0.2), y1_mean=(0.0, 1.5, 2.0)),
+    ))
+    oracle = oracle_estimands(spec)
+    assert oracle.plim_taa_projection is None and oracle.plim_tia_projection is None
+    assert oracle.plim_xx_first_stage is None and oracle.plim_xx_kappa is None
+    assert np.abs(oracle.plim_beta_2sls - ref_oracle_estimands(spec)["plim_beta_2sls"]).max() <= 1e-10
+
+
 def test_oracle_rejects_continuous_designs():
     with pytest.raises(InfiniteSupportError):
         oracle_estimands(dgp_b())

@@ -4,8 +4,9 @@
 counts and reads its factors; ``.rows`` repeats each drawn row by its count. Every estimator that the
 CLI bootstraps must give the same numbers on both, to rounding, and the
 same error class and message where one fails. The weighted path falls
-back to the rows where the point factors cannot serve it (a resample that
-drops a whole cell, a separated resample), and must then agree exactly.
+back to its √w-scaled rows where the point factors cannot serve it (a
+resample that drops a whole cell, a separated resample), and must then
+agree exactly.
 """
 
 import re
@@ -22,7 +23,7 @@ from ivlate import complier, stratify
 from ivlate.cli import _bootstrap_fit
 from ivlate.complier import IRLS_TOL, fit_propensity
 from ivlate.errors import IdentificationError
-from ivlate.estimators import Dataset, generalized_additive_2sls
+from ivlate.estimators import Dataset, generalized_additive_2sls, interacted_2sls
 from ivlate.linalg import RANK_RTOL
 from ivlate.inference import bootstrap_tags
 from ivlate.montecarlo import evaluate_tags
@@ -178,21 +179,22 @@ def test_cutpoints_of_counts_equal_np_quantile_of_the_repeated_scores(case):
     assert np.array_equal(bins, np.searchsorted(expected, e, side="left"))
 
 
-def counting(monkeypatch, name):
+def counting(monkeypatch, name, module=ivlate.linalg):
     calls = []
-    original = getattr(ivlate.linalg, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(f"ivlate.linalg.{name}", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
     """Without cell 1 the resample's dummy for it is zero: the block's reweighted Gram and
-    the propensity fit's whitened Gram are singular, so both factor the rows."""
+    the propensity fit's whitened Gram are singular, so both factor the √w-scaled rows,
+    the IRLS within its one weighted run (it never refits on the materialised rows)."""
     data, cat = with_constant_dummies(5, n=240, levels=3)
     rng = np.random.default_rng(0)
     kept = np.bincount(rng.choice(np.flatnonzero(cat != 1), data.n), minlength=data.n).astype(float)
@@ -201,9 +203,11 @@ def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
     for tag in ("++", "beta", "xx"):
         for counts, fell_back in ((every, False), (kept, True)):
             factors = counting(monkeypatch, "triangular_factor")
+            runs = counting(monkeypatch, "_irls_steps", complier)
             weighted = data.resample(counts)
             got = evaluate_tags(weighted, [tag])[tag]
             assert len(factors) == int(fell_back)  # only a fallback factors n rows
+            assert [args[3] is not None for args in runs] == ([True] if tag == "xx" else [])  # weighted
             monkeypatch.undo()
             expected = evaluate_tags(fresh(weighted.rows), [tag])[tag]
             if fell_back:
@@ -211,6 +215,17 @@ def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
                 assert isinstance(got, IdentificationError) and "effective rank" in str(got)
             else:
                 assert_same(("ok", got), ("ok", expected))
+
+
+def test_fractional_weights_fit_a_block_with_a_dependent_column():
+    """A sample with fractional weights and a dependent column (Y = 2D) fits on its
+    √w-scaled rows."""
+    rng = np.random.default_rng(0)
+    d = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0], dtype=float)
+    z = np.array([0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0], dtype=float)
+    x = np.column_stack([np.ones(12), rng.standard_normal(12)])
+    fit = interacted_2sls(Dataset(2.0 * d, d, z, x, True, weights=rng.random(12)))
+    assert np.abs(fit.beta - [2.0, 0.0]).max() <= RTOL
 
 
 def test_a_separated_resample_reruns_its_fit_from_zero():
@@ -274,6 +289,8 @@ def test_functions_without_a_weighted_form_raise():
         fit_propensity(weighted, "saturated")
     with pytest.raises(ValueError, match="unweighted"):
         weighted.resample(np.ones(data.n))
+    with pytest.raises(ValueError, match="whole numbers"):
+        Dataset(data.y, data.d, data.z, data.x, weights=np.full(data.n, 1.5)).rows
     with pytest.raises(ValueError, match="whole numbers"):
         partition_by_propensity(np.linspace(0, 1, 10), 2, np.tile([0.0, 1.0], 5), np.ones(10),
                                 counts=np.full(10, 0.5))
