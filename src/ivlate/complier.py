@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import linalg
 from .errors import IdentificationError, NoCompliersError, NonFiniteError, NoOverlapCellError
@@ -56,9 +55,10 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
     ----------
     data : Dataset
     spec : {"logistic", "saturated"} or array-like
-        "logistic" fits P(Z = 1 | X) by maximum likelihood via IRLS: one
-        n-row factor T of X per fit, then up to IRLS_MAX_ITER steps on
-        k-by-k whitened Grams, to a relative deviance change below IRLS_TOL.
+        "logistic" fits P(Z = 1 | X) by maximum likelihood via IRLS: up to
+        IRLS_MAX_ITER steps on k-by-k Grams whitened by T, the factor of X / 2
+        read off the sample's factor, to a relative deviance change below
+        IRLS_TOL.
         "saturated" uses within-cell means of Z over distinct covariate
         rows and requires both arms in every cell; it takes no weighted
         sample. An array supplies externally computed scores, one per row.
@@ -68,13 +68,12 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
         sqrt(weights)-scaled rows.
     start : array-like, optional
         Coefficients the logistic IRLS starts from instead of zero, such
-        as the full sample's fit for a bootstrap resample. The fit from
-        ``start`` takes T from its own first step. If that fit raises an
-        IdentificationError, does not converge, or ends with eta at its
-        clip (a separated sample), it is dropped and the fit reruns from
-        zero. So a start moves the scores only within the IRLS tolerance
-        and never changes which samples fail or converge. Used by
-        "logistic" only.
+        as the full sample's fit for a bootstrap resample, whitened by the
+        same T. If that fit raises an IdentificationError, does not
+        converge, or ends with eta at its clip (a separated sample), it is
+        dropped and the fit reruns from zero. So a start moves the scores
+        only within the IRLS tolerance and never changes which samples
+        fail or converge. Used by "logistic" only.
 
     Returns
     -------
@@ -82,10 +81,7 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            whiten = None  # a resample's steps are whitened by its point sample's factor
-            if data.origin is not None and (point := _whitening(data.origin[0])) is not None:
-                whiten = point[0].take(data.origin[1], axis=1), point[1]
-            raw, coef, converged = _irls_logistic(data.z, data.x, start, data.weights, whiten)
+            raw, coef, converged = _irls_logistic(data.z, data.x, start, data.weights, _whitening(data))
         elif spec == "saturated":
             if data.weights is not None:
                 raise ValueError("the saturated propensity takes no weighted sample")
@@ -123,14 +119,24 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _whitening(point: Dataset):
-    """(Q', T) of the point sample's first IRLS step from zero, where every weight is 1/4:
-    T is R of X / 2 and Q = X T^-1. Cached on the sample; None if T is singular."""
-    if "_whitening" not in point.__dict__:
-        tmat = linalg.triangular_factor(0.5 * point.x)
-        inverse, info = lapack.dtrtri(tmat) if point.n >= point.k else (None, 1)
-        point.__dict__["_whitening"] = None if info != 0 else (inverse.T @ point.x.T, tmat)
-    return point.__dict__["_whitening"]
+def _whitening(data: Dataset):
+    """(Q', T, T^-1) that whiten the sample's IRLS steps, cached: T is R of sqrt(w) X / 2, the
+    factor of the first step from zero (every weight 1/4), half the leading block of the
+    sample's factor, and Q = X T^-1. T gets the checks of ``least_squares``, as that step's fit
+    would. A resample takes its point sample's at its drawn rows; None if the point's fails."""
+    if data.origin is not None:
+        point, drawn = data.origin
+        try:
+            qt, tmat, inverse = _whitening(point)
+        except (IdentificationError, ValueError):
+            return None
+        return qt.take(drawn, axis=1), tmat, inverse
+    if "_whitening" not in data.__dict__:
+        tmat = 0.5 * data.factor[: data.k, : data.k]
+        linalg.triangular_condition(tmat)
+        inverse = np.linalg.inv(tmat)
+        data.__dict__["_whitening"] = inverse.T @ data.x.T, tmat, inverse
+    return data.__dict__["_whitening"]
 
 
 def _irls_logistic(z, x, start=None, counts=None, whiten=None):
@@ -152,7 +158,8 @@ def _irls_logistic(z, x, start=None, counts=None, whiten=None):
 
 
 def _irls_steps(z, x, beta, counts=None, whiten=None):
-    """IRLS from ``beta``. T, the first step's factor of sqrt(w) X, whitens every later step.
+    """IRLS from ``beta``, every step whitened by ``whiten`` (see ``_whitening``); without it,
+    the first step factors the rows, and T, its factor of sqrt(w) X, whitens the later ones.
 
     Each step forms one exponential, ex = exp(-eta) at the clipped eta:
     mu = 1 / (1 + ex), and the deviance is 2 sum log1p(exp((1 - 2z) eta))
@@ -161,8 +168,8 @@ def _irls_steps(z, x, beta, counts=None, whiten=None):
     keeps its relative accuracy in the stop rule.
 
     With ``counts``, row i enters the weights and deviance counts[i] times.
-    A step that ``whiten`` (see ``_whitening``) cannot whiten factors the
-    rows scaled by sqrt(counts w), as a first step without ``whiten`` does.
+    A step that ``whiten`` cannot whiten factors the rows scaled by
+    sqrt(counts w), as a first step without ``whiten`` does.
     """
     eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
     ex = np.exp(-eta)
@@ -174,14 +181,15 @@ def _irls_steps(z, x, beta, counts=None, whiten=None):
         w = mu * (1.0 - mu)
         working = eta + (z - mu) / w
         unit_w = w if counts is None else counts * w
-        if whiten is None or (system := _whitened_system(*whiten, unit_w, working)) is None:
+        beta = None if whiten is None else _whitened_step(*whiten, unit_w, working)
+        if beta is None:
             sw = np.sqrt(unit_w)
             rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
-            system = rmat[:, -1], rmat[:, :-1]
-        beta = linalg.least_squares(*system).coef[:, 0]
-        if whiten is None:  # the fit checked R's rank, so T is invertible
-            tmat = rmat[: x.shape[1], :-1]
-            whiten = lapack.dtrtri(tmat)[0].T @ x.T, tmat
+            beta = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
+            if whiten is None:  # the fit checked R's rank, so T is invertible
+                tmat = rmat[: x.shape[1], :-1]
+                inverse = np.linalg.inv(tmat)
+                whiten = inverse.T @ x.T, tmat, inverse
         eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
         ex = np.exp(-eta)
         mu = 1.0 / (1.0 + ex)
@@ -194,15 +202,18 @@ def _irls_steps(z, x, beta, counts=None, whiten=None):
     return mu, beta, converged
 
 
-def _whitened_system(qt, tmat, w, working):
-    """Step on U T, a factor of sqrt(w) X: U'U = Q'WQ with Q = X T^-1 (rows of ``qt``) and
-    Q'W0Q = I at the first step's weights W0, so U is conditioned like W / W0. None if U does
-    not exist or is ill-conditioned."""
+def _whitened_step(qt, tmat, inverse, w, working):
+    """Coefficients of the step on U T, a factor of sqrt(w) X: U'U = Q'WQ with Q = X T^-1 (rows
+    of ``qt``) and Q'W0Q = I at the first step's weights W0, so U is conditioned like W / W0.
+    U T is its own R: the step checks it as ``least_squares`` would and solves without a QR.
+    None if U does not exist or is ill-conditioned."""
     qtw = qt * w
-    chol = linalg.bounded_cholesky(qtw @ qt.T)
+    gram = qtw @ qt.T
+    chol = linalg.bounded_cholesky(gram)
     if chol is None:
         return None
-    return lapack.dtrtrs(chol, qtw @ working, trans=1)[0], chol @ tmat
+    linalg.triangular_condition(chol @ tmat)
+    return inverse @ np.linalg.solve(gram, qtw @ working)
 
 
 def _saturated_scores(z, x):
@@ -312,6 +323,6 @@ def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:
     gram = (data.x * kappa[:, None]).T @ data.x / kappa.sum()
     moments = data.weighted(data.x * (dkappa_weights(data, prop) * data.y)[:, None])
     rhs = moments.sum(axis=0) / data.size / pc_hat
-    # Solving the square system through the pivoted-QR path keeps the
-    # rank check consistent with every other fit.
+    # Solving the square system through least_squares keeps the rank
+    # check consistent with every other fit.
     return linalg.least_squares(rhs, gram).coef[:, 0].copy()

@@ -8,14 +8,14 @@ The family differs only in which interactions enter each stage:
 * partially interacted / generalized first stage as restrictions or
   extensions of the above.
 
-Every variant fits column subsets of one block [Z*X | X | D*X | Y]: with
+Every variant fits column subsets of one block [X | Z*X | D*X | Y]: with
 X's column 0 the constant, Z and D are column 0 of Z*X and D*X. A
 ``Dataset`` reduces the block once to its triangular factor R
-(``Dataset.factor``), and ``_two_stage`` fits both stages on column
-blocks of R, which give the coefficients of the two n-row regressions.
-Variants that nest select the same columns of the same R, so they agree
-bit for bit; a generalized first stage whose rows are leading Z*X columns
-then X reads R for that reason, and any other one factors its own block.
+(``Dataset.factor``), and ``_two_stage`` fits both stages on blocks of R,
+which give the coefficients of the two n-row regressions. Variants that
+nest select the same columns of the same R, so they agree bit for bit; a
+generalized first stage whose rows are leading Z*X columns then X reads R
+for that reason, and any other one factors its own block.
 A weighted sample factors its block with row i scaled by sqrt(w_i); a
 bootstrap resample with counts reads that R off its point sample's
 factorization instead, where it can.
@@ -118,7 +118,7 @@ class Dataset:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """Triangular factor R of [Z*X | X | D*X | Y] (k, k, k and 1 columns), rows scaled by
+        """Triangular factor R of [X | Z*X | D*X | Y] (k, k, k and 1 columns), rows scaled by
         sqrt(w), computed once. A resample's is U R from its point's B = Q R, with U'U = Q'CQ
         for the counts C (see ``linalg``), where ``bounded_cholesky`` gives a U."""
         if self.origin is not None and (q := self.origin[0].basis) is not None:
@@ -134,14 +134,14 @@ class Dataset:
         column is dependent, where U R would carry R's rounding instead of the rows'."""
         if linalg.dependent_columns(self.factor).any():
             return None
-        return linalg.orthonormal_basis(*self._block())
+        return linalg.orthonormal_basis(self.factor, *self._block())
 
     def _block(self):
         x, y = self.x, self.y
         if self.weights is not None:
             root = np.sqrt(self.weights)
             x, y = root[:, None] * x, root * y
-        return _interact(self.z, x), x, _interact(self.d, x), y
+        return x, _interact(self.z, x), _interact(self.d, x), y
 
     @classmethod
     def from_arrays(cls, y, d, z, x, has_constant: bool = True) -> "Dataset":
@@ -200,19 +200,31 @@ def _interact(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v[:, None] * x
 
 
-def _two_stage(rmat: np.ndarray, a: int, k: int, instruments, responses, controls: bool = True):
-    """lm(responses ~ instruments + X), then lm(Y ~ fitted + X), on column blocks of R.
+def _two_stage(rmat: np.ndarray, a: int, k: int, instruments, responses, first: bool = False):
+    """lm(responses ~ X + instruments), then lm(Y ~ X + fitted), on the factor ``rmat`` of
+    [X | A | B | Y] (k, a, any and 1 columns); ``instruments`` index A, ``responses`` B.
 
-    ``rmat`` factors a block [A | X | B | Y] with a, k, any and 1 columns;
-    ``instruments`` and ``responses`` index columns of A and of B. The
-    first stage leaves out X when ``controls`` is False; the second always
-    includes it. Returns both stages' coefficient matrices, which equal
-    those of the two n-row fits.
+    The first w rows of R hold W = [X | instruments], the responses and Y in an orthonormal
+    basis of W (the columns are factored again unless W leads R): W's own R, so the first
+    stage needs no QR. X and the fitted responses lie in W, so the second stage fits Y's
+    coordinates on those of [X | responses]. Returns the first stage's coefficients (with
+    ``first``, else None, its rank still checked) and the second's, rows ordered
+    [instruments, X] and [fitted, X]: those of the two n-row fits.
     """
-    design = rmat[:, [*instruments, *(range(a, a + k) if controls else ())]]
-    first = linalg.least_squares(rmat[:, [a + k + j for j in responses]], design)
-    second = linalg.least_squares(rmat[:, -1], np.column_stack([design @ first.coef, rmat[:, a : a + k]]))
-    return first.coef, second.coef
+    cols = [*range(k), *(k + i for i in instruments)]
+    resp = [k + a + j for j in responses]
+    w = len(cols)
+    if cols != list(range(w)):
+        rmat = linalg.triangular_factor(rmat[:, [*cols, *resp, -1]])
+        resp = list(range(w, w + len(resp)))
+    stage = None
+    if first:
+        stage = linalg.least_squares(rmat[:, resp], rmat[:, :w]).coef
+        stage = np.concatenate([stage[k:], stage[:k]])
+    else:
+        linalg.triangular_condition(rmat[:w, :w])
+    second = linalg.least_squares(rmat[:w, -1], rmat[:w, [*range(k), *resp]]).coef
+    return stage, np.concatenate([second[k:], second[:k]])
 
 
 def additive_2sls(data: Dataset) -> float:
@@ -225,7 +237,7 @@ def additive_2sls(data: Dataset) -> float:
 def interacted_2sls(data: Dataset) -> TwoSlsFit:
     """Interacted 2SLS: component-wise lm(D*X ~ Z*X + X) then lm(Y ~ DXhat + X)."""
     k = data.k
-    first, second = _two_stage(data.factor, k, k, range(k), range(k))
+    first, second = _two_stage(data.factor, k, k, range(k), range(k), first=True)
     return TwoSlsFit(second[:k, 0].copy(), second[k:, 0].copy(), first[:k, :].T, first[k:, :].T)
 
 
@@ -273,14 +285,17 @@ def generalized_additive_2sls(
     r = np.vstack(rows)
     k, a = data.k, r.shape[1] - data.k
     # Rows ending with the covariate row make lm(D ~ R) an instrument + X first stage.
-    controls = a > 0 and np.array_equal(r[:, a:], data.x)
-    a = a if controls else r.shape[1]
-    if controls and a <= k and np.array_equal(r[:, :a], _interact(data.z, data.x[:, :a])):
-        rmat, width = data.factor, k  # leading Z*X columns
-    else:
-        rmat, width = linalg.triangular_factor(r[:, :a], data.x, data.d, data.y), a
-    _, second = _two_stage(rmat, width, k, range(a), [0], controls)
-    return float(second[0, 0])
+    if a > 0 and np.array_equal(r[:, a:], data.x):
+        if a <= k and np.array_equal(r[:, :a], _interact(data.z, data.x[:, :a])):
+            rmat, width = data.factor, k  # leading Z*X columns
+        else:
+            rmat, width = linalg.triangular_factor(data.x, r[:, :a], data.d, data.y), a
+        _, second = _two_stage(rmat, width, k, range(a), [0])
+        return float(second[0, 0])
+    # A first stage without X: both fits on the columns of one factor of [R | X | D | Y].
+    a, rmat = r.shape[1], linalg.triangular_factor(r, data.x, data.d, data.y)
+    fitted = rmat[:, :a] @ linalg.least_squares(rmat[:, a + k], rmat[:, :a]).coef
+    return float(linalg.least_squares(rmat[:, -1], np.column_stack([fitted, rmat[:, a : a + k]])).coef[0, 0])
 
 
 def interacted_ols(data: Dataset) -> TwoSlsFit:

@@ -1,21 +1,23 @@
-"""Dense multi-response least squares and triangular reduction.
+"""Dense multi-response least squares and triangular reduction, on ``numpy.linalg``.
 
-Every regression in the package is a ``least_squares`` call. Fits go
-through a column-pivoted QR factorization rather than the normal
-equations because interacted designs are moderately ill-conditioned.
+Every regression in the package is a ``least_squares`` call: one
+unpivoted Householder QR of [X | Y], whose first q rows are R of X and
+Q'Y, then one triangular solve. The normal equations would square the
+condition number of the moderately ill-conditioned interacted designs.
 Rank deficiency is always an error, never resolved by a pseudo-inverse:
-downstream identification results presuppose full-rank designs, and
-silently dropping a direction would mask the violation.
+downstream identification results presuppose full-rank designs. The
+check reads R's diagonal (|R_jj| is the distance of column j from the
+span of the earlier ones); unpivoted R stops showing the rank after the
+first dependent column, so an error counts it from R's singular values.
 
-Chains of fits on one sample (both 2SLS stages of every estimator, the
-first IRLS step) reduce the column-stacked n-row block to its triangular
-factor R with ``triangular_factor`` and fit on column blocks of R, which
-has at most as many rows as the block has columns; later IRLS steps fit
-on k-row factors from whitened Grams (see ``complier``). The block is
-Q R with Q orthonormal, so every fit among its columns has the same
-coefficients, pivots and condition estimate on R, without squaring the
-condition number. Those fits are at most about 10 by 10, so
-``least_squares`` calls ``dgeqp3``, ``dormqr`` and ``dtrtrs`` directly.
+Chains of fits on one sample (both 2SLS stages of every estimator) reduce
+the column-stacked n-row block to its triangular factor R with
+``triangular_factor`` and fit on blocks of R, which has at most as many
+rows as the block has columns; IRLS steps solve on k-row factors from
+whitened Grams (see ``complier``). The block is Q R with Q orthonormal,
+so every fit among its columns has the same coefficients and condition
+estimate on R. Leading columns of a factor are upper trapezoidal, their
+own R, so ``least_squares`` skips their QR.
 
 The block with row i counted c_i times (a bootstrap resample) has Gram
 R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_cholesky``, Q from
@@ -26,19 +28,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NonFiniteError, RankDeficientError
 
-# A pivot counts as zero below this fraction of the largest pivot.
-# Categorical dummy designs produce exact zeros plus float noise, so the
-# threshold is far above machine epsilon but far below any real pivot.
+# A diagonal entry of R counts as zero below this fraction of the largest
+# one. Categorical dummy designs produce exact zeros plus float noise, so
+# the threshold is far above machine epsilon but far below any real entry.
 RANK_RTOL = 1e-10
 
 # Fits on U T, U'U = Q'WQ, lose about 1.1e-16 (max/min diag U)^2 relative accuracy: 1e-8 here.
 GRAM_RATIO_MAX = 1e4
+
+# A block with rows for several groups of GROUP_ROWS factors each group, then their stacked R's.
+GROUP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,8 @@ class LsFit:
         One coefficient column per response column; the fitted values
         are ``regressors @ coef``.
     condition_estimate : float
-        Ratio of the largest to the smallest QR pivot, a cheap condition
-        number proxy.
+        Ratio of the largest to the smallest |R_jj| of the unpivoted QR
+        of the design, a cheap lower bound on its condition number.
     """
 
     coef: np.ndarray
@@ -71,6 +76,14 @@ def _as_matrix(values, name: str) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _upper(rows: int, cols: int) -> np.ndarray:
+    """Read-only boolean mask of the upper triangle of a rows-by-cols matrix."""
+    mask = np.triu(np.ones((rows, cols), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def least_squares(responses, regressors) -> LsFit:
     """Regress every column of ``responses`` on ``regressors``.
 
@@ -86,8 +99,8 @@ def least_squares(responses, regressors) -> LsFit:
     Raises
     ------
     RankDeficientError
-        If the design has effective rank < q at relative pivot tolerance
-        ``RANK_RTOL``.
+        If the smallest |R_jj| of the design is below ``RANK_RTOL`` times
+        the largest.
     NonFiniteError
         If any input entry is NaN or infinite.
     """
@@ -96,70 +109,94 @@ def least_squares(responses, regressors) -> LsFit:
     n, q = x.shape
     if y.shape[0] != n:
         raise ValueError(f"responses have {y.shape[0]} rows, regressors {n}")
-    if n < q:
-        raise ValueError(f"need at least as many rows ({n}) as regressors ({q})")
+    if x[~_upper(n, q)].any():
+        factor = _r_factor(np.concatenate([x, y], axis=1))
+        rmat, qty = factor[:q, :q], factor[:q, q:]
+    else:  # Householder QR would leave upper trapezoidal X, and so Y, as they are
+        rmat, qty = x[:q], y[:q]
+    condition = triangular_condition(rmat)
+    return LsFit(np.linalg.solve(rmat, qty), condition)
 
-    # The dgeqp3 of scipy.linalg.qr(pivoting=True) (same pivots and R below
-    # LAPACK's 128-column blocking crossover), Q^T y from the stored
-    # reflectors without forming Q, and the dtrtrs of solve_triangular.
-    qr, jpvt, tau, _, _ = lapack.dgeqp3(x)
-    # Pivoting orders |diag R| non-increasingly, so the checks read its first and last entries.
-    first, last = abs(float(qr[0, 0])), abs(float(qr[q - 1, q - 1]))
+
+def triangular_condition(rmat: np.ndarray) -> float:
+    """max/min |diag R| of the square upper-triangular ``rmat``, the fit's condition estimate.
+
+    Raises RankDeficientError when the smallest |R_jj| is below RANK_RTOL
+    times the largest, and ValueError when ``rmat`` has fewer rows than columns.
+    """
+    rows, q = rmat.shape
+    if rows < q:
+        raise ValueError(f"need at least as many rows ({rows}) as regressors ({q})")
+    diag = [abs(v) for v in rmat.diagonal().tolist()]
+    first, last = max(diag), min(diag)
     if first <= 0.0 or last < RANK_RTOL * first:
-        diag = np.abs(qr.diagonal()[:q])
-        rank = 0 if first <= 0.0 else int(np.sum(diag >= RANK_RTOL * first))
+        sv = np.linalg.svd(rmat, compute_uv=False)
+        rank = int(np.sum(sv >= RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
         raise RankDeficientError(
-            f"design has effective rank {rank} < {q} (pivot ratio "
+            f"design has effective rank {rank} < {q} (diagonal ratio "
             f"{last / first if first > 0 else 0.0:.2e})"
         )
-
-    p = y.shape[1]
-    qty = lapack.dormqr("L", "T", qr, tau, y, p)[0]
-    coef = np.empty((q, p))
-    coef[jpvt - 1] = lapack.dtrtrs(qr[:q], qty[:q])[0]
-    return LsFit(coef, first / last)
+    return first / last
 
 
 def triangular_factor(*blocks) -> np.ndarray:
     """Upper-triangular factor R of the column-stacked ``blocks``.
 
     The blocks (vectors or 2-d arrays with n rows each) are stacked into
-    an n-by-m block B = Q R, reduced by one unpivoted Householder QR;
-    Q is never formed. Returns R with shape (min(n, m), m). Columns of R
-    have the norms and inner products of the matching columns of B, so
-    ``least_squares`` on column blocks of R gives the coefficients it
-    gives on the columns of B, and with n < m it still sees only n rows.
+    an n-by-m block B = Q R and reduced by Householder QR without
+    pivoting; Q is never formed. Returns R with shape (min(n, m), m).
+    Columns of R have the norms and inner products of the matching
+    columns of B, so ``least_squares`` on column blocks of R gives the
+    coefficients it gives on the columns of B, and with n < m it still
+    sees only n rows. Groups of rows that stay in cache are factored
+    one by one, then their stacked R's.
 
     Raises
     ------
     NonFiniteError
-        If any entry is NaN or infinite; checked before factoring.
+        If any entry is NaN or infinite; each group is checked before it is factored.
     """
-    factored = _householder(blocks)[0]
-    return np.triu(factored[: min(factored.shape)])
+    cols = _columns(blocks)
+    n, m = cols[0].shape[0], sum(c.shape[1] for c in cols)
+    groups = max(1, n // max(GROUP_ROWS, m))
+    bounds = [n * g // groups for g in range(groups + 1)]
+    parts = [_r_factor(_stack(cols, start, stop)) for start, stop in zip(bounds, bounds[1:])]
+    return parts[0] if groups == 1 else _r_factor(np.concatenate(parts))
 
 
-def orthonormal_basis(*blocks) -> np.ndarray:
-    """The Q, Fortran-ordered and (n, min(n, m)), of B = Q ``triangular_factor(*blocks)``."""
-    factored, tau = _householder(blocks)
-    return lapack.dorgqr(factored[:, : min(factored.shape)], tau, overwrite_a=1)[0]
+def orthonormal_basis(rmat: np.ndarray, *blocks) -> np.ndarray:
+    """Q = B R^-1 for the column-stacked ``blocks`` B and R = ``triangular_factor(B)``, square
+    and nonsingular: B = Q R and Q'Q = I up to the rounding unit times the condition number
+    of R with unit-norm columns."""
+    cols = _columns(blocks)
+    qmat, inverse = _stack(cols, 0, cols[0].shape[0]), np.linalg.inv(rmat)
+    for start in range(0, qmat.shape[0], GROUP_ROWS):  # in place, a group of rows at a time
+        qmat[start : start + GROUP_ROWS] = qmat[start : start + GROUP_ROWS] @ inverse
+    return qmat
 
 
-def _householder(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """dgeqrf's reflectors and scalars for the column-stacked ``blocks``."""
+def _columns(blocks) -> list[np.ndarray]:
     cols = [np.asarray(b, dtype=float) for b in blocks]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
-    n = cols[0].shape[0]
-    if n < 1 or any(c.ndim != 2 or c.shape[0] != n for c in cols):
+    if cols[0].shape[0] < 1 or any(c.ndim != 2 or c.shape[0] != cols[0].shape[0] for c in cols):
         raise ValueError("blocks must be nonempty vectors or 2-d arrays with equal row counts")
-    stacked = np.empty((n, sum(c.shape[1] for c in cols)), order="F")
-    start = 0
-    for c in cols:
-        stacked[:, start : start + c.shape[1]] = c
-        start += c.shape[1]
-    if not np.isfinite(stacked).all():
+    return cols
+
+
+def _stack(cols, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop of the column-stacked ``cols``, checked finite, in whole columns."""
+    out = np.empty((stop - start, sum(c.shape[1] for c in cols)), order="F")
+    np.concatenate([c[start:stop] for c in cols], axis=1, out=out)
+    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
         raise NonFiniteError("factored block contains non-finite entries")
-    return lapack.dgeqrf(stacked, overwrite_a=1)[:2]
+    return out
+
+
+def _r_factor(block: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(block, mode="r")`` bit for bit, with a cached mask for its ``np.triu``."""
+    rows = min(block.shape)
+    factored = np.linalg.qr(block, mode="raw")[0][:, :rows].T  # raw is the transposed factor
+    return np.where(_upper(rows, block.shape[1]), factored, 0.0)
 
 
 def dependent_columns(rmat: np.ndarray) -> np.ndarray:
@@ -172,7 +209,9 @@ def dependent_columns(rmat: np.ndarray) -> np.ndarray:
 
 def bounded_cholesky(gram: np.ndarray) -> np.ndarray | None:
     """U with U'U = ``gram``; None if it does not exist or max/min diag U exceeds GRAM_RATIO_MAX."""
-    chol, info = lapack.dpotrf(gram)
-    if info != 0 or (diag := chol.diagonal()).max() > GRAM_RATIO_MAX * diag.min():
+    try:
+        chol = np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
         return None
-    return chol
+    diag = chol.diagonal().tolist()
+    return None if max(diag) > GRAM_RATIO_MAX * min(diag) else chol

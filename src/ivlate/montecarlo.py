@@ -357,7 +357,8 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
             "register closed-form truths instead"
         )
     xs, p, e, pa, pc, y0m, y1m = _cell_arrays(spec.cells)  # y*m: (cell, type)
-    pn = 1.0 - pa - pc
+    # p_always + p_complier may pass one by rounding; generate then draws no never-taker.
+    pn = np.maximum(1.0 - pa - pc, 0.0)
     tau_cell = y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]
     p_c, cell_given_c, tau_c = _complier_law(spec.cells)
 

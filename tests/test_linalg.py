@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -158,3 +163,34 @@ def test_triangular_factor_checks_finiteness_first():
             linalg.triangular_factor(x, y)
     with pytest.raises(ValueError):
         linalg.triangular_factor(x, np.ones(3))
+
+
+def test_orthonormal_basis_pairs_with_the_factor():
+    """Q = B R^-1 for the R that triangular_factor returns, on one group of rows and on several."""
+    rng = np.random.default_rng(10)
+    for n in (40, 3 * linalg.GROUP_ROWS + 5):
+        x = rng.standard_normal((n, 4)) * np.array([1.0, 1e3, 1e-3, 1.0])
+        y = rng.standard_normal(n)
+        r = linalg.triangular_factor(x, y)
+        q = linalg.orthonormal_basis(r, x, y)
+        block = np.column_stack([x, y])
+        assert np.abs(q @ r - block).max() <= 1e-12 * np.abs(block).max(axis=0).max()
+        assert np.abs(q.T @ q - np.eye(5)).max() <= 1e-12
+
+
+def test_a_tall_block_factored_by_groups_keeps_inner_products():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4 * linalg.GROUP_ROWS + 3, 6)) * np.array([1.0, 1e2, 1e-2, 1.0, 5.0, 1.0])
+    r = linalg.triangular_factor(x)
+    assert r.shape == (6, 6) and np.array_equal(r, np.triu(r))
+    assert np.allclose(r.T @ r, x.T @ x, rtol=1e-12, atol=1e-9)
+
+
+def test_the_package_imports_no_scipy():
+    """Every factorization goes through numpy.linalg, so a process that runs ivlate pays
+    nothing for scipy's import (about 0.3 s, most of an `ivlate estimate` start-up)."""
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ivlate, ivlate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

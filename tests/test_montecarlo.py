@@ -14,6 +14,7 @@ from ivlate.montecarlo import (
     DgpSpec,
     U_ALWAYS,
     U_COMPLIER,
+    U_NEVER,
     dgp_a,
     dgp_b,
     dgp_c,
@@ -87,6 +88,23 @@ def test_invalid_specs_are_rejected():
         from_cells("bad", (DgpCell(x=(1.0,), prob=1.0, e=0.5, p_always=0.6, p_complier=0.5),))
     with pytest.raises(InvalidSpecError):
         generate(dgp_a(), 0, seed=1)
+
+
+def test_type_shares_past_one_by_rounding_leave_no_never_takers():
+    # p_always + p_complier may exceed one by up to 1e-12: the never-taker mass is 0, not negative.
+    cells = (
+        DgpCell(x=(1.0, 0.0), prob=0.5, e=0.5, p_always=0.3, p_complier=0.7 + 5e-13,
+                y0_mean=(0.0, 1.0, 2.0), y1_mean=(0.5, 2.0, 2.5)),
+        DgpCell(x=(1.0, 1.0), prob=0.5, e=0.4, p_always=0.2, p_complier=0.5,
+                y0_mean=(0.0, 0.5, 1.0), y1_mean=(1.0, 1.5, 2.0)),
+    )
+    spec = from_cells("rounded", cells)
+    oracle = oracle_estimands(spec)
+    for name, value in vars(oracle).items():
+        values = list(value.values()) if isinstance(value, dict) else value
+        assert value is None or np.all(np.isfinite(values)), name
+    data, latent = generate(spec, 400, seed=0)
+    assert not np.any((data.x[:, 1] == 0.0) & (latent.u == U_NEVER))
 
 
 def test_ragged_cells_name_the_covariate_dimension():

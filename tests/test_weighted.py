@@ -54,10 +54,10 @@ def outcome(fn, *args):
 
 
 def noise_free(message):
-    """A rank-deficient fit's pivot ratio below RANK_RTOL is rounding noise, which the two
+    """A rank-deficient fit's diagonal ratio below RANK_RTOL is rounding noise, which the two
     paths do not share (both stages are checked, and a second stage can lose rank where the
     block keeps it): keep only that it is below."""
-    ratio = re.search(r"pivot ratio ([0-9.e+-]+)\)", message)
+    ratio = re.search(r"diagonal ratio ([0-9.e+-]+)\)", message)
     if ratio is None or float(ratio.group(1)) >= RANK_RTOL:
         return message
     return message[: ratio.start(1)] + "< RANK_RTOL" + message[ratio.end(1):]
@@ -276,8 +276,8 @@ def test_a_replicate_that_does_not_fall_back_factors_no_n_rows(monkeypatch):
         bootstrap_tags(sample, lambda s, live: evaluate_tags(s, live, fit), tags, b=b, seed=3)
         qrs[b] = (len(factors), len(bases))
         monkeypatch.undo()
-    # The point block, the point IRLS's first step and the resamples' whitening of X; one basis.
-    assert qrs[10] == qrs[30] == (3, 1)
+    # The point block, whose leading X block whitens the point's IRLS and the resamples'; one basis.
+    assert qrs[10] == qrs[30] == (1, 1)
 
 
 def test_functions_without_a_weighted_form_raise():
