@@ -41,7 +41,7 @@ from .errors import (
 )
 from .estimators import Dataset
 from .inference import bootstrap_tags, require_distinct
-from .linalg import dependent_columns, triangular_factor
+from .linalg import dependent_columns
 from .montecarlo import evaluate_tags, named_dgp, pipeline_for, run_study
 from .stratify import regressogram, stratified_late
 
@@ -196,7 +196,9 @@ def cmd_estimate(args) -> int:
     tags = _parse_tags(args.estimators)
     for tag in tags:
         if tag == "beta":
-            raise InvalidSpecError("cmd_estimate reports scalar estimators only")
+            raise InvalidSpecError(f"estimator {tag!r} is a vector: estimate reports scalar estimators only")
+        if args.no_constant and tag in ("++", "x+", "xx"):
+            raise InvalidSpecError(f"estimator {tag!r} needs the constant column that --no-constant drops")
     columns: list[str] = []
     data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
@@ -370,12 +372,12 @@ def _bootstrap_fit(data: Dataset):
 def _require_identifiable(data: Dataset, columns: list[str]) -> None:
     """Raise an IdentificationError naming the column that leaves the sample unidentified: a
     constant ``z``, or the first covariate that is zero or collinear with the constant and
-    earlier covariates, by ``linalg.dependent_columns`` on one factor of X."""
+    earlier covariates, by ``linalg.dependent_columns`` on X's columns of the sample's factor."""
     if data.z.min() == data.z.max():
         raise IdentificationError("column 'z' is constant: both instrument arms are required")
     if data.n < data.k:
-        return  # too few rows: the fits raise the data error
-    dependent = dependent_columns(triangular_factor(data.x))
+        return  # too few rows, and a short diagonal: the fits raise the data error
+    dependent = dependent_columns(data.factor)[: data.k]
     if dependent.any():
         j = int(dependent.argmax())
         names = ["constant"] * data.has_constant + [c for c in columns if c not in ("y", "d", "z")]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import IdentificationError, NoCompliersError, NonFiniteError, NoOverlapCellError
-from .estimators import Dataset, interacted_2sls
+from .estimators import Dataset, _require_constant, interacted_2sls
 
 # Propensities are clipped into [CLIP, 1 - CLIP] to guard the kappa
 # denominators; clip events are counted and surfaced as a warning.
@@ -64,8 +64,8 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
         sample. An array supplies externally computed scores, one per row.
         A weighted sample's logistic fit weighs every step and the deviance
         by its weights; a resample whitens its steps by its point sample's
-        factor of X / 2, and a step that cannot be whitened factors the
-        sqrt(weights)-scaled rows.
+        T, and raises the point's error where that T fails its rank check.
+        A step that cannot be whitened factors the sqrt(weights)-scaled rows.
     start : array-like, optional
         Coefficients the logistic IRLS starts from instead of zero, such
         as the full sample's fit for a bootstrap resample, whitened by the
@@ -81,7 +81,7 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            raw, coef, converged = _irls_logistic(data.z, data.x, start, data.weights, _whitening(data))
+            raw, coef, converged = _irls_logistic(data.z, data.x, _whitening(data), start, data.weights)
         elif spec == "saturated":
             if data.weights is not None:
                 raise ValueError("the saturated propensity takes no weighted sample")
@@ -123,13 +123,10 @@ def _whitening(data: Dataset):
     """(Q', T, T^-1) that whiten the sample's IRLS steps, cached: T is R of sqrt(w) X / 2, the
     factor of the first step from zero (every weight 1/4), half the leading block of the
     sample's factor, and Q = X T^-1. T gets the checks of ``least_squares``, as that step's fit
-    would. A resample takes its point sample's at its drawn rows; None if the point's fails."""
+    would. A resample takes its point sample's at its drawn rows, or raises the point's error."""
     if data.origin is not None:
         point, drawn = data.origin
-        try:
-            qt, tmat, inverse = _whitening(point)
-        except (IdentificationError, ValueError):
-            return None
+        qt, tmat, inverse = _whitening(point)
         return qt.take(drawn, axis=1), tmat, inverse
     if "_whitening" not in data.__dict__:
         tmat = 0.5 * data.factor[: data.k, : data.k]
@@ -139,27 +136,26 @@ def _whitening(data: Dataset):
     return data.__dict__["_whitening"]
 
 
-def _irls_logistic(z, x, start=None, counts=None, whiten=None):
+def _irls_logistic(z, x, whiten, start=None, counts=None):
     """(scores, coefficients, converged) of the IRLS from ``start``, or from zero when
     ``start`` is None or its fit raises an IdentificationError, does not converge or
     reaches the eta clip. A clipped eta marks a (quasi-)separated sample, whose
     likelihood has no maximum, so where its fit stops depends on where it starts.
-    ``counts`` and ``whiten`` go to ``_irls_steps``; rows with no count are not in the sample."""
+    ``whiten`` and ``counts`` go to ``_irls_steps``; rows with no count are not in the sample."""
     if start is not None:
         try:
-            fit = _irls_steps(z, x, np.asarray(start, dtype=float), counts, whiten)
+            fit = _irls_steps(z, x, whiten, np.asarray(start, dtype=float), counts)
         except IdentificationError:
             fit = None
         if fit is not None and fit[2]:
             eta = np.abs(x @ fit[1])
             if (eta if counts is None else eta[counts > 0]).max() < _ETA_BOUND:
                 return fit
-    return _irls_steps(z, x, np.zeros(x.shape[1]), counts, whiten)
+    return _irls_steps(z, x, whiten, np.zeros(x.shape[1]), counts)
 
 
-def _irls_steps(z, x, beta, counts=None, whiten=None):
-    """IRLS from ``beta``, every step whitened by ``whiten`` (see ``_whitening``); without it,
-    the first step factors the rows, and T, its factor of sqrt(w) X, whitens the later ones.
+def _irls_steps(z, x, whiten, beta, counts=None):
+    """IRLS from ``beta``, every step whitened by ``whiten``, the (Q', T, T^-1) of ``_whitening``.
 
     Each step forms one exponential, ex = exp(-eta) at the clipped eta:
     mu = 1 / (1 + ex), and the deviance is 2 sum log1p(exp((1 - 2z) eta))
@@ -169,7 +165,7 @@ def _irls_steps(z, x, beta, counts=None, whiten=None):
 
     With ``counts``, row i enters the weights and deviance counts[i] times.
     A step that ``whiten`` cannot whiten factors the rows scaled by
-    sqrt(counts w), as a first step without ``whiten`` does.
+    sqrt(counts w).
     """
     eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
     ex = np.exp(-eta)
@@ -181,15 +177,11 @@ def _irls_steps(z, x, beta, counts=None, whiten=None):
         w = mu * (1.0 - mu)
         working = eta + (z - mu) / w
         unit_w = w if counts is None else counts * w
-        beta = None if whiten is None else _whitened_step(*whiten, unit_w, working)
+        beta = _whitened_step(*whiten, unit_w, working)
         if beta is None:
             sw = np.sqrt(unit_w)
             rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
             beta = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
-            if whiten is None:  # the fit checked R's rank, so T is invertible
-                tmat = rmat[: x.shape[1], :-1]
-                inverse = np.linalg.inv(tmat)
-                whiten = inverse.T @ x.T, tmat, inverse
         eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
         ex = np.exp(-eta)
         mu = 1.0 / (1.0 + ex)
@@ -259,9 +251,16 @@ def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> np.ndarray:
     Raises NoCompliersError when mean(kappa), the estimated complier
     share, does not exceed PC_FLOOR.
     """
+    kappa = _complier_kappa(data, prop)
+    return (kappa @ data.x[:, list(g_cols)]) / kappa.sum()
+
+
+def _complier_kappa(data: Dataset, prop: PropensityFit) -> np.ndarray:
+    """The sample's kappa weights times its counts; NoCompliersError unless their mean, the
+    estimated complier share, exceeds PC_FLOOR."""
     kappa = data.weighted(kappa_weights(data, prop))
     require_compliers(float(kappa.sum()) / data.size)
-    return (kappa @ data.x[:, list(g_cols)]) / kappa.sum()
+    return kappa
 
 
 def centered_interacted_2sls(
@@ -274,40 +273,34 @@ def centered_interacted_2sls(
     under invertible column transformations, so the leading coefficient
     of the centered fit equals ``beta[0] + mu @ beta[1:]`` of the
     uncentered fit. That value is the LATE estimate and is computed from
-    a single uncentered fit. ``centering`` selects the complier-mean
-    estimator:
+    a single uncentered fit. ``centering`` selects the weights of the
+    complier means mu_k = sum_i w_i x_ik / sum_i w_i:
 
     * "first-stage": method-of-moments weights from the interacted first
-      stage, mu_k = sum_i share_i x_ik / sum_i share_i, where
-      share = X c1[0] is the fitted instrument-arm gap of D (the first
-      stage's response D X_0 is D). The default; its weights are smooth
+      stage, w = share = X c1[0], the fitted instrument-arm gap of D (the
+      first stage's response D X_0 is D). The default; its weights are smooth
       functions of the covariates, which keeps the estimate stable when
       some propensities are extreme. Consistent for the LATE under the
       paper's condition (i), E[Z X | X] linear in X (categorical
       covariates or a randomly assigned instrument), where the share's
       limit weights X as the complier share does; not under (ii) alone.
-    * "kappa": the kappa-weighted means from ``complier_mean``.
+    * "kappa": the kappa weights, as in ``complier_mean``.
       Consistent, given consistent propensities, under (i) or under
       (ii): the interacted outcome model holds for every compliance type.
 
     Either way the complier share implied by the kappa weights must clear
-    the identification floor. "first-stage" also requires mean(share),
-    the complier share its weights divide by, to clear that floor.
+    the identification floor, checked before the centering's name; then
+    mean(w), the complier share the weights divide by, must clear it too.
     """
-    if not data.has_constant:
-        raise ValueError("centered_interacted_2sls requires a dataset with a constant column")
-    if centering == "kappa":
-        mu = complier_mean(data, prop, range(1, data.k))
-    else:
-        require_compliers(float(data.weighted(kappa_weights(data, prop)).sum()) / data.size)
-        if centering != "first-stage":
-            raise ValueError(f"unknown centering {centering!r}")
+    _require_constant(data, "centered_interacted_2sls")
+    kappa = _complier_kappa(data, prop)
+    if centering not in ("first-stage", "kappa"):
+        raise ValueError(f"unknown centering {centering!r}")
     fit = interacted_2sls(data)
-    if centering == "first-stage":
-        share = data.weighted(data.x @ fit.c1[0])
-        total = share.sum()
-        require_compliers(total / data.size)
-        mu = (share @ data.x[:, 1:]) / total
+    weights = kappa if centering == "kappa" else data.weighted(data.x @ fit.c1[0])
+    total = weights.sum()
+    require_compliers(total / data.size)
+    mu = (weights @ data.x[:, 1:]) / total
     return float(fit.beta[0] + mu @ fit.beta[1:])
 
 
@@ -318,8 +311,8 @@ def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:
     with the first factor a kappa-weighted Gram matrix and the complier
     probability estimated by mean(kappa).
     """
-    kappa = data.weighted(kappa_weights(data, prop))
-    pc_hat = require_compliers(float(kappa.sum()) / data.size)
+    kappa = _complier_kappa(data, prop)
+    pc_hat = float(kappa.sum()) / data.size
     gram = (data.x * kappa[:, None]).T @ data.x / kappa.sum()
     moments = data.weighted(data.x * (dkappa_weights(data, prop) * data.y)[:, None])
     rhs = moments.sum(axis=0) / data.size / pc_hat

@@ -15,7 +15,9 @@ X's column 0 the constant, Z and D are column 0 of Z*X and D*X. A
 which give the coefficients of the two n-row regressions. Variants that
 nest select the same columns of the same R, so they agree bit for bit; a
 generalized first stage whose rows are leading Z*X columns then X reads R
-for that reason, and any other one factors its own block.
+for that reason, and any other one on one factor of [R | X | D | Y].
+R's leading X columns also whiten the logistic IRLS and give the CLI's
+covariate rank check, so a sample is factored once.
 A weighted sample factors its block with row i scaled by sqrt(w_i); a
 bootstrap resample with counts reads that R off its point sample's
 factorization instead, where it can.
@@ -200,9 +202,9 @@ def _interact(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v[:, None] * x
 
 
-def _two_stage(rmat: np.ndarray, a: int, k: int, instruments, responses, first: bool = False):
-    """lm(responses ~ X + instruments), then lm(Y ~ X + fitted), on the factor ``rmat`` of
-    [X | A | B | Y] (k, a, any and 1 columns); ``instruments`` index A, ``responses`` B.
+def _two_stage(data: Dataset, instruments, responses, first: bool = False):
+    """lm(responses ~ X + instruments), then lm(Y ~ X + fitted), on the sample's factor R of
+    [X | Z*X | D*X | Y]; ``instruments`` index Z*X, ``responses`` D*X.
 
     The first w rows of R hold W = [X | instruments], the responses and Y in an orthonormal
     basis of W (the columns are factored again unless W leads R): W's own R, so the first
@@ -211,8 +213,9 @@ def _two_stage(rmat: np.ndarray, a: int, k: int, instruments, responses, first: 
     ``first``, else None, its rank still checked) and the second's, rows ordered
     [instruments, X] and [fitted, X]: those of the two n-row fits.
     """
+    k, rmat = data.k, data.factor
     cols = [*range(k), *(k + i for i in instruments)]
-    resp = [k + a + j for j in responses]
+    resp = [2 * k + j for j in responses]
     w = len(cols)
     if cols != list(range(w)):
         rmat = linalg.triangular_factor(rmat[:, [*cols, *resp, -1]])
@@ -230,21 +233,21 @@ def _two_stage(rmat: np.ndarray, a: int, k: int, instruments, responses, first: 
 def additive_2sls(data: Dataset) -> float:
     """Additive 2SLS: lm(D ~ Z + X) then lm(Y ~ Dhat + X); returns the Dhat coefficient."""
     _require_constant(data, "additive_2sls")
-    _, second = _two_stage(data.factor, data.k, data.k, [0], [0])
+    _, second = _two_stage(data, [0], [0])
     return float(second[0, 0])
 
 
 def interacted_2sls(data: Dataset) -> TwoSlsFit:
     """Interacted 2SLS: component-wise lm(D*X ~ Z*X + X) then lm(Y ~ DXhat + X)."""
     k = data.k
-    first, second = _two_stage(data.factor, k, k, range(k), range(k), first=True)
+    first, second = _two_stage(data, range(k), range(k), first=True)
     return TwoSlsFit(second[:k, 0].copy(), second[k:, 0].copy(), first[:k, :].T, first[k:, :].T)
 
 
 def interacted_additive_2sls(data: Dataset) -> float:
     """Interacted first stage, additive second: lm(D ~ Z*X + X) then lm(Y ~ Dhat + X)."""
     _require_constant(data, "interacted_additive_2sls")
-    _, second = _two_stage(data.factor, data.k, data.k, range(data.k), [0])
+    _, second = _two_stage(data, range(data.k), [0])
     return float(second[0, 0])
 
 
@@ -263,7 +266,7 @@ def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarra
         raise ValueError("v_cols contains duplicates")
     if min(cols) < 0 or max(cols) >= data.k:
         raise ValueError(f"v_cols out of range for k = {data.k}")
-    _, second = _two_stage(data.factor, data.k, data.k, cols, cols)
+    _, second = _two_stage(data, cols, cols)
     return second[: len(cols), 0].copy()
 
 
@@ -274,6 +277,9 @@ def generalized_additive_2sls(
 
     ``first_stage_builder(z_i, x_row)`` must return a fixed-width row of
     finite regressors; no intercept is added, so include one if wanted.
+    Leading Z*X columns then X read the sample's factor, so one or all k of them give
+    ``additive_2sls`` or ``interacted_additive_2sls`` bit for bit; any other R fits
+    both stages on one factor of [R | X | D | Y].
     """
     _require_constant(data, "generalized_additive_2sls")
     if data.weights is not None:
@@ -284,15 +290,9 @@ def generalized_additive_2sls(
         raise ValueError("first_stage_builder must return fixed-width 1-d rows")
     r = np.vstack(rows)
     k, a = data.k, r.shape[1] - data.k
-    # Rows ending with the covariate row make lm(D ~ R) an instrument + X first stage.
-    if a > 0 and np.array_equal(r[:, a:], data.x):
-        if a <= k and np.array_equal(r[:, :a], _interact(data.z, data.x[:, :a])):
-            rmat, width = data.factor, k  # leading Z*X columns
-        else:
-            rmat, width = linalg.triangular_factor(data.x, r[:, :a], data.d, data.y), a
-        _, second = _two_stage(rmat, width, k, range(a), [0])
+    if 0 < a <= k and np.array_equal(r, np.column_stack([_interact(data.z, data.x[:, :a]), data.x])):
+        _, second = _two_stage(data, range(a), [0])
         return float(second[0, 0])
-    # A first stage without X: both fits on the columns of one factor of [R | X | D | Y].
     a, rmat = r.shape[1], linalg.triangular_factor(r, data.x, data.d, data.y)
     fitted = rmat[:, :a] @ linalg.least_squares(rmat[:, a + k], rmat[:, :a]).coef
     return float(linalg.least_squares(rmat[:, -1], np.column_stack([fitted, rmat[:, a : a + k]])).coef[0, 0])

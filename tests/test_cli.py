@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _helpers import load_report
+from _helpers import dummy_coded, load_report
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +157,61 @@ def test_simulate_repeated_tag_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["estimate", "--alpha", "1.5"], "--alpha must lie strictly between 0 and 1"),
+        (["stratify", "--k", "3", "--alpha", "0"], "--alpha must lie strictly between 0 and 1"),
+        (["estimate", "--seed", "-1"], "--seed must be non-negative"),
+        (["simulate", "--dgp", "B", "--seed", "1", "--reps", "0"], "--reps must be at least 1"),
+        (["simulate", "--dgp", "B", "--seed", "1", "--n", "0"], "--n must be at least 1"),
+        (["stratify", "--k", "0"], "--k must be at least 1"),
+        (["estimate", "--estimators", ","], "no estimators requested"),
+        (["estimate", "--estimators", "++,beta"],
+         "estimator 'beta' is a vector: estimate reports scalar estimators only"),
+    ],
+    ids=["alpha", "alpha-zero", "seed", "reps", "n", "k", "no-tags", "beta"],
+)
+def test_bad_flag_is_a_config_error_naming_it(tmp_path, capsys, args, message):
+    extra = [] if args[0] == "simulate" else ["--input", export_design_a(tmp_path / "a.csv"), "--b", "10"]
+    out = tmp_path / "out.json"
+    assert main([*args, *extra, "--output", str(out)]) == 1
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def export_dummy_coding(path):
+    """A three-level categorical as a full dummy coding, x1..x3, which spans the constant."""
+    data, _ = dummy_coded(8, n=600)
+    rows = np.column_stack([data.y, data.d, data.z, data.x])
+    return write_csv(path, ["y", "d", "z", "x1", "x2", "x3"], rows.tolist())
+
+
+@pytest.mark.parametrize("tag", ["++", "x+", "xx"])
+def test_no_constant_with_a_tag_that_needs_it_is_a_config_error(tmp_path, capsys, tag):
+    path = export_dummy_coding(tmp_path / "dummies.csv")
+    out = tmp_path / "out.json"
+    code = main(["estimate", "--input", path, "--no-constant", "--estimators", f"strat-3,{tag}",
+                 "--b", "10", "--output", str(out)])
+    assert code == 1
+    expected = f"configuration error: estimator {tag!r} needs the constant column that --no-constant drops"
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "stratify"])
+def test_no_constant_runs_on_a_full_dummy_coding(tmp_path, command):
+    path = export_dummy_coding(tmp_path / "dummies.csv")
+    out = tmp_path / "out.json"
+    extra = ["--estimators", "strat-3"] if command == "estimate" else ["--k", "3"]
+    assert main([command, "--input", path, "--no-constant", *extra, "--b", "20", "--seed", "2",
+                 "--output", str(out)]) == 0
+    report = load_report(out)
+    assert report["config"]["no_constant"] is True
+    late = report["results"][0]["point"] if command == "estimate" else report["late"]["estimate"]
+    assert np.isfinite(late)
+
+
 def test_estimate_echoes_header_in_file_order(tmp_path):
     data, _ = generate(dgp_a(), 200, seed=3)
     rows = np.column_stack([data.x[:, 1], data.z, data.y, data.d]).tolist()
@@ -209,6 +264,20 @@ def test_too_few_rows_is_a_data_error_and_one_arm_an_estimation_failure(
     extra = ["--k", "2"] if command == "stratify" else []
     assert main([command, "--input", path, *extra, "--b", "10", "--output", str(tmp_path / "r.json")]) == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "stratify"])
+def test_fewer_rows_than_covariate_columns_is_the_fits_data_error(tmp_path, capsys, command):
+    """With n < k the covariate check has no diagonal to read, so it leaves the fits to
+    raise their row count instead of naming a collinear column."""
+    rows = [[1.0, 1, 1, 0.5, 0.2, 0.3], [0.0, 0, 0, 1.5, 0.1, 0.9]]
+    path = write_csv(tmp_path / "wide.csv", ["y", "d", "z", "x1", "x2", "x3"], rows)
+    extra = ["--k", "1"] if command == "stratify" else []
+    assert main([command, "--input", path, *extra, "--b", "10", "--output", str(tmp_path / "r.json")]) == 2
+    regressors = 5 if command == "estimate" else 4  # the first stage of ++; the IRLS on X
+    expected = f"data error: need at least as many rows (2) as regressors ({regressors})"
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -7,6 +7,7 @@ that equality for the study runner and the CLI bootstrap, and
 count the fits, factorizations and resamples the sharing saves.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -202,3 +203,39 @@ def test_a_changed_sample_gets_its_own_factor(monkeypatch):
     beta_ols = interacted_ols(data).beta
     assert len(calls) == 1  # the interacted OLS fit factors its own sample
     assert not np.allclose(beta_iv, beta_ols)
+
+
+def counting_n_row_factors(monkeypatch, n):
+    """Count ``triangular_factor`` calls on n-row blocks through every binding of the name
+    in the package."""
+    calls = []
+    original = ivlate.linalg.triangular_factor
+
+    def counted(*blocks):
+        if np.shape(blocks[0])[0] == n:
+            calls.append(blocks)
+        return original(*blocks)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ivlate" or name.startswith("ivlate."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["estimate", "--estimators", "++,x+,xx,strat-5"], ["stratify", "--k", "5"]],
+    ids=lambda c: c[0],
+)
+def test_a_cli_run_factors_its_sample_once(tmp_path, monkeypatch, command):
+    """The covariate check, every fit on the sample and its logistic IRLS read one factor."""
+    data, _ = generate(dgp_b(), 600, seed=17)
+    path = tmp_path / "b.csv"
+    np.savetxt(path, np.column_stack([data.y, data.d, data.z, data.x[:, 1:]]), delimiter=",",
+               header="y,d,z,x1,x2", comments="")
+    calls = counting_n_row_factors(monkeypatch, data.n)
+    assert main([*command, "--input", str(path), "--b", "10", "--seed", "4",
+                 "--output", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1

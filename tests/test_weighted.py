@@ -207,7 +207,7 @@ def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
             weighted = data.resample(counts)
             got = evaluate_tags(weighted, [tag])[tag]
             assert len(factors) == int(fell_back)  # only a fallback factors n rows
-            assert [args[3] is not None for args in runs] == ([True] if tag == "xx" else [])  # weighted
+            assert [args[4] is not None for args in runs] == ([True] if tag == "xx" else [])  # weighted
             monkeypatch.undo()
             expected = evaluate_tags(fresh(weighted.rows), [tag])[tag]
             if fell_back:
@@ -247,9 +247,9 @@ def test_a_separated_resample_reruns_its_fit_from_zero():
     runs = []  # (weighted, from zero) of each IRLS run
     original = complier._irls_steps
 
-    def counted(z, x, beta, counts=None, whiten=None):
+    def counted(z, x, whiten, beta, counts=None):
         runs.append((counts is not None, not beta.any()))
-        return original(z, x, beta, counts, whiten)
+        return original(z, x, whiten, beta, counts)
 
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("ignore", RuntimeWarning)
