@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import operator
@@ -67,20 +66,16 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     (with the 1-based file line), and ValueError (with the 1-based data
     row) for bad cells.
 
-    Every cell goes through Python's ``float`` in one pass, and y/x
-    finiteness and binary d and z are checked on whole columns. Only a
-    file that fails a check is walked row by row, so the error names the
-    first bad row and the first check it fails.
+    The file's bytes are read once. A body of plain decimal numbers
+    (``_plain_cells``) is parsed by one ``np.loadtxt`` pass, with the values
+    and failures of Python's ``float``, and checked on whole columns. Any
+    other file, or one that fails a check, is read by ``csv.reader`` and
+    walked row by row, so the error names the first bad row and check.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            raw_header = next(reader, None)
-            rows = list(reader)
-        except csv.Error as exc:
-            raise SchemaError(f"line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise SchemaError(f"line {_undecodable_line(path)}: not valid UTF-8") from None
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    plain = _plain_cells(raw)
+    raw_header, rows = _csv_rows(raw) if plain is None else (plain[0], None)
     if raw_header is None:
         raise SchemaError("empty file: missing header row")
 
@@ -99,53 +94,71 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     if not x_names and not add_constant:
         raise SchemaError("no covariate columns and no constant requested")
 
-    n, width = len(rows), len(names)
-    if n == 0:
-        raise SchemaError("file contains a header but no data rows")
+    width = len(names)
     order = [names.index(name) for name in ("y", "d", "z", *x_names)]
-    columns = None  # y, d, z, x1, ... as strided views of the row-major cells
-    if set(map(len, rows)) == {width}:
-        try:
-            cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, n * width)
-            columns = [cells[j::width] for j in order]
-        except ValueError:
-            pass
-    if columns is None or not (
-        all(np.isfinite(column).all() for column in columns[:1] + columns[3:])
-        and _is_binary(columns[1])
-        and _is_binary(columns[2])
-    ):
+    cells = plain[1][:, order] if plain is not None and plain[1].shape[1] == width else None
+    # Binary d and z are finite, so every cell finite with d and z binary is the column check.
+    if cells is None or not (np.isfinite(cells).all() and np.isin(cells[:, 1:3], (0.0, 1.0)).all()):
+        rows = _csv_rows(raw)[1] if rows is None else rows
+        if not rows:
+            raise SchemaError("file contains a header but no data rows")
         pick = operator.itemgetter(*order)
-        for i, row in enumerate(rows):
-            _check_row(i, row, width, pick)
+        walk = (_check_row(i, row, width, pick) for i, row in enumerate(rows))
+        cells = np.fromiter(walk, (float, width), len(rows))
 
-    y, d, z = (column.copy() for column in columns[:3])
-    x = np.column_stack(([np.ones(n)] if add_constant else []) + columns[3:])
+    y, d, z, *covariates = cells.T  # column views: x and the copies below are C-ordered
+    x = np.column_stack(([np.ones(len(cells))] if add_constant else []) + covariates)
     # Schema and cells are validated above; tiny files still load and echo.
     # Too few rows for the fits or the strata is a data error (exit 2) and a
     # single instrument arm an estimation failure (exit 3), both raised later.
-    return Dataset(y=y, d=d, z=z, x=x, has_constant=add_constant)
+    return Dataset(y=y.copy(), d=d.copy(), z=z.copy(), x=x, has_constant=add_constant)
 
 
-def _undecodable_line(path: str) -> int:
-    """The 1-based line of the first byte of ``path`` that is not UTF-8, found on the raw bytes:
-    the text reader's error offsets skip a byte-order mark and restart with each chunk it decodes."""
-    with open(path, "rb") as handle:
-        raw = handle.read().removeprefix(b"\xef\xbb\xbf")
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+
+
+def _plain_cells(raw: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The header row and the body's cells of ``raw`` when its body is plain decimal numbers that
+    ``np.loadtxt`` reads as one table, else None. Plain: after a leading byte-order mark and CRLF
+    line ends, a non-empty body of ``_PLAIN_BYTES`` only, no empty line, no line longer than the
+    csv field limit, and a header with no quote or CR. ``csv.reader`` reads it to the same rows."""
+    text = raw.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n")
+    head, _, body = text.partition(b"\n")
+    if not body or b'"' in head or b"\r" in head or b"\n\n" in text or body.translate(None, _PLAIN_BYTES):
+        return None
+    line_ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))
+    if np.diff(line_ends, prepend=-1, append=len(text)).max() - 1 > csv.field_size_limit():
+        return None
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raw = raw[: exc.start]
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        # The body is ASCII, so loadtxt's default latin-1 decoding reads it as is.
+        cells = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+        return next(csv.reader([head.decode("utf-8")])), cells
+    except ValueError:  # a token float rejects, ragged rows, or a header that is not UTF-8
+        return None
 
 
-def _is_binary(column: np.ndarray) -> bool:
-    return bool(((column == 0.0) | (column == 1.0)).all())
+def _csv_rows(raw: bytes) -> tuple[list[str] | None, list[list[str]]]:
+    """The header row (None for an empty file) and the data rows of ``raw``, read by
+    ``csv.reader`` as UTF-8 text; reading errors are SchemaErrors naming the file line."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    try:
+        return next(reader, None), list(reader)
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # Its offsets skip a byte-order mark and restart with each chunk: count on the raw bytes.
+        text = raw.removeprefix(b"\xef\xbb\xbf")
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            text = text[: exc.start]
+        line = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise SchemaError(f"line {line}: not valid UTF-8") from None
 
 
-def _check_row(i: int, row: list[str], width: int, pick) -> None:
-    """Raise the ValueError for data row ``i + 1`` at the first check it fails, if any;
-    ``pick`` reorders its cells to y, d, z, x."""
+def _check_row(i: int, row: list[str], width: int, pick) -> list[float]:
+    """The cells of data row ``i + 1`` as floats in y, d, z, x order; ``pick`` reorders its
+    cells so. Raises the ValueError for the row at the first check it fails, if any."""
     if len(row) != width:
         raise ValueError(f"row {i + 1}: expected {width} fields, got {len(row)}")
     try:
@@ -158,6 +171,7 @@ def _check_row(i: int, row: list[str], width: int, pick) -> None:
         raise ValueError(f"row {i + 1}: d must be 0 or 1, got {pick(row)[1]!r}")
     if cells[2] not in (0.0, 1.0):
         raise ValueError(f"row {i + 1}: z must be 0 or 1, got {pick(row)[2]!r}")
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +221,12 @@ def cmd_estimate(args) -> int:
     fit = _bootstrap_fit(data)
     boots = bootstrap_tags(data, lambda sample, live: evaluate_tags(sample, live, fit), tags,
                            b=args.b, alpha=args.alpha, seed=args.seed)
-    results = []
-    failures = {}
-    for tag in tags:
-        boot = boots[tag]
-        results.append(
-            {
-                "estimator": tag,
-                "point": _num(boot.point[0]),
-                "sd": _num(boot.se[0]),
-                "ci": [_num(boot.ci_lower[0]), _num(boot.ci_upper[0])],
-            }
-        )
-        failures[tag] = boot.b_requested - boot.b_effective
+    results = [
+        {"estimator": tag, "point": _num(boot.point[0]), "sd": _num(boot.se[0]),
+         "ci": [_num(boot.ci_lower[0]), _num(boot.ci_upper[0])]}
+        for tag, boot in boots.items()
+    ]
+    failures = {tag: boot.b_requested - boot.b_effective for tag, boot in boots.items()}
 
     report = {
         "command": "estimate",
@@ -251,16 +258,11 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # simulate reads no data: a sample too small for a fit is a bad --n
         raise InvalidSpecError(f"--n {args.n} is too small for these estimators: {exc}") from exc
 
-    results = []
-    for tag in tags:
-        results.append(
-            {
-                "estimator": tag,
-                "truth": [_num(v) for v in summary.truth[tag]],
-                "bias": [_num(v) for v in summary.bias[tag]],
-                "sd": [_num(v) for v in summary.sd[tag]],
-            }
-        )
+    results = [
+        {"estimator": tag, **{key: [_num(v) for v in getattr(summary, key)[tag]]
+                              for key in ("truth", "bias", "sd")}}
+        for tag in tags
+    ]
     report = {
         "command": "simulate",
         "config": {
@@ -301,9 +303,7 @@ def cmd_stratify(args) -> int:
     k_point = point.partition.k
     warnings_list = []
     if k_point < args.k:
-        warnings_list.append(
-            f"merged {args.k} requested strata down to {k_point}"
-        )
+        warnings_list.append(f"merged {args.k} requested strata down to {k_point}")
         print(warnings_list[-1], file=sys.stderr)
 
     def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:

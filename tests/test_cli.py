@@ -94,6 +94,15 @@ def test_over_long_field_is_a_schema_error_naming_the_line(tmp_path):
     assert main(["estimate", "--input", str(path), "--b", "10"]) == 2
 
 
+def test_finite_over_long_field_is_a_schema_error_naming_the_line(tmp_path):
+    # The cell parses to 0.0, so only the field limit rejects it on the plain-number route too.
+    path = tmp_path / "long.csv"
+    path.write_text("y,d,z,x1\n1,0,1,0\n1,0,1,0." + "0" * 131_072 + "1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="^line 3: field larger than field limit"):
+        ingest_csv(str(path))
+    assert main(["estimate", "--input", str(path), "--b", "10"]) == 2
+
+
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 @pytest.mark.parametrize("bad_row", [3, 2000])
@@ -107,6 +116,21 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, capsys, bom, newline,
         ingest_csv(str(path))
     assert main(["estimate", "--input", str(path), "--b", "10"]) == 2
     assert capsys.readouterr().err == f"data error: line {bad_row + 1}: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("command, extra", [("estimate", ["--estimators", "++"]), ("stratify", ["--k", "2"])])
+def test_commands_read_their_csv_through_the_module_global_once(tmp_path, monkeypatch, command, extra):
+    # Tracing wraps ``ivlate.cli.ingest_csv`` there, so each command must look it up there.
+    path = export_design_a(tmp_path / "a.csv")
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return ingest_csv(*args, **kwargs)
+
+    monkeypatch.setattr("ivlate.cli.ingest_csv", spy)
+    assert main([command, "--input", path, "--b", "10", "--output", str(tmp_path / "r.json"), *extra]) == 0
+    assert calls == [(path,)]
 
 
 # ---------------------------------------------------------------------------

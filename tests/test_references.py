@@ -8,9 +8,10 @@ are kept here as references: a column-shifted refit, a dummy design with
 a saturated propensity and a centered fit, and a merge loop that masks
 all units at every check. Random small samples must give the same
 numbers (to 1e-9 relative), partitions, and error classes. CSV ingestion
-parses rows into Python floats and builds its arrays once; the per-row
-numpy loop it replaces must give identical arrays or the same error on
-random small files. The two-stage estimators and the logistic IRLS fit
+parses a plain-number body with one np.loadtxt pass, other files with
+csv.reader and Python floats; the per-row numpy loop it replaces must
+give identical arrays or the same error on random small files, whatever
+their line ends. The two-stage estimators and the logistic IRLS fit
 on the triangular factor of one column-stacked block; the two n-row
 fits per estimator and the n-row weighted IRLS step they replace must
 give the same coefficients (to 1e-9 relative) and the same error
@@ -31,9 +32,11 @@ carry the complier projection to the oracle's interacted limit.
 """
 
 import csv
+import operator
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -45,7 +48,7 @@ import scipy.linalg
 from _helpers import categorical_spec, curved_spec, fwl_design, ref_oracle_estimands, residualize
 from scipy.special import expit
 
-from ivlate import complier, estimators, linalg, stratify
+from ivlate import cli, complier, estimators, linalg, stratify
 from ivlate.cli import ingest_csv
 from ivlate.complier import (
     PC_FLOOR,
@@ -364,8 +367,11 @@ def ref_ingest_csv(path, add_constant=True):
     return Dataset(y=y, d=d, z=z, x=x, has_constant=add_constant)
 
 
-# Cell tokens by kind; "1_0" parses as 10 and padded cells parse.
+# Cell tokens by kind; "1_0" parses as 10 and padded cells parse. Plain numbers
+# (only "0-9.eE+-") take the loadtxt route, overflow and underflow included.
 ODD_NUMBERS = ("-0", "0.0", "1.0", " 1 ", "1 ", " 0", "2", "-1.5", "0.25", "1e3", "1_0", "0_1")
+PLAIN_NUMBERS = ("1e400", "-1e400", "1e-400", "4.9e-324", "-0", ".5", "5.", "+1", "+0", "1e0",
+                 "0.30000000000000004", "-2.2250738858072014e-308", "1.7976931348623157e+308")
 NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity")
 NON_NUMERIC = ("abc", "", " ", "0x1", "--1", "1,5")
 VALID_HEADERS = (
@@ -378,21 +384,33 @@ BAD_HEADERS = (
     ("y", "d", "z", "w1"),
     ("y", "d", "x1"),
     ("y", "d", "z", "x1", "x1"),
+    ("y", "d", "z", "x1", ""),
 )
 
 
 @st.composite
 def csv_files(draw):
     header = draw(st.sampled_from(VALID_HEADERS if draw(st.integers(0, 5)) else BAD_HEADERS))
+    if draw(st.integers(0, 7)) == 0:
+        header = [f'"{name}"' for name in header]
     width = len(header)
+    # Mostly 0/1 cells, so files reach the later checks; half the files have only plain cells.
+    kinds = (PLAIN_NUMBERS,) + (("0", "1"),) * 4
+    if draw(st.booleans()):
+        kinds += (NON_NUMERIC, NON_FINITE, ODD_NUMBERS) + (("0", "1"),) * 4
     rows = []
     for _ in range(draw(st.integers(0, 4))):
         fields = width + draw(st.sampled_from((0,) * 12 + (-1, 1)))
-        # Mostly 0/1 cells, so files reach the later checks.
-        kinds = (NON_NUMERIC, NON_FINITE, ODD_NUMBERS, ODD_NUMBERS) + (("0", "1"),) * 8
-        rows.append([draw(st.sampled_from(draw(st.sampled_from(kinds)))) for _ in range(fields)])
-    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
-    return text, draw(st.booleans())
+        rows.append([
+            repr(draw(st.floats(allow_nan=False, allow_infinity=False))) if draw(st.integers(0, 9)) == 0
+            else draw(st.sampled_from(draw(st.sampled_from(kinds))))
+            for _ in range(fields)
+        ])
+    # Mostly LF line ends, so most files are plain; the last line may lack its end or be blank.
+    eol = draw(st.sampled_from(("\n",) * 4 + ("\r\n", "\r")))
+    end = draw(st.sampled_from((eol,) * 4 + ("", eol * 2)))
+    text = eol.join([",".join(header), *(",".join(row) for row in rows)]) + end
+    return "\ufeff" * draw(st.booleans()) + text, draw(st.booleans())
 
 
 @settings(PROPERTY, max_examples=400)
@@ -407,10 +425,31 @@ def csv_files(draw):
 @example(("y,d,z,x1\n1,0,1,0\n1,0,1,abc\n1,0,1,0\n1,0,1\n", True))
 @example(("y,d,z,x1\n1,0,1,0\n1,2,1,0\n1,0,1,inf\n", True))
 @example(("y,d,z,x1\n" + "1,0,1,0.5\n" * 1999 + "1,0,1,--1\n", True))
+@example(("y,d,z,x1\n0.30000000000000004,1,0,-2.2250738858072014e-308\n1e-400,0,1,4.9e-324\n", True))
+@example(("x1,z,y,d\n-0,1,.5,1\n5.,+1,-0,0\n", False))
+@example(("y,d,z,x1\n1,0,1,0\n1e400,0,1,0\n", True))
+@example(("y,d,z,x1\n1,0,1,0\n1,0,1,-1e400\n", True))
+@example(("y,d,z,x1\n1,0,1,0\n1,1e400,1,0\n", True))
+@example(("y,d,z,x1\r\n1,0,1,-0\r\n0.5,1,0,2\r\n", True))
+@example(("y,d,z,x1\r1,0,1,-0\r0.5,1,0,2\r", True))
+@example(("y,d,z,x1\n1,0,1,-0\r0.5,1,0,2\n", True))
+@example(("y,d,z,x1\n1,0,1,0\n0.5,1,0,2\n\n", True))
+@example(("y,d,z,x1\n\n1,0,1,0\n", True))
+@example(("y,d,z,x1\n1,0,1,0\n0.5,1,0,-0", True))
+@example(("\ufeffy,d,z,x1\n1,0,1,0\n0.5,1,0,-0\n", True))
+@example(("\ufeff\ufeffy,d,z,x1\n1,0,1,0\n", True))
+@example(('"y","d",z,x1\n1,0,1,0\n0.5,1,0,-0\n', True))
+@example(('y,d,z,"x1\n1,0,1,0\n', True))
+@example(("y,d,z,x1\n1,0,1,0,\n", True))
+@example(("y,d,z,x1,\n1,0,1,0,\n", True))
+@example(("y,d,z,x1\n1,0,1,0\n", False))
+@example(("y,d,z,x1\n", True))
+@example(("y,d,z,x1\n\n", True))
+@example(("\n1,0,1,0\n", True))
 def test_ingest_matches_row_by_row_reference(tmp_path_factory, csv_file):
     text, add_constant = csv_file
     path = tmp_path_factory.mktemp("ingest") / "data.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
 
     def load(fn):
         try:
@@ -428,6 +467,26 @@ def test_ingest_matches_row_by_row_reference(tmp_path_factory, csv_file):
         assert a.dtype == b.dtype and a.flags.c_contiguous
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     assert got.has_constant == expected.has_constant
+
+
+def test_plain_file_is_parsed_without_a_csv_reader_over_its_body(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    cells = rng.standard_normal((2000, 3)).tolist()
+    rows = [f"{y!r},{i % 2},{i // 2 % 2},{-x1!r},{x2!r}" for i, (y, x1, x2) in enumerate(cells)]
+    paths = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    for path, eol in zip(paths, ("\n", "\r\n")):
+        path.write_bytes(eol.join(["y,d,z,x1,x2", *rows, ""]).encode("utf-8"))
+    expected = ref_ingest_csv(paths[0])
+    sources = []
+    reader = csv.reader
+    monkeypatch.setattr(cli.csv, "reader", lambda source: sources.append(source) or reader(source))
+    for path in paths:
+        got = ingest_csv(path)
+        for name in ("y", "d", "z", "x"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.flags.c_contiguous and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # The one reader per file is over the header line alone.
+    assert sources == [["y,d,z,x1,x2"], ["y,d,z,x1,x2"]]
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +672,22 @@ def ref_least_squares(responses, regressors):
     return linalg.LsFit(coef, float(diag[0] / diag[-1]))
 
 
+def exact_least_squares(responses, regressors):
+    """The solution of the normal equations X'X b = X'Y in exact rational arithmetic, rounded."""
+    q = regressors.shape[1]
+    columns = [[Fraction(v) for v in column] for column in regressors.T.tolist()]
+    targets = [[Fraction(v) for v in column] for column in responses.T.tolist()]
+    rows = [[sum(map(operator.mul, xj, v)) for v in columns + targets] for xj in columns]
+    for c in range(q):  # Gauss-Jordan elimination
+        pivot = next(r for r in range(c, q) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(q):
+            if r != c:
+                rows[r] = [u - rows[r][c] * v for u, v in zip(rows[r], rows[c])]
+    return np.array([[float(v) for v in row[q:]] for row in rows])
+
+
 def exact_outcome(fn, *args):
     """Return ("ok", value) or ("error", exception class, message)."""
     try:
@@ -650,8 +725,8 @@ def rank_count(message):
 @given(ls_problems())
 def test_least_squares_kernel_matches_scipy_qr_route(problem):
     """The kernel's rank check reads the diagonal of unpivoted R, so its ratio differs from
-    the pivoted route's; the outcome, the error class, the rank an error reports and the fit
-    agree."""
+    the pivoted route's; the outcome, the error class and the rank an error reports agree,
+    and each route's fit is within the least-squares error bound of the exact solution."""
     y, x = problem
     ref, got = exact_outcome(ref_least_squares, y, x), exact_outcome(linalg.least_squares, y, x)
     assert got[0] == ref[0]
@@ -662,13 +737,22 @@ def test_least_squares_kernel_matches_scipy_qr_route(problem):
     q = x.shape[1]
     diag = np.abs(np.diag(np.linalg.qr(np.column_stack([x, y]), mode="r")[:q, :q]))
     assert got.condition_estimate == diag.max() / diag.min()
-    # Errors are on the scale of the responses; a coefficient's is its
-    # error times the magnitude of its design column.
-    bound = 1e-12 * max(1.0, float(np.abs(y).max()))
-    assert np.abs((got.coef - ref.coef) * np.abs(x).max(axis=0)[:, None]).max() <= bound
-    fitted, ref_fitted = x @ got.coef, x @ ref.coef
-    assert np.abs(fitted - ref_fitted).max() <= bound
-    assert np.abs((y - fitted) - (y - ref_fitted)).max() <= bound
+    # Householder QR, pivoted or not, solves with a column-wise backward error of about
+    # eps = 2 (n + q) u. By the perturbation bound for least squares (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Thm 20.1), the error of a response's coefficients
+    # b against the exact b* is then |D (b - b*)| <= eps k (2 |D b*| + (k + 1) |r*| / |A|)
+    # / (1 - eps k), with D the columns' max-abs, A = X / D, k the condition number of A and
+    # r* = Y - X b*. The error is column-wise, so the bound holds whatever the columns' scales.
+    scale = np.abs(x).max(axis=0)
+    design = x / scale
+    kappa = np.linalg.cond(design)
+    eps = (x.shape[0] + q) * np.finfo(float).eps  # 2 (n + q) u
+    exact = exact_least_squares(y, x)
+    residual = np.linalg.norm(y - x @ exact, axis=0) / np.linalg.norm(design, 2)
+    bound = eps * kappa * (2 * np.linalg.norm(exact * scale[:, None], axis=0) + (kappa + 1) * residual)
+    for fit in (got, ref):
+        error = np.linalg.norm((fit.coef - exact) * scale[:, None], axis=0)
+        assert eps * kappa >= 0.5 or (error <= bound / (1 - eps * kappa)).all()
 
 
 # ---------------------------------------------------------------------------
