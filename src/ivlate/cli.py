@@ -121,19 +121,23 @@ def _plain_cells(raw: bytes) -> tuple[list[str], np.ndarray] | None:
     """The header row and the body's cells of ``raw`` when its body is plain decimal numbers that
     ``np.loadtxt`` reads as one table, else None. Plain: after a leading byte-order mark and CRLF
     line ends, a non-empty body of ``_PLAIN_BYTES`` only, no empty line, no line longer than the
-    csv field limit, and a header with no quote or CR. ``csv.reader`` reads it to the same rows."""
+    csv field limit, and a header line with no CR or open quote. ``csv.reader`` reads it to the
+    same rows."""
     text = raw.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n")
     head, _, body = text.partition(b"\n")
-    if not body or b'"' in head or b"\r" in head or b"\n\n" in text or body.translate(None, _PLAIN_BYTES):
+    if not body or b"\r" in head or b"\n\n" in text or body.translate(None, _PLAIN_BYTES):
         return None
     line_ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))
     if np.diff(line_ends, prepend=-1, append=len(text)).max() - 1 > csv.field_size_limit():
         return None
     try:
+        header = next(csv.reader([head.decode("utf-8") + "\n"]))
+        # A field takes in the line end only when its quote is still open: the header goes on.
+        if any("\n" in name for name in header):
+            return None
         # The body is ASCII, so loadtxt's default latin-1 decoding reads it as is.
-        cells = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
-        return next(csv.reader([head.decode("utf-8")])), cells
-    except ValueError:  # a token float rejects, ragged rows, or a header that is not UTF-8
+        return header, np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error):  # a bad token, ragged rows, a header csv or UTF-8 rejects
         return None
 
 
@@ -221,12 +225,19 @@ def cmd_estimate(args) -> int:
     fit = _bootstrap_fit(data)
     boots = bootstrap_tags(data, lambda sample, live: evaluate_tags(sample, live, fit), tags,
                            b=args.b, alpha=args.alpha, seed=args.seed)
-    results = [
-        {"estimator": tag, "point": _num(boot.point[0]), "sd": _num(boot.se[0]),
-         "ci": [_num(boot.ci_lower[0]), _num(boot.ci_upper[0])]}
-        for tag, boot in boots.items()
-    ]
-    failures = {tag: boot.b_requested - boot.b_effective for tag, boot in boots.items()}
+    results = []
+    failures = {}
+    for tag in tags:
+        boot = boots[tag]
+        results.append(
+            {
+                "estimator": tag,
+                "point": _num(boot.point[0]),
+                "sd": _num(boot.se[0]),
+                "ci": [_num(boot.ci_lower[0]), _num(boot.ci_upper[0])],
+            }
+        )
+        failures[tag] = boot.b_requested - boot.b_effective
 
     report = {
         "command": "estimate",
@@ -258,11 +269,16 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # simulate reads no data: a sample too small for a fit is a bad --n
         raise InvalidSpecError(f"--n {args.n} is too small for these estimators: {exc}") from exc
 
-    results = [
-        {"estimator": tag, **{key: [_num(v) for v in getattr(summary, key)[tag]]
-                              for key in ("truth", "bias", "sd")}}
-        for tag in tags
-    ]
+    results = []
+    for tag in tags:
+        results.append(
+            {
+                "estimator": tag,
+                "truth": [_num(v) for v in summary.truth[tag]],
+                "bias": [_num(v) for v in summary.bias[tag]],
+                "sd": [_num(v) for v in summary.sd[tag]],
+            }
+        )
     report = {
         "command": "simulate",
         "config": {
@@ -303,7 +319,9 @@ def cmd_stratify(args) -> int:
     k_point = point.partition.k
     warnings_list = []
     if k_point < args.k:
-        warnings_list.append(f"merged {args.k} requested strata down to {k_point}")
+        warnings_list.append(
+            f"merged {args.k} requested strata down to {k_point}"
+        )
         print(warnings_list[-1], file=sys.stderr)
 
     def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:

@@ -440,6 +440,10 @@ def csv_files(draw):
 @example(("\ufeff\ufeffy,d,z,x1\n1,0,1,0\n", True))
 @example(('"y","d",z,x1\n1,0,1,0\n0.5,1,0,-0\n', True))
 @example(('y,d,z,"x1\n1,0,1,0\n', True))
+@example(('"y","d","z","x1"\r\n1,0,1,0\r\n0.5,1,0,-0\r\n', True))
+@example(('"y","d","z","x1\r\n"\n1,0,1,0\n', True))
+@example(('y,d,z,x"1"\n1,0,1,0\n', True))
+@example(('"y,d",z,x1\n1,0,1\n', True))
 @example(("y,d,z,x1\n1,0,1,0,\n", True))
 @example(("y,d,z,x1,\n1,0,1,0,\n", True))
 @example(("y,d,z,x1\n1,0,1,0\n", False))
@@ -473,9 +477,10 @@ def test_plain_file_is_parsed_without_a_csv_reader_over_its_body(tmp_path, monke
     rng = np.random.default_rng(7)
     cells = rng.standard_normal((2000, 3)).tolist()
     rows = [f"{y!r},{i % 2},{i // 2 % 2},{-x1!r},{x2!r}" for i, (y, x1, x2) in enumerate(cells)]
-    paths = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-    for path, eol in zip(paths, ("\n", "\r\n")):
-        path.write_bytes(eol.join(["y,d,z,x1,x2", *rows, ""]).encode("utf-8"))
+    paths = tmp_path / "lf.csv", tmp_path / "crlf.csv", tmp_path / "quoted.csv"
+    headers = "y,d,z,x1,x2", "y,d,z,x1,x2", '"y","d","z","x1","x2"'
+    for path, eol, header in zip(paths, ("\n", "\r\n", "\n"), headers):
+        path.write_bytes(eol.join([header, *rows, ""]).encode("utf-8"))
     expected = ref_ingest_csv(paths[0])
     sources = []
     reader = csv.reader
@@ -485,8 +490,8 @@ def test_plain_file_is_parsed_without_a_csv_reader_over_its_body(tmp_path, monke
         for name in ("y", "d", "z", "x"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.flags.c_contiguous and a.shape == b.shape and a.tobytes() == b.tobytes()
-    # The one reader per file is over the header line alone.
-    assert sources == [["y,d,z,x1,x2"], ["y,d,z,x1,x2"]]
+    # The one reader per file is over the header line alone, quoted or not.
+    assert sources == [[header + "\n"] for header in headers]
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +758,12 @@ def test_least_squares_kernel_matches_scipy_qr_route(problem):
     for fit in (got, ref):
         error = np.linalg.norm((fit.coef - exact) * scale[:, None], axis=0)
         assert eps * kappa >= 0.5 or (error <= bound / (1 - eps * kappa)).all()
+    # Fitted values and residuals do not carry the condition number: the routes agree on the
+    # scale of the responses.
+    bound = 1e-12 * max(1.0, float(np.abs(y).max()))
+    fitted, ref_fitted = x @ got.coef, x @ ref.coef
+    assert np.abs(fitted - ref_fitted).max() <= bound
+    assert np.abs((y - fitted) - (y - ref_fitted)).max() <= bound
 
 
 # ---------------------------------------------------------------------------
