@@ -39,7 +39,7 @@ from .estimators import (
     partially_interacted_2sls,
     stratum_wald,
 )
-from .inference import BootstrapResult, bootstrap, bootstrap_tags
+from .inference import BootstrapResult, bootstrap
 from .linalg import LsFit, least_squares
 from .montecarlo import (
     DgpCell,
@@ -47,6 +47,7 @@ from .montecarlo import (
     LatentTruth,
     McSummary,
     OracleEstimands,
+    bootstrap_tags,
     dgp_a,
     dgp_b,
     dgp_c,

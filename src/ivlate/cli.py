@@ -7,11 +7,10 @@ float at its shortest round-trip ``repr``; a non-finite value is
 ``null`` in JSON and an empty cell in CSV. Identical configuration and
 seed produce byte-identical output files.
 
-The ``estimate`` and ``stratify`` bootstraps run through
-``inference.bootstrap_tags`` (each resample is the point sample with
-counts). They fit the full sample's logistic propensity once, from zero,
-and start each resample's fit from its coefficients (see
-``complier.fit_propensity``).
+The ``estimate`` bootstrap is ``montecarlo.bootstrap_tags``; ``stratify``
+bootstraps its (tau*, beta*) vector on the same weighted resamples and
+propensity fits: the full sample's logistic fit from zero, each
+resample's from its coefficients.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 estimation failure.
@@ -29,19 +28,11 @@ import sys
 
 import numpy as np
 
-from .complier import PropensityFit, fit_propensity
-from .errors import (
-    IdentificationError,
-    InvalidSpecError,
-    RankDeficientError,
-    SchemaError,
-    TooManyFailuresError,
-    UnpartitionableError,
-)
+from .errors import IdentificationError, InvalidSpecError, RankDeficientError, SchemaError, TooManyFailuresError
 from .estimators import Dataset
-from .inference import bootstrap_tags, require_distinct
+from .inference import _resample_loop, require_distinct
 from .linalg import dependent_columns
-from .montecarlo import evaluate_tags, named_dgp, pipeline_for, run_study
+from .montecarlo import _warm_fit, bootstrap_tags, named_dgp, pipeline_for, run_study
 from .stratify import regressogram, stratified_late
 
 _EXIT_OK = 0
@@ -222,9 +213,7 @@ def cmd_estimate(args) -> int:
     print(f"read {data.n} rows, columns: {','.join(columns)}", file=sys.stderr)
     _require_identifiable(data, columns)
 
-    fit = _bootstrap_fit(data)
-    boots = bootstrap_tags(data, lambda sample, live: evaluate_tags(sample, live, fit), tags,
-                           b=args.b, alpha=args.alpha, seed=args.seed)
+    boots = bootstrap_tags(data, tags, b=args.b, alpha=args.alpha, seed=args.seed)
     results = []
     failures = {}
     for tag in tags:
@@ -314,7 +303,7 @@ def cmd_stratify(args) -> int:
     columns: list[str] = []
     data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
     _require_identifiable(data, columns)
-    fit = _bootstrap_fit(data)
+    fit = _warm_fit(data)
     point = stratified_late(data, fit(data), args.k)
     k_point = point.partition.k
     warnings_list = []
@@ -324,18 +313,15 @@ def cmd_stratify(args) -> int:
         )
         print(warnings_list[-1], file=sys.stderr)
 
+    # A replicate that merges to another stratum count differs in shape: it counts as failed.
     def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
         try:
-            res = point  # the bootstrap evaluates ``data`` itself first
-            if sample is not data:
-                res = stratified_late(sample, fit(sample), args.k)
-                if res.partition.k != k_point:
-                    raise UnpartitionableError("replicate merged to a different stratum count")
+            res = point if sample is data else stratified_late(sample, fit(sample), args.k)
         except IdentificationError as exc:
             return {"": exc}
         return {"": np.concatenate([[res.tau_star], res.beta_star])}
 
-    boot = bootstrap_tags(data, evaluate, [""], b=args.b, alpha=args.alpha, seed=args.seed)[""]
+    boot = _resample_loop(data, evaluate, [""], b=args.b, alpha=args.alpha, seed=args.seed)[""]
 
     strata = [
         {
@@ -370,21 +356,6 @@ def cmd_stratify(args) -> int:
     _emit_report(args, report, ["interval_low", "interval_high", "estimate", "ci_low", "ci_high"], rows)
     print(f"late estimate {report['late']['estimate']!r} ({k_point} strata)", file=sys.stderr)
     return _EXIT_OK
-
-
-def _bootstrap_fit(data: Dataset):
-    """The logistic propensity fit of a bootstrap of ``data``: ``data`` is fitted once, from zero,
-    and every other sample starts from its coefficients (from zero if that fit failed)."""
-    point = []
-
-    def fit(sample: Dataset) -> PropensityFit:
-        if sample is not data:
-            return fit_propensity(sample, "logistic", point[0].coefficients if point else None)
-        if not point:
-            point.append(fit_propensity(data, "logistic"))
-        return point[0]
-
-    return fit
 
 
 def _require_identifiable(data: Dataset, columns: list[str]) -> None:

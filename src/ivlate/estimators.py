@@ -153,11 +153,12 @@ class Dataset:
         non-binary d or z, non-finite entries, a missing constant column,
         fewer than 2k + 2 rows, or an instrument arm with no units.
         """
+        # x is made C-ordered (copied only if it is not): the fits' rounding depends on its layout.
         data = cls(
             y=np.asarray(y, dtype=float).reshape(-1),
             d=np.asarray(d, dtype=float).reshape(-1),
             z=np.asarray(z, dtype=float).reshape(-1),
-            x=np.atleast_2d(np.asarray(x, dtype=float)),
+            x=np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float))),
             has_constant=has_constant,
         )
         data.validate()

@@ -6,9 +6,10 @@ by (seed, replicate), and every estimator bootstrapped together shares the
 draw, so output depends only on the inputs and never on execution order.
 A replicate is the point sample with counts c = bincount(drawn indices):
 a weighted ``Dataset`` of the drawn rows that reads the point sample's
-factors. A user pipeline, which knows nothing of weights, gets its rows.
-Replicates that fail an identification condition are dropped and counted
-rather than retried; retrying would bias the resampling law.
+factors. Only package code sees it; a user pipeline gets its rows.
+Replicates that fail an identification condition, or whose estimate
+changes shape, are dropped and counted rather than retried; retrying
+would bias the resampling law.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ def bootstrap(
 ) -> BootstrapResult:
     """Bootstrap ``pipeline`` over row-resamples of ``data``.
 
-    The one-pipeline case of ``bootstrap_tags``, except that ``pipeline``
-    receives each resample as its rows (``Dataset.rows``), so a package
-    pipeline agrees with its tag's ``bootstrap_tags`` to rounding.
+    ``pipeline`` receives each resample as its rows (``Dataset.rows``); a
+    package pipeline (``pipeline_for``) fits every sample from zero, where
+    ``montecarlo.bootstrap_tags`` warm-starts the resamples' fits.
 
     Parameters
     ----------
@@ -112,7 +113,8 @@ def bootstrap(
     Raises
     ------
     TooManyFailuresError
-        If fewer than half the replicates survive identification checks.
+        If fewer than half the replicates survive identification checks
+        and give an estimate of the point estimate's shape.
     """
 
     def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
@@ -121,18 +123,12 @@ def bootstrap(
         except IdentificationError as exc:
             return {"": exc}
 
-    return bootstrap_tags(data, evaluate, [""], b=b, alpha=alpha, seed=seed)[""]
+    return _resample_loop(data, evaluate, [""], b=b, alpha=alpha, seed=seed)[""]
 
 
-def bootstrap_tags(
-    data: Dataset,
-    evaluate: Callable[[Dataset, list[str]], dict[str, np.ndarray | IdentificationError]],
-    tags: list[str],
-    b: int = 1000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> dict[str, BootstrapResult]:
-    """Bootstrap several estimators over one shared set of row-resamples.
+def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict], tags: list[str],
+                   b: int = 1000, alpha: float = 0.05, seed: int = 0) -> dict[str, BootstrapResult]:
+    """Bootstrap several estimators over one shared set of weighted resamples.
 
     ``evaluate(sample, tags)`` maps a sample to each tag's estimate, or
     to the IdentificationError that tag raised on it, so work shared by
@@ -142,9 +138,9 @@ def bootstrap_tags(
     estimate succeeded. Each tag's result equals a one-tag run.
 
     A resample reaches ``evaluate`` as ``data.resample(counts)``, its
-    drawn rows with their counts as frequency weights; the package's
-    estimators honour them, and an ``evaluate`` that does not must read
-    ``sample.rows``.
+    drawn rows with their counts as frequency weights, so ``evaluate``
+    must weigh by ``sample.weights``. A replicate estimate of another
+    shape than its tag's point estimate counts as a failure.
 
     Returns one BootstrapResult per tag.
 
@@ -155,7 +151,7 @@ def bootstrap_tags(
     IdentificationError, TooManyFailuresError
         Checked per tag in the order of ``tags``: the tag's point
         estimate error first, then fewer than half of its replicates
-        surviving identification checks, reported with the tag's name.
+        surviving, reported with the tag's name.
     Exception
         Any other error a replicate raises aborts the run, named by
         ``run_replicates``; skipping such replicates would bias the
@@ -179,19 +175,19 @@ def bootstrap_tags(
     for tag in tags:
         if isinstance(points[tag], IdentificationError):
             raise points[tag]
-        b_effective = len(draws[tag])
-        if b_effective < b / 2:
+        kept = [estimate for _, estimate in draws[tag] if estimate.shape == points[tag].shape]
+        if len(kept) < b / 2:
             label = f"estimator {tag}: " if tag else ""
             raise TooManyFailuresError(
-                f"{label}only {b_effective} of {b} bootstrap replicates were identified"
+                f"{label}only {len(kept)} of {b} bootstrap replicates were identified"
             )
-        stacked = np.vstack([estimate for _, estimate in draws[tag]])
+        stacked = np.vstack(kept)
         results[tag] = BootstrapResult(
             point=points[tag],
             se=stacked.std(axis=0, ddof=1),
             ci_lower=np.quantile(stacked, alpha / 2.0, axis=0),
             ci_upper=np.quantile(stacked, 1.0 - alpha / 2.0, axis=0),
-            b_effective=b_effective,
+            b_effective=len(kept),
             b_requested=b,
         )
     return results

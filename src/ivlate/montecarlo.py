@@ -25,7 +25,7 @@ from . import streams
 from .complier import PropensityFit, centered_interacted_2sls, expit, fit_propensity
 from .errors import IdentificationError, InfiniteSupportError, InvalidSpecError, NoCompliersError
 from .estimators import Dataset, additive_2sls, interacted_2sls, interacted_additive_2sls
-from .inference import require_distinct, run_replicates
+from .inference import BootstrapResult, _resample_loop, require_distinct, run_replicates
 from .linalg import least_squares
 from .stratify import stratified_late
 
@@ -458,7 +458,7 @@ def evaluate_tags(
     ``fit(data)`` is called on the first request of a tag that needs the
     propensity ("xx", "strat-K") and reused by every later one; "++",
     "x+" and "beta" never call it. The default fits the logistic
-    propensity from zero; a bootstrap can pass a warm-starting fit. If
+    propensity from zero; ``bootstrap_tags`` passes a warm-starting one. If
     the fit fails identification, every tag that needs it gets the same
     error. Returns, per distinct tag, its estimate as a float array or
     the IdentificationError it raised; other exceptions propagate.
@@ -483,6 +483,36 @@ def evaluate_tags(
         except IdentificationError as exc:
             out[tag] = exc
     return out
+
+
+def _warm_fit(data: Dataset) -> Callable[[Dataset], PropensityFit]:
+    """The logistic propensity fit of a bootstrap of ``data``: ``data`` is fitted once, from zero,
+    and every other sample starts from its coefficients (see ``fit_propensity``'s ``start``)."""
+    point = []
+
+    def fit(sample: Dataset) -> PropensityFit:
+        if not point:  # a bootstrap evaluates ``data`` first
+            point.append(fit_propensity(data, "logistic"))
+        return point[0] if sample is data else fit_propensity(sample, "logistic", point[0].coefficients)
+
+    return fit
+
+
+def bootstrap_tags(data: Dataset, tags: list[str], b: int = 1000, alpha: float = 0.05,
+                   seed: int = 0) -> dict[str, BootstrapResult]:
+    """Bootstrap estimator tags (see ``pipeline_for``) over one shared set of resamples.
+
+    Each sample is evaluated by one ``evaluate_tags`` call. The full sample's logistic fit
+    starts from zero and each resample's from its coefficients, which moves scores only
+    within the IRLS tolerance and never changes which resamples fail or converge.
+    Replicate r draws from the stream (seed, r); each tag's result equals a one-tag run.
+    Raises ValueError for b < 10, alpha outside (0, 1), or an unknown or repeated tag;
+    then, per tag in order, its point estimate's IdentificationError, or
+    TooManyFailuresError if fewer than half its replicates are identified.
+    """
+    fit = _warm_fit(data)
+    return _resample_loop(data, lambda sample, live: evaluate_tags(sample, live, fit), tags,
+                          b=b, alpha=alpha, seed=seed)
 
 
 def pipeline_for(tag: str) -> tuple[Callable[[Dataset], np.ndarray], str]:

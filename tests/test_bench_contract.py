@@ -3,8 +3,9 @@
 ``bench/tracing.py`` wraps the functions it names in ``TARGETS`` and reads
 fields of their arguments and results in ``HOOKS``. Deleting or renaming
 one of those would otherwise break only the benchmark. Here a small
-study, one ``estimate`` run and one bootstrap run under its tracer must
-call every hooked function, with no span recording an error. Each
+study, one ``estimate`` run, one ``stratify`` run and one bootstrap run
+under its tracer must call every hooked function, with no span recording
+an error. Each
 workload, run at full size on the reference seeds, must also pass
 ``bench/gate.py`` against ``bench/reference.json``: its gated numbers
 and the fields ``bench/workloads.py`` reads are unchanged.
@@ -47,6 +48,9 @@ def test_every_hook_reads_what_its_function_returns(tmp_path, monkeypatch):
         ivlate.montecarlo.run_study(dgp_b(), ["++", "x+", "xx", "strat-2", "beta"], reps=2, n=400, seed=1)
         args = ["estimate", "--input", str(csv_path), "--estimators", "++,x+,xx,strat-2",
                 "--b", "10", "--output", str(tmp_path / "report.json")]
+        assert ivlate.cli.main(args) == 0
+        args = ["stratify", "--input", str(csv_path), "--k", "3", "--b", "10",
+                "--output", str(tmp_path / "strata.json")]
         assert ivlate.cli.main(args) == 0
         ivlate.inference.bootstrap(simulate_iv(4, n=200), pipeline_for("++")[0], b=10)
 

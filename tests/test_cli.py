@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ivlate.cli import ingest_csv, main
 from ivlate.complier import fit_propensity
 from ivlate.errors import SchemaError
-from ivlate.inference import bootstrap, bootstrap_tags
+from ivlate.inference import _resample_loop, bootstrap
 from ivlate.montecarlo import dgp_a, dgp_b, dgp_c, evaluate_tags, generate
 from ivlate.stratify import regressogram, stratified_late
 
@@ -595,8 +595,8 @@ def counting_fits(monkeypatch, module: str):
 def test_estimate_bootstrap_warm_starts_match_cold_fits(tmp_path, monkeypatch):
     path = export_design_b(tmp_path / "b.csv")
     tags = ["++", "xx", "strat-5"]
-    cold = bootstrap_tags(ingest_csv(path), evaluate_tags, tags, b=40, seed=5)
-    starts = counting_fits(monkeypatch, "ivlate.cli")
+    cold = _resample_loop(ingest_csv(path), evaluate_tags, tags, b=40, seed=5)
+    starts = counting_fits(monkeypatch, "ivlate.montecarlo")
     out = tmp_path / "r.json"
     assert main(["estimate", "--input", path, "--estimators", ",".join(tags), "--b", "40",
                  "--seed", "5", "--output", str(out)]) == 0
@@ -621,7 +621,7 @@ def test_stratify_bootstrap_warm_starts_match_cold_fits(tmp_path, monkeypatch):
         return np.concatenate([[res.tau_star], res.beta_star])
 
     cold = bootstrap(data, cold_pipeline, b=40, seed=5)
-    starts = counting_fits(monkeypatch, "ivlate.cli")
+    starts = counting_fits(monkeypatch, "ivlate.montecarlo")
     out = tmp_path / "s.json"
     assert main(["stratify", "--input", path, "--k", "4", "--b", "40", "--seed", "5",
                  "--output", str(out)]) == 0

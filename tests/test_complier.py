@@ -14,7 +14,8 @@ from ivlate.complier import (
 )
 from ivlate.errors import NoCompliersError, NonFiniteError, NoOverlapCellError
 from ivlate.estimators import Dataset, interacted_2sls
-from ivlate.montecarlo import dgp_a, generate
+from ivlate.montecarlo import dgp_a, dgp_b, generate
+from ivlate.stratify import stratified_late
 
 
 def _supplied(data, values):
@@ -45,6 +46,20 @@ def test_saturated_requires_both_arms_per_cell():
     data = Dataset(y=np.zeros(n), d=z.copy(), z=z, x=x, has_constant=True)
     with pytest.raises(NoOverlapCellError):
         fit_propensity(data, "saturated")
+
+
+def test_fits_do_not_depend_on_the_layout_of_the_covariates():
+    """``Dataset.from_arrays`` stores x C-ordered, so an F-ordered x gives the same bits."""
+    data, _ = generate(dgp_b(), 10_000, seed=0)
+    x = np.ascontiguousarray(data.x)
+    c_ordered = Dataset.from_arrays(data.y, data.d, data.z, x)
+    f_ordered = Dataset.from_arrays(data.y, data.d, data.z, np.asfortranarray(x))
+    assert c_ordered.x is x and f_ordered.x.flags.c_contiguous
+    fits = [fit_propensity(sample, "logistic") for sample in (c_ordered, f_ordered)]
+    assert np.array_equal(fits[0].coefficients, fits[1].coefficients)
+    assert centered_interacted_2sls(c_ordered, fits[0]) == centered_interacted_2sls(f_ordered, fits[1])
+    cuts = [stratified_late(s, fit, 10).partition.boundaries for s, fit in zip((c_ordered, f_ordered), fits)]
+    assert np.array_equal(cuts[0], cuts[1])
 
 
 def test_logistic_slope_near_zero_for_independent_instrument():

@@ -5,8 +5,9 @@ from _helpers import simulate_iv
 import ivlate.complier
 from ivlate.errors import NoCompliersError, RankDeficientError, TooManyFailuresError
 from ivlate.estimators import Dataset
-from ivlate.inference import bootstrap, bootstrap_tags
-from ivlate.montecarlo import pipeline_for
+from ivlate.inference import _resample_loop, bootstrap
+from ivlate.montecarlo import bootstrap_tags, dgp_b, evaluate_tags, generate, pipeline_for
+from ivlate.stratify import stratified_late
 
 
 def mean_pipeline(data):
@@ -134,12 +135,12 @@ def test_multi_tag_errors_are_checked_in_request_order():
         return out
 
     with pytest.raises(TooManyFailuresError, match="estimator resamples-fail: only 0 of 20"):
-        bootstrap_tags(data, evaluate, ["ok", "resamples-fail", "point-fails"], b=20, seed=1)
+        _resample_loop(data, evaluate, ["ok", "resamples-fail", "point-fails"], b=20, seed=1)
     # A tag whose point estimate failed is not evaluated on the resamples.
     assert seen[1:] == [["ok", "resamples-fail"]] * 20
     with pytest.raises(NoCompliersError):
-        bootstrap_tags(data, evaluate, ["ok", "point-fails", "resamples-fail"], b=20, seed=1)
-    results = bootstrap_tags(data, evaluate, ["ok"], b=20, seed=1)
+        _resample_loop(data, evaluate, ["ok", "point-fails", "resamples-fail"], b=20, seed=1)
+    results = _resample_loop(data, evaluate, ["ok"], b=20, seed=1)
     # ``bootstrap`` hands the pipeline the same draws as rows: equal up to summation order.
     assert results["ok"].se == pytest.approx(bootstrap(data, mean_pipeline, b=20, seed=1).se, rel=1e-12)
 
@@ -153,5 +154,43 @@ def test_multi_tag_bootstrap_rejects_a_repeated_tag():
         return {tag: np.array([sample.y.mean()]) for tag in tags}
 
     with pytest.raises(ValueError, match="estimator tag 'b' is repeated"):
-        bootstrap_tags(data, evaluate, ["a", "b", "b"], b=20, seed=1)
+        _resample_loop(data, evaluate, ["a", "b", "b"], b=20, seed=1)
     assert calls == []
+
+
+def strata_pipeline(k, seen):
+    """(tau*, beta*) of ``k`` requested strata, whose length is the delivered stratum count;
+    each estimate is appended to ``seen``."""
+
+    def pipeline(sample):
+        res = stratified_late(sample, ivlate.complier.fit_propensity(sample, "logistic"), k)
+        seen.append(np.concatenate([[res.tau_star], res.beta_star]))
+        return seen[-1]
+
+    return pipeline
+
+
+def test_a_replicate_estimate_of_another_shape_counts_as_a_failure():
+    data = generate(dgp_b(), 60, seed=3)[0]
+    # Most resamples merge 12 requested strata to another count than the point's.
+    with pytest.raises(TooManyFailuresError, match="only 8 of 40"):
+        bootstrap(data, strata_pipeline(12, []), b=40, seed=1)
+    seen = []
+    result = bootstrap(data, strata_pipeline(4, seen), b=40, seed=1)
+    point, draws = seen[0], seen[1:]
+    kept = np.vstack([draw for draw in draws if draw.shape == point.shape])
+    assert len(draws) == 40 and result.b_requested == 40
+    assert 20 <= result.b_effective == len(kept) < 40
+    assert np.array_equal(result.point, point)
+    assert np.array_equal(result.se, kept.std(axis=0, ddof=1))
+    assert np.array_equal(result.ci_lower, np.quantile(kept, 0.025, axis=0))
+    assert np.array_equal(result.ci_upper, np.quantile(kept, 0.975, axis=0))
+
+
+def test_bootstrap_tags_takes_tags_not_an_evaluate():
+    data = simulate_iv(12, n=80)
+    with pytest.raises(TypeError):
+        bootstrap_tags(data, evaluate_tags, ["++"])
+    with pytest.raises(TypeError):
+        bootstrap_tags(data, evaluate_tags, ["++"], b=20)
+    assert set(bootstrap_tags(data, ["++"], b=20)) == {"++"}

@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 
 import ivlate.linalg
 from ivlate import complier, stratify
-from ivlate.cli import _bootstrap_fit
 from ivlate.complier import IRLS_TOL, fit_propensity
 from ivlate.errors import IdentificationError
 from ivlate.estimators import Dataset, generalized_additive_2sls, interacted_2sls
 from ivlate.linalg import RANK_RTOL
-from ivlate.inference import bootstrap_tags
-from ivlate.montecarlo import evaluate_tags
+from ivlate.montecarlo import bootstrap_tags, evaluate_tags
 from ivlate.stratify import partition_by_propensity, stratified_late
 
 PROPERTY = settings(
@@ -272,8 +270,7 @@ def test_a_replicate_that_does_not_fall_back_factors_no_n_rows(monkeypatch):
         factors = counting(monkeypatch, "triangular_factor")
         bases = counting(monkeypatch, "orthonormal_basis")
         sample = Dataset(data.y, data.d, data.z, data.x)
-        fit = _bootstrap_fit(sample)
-        bootstrap_tags(sample, lambda s, live: evaluate_tags(s, live, fit), tags, b=b, seed=3)
+        bootstrap_tags(sample, tags, b=b, seed=3)
         qrs[b] = (len(factors), len(bases))
         monkeypatch.undo()
     # The point block, whose leading X block whitens the point's IRLS and the resamples'; one basis.
