@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import operator
@@ -60,8 +61,10 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
     The file's bytes are read once. A body of plain decimal numbers
     (``_plain_cells``) is parsed by one ``np.loadtxt`` pass, with the values
     and failures of Python's ``float``, and checked on whole columns. Any
-    other file, or one that fails a check, is read by ``csv.reader`` and
-    walked row by row, so the error names the first bad row and check.
+    other file is read by ``csv.reader``, its widths checked and its cells
+    parsed by one ``float`` pass, and checked on whole columns too. A file
+    that fails a check is walked row by row, so the error names the first
+    bad row and check.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -87,17 +90,18 @@ def ingest_csv(path: str, add_constant: bool = True, header: list[str] | None = 
 
     width = len(names)
     order = [names.index(name) for name in ("y", "d", "z", *x_names)]
-    cells = plain[1][:, order] if plain is not None and plain[1].shape[1] == width else None
+    if plain is None and not rows:
+        raise SchemaError("file contains a header but no data rows")
+    cells = _float_cells(rows, width) if plain is None else plain[1]
     # Binary d and z are finite, so every cell finite with d and z binary is the column check.
-    if cells is None or not (np.isfinite(cells).all() and np.isin(cells[:, 1:3], (0.0, 1.0)).all()):
-        rows = _csv_rows(raw)[1] if rows is None else rows
-        if not rows:
-            raise SchemaError("file contains a header but no data rows")
+    if cells is None or cells.shape[1] != width or not (
+        np.isfinite(cells).all() and np.isin(cells[:, order[1:3]], (0.0, 1.0)).all()
+    ):
         pick = operator.itemgetter(*order)
-        walk = (_check_row(i, row, width, pick) for i, row in enumerate(rows))
-        cells = np.fromiter(walk, (float, width), len(rows))
+        for i, row in enumerate(_csv_rows(raw)[1] if rows is None else rows):
+            _check_row(i, row, width, pick)
 
-    y, d, z, *covariates = cells.T  # column views: x and the copies below are C-ordered
+    y, d, z, *covariates = cells[:, order].T  # column views: x and the copies below are C-ordered
     x = np.column_stack(([np.ones(len(cells))] if add_constant else []) + covariates)
     # Schema and cells are validated above; tiny files still load and echo.
     # Too few rows for the fits or the strata is a data error (exit 2) and a
@@ -151,9 +155,21 @@ def _csv_rows(raw: bytes) -> tuple[list[str] | None, list[list[str]]]:
         raise SchemaError(f"line {line}: not valid UTF-8") from None
 
 
-def _check_row(i: int, row: list[str], width: int, pick) -> list[float]:
-    """The cells of data row ``i + 1`` as floats in y, d, z, x order; ``pick`` reorders its
-    cells so. Raises the ValueError for the row at the first check it fails, if any."""
+def _float_cells(rows: list[list[str]], width: int) -> np.ndarray | None:
+    """The cells of ``rows`` as floats, one row each, by one ``float`` pass; None when a row
+    is not ``width`` cells long or a cell is not a number."""
+    if any(len(row) != width for row in rows):
+        return None
+    try:
+        cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, len(rows) * width)
+    except ValueError:
+        return None
+    return cells.reshape(len(rows), width)
+
+
+def _check_row(i: int, row: list[str], width: int, pick) -> None:
+    """Raise the ValueError for data row ``i + 1`` at the first check it fails, if any;
+    ``pick`` puts its cells in y, d, z, x order."""
     if len(row) != width:
         raise ValueError(f"row {i + 1}: expected {width} fields, got {len(row)}")
     try:
@@ -166,7 +182,6 @@ def _check_row(i: int, row: list[str], width: int, pick) -> list[float]:
         raise ValueError(f"row {i + 1}: d must be 0 or 1, got {pick(row)[1]!r}")
     if cells[2] not in (0.0, 1.0):
         raise ValueError(f"row {i + 1}: z must be 0 or 1, got {pick(row)[2]!r}")
-    return cells
 
 
 # ---------------------------------------------------------------------------

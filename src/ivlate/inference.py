@@ -28,8 +28,11 @@ from .streams import RESAMPLE, substream
 class BootstrapResult:
     """Point estimate with bootstrap spread and percentile interval.
 
-    Percentile intervals may exclude the point estimate in finite
-    samples; no ordering between them is asserted.
+    ``ci_lower`` and ``ci_upper`` are the alpha / 2 and 1 - alpha / 2
+    percentiles of the kept replicates by np.quantile's linear rule,
+    read off one sort (``_sorted_quantile``). Percentile intervals may
+    exclude the point estimate in finite samples; no ordering between
+    them is asserted.
     """
 
     point: np.ndarray
@@ -38,6 +41,22 @@ class BootstrapResult:
     ci_upper: np.ndarray
     b_effective: int
     b_requested: int
+
+
+def _sorted_quantile(ordered: np.ndarray, q) -> np.ndarray:
+    """np.quantile(a, q, axis=0) by its linear rule, bit for bit, from ``ordered`` =
+    np.sort(a, axis=0): virtual index (n - 1) q, lerp with its t >= 1/2 branch, the last
+    value from an index at or past n - 1, and a column's NaN wherever it holds one."""
+    index = (len(ordered) - 1) * np.asarray(q, dtype=float)
+    last = index >= len(ordered) - 1
+    at = np.where(last, -1.0, np.floor(index))
+    # t broadcasts over the trailing axes; it is index + 1 at the last value, as in numpy.
+    t = (index - at).reshape(index.shape + (1,) * (ordered.ndim - 1))
+    lo = at.astype(np.intp)
+    below, above = ordered[lo], ordered[np.where(last, -1, lo + 1)]
+    diff = above - below
+    cuts = np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)
+    return np.where(np.isnan(ordered[-1]), ordered[-1], cuts)
 
 
 def require_distinct(tags) -> None:
@@ -140,9 +159,12 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
     A resample reaches ``evaluate`` as ``data.resample(counts)``, its
     drawn rows with their counts as frequency weights, so ``evaluate``
     must weigh by ``sample.weights``. A replicate estimate of another
-    shape than its tag's point estimate counts as a failure.
+    shape than its tag's point estimate counts as a failure; the error
+    for too few survivors names those apart from the unidentified ones.
 
-    Returns one BootstrapResult per tag.
+    Returns one BootstrapResult per tag: the spread of its kept
+    replicates in replicate order, and both interval bounds read off
+    one sort of them by ``_sorted_quantile``.
 
     Raises
     ------
@@ -178,15 +200,19 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
         kept = [estimate for _, estimate in draws[tag] if estimate.shape == points[tag].shape]
         if len(kept) < b / 2:
             label = f"estimator {tag}: " if tag else ""
+            reshaped = len(draws[tag]) - len(kept)
             raise TooManyFailuresError(
                 f"{label}only {len(kept)} of {b} bootstrap replicates were identified"
+                + (f"; {reshaped} more gave an estimate of another shape, as when strata merge to "
+                   "another count" if reshaped else "")
             )
         stacked = np.vstack(kept)
+        ci_lower, ci_upper = _sorted_quantile(np.sort(stacked, axis=0), [alpha / 2.0, 1.0 - alpha / 2.0])
         results[tag] = BootstrapResult(
             point=points[tag],
             se=stacked.std(axis=0, ddof=1),
-            ci_lower=np.quantile(stacked, alpha / 2.0, axis=0),
-            ci_upper=np.quantile(stacked, 1.0 - alpha / 2.0, axis=0),
+            ci_lower=ci_lower,
+            ci_upper=ci_upper,
             b_effective=len(kept),
             b_requested=b,
         )

@@ -24,6 +24,7 @@ import numpy as np
 from .complier import PropensityFit, require_compliers
 from .errors import UnpartitionableError
 from .estimators import Dataset, _arm_moments
+from .inference import _sorted_quantile
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,11 @@ class StratifiedResult:
 
 
 def _quantile_bins(e, k, counts=None):
-    """Cuts np.quantile(e, j / k), 0 < j < k, by its linear rule on one sort (lerp's t >= 1/2
-    branch included), and each unit's count of cuts below it, as searchsorted(side="left").
-    With ``counts``, the cuts are those of the scores repeated by their counts."""
-    scores = np.sort(e if counts is None else np.repeat(e, counts))
-    index = (len(scores) - 1) * (np.arange(1, k) / k)
-    at, t = index.astype(np.intp), index % 1.0
-    below, above = scores[[at, at + 1]]
-    cuts = np.where(t >= 0.5, above - (above - below) * (1 - t), below + (above - below) * t)
-    return cuts, (e > cuts[:, None]).sum(axis=0)
+    """Cuts np.quantile(e, j / k), 0 < j < k, read off one sort by ``_sorted_quantile``, the
+    bootstrap intervals' rule, and each unit's count of cuts below it by searchsorted (the
+    cuts ascend). With ``counts``, the cuts are those of the scores repeated by their counts."""
+    cuts = _sorted_quantile(np.sort(e if counts is None else np.repeat(e, counts)), np.arange(1, k) / k)
+    return cuts, np.searchsorted(cuts, e)
 
 
 def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition:

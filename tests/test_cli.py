@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from _helpers import dummy_coded, load_report
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ivlate
 from ivlate.cli import ingest_csv, main
 from ivlate.complier import fit_propensity
 from ivlate.errors import SchemaError
@@ -578,6 +583,34 @@ def export_design_b(path, n=600, seed=2):
     data, _ = generate(dgp_b(), n, seed=seed)
     rows = np.column_stack([data.y, data.d, data.z, data.x[:, 1:]])
     return write_csv(path, ["y", "d", "z", "x1", "x2"], rows.tolist())
+
+
+def test_stratify_failure_counts_replicates_that_merged_apart(tmp_path, capsys):
+    """Replicates that merge to another stratum count than the point's are identified: the
+    failure names them apart from the replicates that failed identification."""
+    path = export_design_b(tmp_path / "b.csv", n=120, seed=0)
+    assert main(["stratify", "--input", path, "--k", "8", "--b", "100", "--seed", "0"]) == 3
+    assert capsys.readouterr().err.endswith(
+        "only 34 of 100 bootstrap replicates were identified; 66 more gave an estimate of another"
+        " shape, as when strata merge to another count\n"
+    )
+
+
+def test_estimate_and_stratify_load_no_numpy_ma(tmp_path):
+    """Intervals and strata cuts are read off one sort, not np.quantile, whose first call
+    imports numpy.ma (about 1 MiB resident). Other tests call np.quantile: a fresh process."""
+    path = export_design_b(tmp_path / "b.csv", n=400, seed=0)
+    src = str(Path(ivlate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    common = ["--b", "10", "--input", path, "--output", str(tmp_path / "r.json")]
+    code = (
+        "import sys; from ivlate.cli import main\n"
+        "for argv in (['estimate', '--estimators', '++,xx,strat-3'], ['stratify', '--k', '3']):\n"
+        f"    assert main(argv + {common!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def counting_fits(monkeypatch, module: str):

@@ -20,7 +20,8 @@ whitened k-by-k Gram; the n-row factor per step they replace must give
 the same convergence flag, errors and messages, scores to 1e-12 and
 coefficients to 1e-9, also on a quasi-separated design whose steps fall
 back to n rows. Partition cutpoints read off one sort must equal
-np.quantile, and their bins np.searchsorted, bit for bit. Finite-support
+np.quantile, and their bins np.searchsorted, bit for bit, as must the
+order statistics of any sorted table, NaN columns included. Finite-support
 designs evaluate their laws on the drawn cell index; the laws that
 recover each unit's cell from its covariate row, which they replace,
 must generate identical samples and latent truths. The oracle's
@@ -48,7 +49,7 @@ import scipy.linalg
 from _helpers import categorical_spec, curved_spec, fwl_design, ref_oracle_estimands, residualize
 from scipy.special import expit
 
-from ivlate import cli, complier, estimators, linalg, stratify
+from ivlate import cli, complier, estimators, inference, linalg, stratify
 from ivlate.cli import ingest_csv
 from ivlate.complier import (
     PC_FLOOR,
@@ -492,6 +493,44 @@ def test_plain_file_is_parsed_without_a_csv_reader_over_its_body(tmp_path, monke
             assert a.flags.c_contiguous and a.shape == b.shape and a.tobytes() == b.tobytes()
     # The one reader per file is over the header line alone, quoted or not.
     assert sources == [[header + "\n"] for header in headers]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{1500: (0, "1e400"), 1800: (2, "2")}, {1500: (2, "2"), 1800: (3, "1e400")},
+     {1500: (3, "1e"), 1800: (1, "2")}, {1500: (None, ""), 1800: (0, "1e400")}],
+    ids=["non-finite", "non-binary", "non-numeric", "short-row"],
+)
+def test_padded_and_quoted_twins_parse_as_the_plain_file(tmp_path, bad):
+    """Padded or quoted cells take the csv route, whose one float pass gives the plain route's
+    arrays bit for bit, and whose row walk on a failed check the plain route's message."""
+    rng = np.random.default_rng(8)
+    rows = [[repr(y), str(i % 2), str(i // 2 % 2), repr(x1)]
+            for i, (y, x1) in enumerate(rng.standard_normal((2000, 2)).tolist())]
+    twins = {"plain": ",{}", "padded": ", {}", "quoted": ',"{}"'}
+
+    def write(name, rows):
+        lines = ["y,d,z,x1", *(row[0] + "".join(twins[name].format(c) for c in row[1:]) for row in rows)]
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    expected = ingest_csv(write("plain", rows))
+    for name in ("padded", "quoted"):
+        got = ingest_csv(write(name, rows))
+        for column in ("y", "d", "z", "x"):
+            a, b = getattr(got, column), getattr(expected, column)
+            assert a.flags.c_contiguous and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for i, (j, cell) in bad.items():
+        rows[i] = rows[i][:-1] if j is None else [*rows[i][:j], cell, *rows[i][j + 1 :]]
+    with pytest.raises(ValueError) as plain:
+        ingest_csv(write("plain", rows))
+    assert str(plain.value).startswith("row 1501: ")
+    # Only a binary column's message echoes its cell, padding included.
+    for name, message in (("padded", str(plain.value).replace("got '2'", "got ' 2'")), ("quoted", str(plain.value))):
+        with pytest.raises(ValueError) as twin:
+            ingest_csv(write(name, rows))
+        assert str(twin.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1185,39 @@ def test_cutpoints_from_one_sort_equal_np_quantile(sample):
     expected = np.quantile(e, np.arange(1, k) / k)
     assert cuts.dtype == expected.dtype and cuts.tobytes() == expected.tobytes()
     assert np.array_equal(bins, np.searchsorted(expected, e, side="left"))
+
+
+@st.composite
+def replicate_tables(draw):
+    """b from 2 replicates of 1 to 3 dimensions, with ties, constant columns or a NaN, and
+    levels q spread over [0, 1] or at its ends. Ties hold no 0.0 beside -0.0: np.quantile's
+    partition may leave either one where they tie, so they agree only as values."""
+    b, dim = draw(st.integers(2, draw(st.sampled_from([3, 12, 400])))), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "ties", "constant", "nan"]))
+    values = rng.standard_normal((b, dim))
+    if kind == "ties":
+        values = np.round(values, draw(st.integers(0, 1))) + 0.0  # -0.0 + 0.0 is 0.0
+    elif kind == "constant":
+        values[:, rng.integers(dim)] = draw(st.sampled_from([0.0, -0.0, 1.5, np.inf]))
+    elif kind == "nan":
+        values[rng.integers(b), rng.integers(dim)] = np.nan
+    ends = (0.0, 5e-324, 1e-3, 0.025, 0.975, 1 - 1e-3, np.nextafter(1.0, 0.0), 1.0)
+    q = draw(st.sampled_from([rng.random(), rng.random(3), *ends]))
+    return values, q
+
+
+@settings(PROPERTY, max_examples=400)
+@given(replicate_tables())
+@example((np.array([[0.0, np.nan], [1.0, 2.0]]), 0.5))
+@example((np.array([[-0.0], [-0.0], [-0.0]]), 1.0))  # numpy's t is n here, so -0.0 reads 0.0
+def test_quantile_from_one_sort_equals_np_quantile(table):
+    values, q = table
+    with np.errstate(invalid="ignore"):  # inf - inf in a constant infinite column
+        got = inference._sorted_quantile(np.sort(values, axis=0), q)
+        expected = np.quantile(values, q, axis=0)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
