@@ -8,9 +8,9 @@ float at its shortest round-trip ``repr``; a non-finite value is
 seed produce byte-identical output files.
 
 The ``estimate`` bootstrap is ``montecarlo.bootstrap_tags``; ``stratify``
-bootstraps its (tau*, beta*) vector on the same weighted resamples and
-propensity fits: the full sample's logistic fit from zero, each
-resample's from its coefficients.
+bootstraps its (tau*, beta*) vector on the same weighted resamples, whose
+logistic propensity fits start from the full sample's (see
+``complier.fit_propensity``).
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 estimation failure.
@@ -29,11 +29,12 @@ import sys
 
 import numpy as np
 
+from .complier import fit_propensity
 from .errors import IdentificationError, InvalidSpecError, RankDeficientError, SchemaError, TooManyFailuresError
 from .estimators import Dataset
 from .inference import _resample_loop, require_distinct
 from .linalg import dependent_columns
-from .montecarlo import _warm_fit, bootstrap_tags, named_dgp, pipeline_for, run_study
+from .montecarlo import bootstrap_tags, named_dgp, pipeline_for, run_study
 from .stratify import regressogram, stratified_late
 
 _EXIT_OK = 0
@@ -318,8 +319,7 @@ def cmd_stratify(args) -> int:
     columns: list[str] = []
     data = ingest_csv(args.input, add_constant=not args.no_constant, header=columns)
     _require_identifiable(data, columns)
-    fit = _warm_fit(data)
-    point = stratified_late(data, fit(data), args.k)
+    point = stratified_late(data, fit_propensity(data, "logistic"), args.k)
     k_point = point.partition.k
     warnings_list = []
     if k_point < args.k:
@@ -331,7 +331,8 @@ def cmd_stratify(args) -> int:
     # A replicate that merges to another stratum count differs in shape: it counts as failed.
     def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
         try:
-            res = point if sample is data else stratified_late(sample, fit(sample), args.k)
+            res = point if sample is data else stratified_late(
+                sample, fit_propensity(sample, "logistic"), args.k)
         except IdentificationError as exc:
             return {"": exc}
         return {"": np.concatenate([[res.tau_star], res.beta_star])}
@@ -386,7 +387,7 @@ def _require_identifiable(data: Dataset, columns: list[str]) -> None:
         j = int(dependent.argmax())
         names = ["constant"] * data.has_constant + [c for c in columns if c not in ("y", "d", "z")]
         earlier = "the constant and earlier covariates" if data.has_constant else "earlier covariates"
-        why = "zero" if j == 0 else f"collinear with {earlier}"
+        why = "zero" if not data.x[:, j].any() else f"collinear with {earlier}"
         raise RankDeficientError(f"column {names[j]!r} is {why}")
 
 

@@ -48,7 +48,7 @@ class PropensityFit:
     n_clipped: int = 0
 
 
-def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
+def fit_propensity(data: Dataset, spec) -> PropensityFit:
     """Estimate the instrument propensity score.
 
     Parameters
@@ -66,14 +66,9 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
         by its weights; a resample whitens its steps by its point sample's
         T, and raises the point's error where that T fails its rank check.
         A step that cannot be whitened factors the sqrt(weights)-scaled rows.
-    start : array-like, optional
-        Coefficients the logistic IRLS starts from instead of zero, such
-        as the full sample's fit for a bootstrap resample, whitened by the
-        same T. If that fit raises an IdentificationError, does not
-        converge, or ends with eta at its clip (a separated sample), it is
-        dropped and the fit reruns from zero. So a start moves the scores
-        only within the IRLS tolerance and never changes which samples
-        fail or converge. Used by "logistic" only.
+        A resample (``Dataset.resample``) starts its IRLS from its point
+        sample's coefficients, or raises the point fit's error; any other
+        sample starts from zero. Each fit is cached on its sample.
 
     Returns
     -------
@@ -81,7 +76,7 @@ def fit_propensity(data: Dataset, spec, start=None) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            raw, coef, converged = _irls_logistic(data.z, data.x, _whitening(data), start, data.weights)
+            raw, coef, converged = _logistic(data)
         elif spec == "saturated":
             if data.weights is not None:
                 raise ValueError("the saturated propensity takes no weighted sample")
@@ -134,6 +129,15 @@ def _whitening(data: Dataset):
         inverse = np.linalg.inv(tmat)
         data.__dict__["_whitening"] = inverse.T @ data.x.T, tmat, inverse
     return data.__dict__["_whitening"]
+
+
+def _logistic(data: Dataset):
+    """(scores, coefficients, converged) of the sample's logistic IRLS, cached: a resample's from
+    its point sample's coefficients (see ``_irls_logistic``), any other sample's from zero."""
+    if "_logistic" not in data.__dict__:
+        start = None if data.origin is None else _logistic(data.origin[0])[1]
+        data.__dict__["_logistic"] = _irls_logistic(data.z, data.x, _whitening(data), start, data.weights)
+    return data.__dict__["_logistic"]
 
 
 def _irls_logistic(z, x, whiten, start=None, counts=None):

@@ -73,8 +73,8 @@ class Dataset:
     x: np.ndarray
     has_constant: bool = True
     weights: np.ndarray | None = None
-    # The unweighted sample whose factors a resample reads, and the index of its rows
-    # there; ``resample`` sets it, and any other sample has None.
+    # The unweighted sample whose factors and logistic fit a resample reads, and the index
+    # of its rows there; ``resample`` sets it, and any other sample has None.
     origin = None
 
     @property

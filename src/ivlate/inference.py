@@ -109,9 +109,9 @@ def bootstrap(
 ) -> BootstrapResult:
     """Bootstrap ``pipeline`` over row-resamples of ``data``.
 
-    ``pipeline`` receives each resample as its rows (``Dataset.rows``); a
-    package pipeline (``pipeline_for``) fits every sample from zero, where
-    ``montecarlo.bootstrap_tags`` warm-starts the resamples' fits.
+    ``pipeline`` receives each resample as its rows (``Dataset.rows``), with no
+    point sample, so a package pipeline (``pipeline_for``) fits them from zero,
+    where ``montecarlo.bootstrap_tags`` starts each resample's fit from the point's.
 
     Parameters
     ----------

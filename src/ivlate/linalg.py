@@ -6,9 +6,10 @@ Q'Y, then one triangular solve. The normal equations would square the
 condition number of the moderately ill-conditioned interacted designs.
 Rank deficiency is always an error, never resolved by a pseudo-inverse:
 downstream identification results presuppose full-rank designs. The
-check reads R's diagonal (|R_jj| is the distance of column j from the
-span of the earlier ones); unpivoted R stops showing the rank after the
-first dependent column, so an error counts it from R's singular values.
+check reads |R_jj|, the distance of column j from the span of the earlier
+ones, against the norm of column j, so no column's scale decides the rank;
+unpivoted R stops showing the rank after the first dependent column, so an
+error counts it from the singular values of R with unit-norm columns.
 
 Chains of fits on one sample (both 2SLS stages of every estimator) reduce
 the column-stacked n-row block to its triangular factor R with
@@ -34,9 +35,9 @@ import numpy as np
 
 from .errors import NonFiniteError, RankDeficientError
 
-# A diagonal entry of R counts as zero below this fraction of the largest
-# one. Categorical dummy designs produce exact zeros plus float noise, so
-# the threshold is far above machine epsilon but far below any real entry.
+# A column of R is dependent where |R_jj| is at most this fraction of the column's norm.
+# Categorical dummy designs produce exact zeros plus float noise, so the threshold is far
+# above machine epsilon but far below any real distance.
 RANK_RTOL = 1e-10
 
 # Fits on U T, U'U = Q'WQ, lose about 1.1e-16 (max/min diag U)^2 relative accuracy: 1e-8 here.
@@ -99,8 +100,7 @@ def least_squares(responses, regressors) -> LsFit:
     Raises
     ------
     RankDeficientError
-        If the smallest |R_jj| of the design is below ``RANK_RTOL`` times
-        the largest.
+        If a column of the design is dependent (see ``dependent_columns``).
     NonFiniteError
         If any input entry is NaN or infinite.
     """
@@ -121,22 +121,23 @@ def least_squares(responses, regressors) -> LsFit:
 def triangular_condition(rmat: np.ndarray) -> float:
     """max/min |diag R| of the square upper-triangular ``rmat``, the fit's condition estimate.
 
-    Raises RankDeficientError when the smallest |R_jj| is below RANK_RTOL
-    times the largest, and ValueError when ``rmat`` has fewer rows than columns.
+    Raises RankDeficientError when a column is dependent (``dependent_columns``),
+    naming the smallest ratio of |R_jj| to its column's norm, and ValueError when
+    ``rmat`` has fewer rows than columns.
     """
     rows, q = rmat.shape
     if rows < q:
         raise ValueError(f"need at least as many rows ({rows}) as regressors ({q})")
     diag = [abs(v) for v in rmat.diagonal().tolist()]
-    first, last = max(diag), min(diag)
-    if first <= 0.0 or last < RANK_RTOL * first:
-        sv = np.linalg.svd(rmat, compute_uv=False)
-        rank = int(np.sum(sv >= RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
-        raise RankDeficientError(
-            f"design has effective rank {rank} < {q} (diagonal ratio "
-            f"{last / first if first > 0 else 0.0:.2e})"
-        )
-    return first / last
+    norms = np.hypot.reduce(rmat, axis=0)  # hypot neither overflows nor underflows
+    for d, norm in zip(diag, norms.tolist()):
+        if d <= RANK_RTOL * norm:
+            unit = rmat / np.where(norms > 0.0, norms, 1.0)
+            sv = np.linalg.svd(unit, compute_uv=False)
+            rank = int(np.sum(sv >= RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
+            ratio = np.abs(unit.diagonal()).min()
+            raise RankDeficientError(f"design has effective rank {rank} < {q} (diagonal ratio {ratio:.2e})")
+    return max(diag) / min(diag)
 
 
 def triangular_factor(*blocks) -> np.ndarray:
@@ -204,7 +205,7 @@ def dependent_columns(rmat: np.ndarray) -> np.ndarray:
     the earlier ones: |R_jj|, its distance from it, is at most RANK_RTOL times its norm."""
     diag = np.zeros(rmat.shape[1])
     diag[: min(rmat.shape)] = np.abs(rmat.diagonal())
-    return diag <= RANK_RTOL * np.linalg.norm(rmat, axis=0)
+    return diag <= RANK_RTOL * np.hypot.reduce(rmat, axis=0)
 
 
 def bounded_cholesky(gram: np.ndarray) -> np.ndarray | None:

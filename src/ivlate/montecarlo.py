@@ -343,6 +343,22 @@ def _complier_law(cells) -> tuple[float, np.ndarray, float]:
     return p_c, cell_given_c, float(cell_given_c @ (y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]))
 
 
+def _atoms(spec: DgpSpec) -> tuple[Dataset, np.ndarray]:
+    """A finite-support design as a weighted sample of its (cell, z, type) atoms, each weighted by
+    its probability, and each atom's instrument propensity. D follows from (z, type); outcomes
+    enter every limit linearly, so Y is the type's outcome mean."""
+    xs, p, e, pa, pc, y0m, y1m = _cell_arrays(spec.cells)  # y*m: (cell, type)
+    # p_always + p_complier may pass one by rounding; generate then draws no never-taker.
+    p_type = np.column_stack([np.maximum(1.0 - pa - pc, 0.0), pc, pa])  # in type-code order
+    atoms = np.meshgrid(np.arange(len(p)), [0.0, 1.0], [U_NEVER, U_COMPLIER, U_ALWAYS], indexing="ij")
+    cell, z, u = (a.ravel() for a in atoms)
+    d = ((u == U_ALWAYS) | ((u == U_COMPLIER) & (z == 1.0))).astype(float)
+    population = Dataset(np.where(d == 1.0, y1m[cell, u], y0m[cell, u]), d, z, xs[cell],
+                         bool(np.all(xs[:, 0] == 1.0)),
+                         p[cell] * np.where(z == 1.0, e[cell], 1.0 - e[cell]) * p_type[cell, u])
+    return population, e[cell]
+
+
 def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     """Compute all population quantities of a finite-support design exactly.
 
@@ -356,9 +372,7 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
             f"design {spec.name!r} has continuous covariate support; "
             "register closed-form truths instead"
         )
-    xs, p, e, pa, pc, y0m, y1m = _cell_arrays(spec.cells)  # y*m: (cell, type)
-    # p_always + p_complier may pass one by rounding; generate then draws no never-taker.
-    pn = np.maximum(1.0 - pa - pc, 0.0)
+    xs, p, e, _, pc, y0m, y1m = _cell_arrays(spec.cells)  # y*m: (cell, type)
     tau_cell = y1m[:, U_COMPLIER] - y0m[:, U_COMPLIER]
     p_c, cell_given_c, tau_c = _complier_law(spec.cells)
 
@@ -374,27 +388,17 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
     plim_taa = float(p @ (w_plus_arr * tau_cell))
     plim_tia = float(p @ (w_times_arr * tau_cell))
 
-    # The design is a weighted sample of (cell, z, type) atoms, each weighted
-    # by its probability. D follows from (z, type); outcomes enter every limit
-    # linearly, so Y is the type's outcome mean. The public estimators on this
-    # sample give their probability limits, floors included (with sum w = 1).
-    atoms = np.meshgrid(np.arange(len(p)), [0.0, 1.0], [U_NEVER, U_COMPLIER, U_ALWAYS], indexing="ij")
-    cell, z, u = (a.ravel() for a in atoms)
-    d = ((u == U_ALWAYS) | ((u == U_COMPLIER) & (z == 1.0))).astype(float)
-    p_type = np.column_stack([pn, pc, pa])  # columns in type-code order, as y0m and y1m
-    population = Dataset(np.where(d == 1.0, y1m[cell, u], y0m[cell, u]), d, z, xs[cell],
-                         bool(np.all(xs[:, 0] == 1.0)),
-                         p[cell] * np.where(z == 1.0, e[cell], 1.0 - e[cell]) * p_type[cell, u])
+    population, e_atoms = _atoms(spec)  # the estimators on it give their limits, floors included
     # ++ and x+ see X only through its span, so a full dummy coding, whose cell
     # rows sum to one, is recoded with its column 0 as the constant.
     spanned = population
     if not population.has_constant and np.all(xs.sum(axis=1) == 1.0):
-        spanned = replace(population, x=np.column_stack([np.ones(cell.size), xs[cell, 1:]]),
+        spanned = replace(population, x=np.column_stack([np.ones(population.n), population.x[:, 1:]]),
                           has_constant=True)
     plim_xx = {"first-stage": None, "kappa": None}
     for centering in plim_xx if population.has_constant else ():
         try:  # at the true e, unclipped
-            plim_xx[centering] = centered_interacted_2sls(population, PropensityFit(e[cell], None, True),
+            plim_xx[centering] = centered_interacted_2sls(population, PropensityFit(e_atoms, None, True),
                                                           centering)
         except NoCompliersError:
             pass
@@ -446,22 +450,16 @@ def _resolve(tag: str) -> tuple[_Estimator, str]:
     raise ValueError(f"unknown estimator tag {tag!r}")
 
 
-def _cold_fit(data: Dataset) -> PropensityFit:
-    return fit_propensity(data, "logistic")
-
-
-def evaluate_tags(
-    data: Dataset, tags, fit: Callable[[Dataset], PropensityFit] = _cold_fit
-) -> dict[str, np.ndarray | IdentificationError]:
+def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
     """Evaluate estimator tags on one sample, sharing one propensity fit.
 
-    ``fit(data)`` is called on the first request of a tag that needs the
-    propensity ("xx", "strat-K") and reused by every later one; "++",
-    "x+" and "beta" never call it. The default fits the logistic
-    propensity from zero; ``bootstrap_tags`` passes a warm-starting one. If
-    the fit fails identification, every tag that needs it gets the same
-    error. Returns, per distinct tag, its estimate as a float array or
-    the IdentificationError it raised; other exceptions propagate.
+    ``fit_propensity(data, "logistic")`` is called on the first request of a
+    tag that needs the propensity ("xx", "strat-K") and reused by every later
+    one; "++", "x+" and "beta" never call it. A bootstrap resample's fit
+    starts from its point sample's (see ``fit_propensity``). If the fit fails
+    identification, every tag that needs it gets the same error. Returns, per
+    distinct tag, its estimate as a float array or the IdentificationError it
+    raised; other exceptions propagate.
     """
     estimators = {tag: _resolve(tag)[0] for tag in tags}
     shared: list[PropensityFit | IdentificationError] = []
@@ -469,7 +467,7 @@ def evaluate_tags(
     def propensity() -> PropensityFit:
         if not shared:
             try:
-                shared.append(fit(data))
+                shared.append(fit_propensity(data, "logistic"))
             except IdentificationError as exc:
                 shared.append(exc)
         if isinstance(shared[0], IdentificationError):
@@ -485,34 +483,18 @@ def evaluate_tags(
     return out
 
 
-def _warm_fit(data: Dataset) -> Callable[[Dataset], PropensityFit]:
-    """The logistic propensity fit of a bootstrap of ``data``: ``data`` is fitted once, from zero,
-    and every other sample starts from its coefficients (see ``fit_propensity``'s ``start``)."""
-    point = []
-
-    def fit(sample: Dataset) -> PropensityFit:
-        if not point:  # a bootstrap evaluates ``data`` first
-            point.append(fit_propensity(data, "logistic"))
-        return point[0] if sample is data else fit_propensity(sample, "logistic", point[0].coefficients)
-
-    return fit
-
-
 def bootstrap_tags(data: Dataset, tags: list[str], b: int = 1000, alpha: float = 0.05,
                    seed: int = 0) -> dict[str, BootstrapResult]:
     """Bootstrap estimator tags (see ``pipeline_for``) over one shared set of resamples.
 
     Each sample is evaluated by one ``evaluate_tags`` call. The full sample's logistic fit
-    starts from zero and each resample's from its coefficients, which moves scores only
-    within the IRLS tolerance and never changes which resamples fail or converge.
+    starts from zero and each resample's from its coefficients (see ``fit_propensity``).
     Replicate r draws from the stream (seed, r); each tag's result equals a one-tag run.
     Raises ValueError for b < 10, alpha outside (0, 1), or an unknown or repeated tag;
     then, per tag in order, its point estimate's IdentificationError, or
     TooManyFailuresError if fewer than half its replicates are identified.
     """
-    fit = _warm_fit(data)
-    return _resample_loop(data, lambda sample, live: evaluate_tags(sample, live, fit), tags,
-                          b=b, alpha=alpha, seed=seed)
+    return _resample_loop(data, evaluate_tags, tags, b=b, alpha=alpha, seed=seed)
 
 
 def pipeline_for(tag: str) -> tuple[Callable[[Dataset], np.ndarray], str]:

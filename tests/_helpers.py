@@ -1,11 +1,13 @@
-"""Shared builders for test datasets and finite-support designs, and the oracle's moment-block reference."""
+"""Shared builders for test datasets and finite-support designs, the oracle's moment-block
+reference, and a logistic propensity fit from a given start."""
 
 import json
 
 import numpy as np
 from scipy.special import expit
 
-from ivlate.complier import PC_FLOOR
+from ivlate import complier
+from ivlate.complier import CLIP, PC_FLOOR, PropensityFit
 from ivlate.estimators import Dataset
 from ivlate.linalg import least_squares
 from ivlate.montecarlo import DgpCell, from_cells
@@ -157,6 +159,16 @@ def ref_oracle_estimands(spec):
     return {"beta_c": beta_c, "plim_beta_2sls": beta, "plim_taa_projection": taa, "plim_tia_projection": tia,
             "plim_xx_first_stage": first_stage, "pi_tilde_coeffs": pi_tilde_coeffs,
             "b1": b1, "b2": b2, "design_gram": c1 @ resid_gram @ c1.T}
+
+
+def warm_fit(sample, start):
+    """The logistic propensity fit of ``sample`` whose IRLS starts from ``start`` (None: from
+    zero), by ``complier._irls_logistic`` with the sample's whitening and weights, its scores
+    clipped into [CLIP, 1 - CLIP] as ``fit_propensity`` clips them, without its warnings."""
+    raw, coef, converged = complier._irls_logistic(sample.z, sample.x, complier._whitening(sample), start,
+                                                   sample.weights)
+    clipped = np.clip(raw, CLIP, 1.0 - CLIP)
+    return PropensityFit(clipped, coef, converged, int(np.sum(sample.weighted(clipped != raw))))
 
 
 def residualize(targets, controls):

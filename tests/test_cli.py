@@ -11,11 +11,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ivlate
+from ivlate import complier
 from ivlate.cli import ingest_csv, main
 from ivlate.complier import fit_propensity
 from ivlate.errors import SchemaError
-from ivlate.inference import _resample_loop, bootstrap
-from ivlate.montecarlo import dgp_a, dgp_b, dgp_c, evaluate_tags, generate
+from ivlate.inference import bootstrap
+from ivlate.montecarlo import dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for
 from ivlate.stratify import regressogram, stratified_late
 
 
@@ -326,18 +327,39 @@ def test_constant_instrument_names_its_column(tmp_path, capsys, command, arm):
 
 
 @pytest.mark.parametrize("command", ["estimate", "stratify"])
-@pytest.mark.parametrize("case, column", [("constant", "x1"), ("duplicate", "x2")])
+@pytest.mark.parametrize("case, column", [("constant", "x1"), ("duplicate", "x2"), ("zero", "x1")])
 def test_collinear_covariate_names_its_column(tmp_path, capsys, command, case, column):
-    x1 = [3.0 if case == "constant" else 0.1 * i for i in range(40)]
+    x1 = [{"constant": 3.0, "zero": 0.0}.get(case, 0.1 * i) for i in range(40)]
     x2 = x1 if case == "duplicate" else [(0.37 * i) % 1.0 for i in range(40)]
     rows = [[float(i), i % 2, (i // 2) % 2, x1[i], x2[i]] for i in range(40)]
     path = write_csv(tmp_path / "collinear.csv", ["y", "d", "z", "x1", "x2"], rows)
     extra = ["--k", "2"] if command == "stratify" else []
     assert main([command, "--input", path, *extra, "--b", "10", "--output", str(tmp_path / "r.json")]) == 3
     err = capsys.readouterr().err
-    expected = f"column '{column}' is collinear with the constant and earlier covariates"
+    why = "zero" if case == "zero" else "collinear with the constant and earlier covariates"
+    expected = f"column '{column}' is {why}"
     assert f"estimation failure: {expected}" in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e10, 1e200])
+def test_a_rescaled_covariate_estimates_as_the_original(tmp_path, scale):
+    """The rank rule judges each column against its own norm, computed without overflow, so
+    no scale of x1 reads as collinear and the report carries the same estimates."""
+    data, _ = generate(dgp_b(), 400, seed=2)
+    reports = []
+    for factor in (1.0, scale):
+        rows = np.column_stack([data.y, data.d, data.z, factor * data.x[:, 1], data.x[:, 2]])
+        path = write_csv(tmp_path / f"{factor}.csv", ["y", "d", "z", "x1", "x2"], rows.tolist())
+        out = tmp_path / f"{factor}.json"
+        assert main(["estimate", "--input", path, "--estimators", "++,x+,xx,strat-3", "--b", "20",
+                     "--output", str(out)]) == 0
+        reports.append(load_report(out))
+    expected, got = reports
+    assert got["failures"] == expected["failures"]
+    for row, ref in zip(got["results"], expected["results"]):
+        for field in ("point", "sd", "ci"):
+            assert row[field] == pytest.approx(ref[field], rel=1e-9, abs=0.0), (row["estimator"], field)
 
 
 def test_estimate_report_is_deterministic_and_parses(tmp_path):
@@ -613,29 +635,38 @@ def test_estimate_and_stratify_load_no_numpy_ma(tmp_path):
     assert out.stdout.strip() == "False"
 
 
-def counting_fits(monkeypatch, module: str):
-    """Record the start of every logistic fit that the named module makes."""
+def counting_starts(monkeypatch):
+    """Record the start of every logistic IRLS run."""
     starts = []
+    original = complier._irls_logistic
 
-    def fit(data, spec, start=None):
+    def run(z, x, whiten, start=None, counts=None):
         starts.append(start)
-        return fit_propensity(data, spec, start)
+        return original(z, x, whiten, start, counts)
 
-    monkeypatch.setattr(f"{module}.fit_propensity", fit)
+    monkeypatch.setattr(complier, "_irls_logistic", run)
     return starts
+
+
+def assert_warm_starts(starts, data, b):
+    """The point sample is fitted once, from zero, and each of the b resamples starts from its
+    coefficients."""
+    assert starts[0] is None and len(starts) == b + 1
+    point = fit_propensity(data, "logistic").coefficients
+    assert all(np.array_equal(start, point) for start in starts[1:])
 
 
 def test_estimate_bootstrap_warm_starts_match_cold_fits(tmp_path, monkeypatch):
     path = export_design_b(tmp_path / "b.csv")
     tags = ["++", "xx", "strat-5"]
-    cold = _resample_loop(ingest_csv(path), evaluate_tags, tags, b=40, seed=5)
-    starts = counting_fits(monkeypatch, "ivlate.montecarlo")
+    # ``bootstrap`` hands each resample's rows to the pipeline, which fits them from zero.
+    cold = {tag: bootstrap(ingest_csv(path), pipeline_for(tag)[0], b=40, seed=5) for tag in tags}
+    starts = counting_starts(monkeypatch)
     out = tmp_path / "r.json"
     assert main(["estimate", "--input", path, "--estimators", ",".join(tags), "--b", "40",
                  "--seed", "5", "--output", str(out)]) == 0
-    # The full sample is fitted once, cold; each resample starts from its coefficients.
-    assert starts[0] is None and len(starts) == 41
-    assert all(np.array_equal(start, starts[1]) for start in starts[1:])
+    monkeypatch.undo()
+    assert_warm_starts(starts, ingest_csv(path), 40)
     report = load_report(out)
     for row in report["results"]:
         boot = cold[row["estimator"]]
@@ -654,11 +685,12 @@ def test_stratify_bootstrap_warm_starts_match_cold_fits(tmp_path, monkeypatch):
         return np.concatenate([[res.tau_star], res.beta_star])
 
     cold = bootstrap(data, cold_pipeline, b=40, seed=5)
-    starts = counting_fits(monkeypatch, "ivlate.montecarlo")
+    starts = counting_starts(monkeypatch)
     out = tmp_path / "s.json"
     assert main(["stratify", "--input", path, "--k", "4", "--b", "40", "--seed", "5",
                  "--output", str(out)]) == 0
-    assert starts[0] is None and len(starts) == 41
+    monkeypatch.undo()
+    assert_warm_starts(starts, ingest_csv(path), 40)
     report = load_report(out)
     assert report["config"]["k_effective"] == 4
     assert report["late"]["estimate"] == cold.point[0]

@@ -29,7 +29,10 @@ regression limits are the estimators' two stages on the factor of a
 design's weighted atoms; the population moment blocks they replace must
 give the same limits to 1e-10 on the bundled, curved and categorical
 designs and on random finite-support designs, and their bias terms must
-carry the complier projection to the oracle's interacted limit.
+carry the complier projection to the oracle's interacted limit; on the
+same atoms at the true propensity, Abadie's kappa weighting must give the
+complier projection (to 1e-10). Scaling one covariate must leave ++, x+,
+xx and strat-K as they are and rescale its beta coefficient (to 1e-9).
 """
 
 import csv
@@ -46,14 +49,15 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
-from _helpers import categorical_spec, curved_spec, fwl_design, ref_oracle_estimands, residualize
+from _helpers import categorical_spec, curved_spec, fwl_design, ref_oracle_estimands, residualize, warm_fit
 from scipy.special import expit
 
-from ivlate import cli, complier, estimators, inference, linalg, stratify
+from ivlate import cli, complier, estimators, inference, linalg, montecarlo, stratify
 from ivlate.cli import ingest_csv
 from ivlate.complier import (
     PC_FLOOR,
     PropensityFit,
+    abadie_beta,
     centered_interacted_2sls,
     complier_mean,
     fit_propensity,
@@ -77,7 +81,16 @@ from ivlate.estimators import (
     partially_interacted_2sls,
     stratum_wald,
 )
-from ivlate.montecarlo import DgpCell, DgpSpec, dgp_a, evaluate_tags, from_cells, generate, oracle_estimands
+from ivlate.montecarlo import (
+    DgpCell,
+    DgpSpec,
+    dgp_a,
+    dgp_b,
+    evaluate_tags,
+    from_cells,
+    generate,
+    oracle_estimands,
+)
 from ivlate.stratify import StratumPartition, partition_by_propensity, stratified_late
 
 PROPERTY = settings(
@@ -974,6 +987,31 @@ def test_two_stage_estimators_are_equivariant(sample, seed):
             assert type(after[tag]) is type(before[tag]), tag
 
 
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(200, 1000), st.integers(1, 2), st.integers(-200, 200))
+@example(0, 1000, 1, 10)
+def test_estimators_are_equivariant_to_the_scale_of_a_covariate(seed, n, column, exponent):
+    """Scaling covariate ``column`` by 10^exponent leaves ++, x+, xx and strat-5 as they are
+    and divides its beta coefficient by the scale: the rank rule judges each column against
+    its own norm, computed without overflow, so no scale reads as rank deficiency (at the
+    example, x1 times 1e10 once gave "effective rank 3 < 6")."""
+    data, _ = generate(dgp_b(), n, seed)
+    scale = 10.0**exponent
+    x = data.x.copy()
+    x[:, column] *= scale
+    tags = ["++", "x+", "xx", "strat-5", "beta"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        before = evaluate_tags(data, tags)
+        after = evaluate_tags(replace(data, x=x), tags)
+    if isinstance(after["beta"], np.ndarray):
+        after["beta"][column] *= scale
+    for tag in tags:
+        assert type(after[tag]) is type(before[tag]), tag
+        if isinstance(before[tag], np.ndarray):
+            assert np.abs(after[tag] - before[tag]).max() <= 1e-9 * np.abs(before[tag]).max(), tag
+
+
 # ---------------------------------------------------------------------------
 # Whitened IRLS steps against an n-row factor per step
 # ---------------------------------------------------------------------------
@@ -1123,7 +1161,7 @@ def test_warm_started_fit_matches_the_cold_fit(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         cold = exact_outcome(fit_propensity, data, "logistic")
-        warm = exact_outcome(fit_propensity, data, "logistic", start)
+        warm = exact_outcome(warm_fit, data, start)
     assert warm[0] == cold[0]
     if cold[0] == "error":
         assert warm == cold
@@ -1134,20 +1172,22 @@ def test_warm_started_fit_matches_the_cold_fit(case):
 
 
 def test_warm_start_whose_first_step_fails_reruns_from_zero():
-    """The start clips eta where |x1| > 0.5, so those units weigh about 1e-13 at the
-    first step, and the column that differs from x1 only where x1 > 1.5 drops below
-    the rank tolerance. From zero every unit weighs 1/4 and the fit succeeds."""
+    """The start puts eta = 40 x1 - 30 at its clip where x1 > 1.5, so those units weigh
+    about 1e-13 at the first step, while units near x1 = 3/4 weigh about 1/4. The column
+    that differs from x1 only where x1 > 1.5 then lies within the rank tolerance of the
+    span of the others, relative to its own norm (about 1e-11). From zero every unit
+    weighs 1/4 and the fit succeeds."""
     rng = np.random.default_rng(3)
     n = 300
     x1 = rng.standard_normal(n)
-    x = np.column_stack([np.ones(n), x1, x1 + 1e-4 * (x1 > 1.5) * rng.standard_normal(n)])
+    x = np.column_stack([np.ones(n), x1, x1 + 1e-5 * (x1 > 1.5) * rng.standard_normal(n)])
     z = (rng.random(n) < expit(0.5 * x1)).astype(float)
-    start = np.array([0.0, 60.0, 0.0])
+    start = np.array([-30.0, 40.0, 0.0])
     with pytest.raises(RankDeficientError):
         complier._irls_steps(z, x, row_whitening(z, x), start)
     data = logistic_data(z, x)
     cold = fit_propensity(data, "logistic")
-    warm = fit_propensity(data, "logistic", start)
+    warm = warm_fit(data, start)
     assert cold.converged and warm.converged
     assert np.array_equal(warm.ehat, cold.ehat) and np.array_equal(warm.coefficients, cold.coefficients)
 
@@ -1321,6 +1361,12 @@ def oracle_designs(draw):
         xs = [tuple(float(j == i) for i in range(levels)) for j in range(levels)]
         if basis == "dummies and constant":
             xs = [(1.0, *x[1:]) for x in xs]
+    return from_cells(basis, random_cells(rng, xs))
+
+
+def random_cells(rng, xs):
+    """Cells at the covariate rows ``xs`` with random probabilities, propensities in
+    [0.05, 0.95], complier shares of at least 0.05 and outcome means in [-3, 3]."""
     probs = rng.uniform(0.05, 1.0, len(xs))
     cells = []
     for x, prob in zip(xs, probs / probs.sum()):
@@ -1330,7 +1376,7 @@ def oracle_designs(draw):
             p_complier=rng.uniform(0.05, 1.0 - p_always),
             y0_mean=tuple(rng.uniform(-3.0, 3.0, 3)), y1_mean=tuple(rng.uniform(-3.0, 3.0, 3)),
         ))
-    return from_cells(basis, cells)
+    return cells
 
 
 @settings(PROPERTY, max_examples=300)
@@ -1348,6 +1394,32 @@ def test_oracle_limits_match_the_population_moment_blocks(spec):
         assert oracle.plim_xx_first_stage is None
     else:
         assert oracle.plim_xx_first_stage == pytest.approx(ref["plim_xx_first_stage"], abs=1e-10)
+
+
+@st.composite
+def planar_designs(draw):
+    """Finite-support designs of 3 to 6 cells at random points of the covariates (1, x1, x2):
+    three near the corners of a unit triangle, so that no design is nearly degenerate, and
+    the rest standard normal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = draw(st.integers(3, 6))
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + rng.uniform(-0.2, 0.2, (3, 2))
+    points = np.concatenate([corners, rng.standard_normal((cells - 3, 2))])
+    xs = [(1.0, *point) for point in points.tolist()]
+    return from_cells("planar", random_cells(rng, xs))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(planar_designs())
+@example(dgp_a())
+def test_abadie_weighting_gives_the_complier_projection_on_the_atoms(spec):
+    """Abadie (2003): at the true propensity, the kappa-weighted projection of Y on X among
+    compliers, with E[dkappa X Y] for the cross moments, is the complier projection of the
+    effect. On the design's weighted atoms the identity holds exactly."""
+    population, e = montecarlo._atoms(spec)
+    beta_c = oracle_estimands(spec).beta_c
+    got = abadie_beta(population, PropensityFit(e, None, True))
+    assert np.abs(got - beta_c).max() <= 1e-10 * np.abs(beta_c).max()
 
 
 @settings(PROPERTY, max_examples=100)

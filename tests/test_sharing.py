@@ -9,10 +9,11 @@ count the fits, factorizations and resamples the sharing saves.
 
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from _helpers import load_report, simulate_iv
+from _helpers import load_report, simulate_iv, warm_fit
 
 import ivlate.inference
 import ivlate.linalg
@@ -114,11 +115,12 @@ def warm_rows_pipeline(data, tag):
     from zero, every other sample from its coefficients."""
     start = fit_propensity(data, "logistic").coefficients
 
-    def fit(sample):
-        return fit_propensity(sample, "logistic", None if sample is data else start)
+    def fit(sample, spec):
+        return fit_propensity(sample, spec) if sample is data else warm_fit(sample, start)
 
     def pipeline(sample):
-        out = evaluate_tags(sample, [tag], fit)[tag]
+        with mock.patch.object(ivlate.montecarlo, "fit_propensity", fit):
+            out = evaluate_tags(sample, [tag])[tag]
         if isinstance(out, IdentificationError):
             raise out
         return out

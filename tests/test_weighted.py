@@ -11,15 +11,16 @@ agree exactly.
 
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from _helpers import dummy_coded, simulate_iv
+from _helpers import dummy_coded, simulate_iv, warm_fit
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ivlate.linalg
-from ivlate import complier, stratify
+from ivlate import complier, montecarlo, stratify
 from ivlate.complier import IRLS_TOL, fit_propensity
 from ivlate.errors import IdentificationError
 from ivlate.estimators import Dataset, generalized_additive_2sls, interacted_2sls
@@ -78,6 +79,14 @@ def assert_same(weighted, rows, rtol=RTOL):
     assert np.abs(got - expected).max() <= rtol * max(1.0, float(np.abs(expected).max()))
 
 
+def fit_fields(fit):
+    """An outcome of a propensity fit with its fields as bytes, to compare bit for bit."""
+    if fit[0] == "error":
+        return fit
+    fields = ("ehat", "coefficients", "converged", "n_clipped")
+    return "ok", *(np.asarray(getattr(fit[1], field)).tobytes() for field in fields)
+
+
 def with_constant_dummies(seed, n, levels):
     """``dummy_coded`` recoded as a constant plus the dummies of levels 1.., so ``++``,
     ``x+`` and ``xx`` apply; dropping a level's units zeroes its column."""
@@ -110,19 +119,23 @@ def test_weighted_resample_equals_its_rows(case):
     weighted = data.resample(counts)
     rows = fresh(weighted.rows)
     assert rows.n == counts.sum() and np.array_equal(rows.y, np.repeat(data.y, counts.astype(int)))
-    start = outcome(fit_propensity, data, "logistic")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for fit in (None, start[1].coefficients if start[0] == "ok" else None):
-            props = [outcome(fit_propensity, s, "logistic", fit) for s in (weighted, rows)]
+        point = outcome(fit_propensity, data, "logistic")
+        start = point[1].coefficients if point[0] == "ok" else None
+        # The resample's own fit starts from the point's coefficients, or raises the point's error.
+        own = fit_fields(outcome(fit_propensity, weighted, "logistic"))
+        assert own == fit_fields(point if start is None else outcome(warm_fit, weighted, start))
+        for fit in (None,) if start is None else (None, start):
+            props = [outcome(warm_fit, s, fit) for s in (weighted, rows)]
             scores = [("ok", prop[1].ehat) if prop[0] == "ok" else prop for prop in props]
             if scores[0][0] == "ok":
                 scores[0] = ("ok", np.repeat(scores[0][1], weighted.weights.astype(int)))
             assert_same(*scores)
             tied = any(prop[0] == "ok" and rounding_ties(prop[1].ehat) for prop in props)
             tags = [tag for tag in TAGS if not (tied and tag.startswith("strat"))]
-            pair = [outcome(evaluate_tags, s, tags, lambda s: fit_propensity(s, "logistic", fit))
-                    for s in (weighted, rows)]
+            with mock.patch.object(montecarlo, "fit_propensity", lambda s, spec: warm_fit(s, fit)):
+                pair = [outcome(evaluate_tags, s, tags) for s in (weighted, rows)]
             for tag in tags:
                 got, expected = (out[1][tag] for out in pair)
                 as_outcome = [("error", type(v), str(v)) if isinstance(v, Exception) else ("ok", v)
@@ -191,23 +204,29 @@ def counting(monkeypatch, name, module=ivlate.linalg):
 
 def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
     """Without cell 1 the resample's dummy for it is zero: the block's reweighted Gram and
-    the propensity fit's whitened Gram are singular, so both factor the √w-scaled rows,
-    the IRLS within its one weighted run (it never refits on the materialised rows)."""
+    the propensity fit's whitened Gram are singular, so both factor the √w-scaled rows, the
+    IRLS within its weighted runs (it never refits on the materialised rows): the run from
+    the point's coefficients fails, and so does its rerun from zero."""
     data, cat = with_constant_dummies(5, n=240, levels=3)
     rng = np.random.default_rng(0)
     kept = np.bincount(rng.choice(np.flatnonzero(cat != 1), data.n), minlength=data.n).astype(float)
     every = np.bincount(rng.integers(0, data.n, data.n), minlength=data.n).astype(float)
-    evaluate_tags(data.resample(every), ["++", "xx"])  # the point's factors come first
+    evaluate_tags(data.resample(every), ["++", "xx"])  # the point's factors and fit come first
+    point = fit_propensity(data, "logistic").coefficients
     for tag in ("++", "beta", "xx"):
         for counts, fell_back in ((every, False), (kept, True)):
             factors = counting(monkeypatch, "triangular_factor")
             runs = counting(monkeypatch, "_irls_steps", complier)
             weighted = data.resample(counts)
             got = evaluate_tags(weighted, [tag])[tag]
-            assert len(factors) == int(fell_back)  # only a fallback factors n rows
-            assert [args[4] is not None for args in runs] == ([True] if tag == "xx" else [])  # weighted
+            irls = [True] + [False] * fell_back if tag == "xx" else []  # from the point's fit
+            assert [args[3] is point for args in runs] == irls
+            assert all(args[4] is not None for args in runs)  # weighted
+            # Only a fallback factors n rows: the block's, or the IRLS's in each of its runs.
+            assert len(factors) == (len(irls) if tag == "xx" else 1) * fell_back
             monkeypatch.undo()
-            expected = evaluate_tags(fresh(weighted.rows), [tag])[tag]
+            with mock.patch.object(montecarlo, "fit_propensity", lambda s, spec: warm_fit(s, point)):
+                expected = evaluate_tags(fresh(weighted.rows), [tag])[tag]
             if fell_back:
                 assert type(got) is type(expected) and str(got) == str(expected)
                 assert isinstance(got, IdentificationError) and "effective rank" in str(got)
@@ -252,10 +271,10 @@ def test_a_separated_resample_reruns_its_fit_from_zero():
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("ignore", RuntimeWarning)
         patch.setattr(complier, "_irls_steps", counted)
-        got = fit_propensity(weighted, "logistic", point.coefficients)
+        got = fit_propensity(weighted, "logistic")
         assert runs == [(True, False), (True, True)]
         runs.clear()
-        expected = fit_propensity(fresh(weighted.rows), "logistic", point.coefficients)
+        expected = warm_fit(fresh(weighted.rows), point.coefficients)
         assert runs == [(False, False), (False, True)]
     assert got.converged == expected.converged and got.n_clipped == expected.n_clipped > 0
     assert_same(("ok", got.coefficients), ("ok", expected.coefficients))
@@ -275,6 +294,35 @@ def test_a_replicate_that_does_not_fall_back_factors_no_n_rows(monkeypatch):
         monkeypatch.undo()
     # The point block, whose leading X block whitens the point's IRLS and the resamples'; one basis.
     assert qrs[10] == qrs[30] == (1, 1)
+
+
+def test_a_resample_fit_is_the_same_before_or_after_its_point_fit(monkeypatch):
+    """A resample's logistic fit starts from its point sample's, which is fitted once, from
+    zero, whichever of the two ``fit_propensity`` sees first: the fits agree bit for bit."""
+    data = simulate_iv(23, n=300)
+    counts = np.bincount(np.random.default_rng(1).integers(0, data.n, data.n), minlength=data.n)
+    fits = []
+    for resample_first in (False, True):
+        point = fresh(data)
+        resample = point.resample(counts.astype(float))
+        runs = counting(monkeypatch, "_irls_logistic", complier)
+        for sample in (resample, point) if resample_first else (point, resample):
+            fit_propensity(sample, "logistic")
+        got = [fit_propensity(sample, "logistic") for sample in (point, resample)]  # cached
+        monkeypatch.undo()
+        assert len(runs) == 2 and runs[0][3] is None  # the point's, from zero, once
+        assert runs[1][3] is got[0].coefficients
+        fits.append([fit_fields(("ok", fit)) for fit in got])
+    assert fits[0] == fits[1]
+
+
+def test_bootstrap_starts_every_resample_fit_from_the_point_fit(monkeypatch):
+    data = simulate_iv(24, n=300)
+    runs = counting(monkeypatch, "_irls_logistic", complier)
+    bootstrap_tags(data, ["xx", "strat-5"], b=40, seed=3)
+    point = fit_propensity(data, "logistic").coefficients  # cached: no run
+    assert len(runs) == 41 and runs[0][3] is None
+    assert all(args[3] is point for args in runs[1:])
 
 
 def test_functions_without_a_weighted_form_raise():
