@@ -4,10 +4,18 @@ The kappa weights isolate the complier subpopulation using only the
 instrument, the treatment, and the estimated instrument propensity
 score. Complier covariate means feed the centered interacted 2SLS,
 whose leading coefficient targets the local average treatment effect.
+
+The logistic fit and the centered estimate are kernels on an
+``estimators.Batch``: the IRLS runs every sample of a batch together,
+whitened by stacked factors, each sample stopping at its own
+convergence, and the kappa weights and complier means are array
+operations. ``fit_propensity`` and ``centered_interacted_2sls`` are the
+kernels on a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import IdentificationError, NoCompliersError, NonFiniteError, NoOverlapCellError
-from .estimators import Dataset, _require_constant, interacted_2sls
+from .estimators import Batch, Dataset, _require_constant, alone, each, stack
 
 # Propensities are clipped into [CLIP, 1 - CLIP] to guard the kappa
 # denominators; clip events are counted and surfaced as a warning.
@@ -76,37 +84,88 @@ def fit_propensity(data: Dataset, spec) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            raw, coef, converged = _logistic(data)
-        elif spec == "saturated":
-            if data.weights is not None:
-                raise ValueError("the saturated propensity takes no weighted sample")
-            raw = _saturated_scores(data.z, data.x)
-            coef, converged = None, True
-        else:
+            fit = logistic_fits(Batch([data]))[0]
+            if isinstance(fit, Exception):
+                raise fit
+            warn_fit(fit)
+            return fit
+        if spec != "saturated":
             raise ValueError(f"unknown propensity spec {spec!r}")
+        if data.weights is not None:
+            raise ValueError("the saturated propensity takes no weighted sample")
+        raw = _saturated_scores(data.z, data.x)
     else:
         raw = np.asarray(spec, dtype=float).reshape(-1)
         if raw.shape != (data.n,):
             raise ValueError("supplied propensity vector has the wrong length")
         if not np.all(np.isfinite(raw)) or raw.min() < 0.0 or raw.max() > 1.0:
             raise ValueError("supplied propensities must be finite and within [0, 1]")
-        coef, converged = None, True
+    fit = _clipped(Batch([data]), raw[None], [None], [True])[0]
+    warn_fit(fit)
+    return fit
 
-    clipped = np.clip(raw, CLIP, 1.0 - CLIP)
-    n_clipped = int(np.sum(data.weighted(clipped != raw)))
-    if n_clipped:
+
+def warn_fit(fit: PropensityFit) -> None:
+    """The RuntimeWarnings of a fit: its clipped scores, and an iteration cap it reached."""
+    if fit.n_clipped:
         warnings.warn(
-            f"{n_clipped} propensity value(s) clipped into [{CLIP}, {1 - CLIP}]",
+            f"{fit.n_clipped} propensity value(s) clipped into [{CLIP}, {1 - CLIP}]",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    if not converged:
+    if not fit.converged:
         warnings.warn(
             f"logistic propensity fit did not converge within {IRLS_MAX_ITER} iterations",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return PropensityFit(ehat=clipped, coefficients=coef, converged=converged, n_clipped=n_clipped)
+
+
+def _clipped(batch: Batch, raw: np.ndarray, coefficients, converged) -> list[PropensityFit]:
+    """Fits with the stacked scores ``raw`` clipped into [CLIP, 1 - CLIP], counting clipped units."""
+    clipped = np.clip(raw, CLIP, 1.0 - CLIP)
+    n_clipped = batch.weighted(clipped != raw).sum(axis=-1)
+    return [PropensityFit(e, coef, bool(conv), int(count))
+            for e, coef, conv, count in zip(clipped, coefficients, converged, n_clipped)]
+
+
+def logistic_fits(batch: Batch) -> list:
+    """Each sample's logistic ``fit_propensity``, without its warnings (see ``warn_fit``), or
+    the error it raised; a fit or IdentificationError is cached on its sample."""
+    pending = [i for i, sample in enumerate(batch.samples) if "_logistic" not in sample.__dict__]
+    fits = {}
+    if pending:
+        sub = batch if len(pending) == len(batch) else batch.take(pending)
+        for i, fit in zip(pending, each(_fit_logistic, sub)):
+            fits[i] = fit
+            if not isinstance(fit, Exception) or isinstance(fit, IdentificationError):
+                batch.samples[i].__dict__["_logistic"] = fit
+    return [fits[i] if i in fits else sample.__dict__["_logistic"] for i, sample in enumerate(batch.samples)]
+
+
+def _fit_logistic(batch: Batch) -> list:
+    """The logistic fits of a batch. A sample alone starts from its point sample's coefficients if
+    it is a resample (see ``_irls_logistic``), or raises the point fit's error; any other sample
+    starts from zero. Samples together are unweighted and run one stacked IRLS."""
+    if len(batch) == 1:
+        data, start = batch.samples[0], None
+        if data.origin is not None:
+            point = logistic_fits(Batch([data.origin[0]]))[0]
+            if isinstance(point, Exception):
+                raise point
+            start = point.coefficients
+        mu, coef, converged = _irls_logistic(data.z, data.x, _whitening(data), start, data.weights)
+        return _clipped(batch, mu[None], [coef], [converged])
+    whiten, dependent = _whitenings(batch)
+    out: list = [linalg.rank_error(whiten[1][i]) if bad else None for i, bad in enumerate(dependent)]
+    live = [i for i, bad in enumerate(dependent) if not bad]
+    if live:
+        every = len(live) == len(batch)
+        sub, stacked = (batch, whiten) if every else (batch.take(live), [a[live] for a in whiten])
+        mu, coef, converged, errors = _irls_batch(sub.z, sub.x, stacked, np.zeros((len(live), batch.k)))
+        for i, fit, error in zip(live, _clipped(sub, mu, coef, converged), errors):
+            out[i] = fit if error is None else error
+    return out
 
 
 def expit(x):
@@ -115,41 +174,50 @@ def expit(x):
 
 
 def _whitening(data: Dataset):
-    """(Q', T, T^-1) that whiten the sample's IRLS steps, cached: T is R of sqrt(w) X / 2, the
-    factor of the first step from zero (every weight 1/4), half the leading block of the
-    sample's factor, and Q = X T^-1. T gets the checks of ``least_squares``, as that step's fit
-    would. A resample takes its point sample's at its drawn rows, or raises the point's error."""
+    """(Q', T, T^-1) that whiten the sample's IRLS steps, cached (see ``_whitenings``). A
+    resample takes its point sample's at its drawn rows, or raises the point's error."""
     if data.origin is not None:
         point, drawn = data.origin
         qt, tmat, inverse = _whitening(point)
         return qt.take(drawn, axis=1), tmat, inverse
     if "_whitening" not in data.__dict__:
-        tmat = 0.5 * data.factor[: data.k, : data.k]
-        linalg.triangular_condition(tmat)
-        inverse = np.linalg.inv(tmat)
-        data.__dict__["_whitening"] = inverse.T @ data.x.T, tmat, inverse
+        whiten, dependent = _whitenings(Batch([data]))
+        if dependent[0]:
+            raise linalg.rank_error(whiten[1][0])
+        data.__dict__["_whitening"] = tuple(a[0] for a in whiten)
     return data.__dict__["_whitening"]
 
 
-def _logistic(data: Dataset):
-    """(scores, coefficients, converged) of the sample's logistic IRLS, cached: a resample's from
-    its point sample's coefficients (see ``_irls_logistic``), any other sample's from zero."""
-    if "_logistic" not in data.__dict__:
-        start = None if data.origin is None else _logistic(data.origin[0])[1]
-        data.__dict__["_logistic"] = _irls_logistic(data.z, data.x, _whitening(data), start, data.weights)
-    return data.__dict__["_logistic"]
+def _whitenings(batch: Batch):
+    """Stacked (Q', T, T^-1) that whiten each sample's IRLS steps, and whether each T has a
+    dependent column (its Q' and T^-1 are then NaN). T is R of sqrt(w) X / 2, the factor of
+    the first step from zero (every weight 1/4), half the leading block of the sample's factor,
+    and Q = X T^-1. T gets the checks of ``least_squares``, as that step's fit would."""
+    tmat = 0.5 * batch.factor[:, : batch.k, : batch.k]
+    dependent = linalg.rank_deficient(tmat)
+    if any(dependent):
+        inverse, ok = np.full_like(tmat, np.nan), ~np.array(dependent)
+        if ok.any():
+            inverse[ok] = np.linalg.inv(tmat[ok])
+    else:
+        inverse = np.linalg.inv(tmat)
+    return (np.swapaxes(inverse, -1, -2) @ np.swapaxes(batch.x, -1, -2), tmat, inverse), dependent
 
 
 def _irls_logistic(z, x, whiten, start=None, counts=None):
     """(scores, coefficients, converged) of the IRLS from ``start``, or from zero when
     ``start`` is None or its fit raises an IdentificationError, does not converge or
     reaches the eta clip. A clipped eta marks a (quasi-)separated sample, whose
-    likelihood has no maximum, so where its fit stops depends on where it starts.
+    likelihood has no maximum, so where its fit stops depends on where it starts. An
+    error of a sample with an all-zero column of X (a dummy for a cell a resample did
+    not draw) fails every start, so it is raised without a rerun.
     ``whiten`` and ``counts`` go to ``_irls_steps``; rows with no count are not in the sample."""
     if start is not None:
         try:
             fit = _irls_steps(z, x, whiten, np.asarray(start, dtype=float), counts)
         except IdentificationError:
+            if not (x if counts is None else x[counts > 0]).any(axis=0).all():
+                raise
             fit = None
         if fit is not None and fit[2]:
             eta = np.abs(x @ fit[1])
@@ -159,7 +227,21 @@ def _irls_logistic(z, x, whiten, start=None, counts=None):
 
 
 def _irls_steps(z, x, whiten, beta, counts=None):
-    """IRLS from ``beta``, every step whitened by ``whiten``, the (Q', T, T^-1) of ``_whitening``.
+    """(scores, coefficients, converged) of the IRLS of one sample from ``beta``, every step
+    whitened by ``whiten``, the (Q', T, T^-1) of ``_whitening``: ``_irls_batch`` on the sample
+    alone, raising the IdentificationError of a step."""
+    mu, beta, converged, errors = _irls_batch(z[None], x[None], tuple(a[None] for a in whiten), beta[None],
+                                              None if counts is None else counts[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return mu[0], beta[0], bool(converged[0])
+
+
+def _irls_batch(z, x, whiten, beta, counts=None):
+    """IRLS of samples stacked on a leading axis, each from its row of ``beta``, its steps
+    whitened by its (Q', T, T^-1) in ``whiten``; a sample leaves the batch once it converges
+    or a step fails. Returns the stacked scores and coefficients, whether each converged, and
+    each sample's IdentificationError (None where it has none).
 
     Each step forms one exponential, ex = exp(-eta) at the clipped eta:
     mu = 1 / (1 + ex), and the deviance is 2 sum log1p(exp((1 - 2z) eta))
@@ -168,48 +250,100 @@ def _irls_steps(z, x, whiten, beta, counts=None):
     keeps its relative accuracy in the stop rule.
 
     With ``counts``, row i enters the weights and deviance counts[i] times.
-    A step that ``whiten`` cannot whiten factors the rows scaled by
-    sqrt(counts w).
+    A step that its whitening cannot whiten factors the sample's rows scaled
+    by sqrt(counts w).
     """
-    eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
-    ex = np.exp(-eta)
-    mu = 1.0 / (1.0 + ex)
-    z_comp = 1.0 - z
-    dev_prev = np.inf
-    converged = False
+    mu_out, beta_out = np.empty(z.shape), np.empty(beta.shape)
+    converged, errors = [False] * len(z), [None] * len(z)
+    # The sample of each row, and which rows still iterate; a finished row stays in the arrays
+    # until at most half of them iterate, so the arrays are copied at most at half size.
+    live, active = list(range(len(z))), [True] * len(z)
+    qt, tmat, inverse = whiten
+    eta, ex, mu = _link(x, beta)
+    dev_prev = [math.inf] * len(z)
     for _ in range(IRLS_MAX_ITER):
         w = mu * (1.0 - mu)
-        working = eta + (z - mu) / w
+        working = z - mu  # eta + (z - mu) / w, in place
+        working /= w
+        working += eta
+        del eta, mu  # the step gives new ones
         unit_w = w if counts is None else counts * w
-        beta = _whitened_step(*whiten, unit_w, working)
-        if beta is None:
-            sw = np.sqrt(unit_w)
-            rmat = linalg.triangular_factor(sw[:, None] * x, sw * working)
-            beta = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
-        eta = np.clip(x @ beta, -_ETA_BOUND, _ETA_BOUND)
-        ex = np.exp(-eta)
-        mu = 1.0 / (1.0 + ex)
-        terms = np.log1p(z * ex + z_comp / ex)
-        dev = 2.0 * float(terms.sum() if counts is None else counts @ terms)
-        if np.isfinite(dev_prev) and abs(dev - dev_prev) < IRLS_TOL * (abs(dev_prev) + 1e-300):
-            converged = True
-            break
+        beta, unwhitened, failed = _whitened_step(qt, tmat, inverse, unit_w, working)
+        for i in unwhitened:
+            if active[i]:
+                sw = np.sqrt(unit_w[i])
+                rmat = linalg.triangular_factor(sw[:, None] * x[i], sw * working[i])
+                try:
+                    beta[i] = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
+                except IdentificationError as exc:
+                    failed[i] = exc
+        del w, working, unit_w
+        for i, error in enumerate(failed):
+            if error is not None and active[i]:
+                errors[live[i]], active[i] = error, False
+            if not active[i]:
+                beta[i] = 0.0  # a finished row's step is unused, and may be NaN
+        eta, ex, mu = _link(x, beta)
+        terms = z * ex  # log1p(z ex + (1 - z) / ex), in place
+        terms += np.divide(1.0 - z, ex, out=ex)
+        np.log1p(terms, out=terms)
+        dev = terms.sum(axis=-1) if counts is None else (counts[:, None, :] @ terms[..., None])[:, 0, 0]
+        dev = (2.0 * dev).tolist()
+        del ex, terms
+        for i, (now, prev) in enumerate(zip(dev, dev_prev)):
+            if active[i] and math.isfinite(prev) and abs(now - prev) < IRLS_TOL * (abs(prev) + 1e-300):
+                mu_out[live[i]], beta_out[live[i]], converged[live[i]], active[i] = mu[i], beta[i], True, False
+        if not any(active):
+            return mu_out, beta_out, converged, errors
+        if 2 * sum(active) <= len(active):
+            keep = [i for i, on in enumerate(active) if on]
+            z, x, qt, tmat, inverse, eta, mu, beta = (a[keep] for a in (z, x, qt, tmat, inverse, eta, mu, beta))
+            counts = None if counts is None else counts[keep]
+            live, active, dev = [live[i] for i in keep], [True] * len(keep), [dev[i] for i in keep]
         dev_prev = dev
-    return mu, beta, converged
+    for i, on in enumerate(active):
+        if on:
+            mu_out[live[i]], beta_out[live[i]] = mu[i], beta[i]
+    return mu_out, beta_out, converged, errors
+
+
+def _link(x: np.ndarray, beta: np.ndarray):
+    """(eta, exp(-eta), mu) of each stacked sample at ``beta``, eta clipped to +-_ETA_BOUND."""
+    eta = _matvec(x, beta)
+    np.maximum(eta, -_ETA_BOUND, out=eta)  # np.clip, in place
+    np.minimum(eta, _ETA_BOUND, out=eta)
+    ex = np.exp(-eta)
+    mu = ex + 1.0  # 1 / (1 + ex), in place
+    np.divide(1.0, mu, out=mu)
+    return eta, ex, mu
+
+
+def _matvec(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """x @ beta for each stacked (n, k) x and k-vector beta."""
+    return (x @ beta[..., None])[..., 0]
 
 
 def _whitened_step(qt, tmat, inverse, w, working):
-    """Coefficients of the step on U T, a factor of sqrt(w) X: U'U = Q'WQ with Q = X T^-1 (rows
-    of ``qt``) and Q'W0Q = I at the first step's weights W0, so U is conditioned like W / W0.
-    U T is its own R: the step checks it as ``least_squares`` would and solves without a QR.
-    None if U does not exist or is ill-conditioned."""
-    qtw = qt * w
-    gram = qtw @ qt.T
-    chol = linalg.bounded_cholesky(gram)
-    if chol is None:
-        return None
-    linalg.triangular_condition(chol @ tmat)
-    return inverse @ np.linalg.solve(gram, qtw @ working)
+    """Coefficients of each stacked sample's step on U T, a factor of sqrt(w) X: U'U = Q'WQ
+    with Q = X T^-1 (rows of ``qt``) and Q'W0Q = I at the first step's weights W0, so U is
+    conditioned like W / W0. U T is its own R: the step checks it as ``least_squares`` would
+    and solves without a QR. Returns the stacked coefficients, the samples whose U does not
+    exist or is ill-conditioned (their coefficients are then NaN), and per sample the
+    RankDeficientError of a U T with a dependent column, else None."""
+    qtw = qt * w[:, None, :]
+    gram = qtw @ qt.swapaxes(-1, -2)
+    chol, bounded = linalg.bounded_choleskys(gram)
+    scaled = chol @ tmat
+    dependent = linalg.rank_deficient(scaled)
+    if all(bounded) and not any(dependent):
+        return (inverse @ np.linalg.solve(gram, qtw @ working[..., None]))[..., 0], [], [None] * len(w)
+    solved = np.array([ok and not bad for ok, bad in zip(bounded, dependent)])
+    beta = np.full(w.shape[:1] + tmat.shape[-1:], np.nan)
+    if solved.any():
+        rhs = qtw[solved] @ working[solved][..., None]
+        beta[solved] = (inverse[solved] @ np.linalg.solve(gram[solved], rhs))[..., 0]
+    return beta, [i for i, ok in enumerate(bounded) if not ok], [
+        linalg.rank_error(r) if ok and bad else None for r, ok, bad in zip(scaled, bounded, dependent)]
 
 
 def _saturated_scores(z, x):
@@ -232,8 +366,11 @@ def _saturated_scores(z, x):
 
 def kappa_weights(data: Dataset, prop: PropensityFit) -> np.ndarray:
     """Entrywise kappa weights, 1 - D (1 - Z) / (1 - e) - (1 - D) Z / e, at the estimated e."""
-    e = prop.ehat
-    return 1.0 - data.d * (1.0 - data.z) / (1.0 - e) - (1.0 - data.d) * data.z / e
+    return _kappa(data.d, data.z, prop.ehat)
+
+
+def _kappa(d, z, e):
+    return 1.0 - d * (1.0 - z) / (1.0 - e) - (1.0 - d) * z / e
 
 
 def dkappa_weights(data: Dataset, prop: PropensityFit) -> np.ndarray:
@@ -245,8 +382,12 @@ def dkappa_weights(data: Dataset, prop: PropensityFit) -> np.ndarray:
 def require_compliers(pc_hat: float) -> float:
     """Return the estimated complier share ``pc_hat``; NoCompliersError unless it exceeds PC_FLOOR."""
     if pc_hat <= PC_FLOOR:
-        raise NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
+        raise _no_compliers(pc_hat)
     return pc_hat
+
+
+def _no_compliers(pc_hat: float) -> NoCompliersError:
+    return NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
 
 
 def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> np.ndarray:
@@ -296,16 +437,46 @@ def centered_interacted_2sls(
     the identification floor, checked before the centering's name; then
     mean(w), the complier share the weights divide by, must clear it too.
     """
-    _require_constant(data, "centered_interacted_2sls")
-    kappa = _complier_kappa(data, prop)
+    return alone(_centered, data, [prop], centering)
+
+
+def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
+    """Each sample's ``centered_interacted_2sls`` at its propensity fit in ``props``, or the
+    error it raised; a sample whose fit in ``props`` is an error gets that error."""
+    _require_constant(batch, "centered_interacted_2sls")
+    out = [prop if isinstance(prop, Exception) else None for prop in props]
+    live = [i for i, prop in enumerate(out) if prop is None]
+    if not live:
+        return out
+    sub = batch if len(live) == len(batch) else batch.take(live)
+    kappa = sub.weighted(_kappa(sub.d, sub.z, stack([props[i].ehat for i in live])))
+    for i, share in zip(live, (kappa.sum(axis=-1) / sub.size).tolist()):
+        if share <= PC_FLOOR:
+            out[i] = _no_compliers(share)
     if centering not in ("first-stage", "kappa"):
-        raise ValueError(f"unknown centering {centering!r}")
-    fit = interacted_2sls(data)
-    weights = kappa if centering == "kappa" else data.weighted(data.x @ fit.c1[0])
-    total = weights.sum()
-    require_compliers(total / data.size)
-    mu = (weights @ data.x[:, 1:]) / total
-    return float(fit.beta[0] + mu @ fit.beta[1:])
+        if any(out[i] is None for i in live):
+            raise ValueError(f"unknown centering {centering!r}")
+        return out
+    fits = batch.interacted
+    for i in live:
+        if out[i] is None and isinstance(fits[i], Exception):
+            out[i] = fits[i]
+    keep = [j for j, i in enumerate(live) if out[i] is None]
+    if not keep:
+        return out
+    rows = sub if len(keep) == len(sub) else sub.take(keep)
+    kept = [fits[live[j]] for j in keep]
+    if centering == "kappa":
+        weights = kappa if len(keep) == len(sub) else kappa[keep]
+    else:
+        weights = rows.weighted(_matvec(rows.x, stack([fit.c1[0] for fit in kept])))
+    total = weights.sum(axis=-1)
+    beta = stack([fit.beta for fit in kept])
+    mu = (weights[:, None, :] @ rows.x[:, :, 1:])[:, 0] / total[:, None]
+    late = beta[:, 0] + (mu[:, None, :] @ beta[:, 1:, None])[:, 0, 0]
+    for j, share, value in zip(keep, (total / rows.size).tolist(), late.tolist()):
+        out[live[j]] = _no_compliers(share) if share <= PC_FLOOR else value
+    return out
 
 
 def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:

@@ -21,6 +21,12 @@ covariate rank check, so a sample is factored once.
 A weighted sample factors its block with row i scaled by sqrt(w_i); a
 bootstrap resample with counts reads that R off its point sample's
 factorization instead, where it can.
+
+The fits are kernels on a ``Batch``: samples of one size stacked on a
+leading axis, whose factors come from stacked QRs and whose stages are
+stacked solves. A Monte Carlo study evaluates its replicates
+in batches; every public function here is its kernel on a batch of one,
+so each estimator has one code path and a batch changes no result.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateStratumError
+from .errors import DegenerateStratumError, IdentificationError
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,110 @@ class Dataset:
             raise ValueError("instrument takes a single value; both arms required")
 
 
+class Batch:
+    """Samples of one size n, width k and constant flag, evaluated together: unweighted
+    samples, or one sample of any kind. Their arrays and factors are stacked on a leading
+    sample axis. A kernel gives every sample of a batch what a batch of it alone gives."""
+
+    def __init__(self, samples: Sequence[Dataset]):
+        self.samples = tuple(samples)
+        first = self.samples[0]
+        self.n, self.k, self.has_constant = first.n, first.k, first.has_constant
+
+    @classmethod
+    def stacked(cls, samples: list[Dataset]) -> "Batch":
+        """The batch of unweighted ``samples``, rebuilt as views of its stacked arrays, so that
+        the samples' own arrays can be freed; a single sample keeps its own."""
+        if len(samples) == 1:
+            return cls(samples)
+        arrays = {name: np.stack([getattr(sample, name) for sample in samples]) for name in ("y", "d", "z", "x")}
+        batch = cls([Dataset(*(arrays[name][i] for name in ("y", "d", "z", "x")), sample.has_constant)
+                     for i, sample in enumerate(samples)])
+        batch.__dict__.update(arrays)
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def _gather(self, name: str) -> np.ndarray | None:
+        if getattr(self.samples[0], name) is None:
+            return None
+        return stack([getattr(sample, name) for sample in self.samples])
+
+    y = cached_property(lambda self: self._gather("y"))
+    d = cached_property(lambda self: self._gather("d"))
+    z = cached_property(lambda self: self._gather("z"))
+    x = cached_property(lambda self: self._gather("x"))
+    weights = cached_property(lambda self: self._gather("weights"))
+
+    @cached_property
+    def size(self):
+        """Each sample's size: n, or its total count."""
+        return self.n if self.weights is None else self.weights.sum(axis=-1)
+
+    def weighted(self, v: np.ndarray) -> np.ndarray:
+        """``v``, an (S, n) entry per row, times each row's count."""
+        return v if self.weights is None else v * self.weights
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The samples' ``Dataset.factor``s, stacked. Unweighted samples are factored by stacked
+        QRs of at most ``linalg.FACTOR_ROWS`` rows each, whose block is built in place."""
+        if len(self.samples) == 1:
+            return self.samples[0].factor[None]
+        k, step = self.k, max(1, linalg.FACTOR_ROWS // self.n)
+        rmats = []
+        for start in range(0, len(self), step):  # [X | Z*X | D*X | Y] of a few samples, built in place
+            x, part = self.x[start : start + step], slice(start, start + step)
+            block = np.empty(x.shape[:2] + (3 * k + 1,))
+            block[..., :k] = x
+            np.multiply(self.z[part, :, None], x, out=block[..., k : 2 * k])
+            np.multiply(self.d[part, :, None], x, out=block[..., 2 * k : 3 * k])
+            block[..., -1] = self.y[part]
+            rmats.append(linalg.triangular_factor(block))
+        rmats = np.concatenate(rmats)
+        for sample, rmat in zip(self.samples, rmats):
+            sample.__dict__.setdefault("factor", rmat)
+        return rmats
+
+    @cached_property
+    def interacted(self) -> list:
+        """Each sample's ``interacted_2sls`` fit, or the error it raised."""
+        return each(_interacted, self)
+
+    def take(self, idx) -> "Batch":
+        """The batch of the samples at ``idx``, with the stacked arrays computed so far."""
+        sub = Batch([self.samples[i] for i in idx])
+        for name in ("y", "d", "z", "x", "weights", "factor"):
+            if name in self.__dict__:
+                sub.__dict__[name] = None if self.__dict__[name] is None else self.__dict__[name][idx]
+        return sub
+
+
+def stack(arrays: list) -> np.ndarray:
+    """``np.stack(arrays)``; one array's stack is a view of it."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def each(kernel, batch: Batch, *args) -> list:
+    """``kernel(batch, *args)``, one outcome per sample; where it raises, each sample's batch of
+    one, whose error is then that sample's outcome. ``args`` hold one entry per sample."""
+    try:
+        return kernel(batch, *args)
+    except Exception as exc:
+        if len(batch) == 1:
+            return [exc]
+        return [each(kernel, batch.take([i]), *([arg[i]] for arg in args))[0] for i in range(len(batch))]
+
+
+def alone(kernel, data: Dataset, *args):
+    """``kernel`` on the batch of ``data`` alone: its outcome, or the error it raised."""
+    out = kernel(Batch([data]), *args)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 @dataclass(frozen=True)
 class TwoSlsFit:
     """Coefficients of an interacted (or interacted-OLS) fit.
@@ -203,53 +313,100 @@ def _interact(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v[:, None] * x
 
 
-def _two_stage(data: Dataset, instruments, responses, first: bool = False):
-    """lm(responses ~ X + instruments), then lm(Y ~ X + fitted), on the sample's factor R of
+def _two_stage(batch: Batch, instruments, responses, first: bool = False):
+    """lm(responses ~ X + instruments), then lm(Y ~ X + fitted), on each sample's factor R of
     [X | Z*X | D*X | Y]; ``instruments`` index Z*X, ``responses`` D*X.
 
     The first w rows of R hold W = [X | instruments], the responses and Y in an orthonormal
     basis of W (the columns are factored again unless W leads R): W's own R, so the first
-    stage needs no QR. X and the fitted responses lie in W, so the second stage fits Y's
-    coordinates on those of [X | responses]. Returns the first stage's coefficients (with
-    ``first``, else None, its rank still checked) and the second's, rows ordered
-    [instruments, X] and [fitted, X]: those of the two n-row fits.
+    stage needs no QR, and one stacked solve fits it for every sample. X and the fitted
+    responses lie in W, so the second stage fits Y's coordinates on those of [X | responses],
+    by one stacked least squares (``least_squares`` for a sample alone). Returns the first
+    stage's stacked coefficients (with
+    ``first``, else None, its rank still checked) and per sample the second's, rows ordered
+    [instruments, X] and [fitted, X]: those of the two n-row fits. A sample whose stage has a
+    dependent column gets its RankDeficientError in place of the second stage.
     """
-    k, rmat = data.k, data.factor
+    k, rmat = batch.k, batch.factor
     cols = [*range(k), *(k + i for i in instruments)]
     resp = [2 * k + j for j in responses]
     w = len(cols)
     if cols != list(range(w)):
-        rmat = linalg.triangular_factor(rmat[:, [*cols, *resp, -1]])
+        rmat = linalg.triangular_factor(rmat[..., [*cols, *resp, -1]])
         resp = list(range(w, w + len(resp)))
     stage = None
     if first:
-        stage = linalg.least_squares(rmat[:, resp], rmat[:, :w]).coef
-        stage = np.concatenate([stage[k:], stage[:k]])
-    else:
-        linalg.triangular_condition(rmat[:w, :w])
-    second = linalg.least_squares(rmat[:w, -1], rmat[:w, [*range(k), *resp]]).coef
-    return stage, np.concatenate([second[k:], second[:k]])
+        linalg.check_finite(rmat[..., resp], "responses")
+        linalg.check_finite(rmat[..., :w], "regressors")
+    dependent = linalg.rank_deficient(rmat[:, :w, :w])
+    second: list = [linalg.rank_error(rmat[i, :w, :w]) if bad else None for i, bad in enumerate(dependent)]
+    if first and not any(dependent):
+        stage = np.linalg.solve(rmat[:, :w, :w], rmat[:, :w, resp])
+    elif first:
+        stage, ok = np.full((len(batch), w, len(resp)), np.nan), ~np.array(dependent)
+        if ok.any():
+            stage[ok] = np.linalg.solve(rmat[ok][:, :w, :w], rmat[ok][:, :w, resp])
+    if first:
+        stage = np.concatenate([stage[:, k:], stage[:, :k]], axis=1)
+    live = [i for i, out in enumerate(second) if out is None]
+    regressors = [*range(k), *resp]
+    if len(batch) == 1 and live:  # a sample alone fits through the public least_squares
+        try:
+            coefs, errors = [linalg.least_squares(rmat[0, :w, -1], rmat[0][:w, regressors]).coef], [None]
+        except IdentificationError as exc:
+            coefs, errors = [None], [exc]
+    elif live:
+        responses, design = rmat[live][:, :w, -1:], rmat[live][:, :w][..., regressors]
+        linalg.check_finite(responses, "responses")
+        linalg.check_finite(design, "regressors")
+        coefs, _, errors = linalg.stacked_least_squares(responses, design)
+    for i, coef, error in zip(live, coefs, errors) if live else ():
+        second[i] = error if error is not None else np.concatenate([coef[k:], coef[:k]])
+    return stage, second
+
+
+def _second_stage(data: Dataset, instruments, responses) -> np.ndarray:
+    out = _two_stage(Batch([data]), instruments, responses)[1][0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _additive(batch: Batch) -> list:
+    """Each sample's ``additive_2sls``, or the error it raised."""
+    _require_constant(batch, "additive_2sls")
+    return [out if isinstance(out, Exception) else float(out[0, 0]) for out in _two_stage(batch, [0], [0])[1]]
+
+
+def _interacted_additive(batch: Batch) -> list:
+    """Each sample's ``interacted_additive_2sls``, or the error it raised."""
+    _require_constant(batch, "interacted_additive_2sls")
+    second = _two_stage(batch, range(batch.k), [0])[1]
+    return [out if isinstance(out, Exception) else float(out[0, 0]) for out in second]
+
+
+def _interacted(batch: Batch) -> list:
+    """Each sample's ``interacted_2sls`` fit, or the error it raised."""
+    k = batch.k
+    first, second = _two_stage(batch, range(k), range(k), first=True)
+    return [out if isinstance(out, Exception) else
+            TwoSlsFit(out[:k, 0].copy(), out[k:, 0].copy(), f[:k, :].T, f[k:, :].T)
+            for f, out in zip(first, second)]
 
 
 def additive_2sls(data: Dataset) -> float:
     """Additive 2SLS: lm(D ~ Z + X) then lm(Y ~ Dhat + X); returns the Dhat coefficient."""
-    _require_constant(data, "additive_2sls")
-    _, second = _two_stage(data, [0], [0])
-    return float(second[0, 0])
+    return alone(_additive, data)
 
 
 def interacted_2sls(data: Dataset) -> TwoSlsFit:
     """Interacted 2SLS: component-wise lm(D*X ~ Z*X + X) then lm(Y ~ DXhat + X)."""
-    k = data.k
-    first, second = _two_stage(data, range(k), range(k), first=True)
-    return TwoSlsFit(second[:k, 0].copy(), second[k:, 0].copy(), first[:k, :].T, first[k:, :].T)
+    return alone(_interacted, data)
 
 
 def interacted_additive_2sls(data: Dataset) -> float:
     """Interacted first stage, additive second: lm(D ~ Z*X + X) then lm(Y ~ Dhat + X)."""
-    _require_constant(data, "interacted_additive_2sls")
-    _, second = _two_stage(data, range(data.k), [0])
-    return float(second[0, 0])
+    return alone(_interacted_additive, data)
 
 
 def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarray:
@@ -267,8 +424,7 @@ def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarra
         raise ValueError("v_cols contains duplicates")
     if min(cols) < 0 or max(cols) >= data.k:
         raise ValueError(f"v_cols out of range for k = {data.k}")
-    _, second = _two_stage(data, cols, cols)
-    return second[: len(cols), 0].copy()
+    return _second_stage(data, cols, cols)[: len(cols), 0].copy()
 
 
 def generalized_additive_2sls(
@@ -292,8 +448,7 @@ def generalized_additive_2sls(
     r = np.vstack(rows)
     k, a = data.k, r.shape[1] - data.k
     if 0 < a <= k and np.array_equal(r, np.column_stack([_interact(data.z, data.x[:, :a]), data.x])):
-        _, second = _two_stage(data, range(a), [0])
-        return float(second[0, 0])
+        return float(_second_stage(data, range(a), [0])[0, 0])
     a, rmat = r.shape[1], linalg.triangular_factor(r, data.x, data.d, data.y)
     fitted = rmat[:, :a] @ linalg.least_squares(rmat[:, a + k], rmat[:, :a]).coef
     return float(linalg.least_squares(rmat[:, -1], np.column_stack([fitted, rmat[:, a : a + k]])).coef[0, 0])
@@ -335,15 +490,21 @@ def _arm_moments(data: Dataset, codes: np.ndarray, m: int):
     within each stratum (NaN where an arm is empty). Sums are weighted
     by the sample's counts; the treatment sums are exact integer counts.
     """
-    cell = 2 * codes + (data.z == 1.0)
-    units = np.bincount(cell, data.weights, 2 * m).reshape(m, 2)
+    return arm_gaps(2 * codes + (data.z == 1.0), data.weights, data.weighted(data.d), data.weighted(data.y), m)
+
+
+def arm_gaps(cell: np.ndarray, weights, d: np.ndarray, y: np.ndarray, m: int):
+    """``_arm_moments`` from each unit's (stratum, arm) cell in 0..2m-1, its count and its
+    weighted D and Y, flat over any number of samples whose strata are numbered apart. A
+    bincount adds each cell's entries in order, so every stratum gets its own sample's sums."""
+    units = np.bincount(cell, weights, 2 * m).reshape(m, 2)
 
     def gap(v: np.ndarray) -> np.ndarray:
-        arm_mean = np.bincount(cell, data.weighted(v), 2 * m).reshape(m, 2) / units
+        arm_mean = np.bincount(cell, v, 2 * m).reshape(m, 2) / units
         return arm_mean[:, 1] - arm_mean[:, 0]
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        return (units == 0).any(axis=1), gap(data.d), gap(data.y)
+        return (units == 0).any(axis=1), gap(d), gap(y)
 
 
 def _require_constant(data: Dataset, op: str) -> None:

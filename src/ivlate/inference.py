@@ -69,15 +69,17 @@ def require_distinct(tags) -> None:
 def run_replicates(
     seed: int, reps: int, step: Callable[[int], dict], tags
 ) -> tuple[dict[str, list[tuple[int, np.ndarray]]], dict[str, int]]:
-    """The one replicate loop: call ``step(r)`` for each replicate r < reps.
+    """The one replicate loop: call ``step(r)`` for each replicate r < reps, in order.
 
     ``step(r)`` maps replicate r to each tag's estimate or to the
-    IdentificationError the tag raised. Returns each tag's (replicate,
-    estimate) pairs in replicate order and its count of identification
-    failures. Any other error aborts the loop, as its own class with
-    ``seed S, replicate r: `` before its message and the original as its
-    cause; a class whose constructor does not take one message
-    propagates unchanged.
+    IdentificationError the tag raised. A step may evaluate later
+    replicates ahead (``run_study`` evaluates them in batches) as long as
+    it raises each replicate's other errors when asked for that
+    replicate. Returns each tag's (replicate, estimate) pairs in replicate
+    order and its count of identification failures. Any other error
+    aborts the loop, as its own class with ``seed S, replicate r: ``
+    before its message and the original as its cause; a class whose
+    constructor does not take one message propagates unchanged.
     """
     draws: dict[str, list[tuple[int, np.ndarray]]] = {tag: [] for tag in tags}
     failures = {tag: 0 for tag in tags}

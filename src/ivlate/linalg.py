@@ -23,6 +23,12 @@ own R, so ``least_squares`` skips their QR.
 The block with row i counted c_i times (a bootstrap resample) has Gram
 R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_cholesky``, Q from
 ``orthonormal_basis``) factors it; Q'CQ is conditioned like C.
+
+A Monte Carlo study evaluates its samples in batches of at most BATCH_ROWS
+rows: ``triangular_factor`` and ``rank_deficient`` take blocks and
+factors stacked on a leading sample axis. numpy's stacked QR, solve,
+Cholesky and inverse, stacked matmul and reductions along a contiguous row
+give every sample the bits of its own 2-d call, so a batch changes no result.
 """
 
 from __future__ import annotations
@@ -45,6 +51,15 @@ GRAM_RATIO_MAX = 1e4
 
 # A block with rows for several groups of GROUP_ROWS factors each group, then their stacked R's.
 GROUP_ROWS = 1024
+
+# Samples of a Monte Carlo study are evaluated together up to this many rows in all (five
+# samples at n = 1000); a larger sample is a batch of one.
+BATCH_ROWS = 5120
+
+# A batch's samples are factored a few at a time, at most this many rows per stacked QR,
+# which holds their block and a copy of it: on the study-b benchmark (n = 1000, five samples
+# per batch) one QR of the whole batch raised peak RSS by 0.4 MiB and saved no time.
+FACTOR_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -71,10 +86,15 @@ def _as_matrix(values, name: str) -> np.ndarray:
         out = out[:, None]
     if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must be a nonempty vector or 2-d array")
-    # A finite sum has finite terms; an overflowed one gets the entrywise check.
-    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
+    check_finite(out, name)
     return out
+
+
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Raise NonFiniteError naming ``name`` if an entry of ``values`` is NaN or infinite."""
+    # A finite sum has finite terms; an overflowed one gets the entrywise check.
+    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
+        raise NonFiniteError(f"{name} contains non-finite entries")
 
 
 @lru_cache(maxsize=64)
@@ -106,16 +126,37 @@ def least_squares(responses, regressors) -> LsFit:
     """
     y = _as_matrix(responses, "responses")
     x = _as_matrix(regressors, "regressors")
-    n, q = x.shape
-    if y.shape[0] != n:
-        raise ValueError(f"responses have {y.shape[0]} rows, regressors {n}")
-    if x[~_upper(n, q)].any():
-        factor = _r_factor(np.concatenate([x, y], axis=1))
-        rmat, qty = factor[:q, :q], factor[:q, q:]
-    else:  # Householder QR would leave upper trapezoidal X, and so Y, as they are
-        rmat, qty = x[:q], y[:q]
-    condition = triangular_condition(rmat)
-    return LsFit(np.linalg.solve(rmat, qty), condition)
+    if y.shape[0] != x.shape[0]:
+        raise ValueError(f"responses have {y.shape[0]} rows, regressors {x.shape[0]}")
+    coef, rmat, errors = stacked_least_squares(y[None], x[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return LsFit(coef[0], _condition(rmat[0]))
+
+
+def stacked_least_squares(y: np.ndarray, x: np.ndarray):
+    """``least_squares`` of finite (S, n, p) responses on (S, n, q) regressors stacked on a
+    leading axis. Returns the (S, q, p) coefficients, the regressors' (S, q, q) factors, and
+    each sample's RankDeficientError (its coefficients are then NaN) or None."""
+    n, q = x.shape[-2:]
+    rmat, qty = x[..., :q, :], y[..., :q, :]
+    # Householder QR would leave upper trapezoidal X, and so Y, as they are.
+    below = x[..., ~_upper(n, q)]
+    lower = below.any(axis=-1) if below.any() else None
+    if lower is not None and lower.all():
+        factor = _r_factor(np.concatenate([x, y], axis=-1))
+        rmat, qty = factor[..., :q, :q], factor[..., :q, q:]
+    elif lower is not None:
+        factor = _r_factor(np.concatenate([x[lower], y[lower]], axis=-1))
+        rmat, qty = rmat.copy(), qty.copy()
+        rmat[lower], qty[lower] = factor[..., :q, :q], factor[..., :q, q:]
+    dependent = rank_deficient(rmat)
+    if not any(dependent):
+        return np.linalg.solve(rmat, qty), rmat, [None] * len(rmat)
+    coef, ok = np.full(rmat.shape[:-1] + qty.shape[-1:], np.nan), ~np.array(dependent)
+    if ok.any():
+        coef[ok] = np.linalg.solve(rmat[ok], qty[ok])
+    return coef, rmat, [rank_error(r) if bad else None for r, bad in zip(rmat, dependent)]
 
 
 def triangular_condition(rmat: np.ndarray) -> float:
@@ -125,19 +166,37 @@ def triangular_condition(rmat: np.ndarray) -> float:
     naming the smallest ratio of |R_jj| to its column's norm, and ValueError when
     ``rmat`` has fewer rows than columns.
     """
-    rows, q = rmat.shape
+    if rank_deficient(rmat[None])[0]:
+        raise rank_error(rmat)
+    return _condition(rmat)
+
+
+def _condition(rmat: np.ndarray) -> float:
+    diag = [abs(v) for v in rmat.diagonal().tolist()]
+    return max(diag) / min(diag)
+
+
+def rank_deficient(rmats: np.ndarray) -> list[bool]:
+    """Whether each of the stacked (S, rows, q) square upper-triangular ``rmats`` has a
+    dependent column (``dependent_columns``). Raises ValueError when they have fewer rows
+    than columns."""
+    rows, q = rmats.shape[-2:]
     if rows < q:
         raise ValueError(f"need at least as many rows ({rows}) as regressors ({q})")
-    diag = [abs(v) for v in rmat.diagonal().tolist()]
-    norms = np.hypot.reduce(rmat, axis=0)  # hypot neither overflows nor underflows
-    for d, norm in zip(diag, norms.tolist()):
-        if d <= RANK_RTOL * norm:
-            unit = rmat / np.where(norms > 0.0, norms, 1.0)
-            sv = np.linalg.svd(unit, compute_uv=False)
-            rank = int(np.sum(sv >= RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
-            ratio = np.abs(unit.diagonal()).min()
-            raise RankDeficientError(f"design has effective rank {rank} < {q} (diagonal ratio {ratio:.2e})")
-    return max(diag) / min(diag)
+    norms = np.hypot.reduce(rmats, axis=-2).tolist()  # hypot neither overflows nor underflows
+    diags = rmats.diagonal(axis1=-2, axis2=-1).tolist()
+    return [any(abs(d) <= RANK_RTOL * norm for d, norm in zip(diag, col)) for diag, col in zip(diags, norms)]
+
+
+def rank_error(rmat: np.ndarray) -> RankDeficientError:
+    """The error of the factor ``rmat`` with a dependent column: its rank, from the singular
+    values of R with unit-norm columns, and its smallest ratio of |R_jj| to its column's norm."""
+    norms = np.hypot.reduce(rmat, axis=0)
+    unit = rmat / np.where(norms > 0.0, norms, 1.0)
+    sv = np.linalg.svd(unit, compute_uv=False)
+    rank = int(np.sum(sv >= RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
+    ratio = np.abs(unit.diagonal()).min()
+    return RankDeficientError(f"design has effective rank {rank} < {rmat.shape[1]} (diagonal ratio {ratio:.2e})")
 
 
 def triangular_factor(*blocks) -> np.ndarray:
@@ -150,7 +209,9 @@ def triangular_factor(*blocks) -> np.ndarray:
     columns of B, so ``least_squares`` on column blocks of R gives the
     coefficients it gives on the columns of B, and with n < m it still
     sees only n rows. Groups of rows that stay in cache are factored
-    one by one, then their stacked R's.
+    one by one, then their stacked R's. Blocks of S samples stacked on
+    a leading axis, (S, n) vectors as (S, n, 1), give the (S, min(n, m), m)
+    factors, each that of its sample's own call.
 
     Raises
     ------
@@ -158,11 +219,11 @@ def triangular_factor(*blocks) -> np.ndarray:
         If any entry is NaN or infinite; each group is checked before it is factored.
     """
     cols = _columns(blocks)
-    n, m = cols[0].shape[0], sum(c.shape[1] for c in cols)
+    n, m = cols[0].shape[-2], sum(c.shape[-1] for c in cols)
     groups = max(1, n // max(GROUP_ROWS, m))
     bounds = [n * g // groups for g in range(groups + 1)]
     parts = [_r_factor(_stack(cols, start, stop)) for start, stop in zip(bounds, bounds[1:])]
-    return parts[0] if groups == 1 else _r_factor(np.concatenate(parts))
+    return parts[0] if groups == 1 else _r_factor(np.concatenate(parts, axis=-2))
 
 
 def orthonormal_basis(rmat: np.ndarray, *blocks) -> np.ndarray:
@@ -179,25 +240,31 @@ def orthonormal_basis(rmat: np.ndarray, *blocks) -> np.ndarray:
 def _columns(blocks) -> list[np.ndarray]:
     cols = [np.asarray(b, dtype=float) for b in blocks]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
-    if cols[0].shape[0] < 1 or any(c.ndim != 2 or c.shape[0] != cols[0].shape[0] for c in cols):
+    lead = cols[0].shape[:-1]
+    if cols[0].ndim not in (2, 3) or lead[-1] < 1 or any(c.shape[:-1] != lead for c in cols):
         raise ValueError("blocks must be nonempty vectors or 2-d arrays with equal row counts")
     return cols
 
 
 def _stack(cols, start: int, stop: int) -> np.ndarray:
     """Rows start..stop of the column-stacked ``cols``, checked finite, in whole columns."""
-    out = np.empty((stop - start, sum(c.shape[1] for c in cols)), order="F")
-    np.concatenate([c[start:stop] for c in cols], axis=1, out=out)
+    lead = cols[0].shape[:-2]
+    if lead and len(cols) == 1 and stop - start == cols[0].shape[-2]:
+        out = cols[0]  # a whole stacked block is factored as it is
+    else:
+        out = np.empty(lead + (stop - start, sum(c.shape[-1] for c in cols)), order="F" if not lead else "C")
+        np.concatenate([c[..., start:stop, :] for c in cols], axis=-1, out=out)
     if not math.isfinite(out.sum()) and not np.isfinite(out).all():
         raise NonFiniteError("factored block contains non-finite entries")
     return out
 
 
 def _r_factor(block: np.ndarray) -> np.ndarray:
-    """``np.linalg.qr(block, mode="r")`` bit for bit, with a cached mask for its ``np.triu``."""
-    rows = min(block.shape)
-    factored = np.linalg.qr(block, mode="raw")[0][:, :rows].T  # raw is the transposed factor
-    return np.where(_upper(rows, block.shape[1]), factored, 0.0)
+    """``np.linalg.qr(block, mode="r")`` bit for bit, with a cached mask for its ``np.triu``;
+    a stack of blocks gives the stack of their factors."""
+    rows = min(block.shape[-2:])
+    factored = np.swapaxes(np.linalg.qr(block, mode="raw")[0][..., :rows], -1, -2)  # raw is transposed
+    return np.where(_upper(rows, block.shape[-1]), factored, 0.0)
 
 
 def dependent_columns(rmat: np.ndarray) -> np.ndarray:
@@ -210,9 +277,23 @@ def dependent_columns(rmat: np.ndarray) -> np.ndarray:
 
 def bounded_cholesky(gram: np.ndarray) -> np.ndarray | None:
     """U with U'U = ``gram``; None if it does not exist or max/min diag U exceeds GRAM_RATIO_MAX."""
+    chol, bounded = bounded_choleskys(gram[None])
+    return chol[0] if bounded[0] else None
+
+
+def bounded_choleskys(grams: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """``bounded_cholesky`` of each of the stacked ``grams``: the factors U, and whether each
+    exists with max/min diag U within GRAM_RATIO_MAX (where not, its U is meaningless)."""
     try:
-        chol = np.linalg.cholesky(gram).T
-    except np.linalg.LinAlgError:
-        return None
-    diag = chol.diagonal().tolist()
-    return None if max(diag) > GRAM_RATIO_MAX * min(diag) else chol
+        chol, exists = np.linalg.cholesky(grams).swapaxes(-1, -2), [True] * len(grams)
+    except np.linalg.LinAlgError:  # one gram is not positive definite: factor each alone
+        chol, exists = np.zeros_like(grams), []
+        for i, gram in enumerate(grams):
+            try:
+                chol[i] = np.linalg.cholesky(gram).T
+            except np.linalg.LinAlgError:
+                exists.append(False)
+            else:
+                exists.append(True)
+    diags = chol.diagonal(axis1=-2, axis2=-1).tolist()
+    return chol, [ok and max(diag) <= GRAM_RATIO_MAX * min(diag) for ok, diag in zip(exists, diags)]

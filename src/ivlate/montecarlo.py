@@ -11,6 +11,12 @@ conditional complier effects they give. Such a design is a weighted sample
 of cell-by-instrument-arm-by-compliance-type atoms, weighted by their
 probabilities, and the public estimators run on that sample give their
 probability limits. Continuous designs register closed-form truths instead.
+
+A study evaluates consecutive replicates together, as one
+``estimators.Batch`` of at most ``linalg.BATCH_ROWS`` rows, through the
+kernels behind the public estimators; ``evaluate_tags`` is the batch of one
+sample. Each sample's estimates, errors and warnings are those of its own
+evaluation, so a study's results do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -21,13 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import streams
-from .complier import PropensityFit, centered_interacted_2sls, expit, fit_propensity
+from . import linalg, streams
+from .complier import (PropensityFit, _centered, centered_interacted_2sls, expit, fit_propensity, logistic_fits,
+                       warn_fit)
 from .errors import IdentificationError, InfiniteSupportError, InvalidSpecError, NoCompliersError
-from .estimators import Dataset, additive_2sls, interacted_2sls, interacted_additive_2sls
+from .estimators import (Batch, Dataset, _additive, _interacted_additive, additive_2sls, each, interacted_2sls,
+                         interacted_additive_2sls)
 from .inference import BootstrapResult, _resample_loop, require_distinct, run_replicates
 from .linalg import least_squares
-from .stratify import stratified_late
+from .stratify import stratified, stratified_late
 
 # Compliance-type codes.
 U_NEVER = 0
@@ -293,7 +301,7 @@ def generate(spec: DgpSpec, n: int, seed: int, replicate: int = 0) -> tuple[Data
     if not (isinstance(drawn, tuple) and len(drawn) == 2):
         raise InvalidSpecError("draw_covariates must return an (x, units) tuple")
     x, units = drawn
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)  # as a batch stacks it: the fits' rounding depends on its layout
     if x.shape != (n, spec.k) or not np.all(np.isfinite(x)):
         raise InvalidSpecError("covariate sampler returned a malformed matrix")
 
@@ -428,59 +436,79 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 
 _STRAT_TAG = re.compile(r"^strat-([1-9][0-9]*)$")
 
-# A tag's estimator maps (sample, propensity) to its estimate, where
-# ``propensity()`` returns the sample's logistic propensity fit.
-_Estimator = Callable[[Dataset, Callable[[], PropensityFit]], np.ndarray]
+# A tag's kernel maps a batch, its samples' logistic propensity fits (None where no tag needs
+# one) and its strata by requested count to each sample's estimate, or the error it raised.
+_Kernel = Callable[[Batch, list, dict], list]
 
 
-def _resolve(tag: str) -> tuple[_Estimator, str]:
-    """Resolve an estimator tag to (estimator, truth kind); see ``pipeline_for``."""
+def _resolve(tag: str) -> tuple[_Kernel, str]:
+    """Resolve an estimator tag to (kernel, truth kind); see ``pipeline_for``."""
     if tag == "++":
-        return (lambda data, prop: np.array([additive_2sls(data)]), "tau_c")
+        return (lambda batch, props, strata: each(_additive, batch), "tau_c")
     if tag == "x+":
-        return (lambda data, prop: np.array([interacted_additive_2sls(data)]), "tau_c")
+        return (lambda batch, props, strata: each(_interacted_additive, batch), "tau_c")
     if tag == "xx":
-        return (lambda data, prop: np.array([centered_interacted_2sls(data, prop())]), "tau_c")
+        return (lambda batch, props, strata: each(_centered, batch, props), "tau_c")
     if tag == "beta":
-        return (lambda data, prop: interacted_2sls(data).beta, "beta_c")
+        return (lambda batch, props, strata: [_field(fit, "beta") for fit in batch.interacted], "beta_c")
     match = _STRAT_TAG.fullmatch(tag)
     if match:
-        strata = int(match.group(1))
-        return (lambda data, prop: np.array([stratified_late(data, prop(), strata).tau_star]), "tau_c")
+        count = int(match.group(1))
+        return (lambda batch, props, strata: [_field(res, "tau_star") for res in strata[count]], "tau_c")
     raise ValueError(f"unknown estimator tag {tag!r}")
+
+
+def _field(result, name: str):
+    return result if isinstance(result, Exception) else getattr(result, name)
+
+
+def _needs_propensity(tag: str) -> bool:
+    return tag == "xx" or _STRAT_TAG.fullmatch(tag) is not None
+
+
+def _evaluate(batch: Batch, tags) -> list[tuple[dict, PropensityFit | Exception | None]]:
+    """Per sample of ``batch``: each distinct tag's estimate as a float array, or the error it
+    raised, and the sample's logistic propensity fit (None if no tag needs one)."""
+    kernels = {tag: _resolve(tag)[0] for tag in tags}
+    needed = any(_needs_propensity(tag) for tag in kernels)
+    props = logistic_fits(batch) if needed else [None] * len(batch)
+    counts = [int(m.group(1)) for tag in kernels if (m := _STRAT_TAG.fullmatch(tag))]
+    strata = dict(zip(counts, zip(*stratified(batch, props, counts)))) if counts else {}
+    outs: list[dict] = [{} for _ in batch.samples]
+    for tag, kernel in kernels.items():
+        for out, value in zip(outs, kernel(batch, props, strata)):
+            out[tag] = value if isinstance(value, Exception) else np.atleast_1d(np.asarray(value, dtype=float))
+    return list(zip(outs, props))
+
+
+def _settle(outs: dict, prop, tags) -> dict[str, np.ndarray | IdentificationError]:
+    """A sample's outcomes as evaluating its tags one by one in order gives them: the
+    propensity fit's warnings where the first tag that needs it asks for it, and the first
+    error other than an IdentificationError raised where its tag raised it."""
+    warned = False
+    for tag, out in outs.items():
+        if not warned and _needs_propensity(tag):
+            warned = True
+            if isinstance(prop, PropensityFit):
+                warn_fit(prop)
+        if isinstance(out, Exception) and not isinstance(out, IdentificationError):
+            raise out
+    return outs
 
 
 def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
     """Evaluate estimator tags on one sample, sharing one propensity fit.
 
-    ``fit_propensity(data, "logistic")`` is called on the first request of a
-    tag that needs the propensity ("xx", "strat-K") and reused by every later
-    one; "++", "x+" and "beta" never call it. A bootstrap resample's fit
-    starts from its point sample's (see ``fit_propensity``). If the fit fails
-    identification, every tag that needs it gets the same error. Returns, per
-    distinct tag, its estimate as a float array or the IdentificationError it
-    raised; other exceptions propagate.
+    The sample's logistic ``fit_propensity`` is computed once if a tag needs it
+    ("xx", "strat-K"), with its warnings where the first such tag asks for it;
+    "++", "x+" and "beta" never need it. A bootstrap resample's fit starts from
+    its point sample's (see ``fit_propensity``). If the fit fails
+    identification, every tag that needs it gets the same error. Every strat-K
+    tag is cut from one sort of the scores. Returns, per distinct tag, its
+    estimate as a float array or the IdentificationError it raised; the first
+    other error, in tag order, propagates.
     """
-    estimators = {tag: _resolve(tag)[0] for tag in tags}
-    shared: list[PropensityFit | IdentificationError] = []
-
-    def propensity() -> PropensityFit:
-        if not shared:
-            try:
-                shared.append(fit_propensity(data, "logistic"))
-            except IdentificationError as exc:
-                shared.append(exc)
-        if isinstance(shared[0], IdentificationError):
-            raise shared[0]
-        return shared[0]
-
-    out: dict[str, np.ndarray | IdentificationError] = {}
-    for tag, estimate in estimators.items():
-        try:
-            out[tag] = np.atleast_1d(np.asarray(estimate(data, propensity), dtype=float))
-        except IdentificationError as exc:
-            out[tag] = exc
-    return out
+    return _settle(*_evaluate(Batch([data]), tags)[0], tags)
 
 
 def bootstrap_tags(data: Dataset, tags: list[str], b: int = 1000, alpha: float = 0.05,
@@ -540,22 +568,34 @@ def study_truth(spec: DgpSpec, kind: str) -> np.ndarray:
 def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int) -> McSummary:
     """Replicate the design and summarize estimator bias and spread.
 
-    Replicate r draws from the stream (seed, r) and evaluates every tag
-    through one ``evaluate_tags`` call, so the propensity is fitted at
-    most once per replicate and shared by the tags that need it. The
-    replicates run through ``inference.run_replicates``: failures of
-    in-sample identification are counted per estimator and excluded from
-    the summaries and estimates, and any other error aborts the study,
-    its message prefixed with the seed and replicate. A repeated tag
-    raises ValueError.
+    Replicate r draws from the stream (seed, r). Consecutive replicates
+    are evaluated together, in batches of at most ``linalg.BATCH_ROWS``
+    rows (one replicate where n is larger), through the kernels of
+    ``evaluate_tags``: stacked QRs, one logistic IRLS and one strata pass
+    per batch, the propensity fitted at most once per replicate and
+    shared by the tags that need it. Each replicate's estimates, errors
+    and warnings are those of ``evaluate_tags`` on its sample, so the
+    batching changes no result. The replicates run through
+    ``inference.run_replicates``: failures of in-sample identification
+    are counted per estimator and excluded from the summaries and
+    estimates, and any other error aborts the study at the first
+    replicate and tag that raises it, its message prefixed with the seed
+    and replicate. A repeated tag raises ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     require_distinct(estimators)
     truth = {tag: study_truth(spec, _resolve(tag)[1]) for tag in estimators}
+    per_batch = max(1, linalg.BATCH_ROWS // n)
+    evaluated: dict[int, tuple | Exception] = {}
 
     def step(r: int) -> dict[str, np.ndarray | IdentificationError]:
-        return evaluate_tags(generate(spec, n, seed, replicate=r)[0], estimators)
+        if r not in evaluated:
+            evaluated.update(_evaluate_replicates(spec, n, seed, range(r, min(reps, r + per_batch)), estimators))
+        found = evaluated.pop(r)
+        if isinstance(found, Exception):
+            raise found
+        return _settle(*found, estimators)
 
     draws, failures = run_replicates(seed, reps, step, estimators)
     bias: dict[str, np.ndarray] = {}
@@ -575,6 +615,28 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
     return McSummary(
         truth=truth, bias=bias, sd=sd, failures=failures, estimates=estimates, replicates=replicates
     )
+
+
+def _evaluate_replicates(spec: DgpSpec, n: int, seed: int, replicates: range, tags) -> dict:
+    """The leading ``replicates`` of a study evaluated as one batch, up to the first whose sample
+    differs in its constant flag; a replicate whose ``generate`` raises ends the batch with
+    its error in place of its outcomes."""
+    samples: list[Dataset] = []
+    found: dict[int, tuple | Exception] = {}
+    for r in replicates:
+        try:
+            data = generate(spec, n, seed, replicate=r)[0]
+        except Exception as exc:
+            found[r] = exc
+            break
+        if samples and data.has_constant != samples[0].has_constant:
+            break
+        samples.append(data)
+    if samples:
+        batch = Batch.stacked(samples)
+        samples.clear()
+        found.update(zip(replicates, _evaluate(batch, tags)))
+    return found
 
 
 def regressogram_deviation(

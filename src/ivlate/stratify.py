@@ -13,6 +13,12 @@ merge loop and (stratum, arm) for the Wald ratios. A bincount adds each
 cell's entries in row order, so each sum equals a per-arm masked sum bit
 for bit. Counts (a bootstrap resample's) weigh the tallies and repeat
 the scores the cutpoints come from, so strata are those of the rows.
+
+``stratified_late`` is a kernel on an ``estimators.Batch`` for several
+requested counts at once: each sample's scores are sorted once for every
+count, the tallies and arm moments of all samples at one count are one
+bincount each, with cells numbered apart by sample, and only a partition
+with an invalid bin runs the merge loop.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complier import PropensityFit, require_compliers
+from .complier import PropensityFit, PC_FLOOR, _no_compliers
 from .errors import UnpartitionableError
-from .estimators import Dataset, _arm_moments
+from .estimators import Batch, Dataset, arm_gaps, stack
 from .inference import _sorted_quantile
 
 
@@ -57,8 +63,14 @@ def _quantile_bins(e, k, counts=None):
     """Cuts np.quantile(e, j / k), 0 < j < k, read off one sort by ``_sorted_quantile``, the
     bootstrap intervals' rule, and each unit's count of cuts below it by searchsorted (the
     cuts ascend). With ``counts``, the cuts are those of the scores repeated by their counts."""
-    cuts = _sorted_quantile(np.sort(e if counts is None else np.repeat(e, counts)), np.arange(1, k) / k)
-    return cuts, np.searchsorted(cuts, e)
+    cuts, bins = _bins(np.sort(e if counts is None else np.repeat(e, counts))[None], e[None], k)
+    return cuts[0], bins[0]
+
+
+def _bins(ordered: np.ndarray, e: np.ndarray, k: int):
+    """``_quantile_bins`` of samples stacked on a leading axis, each with its sorted scores."""
+    cuts = _sorted_quantile(ordered.T, np.arange(1, k) / k).T
+    return cuts, np.stack([np.searchsorted(c, v) for c, v in zip(cuts, e)])
 
 
 def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition:
@@ -77,27 +89,110 @@ def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition
     stratum is invalid.
     """
     e = np.asarray(ehat, dtype=float).reshape(-1)
+    reps = _whole(counts, e.shape)
+    _check_count(k, e.shape[0] if reps is None else int(reps.sum()))
+    _check_scores(e)
+    z, d = (np.asarray(v, dtype=float).reshape(-1) for v in (z, d))
+    _check_binary(e, z, d)
+    out = _partitions(e[None], z[None], d[None], None if reps is None else reps[None], [k])[0][0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _whole(counts, shape):
+    """``counts`` as integers, checked to be non-negative whole numbers, one per unit."""
     reps = None if counts is None else np.asarray(counts).astype(np.intp)
-    whole = reps is None or (reps.shape == e.shape and (reps >= 0).all() and np.array_equal(reps, counts))
-    if not whole:
+    if not (reps is None or (reps.shape == shape and (reps >= 0).all() and np.array_equal(reps, counts))):
         raise ValueError("counts must be non-negative whole numbers, one per unit")
-    n = e.shape[0] if reps is None else int(reps.sum())
+    return reps
+
+
+def _check_count(k: int, n: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 2 * k:
         raise ValueError(f"need at least 2k = {2 * k} units, got {n}")
+
+
+def _check_scores(e) -> None:
     if not np.all(np.isfinite(e)) or e.min() < 0.0 or e.max() > 1.0:
         raise ValueError("propensity scores must be finite and within [0, 1]")
-    z, d = (np.asarray(v, dtype=float).reshape(-1) for v in (z, d))
+
+
+def _check_binary(e, z, d) -> None:
     for name, v in (("z", z), ("d", d)):
         if v.shape != e.shape or not np.all((v == 0.0) | (v == 1.0)):
             raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
-    cuts, bins = _quantile_bins(e, k, reps)
 
+def _checked_partitions(e, z, d, weights, ks) -> list[list]:
+    """``_partitions`` of stacked samples at each count in ``ks``, with the error that
+    ``partition_by_propensity`` raises first for a sample at a count in its place."""
+    try:
+        reps = None if weights is None else _whole(weights[0], e.shape[1:])[None]  # one sample
+    except ValueError as exc:
+        return [[exc] * len(ks)]
+    units = e.shape[1] if reps is None else int(reps.sum())
+    counted = [_error(_check_count, k, units) for k in ks]
+    inputs = [_error(_check_units, *sample) for sample in zip(e, z, d)]
+    out = [[count or sample for count in counted] for sample in inputs]
+    sound = [s for s, exc in enumerate(inputs) if exc is None]
+    kept = [j for j, exc in enumerate(counted) if exc is None]
+    if len(sound) < len(e):
+        e, z, d = e[sound], z[sound], d[sound]
+    for s, row in zip(sound, _partitions(e, z, d, reps, [ks[j] for j in kept]) if sound and kept else ()):
+        for j, part in zip(kept, row):
+            out[s][j] = part
+    return out
+
+
+def _error(check, *args) -> ValueError | None:
+    """The ValueError that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def _check_units(e, z, d) -> None:
+    _check_scores(e)
+    _check_binary(e, z, d)
+
+
+def _partitions(e, z, d, reps, ks) -> list[list]:
+    """Per stacked sample, its partition (or UnpartitionableError) for each count in ``ks``,
+    all cut from one sort of its scores. A partition whose bins are all valid keeps them;
+    any other runs the merge loop."""
+    ordered = np.sort(e if reps is None else np.repeat(e[0], reps[0])[None], axis=-1)
+    arm_treated = 2 * (z == 1.0) + (d == 1.0)
+    out: list[list] = [[] for _ in range(len(e))]
+    for k in ks:
+        cuts, bins = _bins(ordered, e, k)
+        offset = 4 * k * np.arange(len(e))[:, None]
+        weights = None if reps is None else reps.ravel()
+        tally = np.bincount((offset + 4 * bins + arm_treated).ravel(), weights, 4 * k * len(e))
+        tally = tally.astype(int).reshape(len(e), k, 4)
+        units0, units1 = tally[..., 0] + tally[..., 1], tally[..., 2] + tally[..., 3]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            valid = (units0 > 0) & (units1 > 0) & (tally[..., 3] / units1 - tally[..., 1] / units0 != 0.0)
+        sizes = tally.sum(axis=-1)
+        for i in range(len(e)):
+            if valid[i].all():
+                out[i].append(StratumPartition(k, cuts[i].copy(), bins[i] + 1, sizes[i], k))
+            else:
+                try:
+                    out[i].append(_merged(k, cuts[i], bins[i], tally[i]))
+                except UnpartitionableError as exc:
+                    out[i].append(exc)
+    return out
+
+
+def _merged(k: int, cuts, bins, tally) -> StratumPartition:
+    """The partition whose invalid bins merge into their lower neighbour (the first upward)."""
     # Per-bin counts of (Z, D) = (0, 0), (0, 1), (1, 0), (1, 1) units as Python-int
     # prefix sums: bins [lo, hi) hold prefix[hi] - prefix[lo], exactly.
-    tally = np.bincount(4 * bins + 2 * (z == 1.0) + (d == 1.0), reps, 4 * k).astype(int).reshape(k, 4)
     prefix = [[0] * 4, *tally.cumsum(axis=0).tolist()]
 
     def valid(lo: int, hi: int) -> bool:
@@ -140,12 +235,54 @@ def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedRes
     under a saturated propensity is sum_j n_j dd_j / n, and
     NoCompliersError is raised when it does not exceed PC_FLOOR.
     """
-    partition = partition_by_propensity(prop.ehat, k, z=data.z, d=data.d, counts=data.weights)
-    _, d_diff, y_diff = _arm_moments(data, partition.labels - 1, partition.k)
-    complier_mass = partition.counts @ d_diff
-    require_compliers(complier_mass / data.size)
-    tau_star = float(partition.counts @ y_diff / complier_mass)
-    return StratifiedResult(tau_star=tau_star, beta_star=y_diff / d_diff, partition=partition)
+    out = stratified(Batch([data]), [prop], [k])[0][0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def stratified(batch: Batch, props, ks) -> list[list]:
+    """Per sample, ``stratified_late`` at its propensity fit in ``props`` for each count in
+    ``ks``, or the error it raised; a sample whose fit is an error gets it for every count."""
+    out = [[prop] * len(ks) if isinstance(prop, Exception) else [None] * len(ks) for prop in props]
+    live = [i for i, prop in enumerate(props) if not isinstance(prop, Exception)]
+    if not live:
+        return out
+    sub = batch if len(live) == len(batch) else batch.take(live)
+    e = stack([props[i].ehat for i in live])
+    if len(sub) == 1 and len(ks) == 1:  # one sample's partition at one count: the public one
+        try:
+            partitions = [[partition_by_propensity(e[0], ks[0], sub.z[0], sub.d[0],
+                                                   None if sub.weights is None else sub.weights[0])]]
+        except (UnpartitionableError, ValueError) as exc:
+            partitions = [[exc]]
+    else:
+        partitions = _checked_partitions(e, sub.z, sub.d, sub.weights, ks)
+    arm, d, y = sub.z == 1.0, sub.weighted(sub.d), sub.weighted(sub.y)
+    size = sub.size if sub.weights is None else sub.size[0]
+    for j in range(len(ks)):
+        for s, row in enumerate(partitions):
+            if isinstance(row[j], Exception):
+                out[live[s]][j] = row[j]
+        rows = [s for s, row in enumerate(partitions) if not isinstance(row[j], Exception)]
+        if not rows:
+            continue
+        parts = [partitions[s][j] for s in rows]
+        # One bincount per moment over the samples' partitions, their strata numbered apart.
+        strata = np.cumsum([0] + [part.k for part in parts])
+        every = len(rows) == len(sub)
+        cell = 2 * (strata[:-1, None] + stack([part.labels for part in parts]) - 1) + (arm if every else arm[rows])
+        weights = None if sub.weights is None else sub.weights.ravel()
+        moments = [(v if every else v[rows]).ravel() for v in (d, y)]
+        _, d_diff, y_diff = arm_gaps(cell.ravel(), weights, *moments, int(strata[-1]))
+        for s, part, lo, hi in zip(rows, parts, strata, strata[1:]):
+            dd, dy = d_diff[lo:hi], y_diff[lo:hi]
+            complier_mass = part.counts @ dd
+            if complier_mass / size <= PC_FLOOR:
+                out[live[s]][j] = _no_compliers(complier_mass / size)
+            else:
+                out[live[s]][j] = StratifiedResult(float(part.counts @ dy / complier_mass), dy / dd, part)
+    return out
 
 
 def regressogram(result: StratifiedResult) -> list[tuple[float, float, float]]:

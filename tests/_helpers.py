@@ -1,12 +1,14 @@
 """Shared builders for test datasets and finite-support designs, the oracle's moment-block
-reference, and a logistic propensity fit from a given start."""
+reference, a logistic propensity fit from a given start, and a study's row budget."""
 
+import contextlib
 import json
 
 import numpy as np
+import pytest
 from scipy.special import expit
 
-from ivlate import complier
+from ivlate import complier, linalg
 from ivlate.complier import CLIP, PC_FLOOR, PropensityFit
 from ivlate.estimators import Dataset
 from ivlate.linalg import least_squares
@@ -169,6 +171,30 @@ def warm_fit(sample, start):
                                                    sample.weights)
     clipped = np.clip(raw, CLIP, 1.0 - CLIP)
     return PropensityFit(clipped, coef, converged, int(np.sum(sample.weighted(clipped != raw))))
+
+
+def fits_by(fit):
+    """A stand-in for ``montecarlo.logistic_fits`` that fits each sample of a batch by
+    ``fit(sample)``, an error it raises taking the fit's place."""
+
+    def fits(batch):
+        out = []
+        for sample in batch.samples:
+            try:
+                out.append(fit(sample))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
+    return fits
+
+
+@contextlib.contextmanager
+def row_budget(rows):
+    """Evaluate Monte Carlo studies in batches of at most ``rows`` rows (one sample at least)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "BATCH_ROWS", rows)
+        yield
 
 
 def residualize(targets, controls):

@@ -471,6 +471,25 @@ def test_simulate_with_too_small_n_is_config_error(tmp_path, capsys, design, n, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "design, n, tags, message",
+    [
+        # Replicate 0 only fails identification, so the error is replicate 1's.
+        ("A", "3", "xx", "seed 0, replicate 1: need at least as many rows (3) as regressors (4)"),
+        ("B", "5", "strat-5", "seed 0, replicate 0: need at least 2k = 10 units, got 5"),
+    ],
+)
+def test_a_batched_study_names_the_first_replicate_that_raises(tmp_path, capsys, design, n, tags, message):
+    """The three replicates are evaluated as one batch; the error is the one that evaluating
+    them one by one meets first."""
+    args = ["simulate", "--dgp", design, "--n", n, "--estimators", tags, "--reps", "3",
+            "--seed", "0", "--output", str(tmp_path / "sim.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(args) == 1
+    assert f"configuration error: --n {n} is too small for these estimators: {message}\n" in capsys.readouterr().err
+
+
 def test_simulate_reports_and_per_replicate_csv(tmp_path):
     out = tmp_path / "sim.json"
     reps_out = tmp_path / "reps.csv"

@@ -105,13 +105,13 @@ def test_parameter_validation():
 def test_estimator_pipelines_refit_propensity_in_every_replicate(monkeypatch):
     data = simulate_iv(9, n=200, k=2)
     calls = {"n": 0}
-    original = ivlate.complier.fit_propensity
+    original = ivlate.complier.logistic_fits
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
+    def counting(batch):
+        calls["n"] += len(batch)
+        return original(batch)
 
-    monkeypatch.setattr("ivlate.montecarlo.fit_propensity", counting)
+    monkeypatch.setattr("ivlate.montecarlo.logistic_fits", counting)
     pipeline, _ = pipeline_for("xx")
     result = bootstrap(data, pipeline, b=25, seed=11)
     # one fit for the point estimate plus one per surviving replicate

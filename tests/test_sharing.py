@@ -4,17 +4,23 @@ Evaluating several estimator tags on one sample must give, bit for bit,
 what each tag gives on its own: the shared logistic propensity fit is
 the same deterministic computation on the same data. These tests pin
 that equality for the study runner and the CLI bootstrap, and
-count the fits, factorizations and resamples the sharing saves.
+count the fits, factorizations and resamples the sharing saves. A
+study's replicates evaluated in batches must likewise give what each
+gives alone, whatever the batch size, with the same warnings.
 """
 
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from _helpers import load_report, simulate_iv, warm_fit
+from _helpers import fits_by, load_report, row_budget, simulate_iv, warm_fit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ivlate.complier
 import ivlate.inference
 import ivlate.linalg
 import ivlate.montecarlo
@@ -23,7 +29,7 @@ from ivlate.complier import fit_propensity
 from ivlate.errors import IdentificationError, RankDeficientError
 from ivlate.estimators import additive_2sls, interacted_2sls, interacted_ols
 from ivlate.inference import bootstrap
-from ivlate.montecarlo import bootstrap_tags, dgp_a, dgp_b, evaluate_tags, generate, pipeline_for, run_study
+from ivlate.montecarlo import bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for, run_study
 from ivlate.streams import RESAMPLE
 
 PROPENSITY_TAGS = ("xx", "strat-5", "strat-10", "strat-15")
@@ -41,21 +47,25 @@ STUDIES = {
     "B-weak": (weak_first_stage_b, ("++", "x+", "xx", "beta", "strat-5", "strat-10", "strat-15"), 40, 40, 0),
     # Every tag fails on some replicates.
     "A": (dgp_a, ("++", "x+", "xx", "beta", "strat-2", "strat-5"), 30, 12, 5),
+    # xx fails on one replicate.
+    "C": (dgp_c, ("++", "x+", "xx", "beta", "strat-5", "strat-10"), 40, 40, 0),
 }
 
 
 def counting_fit(monkeypatch, fail_on=None):
-    """Count ``ivlate.montecarlo.fit_propensity`` calls, optionally failing on one sample."""
+    """Record each sample whose logistic fit ``ivlate.montecarlo.logistic_fits`` is asked
+    for, optionally failing one sample's."""
     calls = []
-    original = ivlate.montecarlo.fit_propensity
+    original = ivlate.montecarlo.logistic_fits
 
-    def counted(data, *args, **kwargs):
-        calls.append(data)
-        if fail_on is not None and np.array_equal(data.y, fail_on.y):
-            raise RankDeficientError("injected failure of the shared propensity fit")
-        return original(data, *args, **kwargs)
+    def counted(batch):
+        calls.extend(batch.samples)
+        fits = original(batch)
+        injected = RankDeficientError("injected failure of the shared propensity fit")
+        return [injected if fail_on is not None and np.array_equal(data.y, fail_on.y) else fit
+                for data, fit in zip(batch.samples, fits)]
 
-    monkeypatch.setattr("ivlate.montecarlo.fit_propensity", counted)
+    monkeypatch.setattr("ivlate.montecarlo.logistic_fits", counted)
     return calls
 
 
@@ -70,6 +80,64 @@ def test_all_tags_together_equal_each_tag_alone(design):
         assert np.array_equal(together.estimates[tag], alone.estimates[tag])
         assert np.array_equal(together.bias[tag], alone.bias[tag], equal_nan=True)
         assert np.array_equal(together.sd[tag], alone.sd[tag], equal_nan=True)
+
+
+def assert_same_summary(got, expected):
+    assert got.failures == expected.failures
+    for tag in expected.failures:
+        assert np.array_equal(got.replicates[tag], expected.replicates[tag])
+        assert got.estimates[tag].tobytes() == expected.estimates[tag].tobytes()
+        assert got.bias[tag].tobytes() == expected.bias[tag].tobytes()
+        assert got.sd[tag].tobytes() == expected.sd[tag].tobytes()
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(STUDIES)), st.integers(0, 2**16), st.integers(1, 20))
+def test_the_batch_size_does_not_change_a_study(design, seed, reps):
+    """Batches of one sample, of three and of the default row budget give each replicate the
+    same bits, failures included."""
+    make, tags, _, n, _ = STUDIES[design]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        summaries = []
+        for rows in (n, 3 * n, ivlate.linalg.BATCH_ROWS):
+            with row_budget(rows):
+                summaries.append(run_study(make(), list(tags), reps=reps, n=n, seed=seed))
+    for summary in summaries[1:]:
+        assert_same_summary(summary, summaries[0])
+
+
+@pytest.mark.parametrize("design", sorted(STUDIES))
+def test_a_batched_study_fails_each_replicate_as_alone(design):
+    """The designs' failing replicates, evaluated in one batch, fail as in batches of one."""
+    make, tags, reps, n, seed = STUDIES[design]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with row_budget(n):
+            alone = run_study(make(), list(tags), reps=reps, n=n, seed=seed)
+        together = run_study(make(), list(tags), reps=reps, n=n, seed=seed)
+    assert any(together.failures.values())
+    assert_same_summary(together, alone)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["clipped", "not-converged"])
+def test_a_batched_study_warns_as_one_sample_at_a_time(monkeypatch, capped):
+    """Clip and non-convergence warnings come in the text and order that evaluating each
+    replicate's sample on its own gives them."""
+    if capped:
+        monkeypatch.setattr(ivlate.complier, "IRLS_MAX_ITER", 2)
+    make, tags, reps, n, seed = STUDIES["A"]
+
+    def messages(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return [(w.category, str(w.message)) for w in caught]
+
+    one_by_one = messages(lambda: [evaluate_tags(generate(make(), n, seed, replicate=r)[0], list(tags))
+                                   for r in range(reps)])
+    assert any(("converge" if capped else "clipped") in text for _, text in one_by_one)
+    assert messages(lambda: run_study(make(), list(tags), reps=reps, n=n, seed=seed)) == one_by_one
 
 
 def test_one_propensity_fit_per_replicate(monkeypatch):
@@ -115,11 +183,11 @@ def warm_rows_pipeline(data, tag):
     from zero, every other sample from its coefficients."""
     start = fit_propensity(data, "logistic").coefficients
 
-    def fit(sample, spec):
-        return fit_propensity(sample, spec) if sample is data else warm_fit(sample, start)
+    def fit(sample):
+        return fit_propensity(sample, "logistic") if sample is data else warm_fit(sample, start)
 
     def pipeline(sample):
-        with mock.patch.object(ivlate.montecarlo, "fit_propensity", fit):
+        with mock.patch.object(ivlate.montecarlo, "logistic_fits", fits_by(fit)):
             out = evaluate_tags(sample, [tag])[tag]
         if isinstance(out, IdentificationError):
             raise out

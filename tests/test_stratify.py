@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _helpers import simulate_iv
 
 from ivlate.complier import fit_propensity
 from ivlate.errors import UnpartitionableError
-from ivlate.estimators import Dataset, interacted_2sls, stratum_wald
+from ivlate.estimators import Batch, Dataset, interacted_2sls, stratum_wald
 from ivlate.montecarlo import DgpCell, from_cells, generate
-from ivlate.stratify import partition_by_propensity, regressogram, stratified_late
+from ivlate.stratify import partition_by_propensity, regressogram, stratified, stratified_late
 
 
 def unbalanced_binary_spec():
@@ -164,3 +166,29 @@ def test_regressogram_interval_layout():
     assert lows[0] == 0.0 and highs[-1] == 1.0
     assert highs[:-1] == lows[1:]
     assert [b[2] for b in bins] == pytest.approx(result.beta_star.tolist(), rel=1e-12)
+
+
+def test_a_batch_gives_each_sample_and_count_its_own_outcome():
+    """``stratified`` on stacked samples at several counts gives each sample at each count
+    what ``stratified_late`` gives it alone: a result, or the first error its checks raise."""
+    samples = [simulate_iv(seed, n=100) for seed in (80, 81, 82, 83)]
+    props = [fit_propensity(data, "logistic") for data in samples]
+    props[1] = replace(props[1], ehat=np.where(np.arange(100) == 7, 1.5, props[1].ehat))
+    props[2] = UnpartitionableError("the sample's own fit failed")
+    samples[3] = replace(samples[3], d=np.where(np.arange(100) == 9, 0.5, samples[3].d))
+    ks = [2, 5, 60]  # 60 strata need 120 units
+    got = stratified(Batch(samples), props, ks)
+    kinds = set()
+    for data, prop, row in zip(samples, props, got):
+        for k, out in zip(ks, row):
+            try:
+                alone = stratified_late(data, prop, k)
+            except Exception as exc:
+                assert (type(out), str(out)) == (type(exc), str(exc))
+                kinds.add(str(exc).split()[0])
+            else:
+                assert out.tau_star == alone.tau_star
+                assert out.beta_star.tobytes() == alone.beta_star.tobytes()
+                assert np.array_equal(out.partition.labels, alone.partition.labels)
+                kinds.add("result")
+    assert kinds == {"result", "need", "propensity", "the", "d"}

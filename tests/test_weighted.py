@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from _helpers import dummy_coded, simulate_iv, warm_fit
+from _helpers import dummy_coded, fits_by, simulate_iv, warm_fit
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -134,7 +134,7 @@ def test_weighted_resample_equals_its_rows(case):
             assert_same(*scores)
             tied = any(prop[0] == "ok" and rounding_ties(prop[1].ehat) for prop in props)
             tags = [tag for tag in TAGS if not (tied and tag.startswith("strat"))]
-            with mock.patch.object(montecarlo, "fit_propensity", lambda s, spec: warm_fit(s, fit)):
+            with mock.patch.object(montecarlo, "logistic_fits", fits_by(lambda s: warm_fit(s, fit))):
                 pair = [outcome(evaluate_tags, s, tags) for s in (weighted, rows)]
             for tag in tags:
                 got, expected = (out[1][tag] for out in pair)
@@ -205,8 +205,9 @@ def counting(monkeypatch, name, module=ivlate.linalg):
 def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
     """Without cell 1 the resample's dummy for it is zero: the block's reweighted Gram and
     the propensity fit's whitened Gram are singular, so both factor the √w-scaled rows, the
-    IRLS within its weighted runs (it never refits on the materialised rows): the run from
-    the point's coefficients fails, and so does its rerun from zero."""
+    IRLS within its weighted run (it never refits on the materialised rows): the run from
+    the point's coefficients fails, and with an all-zero column every start would, so it
+    is not rerun from zero."""
     data, cat = with_constant_dummies(5, n=240, levels=3)
     rng = np.random.default_rng(0)
     kept = np.bincount(rng.choice(np.flatnonzero(cat != 1), data.n), minlength=data.n).astype(float)
@@ -219,13 +220,13 @@ def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
             runs = counting(monkeypatch, "_irls_steps", complier)
             weighted = data.resample(counts)
             got = evaluate_tags(weighted, [tag])[tag]
-            irls = [True] + [False] * fell_back if tag == "xx" else []  # from the point's fit
+            irls = [True] if tag == "xx" else []  # from the point's fit
             assert [args[3] is point for args in runs] == irls
             assert all(args[4] is not None for args in runs)  # weighted
-            # Only a fallback factors n rows: the block's, or the IRLS's in each of its runs.
+            # Only a fallback factors n rows: the block's, or the IRLS's in its one run.
             assert len(factors) == (len(irls) if tag == "xx" else 1) * fell_back
             monkeypatch.undo()
-            with mock.patch.object(montecarlo, "fit_propensity", lambda s, spec: warm_fit(s, point)):
+            with mock.patch.object(montecarlo, "logistic_fits", fits_by(lambda s: warm_fit(s, point))):
                 expected = evaluate_tags(fresh(weighted.rows), [tag])[tag]
             if fell_back:
                 assert type(got) is type(expected) and str(got) == str(expected)
