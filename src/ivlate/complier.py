@@ -6,11 +6,14 @@ score. Complier covariate means feed the centered interacted 2SLS,
 whose leading coefficient targets the local average treatment effect.
 
 The logistic fit and the centered estimate are kernels on an
-``estimators.Batch``: the IRLS runs every sample of a batch together,
-whitened by stacked factors, each sample stopping at its own
-convergence, and the kappa weights and complier means are array
-operations. ``fit_propensity`` and ``centered_interacted_2sls`` are the
-kernels on a batch of one.
+``estimators.Batch``: one IRLS runs every sample of a batch together,
+whitened by stacked factors. Each sample starts from zero, or a
+resample from its point sample's coefficients, and stops at its own
+convergence; a resample's fit that fails, does not converge or reaches
+the eta clip reruns from zero. The kappa weights and complier means are
+array operations. ``fit_propensity(..., "logistic")`` and
+``centered_interacted_2sls`` are the kernels on a batch of one, with no
+route of their own.
 """
 
 from __future__ import annotations
@@ -133,36 +136,27 @@ def logistic_fits(batch: Batch) -> list:
     """Each sample's logistic ``fit_propensity``, without its warnings (see ``warn_fit``), or
     the error it raised; a fit or IdentificationError is cached on its sample."""
     pending = [i for i, sample in enumerate(batch.samples) if "_logistic" not in sample.__dict__]
-    fits = {}
-    if pending:
-        sub = batch if len(pending) == len(batch) else batch.take(pending)
-        for i, fit in zip(pending, each(_fit_logistic, sub)):
-            fits[i] = fit
-            if not isinstance(fit, Exception) or isinstance(fit, IdentificationError):
-                batch.samples[i].__dict__["_logistic"] = fit
+    fits = dict(zip(pending, each(_fit_logistic, batch.take(pending)))) if pending else {}
+    for i, fit in fits.items():
+        if not isinstance(fit, Exception) or isinstance(fit, IdentificationError):
+            batch.samples[i].__dict__["_logistic"] = fit
     return [fits[i] if i in fits else sample.__dict__["_logistic"] for i, sample in enumerate(batch.samples)]
 
 
 def _fit_logistic(batch: Batch) -> list:
-    """The logistic fits of a batch. A sample alone starts from its point sample's coefficients if
-    it is a resample (see ``_irls_logistic``), or raises the point fit's error; any other sample
-    starts from zero. Samples together are unweighted and run one stacked IRLS."""
-    if len(batch) == 1:
-        data, start = batch.samples[0], None
-        if data.origin is not None:
-            point = logistic_fits(Batch([data.origin[0]]))[0]
-            if isinstance(point, Exception):
-                raise point
-            start = point.coefficients
-        mu, coef, converged = _irls_logistic(data.z, data.x, _whitening(data), start, data.weights)
-        return _clipped(batch, mu[None], [coef], [converged])
-    whiten, dependent = _whitenings(batch)
-    out: list = [linalg.rank_error(whiten[1][i]) if bad else None for i, bad in enumerate(dependent)]
-    live = [i for i, bad in enumerate(dependent) if not bad]
+    """The logistic fits of a batch, by one stacked IRLS (``_irls_batch``). A resample starts
+    from its point sample's coefficients, or gets the point fit's error; any other sample starts
+    from zero. A sample whose T fails its rank check (``_whitenings``) gets that error."""
+    points = [None if sample.origin is None else logistic_fits(Batch([sample.origin[0]]))[0]
+              for sample in batch.samples]
+    whiten, unwhitened = _whitenings(batch)
+    out = [point if isinstance(point, Exception) else error for point, error in zip(points, unwhitened)]
+    live = [i for i, error in enumerate(out) if error is None]
     if live:
-        every = len(live) == len(batch)
-        sub, stacked = (batch, whiten) if every else (batch.take(live), [a[live] for a in whiten])
-        mu, coef, converged, errors = _irls_batch(sub.z, sub.x, stacked, np.zeros((len(live), batch.k)))
+        sub = batch.take(live)
+        whiten = whiten if sub is batch else tuple(a[live] for a in whiten)
+        starts = [None if points[i] is None else points[i].coefficients for i in live]
+        mu, coef, converged, errors = _irls_batch(sub.z, sub.x, whiten, starts, sub.weights)
         for i, fit, error in zip(live, _clipped(sub, mu, coef, converged), errors):
             out[i] = fit if error is None else error
     return out
@@ -173,75 +167,38 @@ def expit(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _whitening(data: Dataset):
-    """(Q', T, T^-1) that whiten the sample's IRLS steps, cached (see ``_whitenings``). A
-    resample takes its point sample's at its drawn rows, or raises the point's error."""
-    if data.origin is not None:
-        point, drawn = data.origin
-        qt, tmat, inverse = _whitening(point)
-        return qt.take(drawn, axis=1), tmat, inverse
-    if "_whitening" not in data.__dict__:
-        whiten, dependent = _whitenings(Batch([data]))
-        if dependent[0]:
-            raise linalg.rank_error(whiten[1][0])
-        data.__dict__["_whitening"] = tuple(a[0] for a in whiten)
-    return data.__dict__["_whitening"]
-
-
 def _whitenings(batch: Batch):
-    """Stacked (Q', T, T^-1) that whiten each sample's IRLS steps, and whether each T has a
-    dependent column (its Q' and T^-1 are then NaN). T is R of sqrt(w) X / 2, the factor of
-    the first step from zero (every weight 1/4), half the leading block of the sample's factor,
-    and Q = X T^-1. T gets the checks of ``least_squares``, as that step's fit would."""
+    """Stacked (Q', T, T^-1) that whiten each sample's IRLS steps, and per sample the
+    RankDeficientError of a T with a dependent column, else None (its Q' and T^-1 are then
+    NaN). T is R of sqrt(w) X / 2, the factor of the first step from zero (every weight 1/4),
+    half the leading block of the sample's factor, and Q = X T^-1. T gets the checks of
+    ``least_squares``, as that step's fit would. A sample alone caches its own; a resample
+    (alone in its batch) takes its point sample's, at its drawn rows."""
+    data = batch.samples[0]
+    if len(batch) == 1 and "_whitening" in data.__dict__:
+        return data.__dict__["_whitening"]
+    if len(batch) == 1 and data.origin is not None:
+        point, drawn = data.origin
+        (qt, tmat, inverse), errors = _whitenings(Batch([point]))
+        return (qt.take(drawn, axis=-1), tmat, inverse), errors
     tmat = 0.5 * batch.factor[:, : batch.k, : batch.k]
-    dependent = linalg.rank_deficient(tmat)
-    if any(dependent):
-        inverse, ok = np.full_like(tmat, np.nan), ~np.array(dependent)
-        if ok.any():
-            inverse[ok] = np.linalg.inv(tmat[ok])
-    else:
-        inverse = np.linalg.inv(tmat)
-    return (np.swapaxes(inverse, -1, -2) @ np.swapaxes(batch.x, -1, -2), tmat, inverse), dependent
+    errors = linalg.rank_errors(tmat)
+    # T^-1 solves T V = I: np.linalg.inv is LAPACK's gesv on the identity, as solve is, so the same bits.
+    identity = np.broadcast_to(np.eye(batch.k), tmat.shape)
+    inverse = linalg.solve_where([error is None for error in errors], tmat, identity)
+    whiten = (np.swapaxes(inverse, -1, -2) @ np.swapaxes(batch.x, -1, -2), tmat, inverse), errors
+    if len(batch) == 1:
+        data.__dict__["_whitening"] = whiten
+    return whiten
 
 
-def _irls_logistic(z, x, whiten, start=None, counts=None):
-    """(scores, coefficients, converged) of the IRLS from ``start``, or from zero when
-    ``start`` is None or its fit raises an IdentificationError, does not converge or
-    reaches the eta clip. A clipped eta marks a (quasi-)separated sample, whose
-    likelihood has no maximum, so where its fit stops depends on where it starts. An
-    error of a sample with an all-zero column of X (a dummy for a cell a resample did
-    not draw) fails every start, so it is raised without a rerun.
-    ``whiten`` and ``counts`` go to ``_irls_steps``; rows with no count are not in the sample."""
-    if start is not None:
-        try:
-            fit = _irls_steps(z, x, whiten, np.asarray(start, dtype=float), counts)
-        except IdentificationError:
-            if not (x if counts is None else x[counts > 0]).any(axis=0).all():
-                raise
-            fit = None
-        if fit is not None and fit[2]:
-            eta = np.abs(x @ fit[1])
-            if (eta if counts is None else eta[counts > 0]).max() < _ETA_BOUND:
-                return fit
-    return _irls_steps(z, x, whiten, np.zeros(x.shape[1]), counts)
+def _irls_batch(z, x, whiten, starts, counts=None):
+    """IRLS of samples stacked on a leading axis, each from its entry of ``starts`` (None: from
+    zero), its steps whitened by its (Q', T, T^-1) in ``whiten``; a sample leaves the batch once
+    it converges or a step fails. Returns the stacked scores and coefficients, whether each
+    converged, and each sample's IdentificationError (None where it has none).
 
-
-def _irls_steps(z, x, whiten, beta, counts=None):
-    """(scores, coefficients, converged) of the IRLS of one sample from ``beta``, every step
-    whitened by ``whiten``, the (Q', T, T^-1) of ``_whitening``: ``_irls_batch`` on the sample
-    alone, raising the IdentificationError of a step."""
-    mu, beta, converged, errors = _irls_batch(z[None], x[None], tuple(a[None] for a in whiten), beta[None],
-                                              None if counts is None else counts[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return mu[0], beta[0], bool(converged[0])
-
-
-def _irls_batch(z, x, whiten, beta, counts=None):
-    """IRLS of samples stacked on a leading axis, each from its row of ``beta``, its steps
-    whitened by its (Q', T, T^-1) in ``whiten``; a sample leaves the batch once it converges
-    or a step fails. Returns the stacked scores and coefficients, whether each converged, and
-    each sample's IdentificationError (None where it has none).
+    A sample with a start reruns from zero where ``_reruns`` says so.
 
     Each step forms one exponential, ex = exp(-eta) at the clipped eta:
     mu = 1 / (1 + ex), and the deviance is 2 sum log1p(exp((1 - 2z) eta))
@@ -253,6 +210,8 @@ def _irls_batch(z, x, whiten, beta, counts=None):
     A step that its whitening cannot whiten factors the sample's rows scaled
     by sqrt(counts w).
     """
+    given = z, x, whiten, counts  # the loop narrows these to the samples still iterating
+    beta = np.array([np.zeros(x.shape[-1]) if start is None else start for start in starts], dtype=float)
     mu_out, beta_out = np.empty(z.shape), np.empty(beta.shape)
     converged, errors = [False] * len(z), [None] * len(z)
     # The sample of each row, and which rows still iterate; a finished row stays in the arrays
@@ -294,17 +253,38 @@ def _irls_batch(z, x, whiten, beta, counts=None):
             if active[i] and math.isfinite(prev) and abs(now - prev) < IRLS_TOL * (abs(prev) + 1e-300):
                 mu_out[live[i]], beta_out[live[i]], converged[live[i]], active[i] = mu[i], beta[i], True, False
         if not any(active):
-            return mu_out, beta_out, converged, errors
+            break
         if 2 * sum(active) <= len(active):
             keep = [i for i, on in enumerate(active) if on]
             z, x, qt, tmat, inverse, eta, mu, beta = (a[keep] for a in (z, x, qt, tmat, inverse, eta, mu, beta))
             counts = None if counts is None else counts[keep]
             live, active, dev = [live[i] for i in keep], [True] * len(keep), [dev[i] for i in keep]
         dev_prev = dev
-    for i, on in enumerate(active):
-        if on:
-            mu_out[live[i]], beta_out[live[i]] = mu[i], beta[i]
+    else:
+        for i, on in enumerate(active):
+            if on:
+                mu_out[live[i]], beta_out[live[i]] = mu[i], beta[i]
+    z, x, whiten, counts = given
+    rerun = [i for i, start in enumerate(starts)
+             if start is not None and _reruns(x[i], beta_out[i], converged[i], errors[i])]
+    if rerun:
+        again = _irls_batch(z[rerun], x[rerun], tuple(a[rerun] for a in whiten), [None] * len(rerun),
+                            None if counts is None else counts[rerun])
+        for j, i in enumerate(rerun):
+            mu_out[i], beta_out[i], converged[i], errors[i] = (part[j] for part in again)
     return mu_out, beta_out, converged, errors
+
+
+def _reruns(x, beta, converged: bool, error) -> bool:
+    """Whether a fit that did not start from zero reruns from zero: where it raised an
+    IdentificationError, did not converge or reached the eta clip. A clipped eta marks a
+    (quasi-)separated sample, whose likelihood has no maximum, so where its fit stops depends
+    on where it starts. An error of a sample with an all-zero column of X (a dummy for a cell
+    a resample did not draw) fails every start, so it is kept. Only resamples, whose rows all
+    have counts, start elsewhere than zero."""
+    if error is not None:
+        return bool(x.any(axis=0).all())
+    return not converged or np.abs(x @ beta).max() >= _ETA_BOUND
 
 
 def _link(x: np.ndarray, beta: np.ndarray):
@@ -333,17 +313,10 @@ def _whitened_step(qt, tmat, inverse, w, working):
     qtw = qt * w[:, None, :]
     gram = qtw @ qt.swapaxes(-1, -2)
     chol, bounded = linalg.bounded_choleskys(gram)
-    scaled = chol @ tmat
-    dependent = linalg.rank_deficient(scaled)
-    if all(bounded) and not any(dependent):
-        return (inverse @ np.linalg.solve(gram, qtw @ working[..., None]))[..., 0], [], [None] * len(w)
-    solved = np.array([ok and not bad for ok, bad in zip(bounded, dependent)])
-    beta = np.full(w.shape[:1] + tmat.shape[-1:], np.nan)
-    if solved.any():
-        rhs = qtw[solved] @ working[solved][..., None]
-        beta[solved] = (inverse[solved] @ np.linalg.solve(gram[solved], rhs))[..., 0]
-    return beta, [i for i, ok in enumerate(bounded) if not ok], [
-        linalg.rank_error(r) if ok and bad else None for r, ok, bad in zip(scaled, bounded, dependent)]
+    errors = [error if ok else None for error, ok in zip(linalg.rank_errors(chol @ tmat), bounded)]
+    solved = [ok and error is None for ok, error in zip(bounded, errors)]
+    beta = inverse @ linalg.solve_where(solved, gram, qtw @ working[..., None])
+    return beta[..., 0], [i for i, ok in enumerate(bounded) if not ok], errors
 
 
 def _saturated_scores(z, x):
@@ -448,7 +421,7 @@ def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
     live = [i for i, prop in enumerate(out) if prop is None]
     if not live:
         return out
-    sub = batch if len(live) == len(batch) else batch.take(live)
+    sub = batch.take(live)
     kappa = sub.weighted(_kappa(sub.d, sub.z, stack([props[i].ehat for i in live])))
     for i, share in zip(live, (kappa.sum(axis=-1) / sub.size).tolist()):
         if share <= PC_FLOOR:
@@ -464,10 +437,10 @@ def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
     keep = [j for j, i in enumerate(live) if out[i] is None]
     if not keep:
         return out
-    rows = sub if len(keep) == len(sub) else sub.take(keep)
+    rows = sub.take(keep)
     kept = [fits[live[j]] for j in keep]
     if centering == "kappa":
-        weights = kappa if len(keep) == len(sub) else kappa[keep]
+        weights = kappa if rows is sub else kappa[keep]
     else:
         weights = rows.weighted(_matvec(rows.x, stack([fit.c1[0] for fit in kept])))
     total = weights.sum(axis=-1)

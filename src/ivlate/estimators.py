@@ -260,7 +260,10 @@ class Batch:
         return each(_interacted, self)
 
     def take(self, idx) -> "Batch":
-        """The batch of the samples at ``idx``, with the stacked arrays computed so far."""
+        """The batch of the samples at ``idx``, with the stacked arrays computed so far; every
+        sample in order is the batch itself."""
+        if list(idx) == list(range(len(self))):
+            return self
         sub = Batch([self.samples[i] for i in idx])
         for name in ("y", "d", "z", "x", "weights", "factor"):
             if name in self.__dict__:
@@ -338,15 +341,9 @@ def _two_stage(batch: Batch, instruments, responses, first: bool = False):
     if first:
         linalg.check_finite(rmat[..., resp], "responses")
         linalg.check_finite(rmat[..., :w], "regressors")
-    dependent = linalg.rank_deficient(rmat[:, :w, :w])
-    second: list = [linalg.rank_error(rmat[i, :w, :w]) if bad else None for i, bad in enumerate(dependent)]
-    if first and not any(dependent):
-        stage = np.linalg.solve(rmat[:, :w, :w], rmat[:, :w, resp])
-    elif first:
-        stage, ok = np.full((len(batch), w, len(resp)), np.nan), ~np.array(dependent)
-        if ok.any():
-            stage[ok] = np.linalg.solve(rmat[ok][:, :w, :w], rmat[ok][:, :w, resp])
+    second: list = linalg.rank_errors(rmat[:, :w, :w])
     if first:
+        stage = linalg.solve_where([error is None for error in second], rmat[:, :w, :w], rmat[:, :w, resp])
         stage = np.concatenate([stage[:, k:], stage[:, :k]], axis=1)
     live = [i for i, out in enumerate(second) if out is None]
     regressors = [*range(k), *resp]

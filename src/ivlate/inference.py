@@ -59,6 +59,18 @@ def _sorted_quantile(ordered: np.ndarray, q) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), ordered[-1], cuts)
 
 
+def spread(values: np.ndarray) -> np.ndarray:
+    """``values.std(axis=0, ddof=1)``, where a column of finite values whose squared deviations
+    overflow is taken on v / max|v| and scaled back; other columns keep their bits."""
+    with np.errstate(over="ignore"):
+        sd = values.std(axis=0, ddof=1)
+    redo = ~np.isfinite(sd) & np.isfinite(values).all(axis=0)
+    if redo.any():
+        scale = np.abs(values[:, redo]).max(axis=0)
+        sd[redo] = (values[:, redo] / scale).std(axis=0, ddof=1) * scale
+    return sd
+
+
 def require_distinct(tags) -> None:
     """Raise ValueError naming the first estimator tag that repeats an earlier one."""
     for i, tag in enumerate(tags):
@@ -165,8 +177,8 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
     for too few survivors names those apart from the unidentified ones.
 
     Returns one BootstrapResult per tag: the spread of its kept
-    replicates in replicate order, and both interval bounds read off
-    one sort of them by ``_sorted_quantile``.
+    replicates in replicate order (``spread``), and both interval bounds
+    read off one sort of them by ``_sorted_quantile``.
 
     Raises
     ------
@@ -212,7 +224,7 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
         ci_lower, ci_upper = _sorted_quantile(np.sort(stacked, axis=0), [alpha / 2.0, 1.0 - alpha / 2.0])
         results[tag] = BootstrapResult(
             point=points[tag],
-            se=stacked.std(axis=0, ddof=1),
+            se=spread(stacked),
             ci_lower=ci_lower,
             ci_upper=ci_upper,
             b_effective=len(kept),

@@ -25,7 +25,7 @@ R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_cholesky``, Q from
 ``orthonormal_basis``) factors it; Q'CQ is conditioned like C.
 
 A Monte Carlo study evaluates its samples in batches of at most BATCH_ROWS
-rows: ``triangular_factor`` and ``rank_deficient`` take blocks and
+rows: ``triangular_factor`` and ``rank_errors`` take blocks and
 factors stacked on a leading sample axis. numpy's stacked QR, solve,
 Cholesky and inverse, stacked matmul and reductions along a contiguous row
 give every sample the bits of its own 2-d call, so a batch changes no result.
@@ -150,25 +150,8 @@ def stacked_least_squares(y: np.ndarray, x: np.ndarray):
         factor = _r_factor(np.concatenate([x[lower], y[lower]], axis=-1))
         rmat, qty = rmat.copy(), qty.copy()
         rmat[lower], qty[lower] = factor[..., :q, :q], factor[..., :q, q:]
-    dependent = rank_deficient(rmat)
-    if not any(dependent):
-        return np.linalg.solve(rmat, qty), rmat, [None] * len(rmat)
-    coef, ok = np.full(rmat.shape[:-1] + qty.shape[-1:], np.nan), ~np.array(dependent)
-    if ok.any():
-        coef[ok] = np.linalg.solve(rmat[ok], qty[ok])
-    return coef, rmat, [rank_error(r) if bad else None for r, bad in zip(rmat, dependent)]
-
-
-def triangular_condition(rmat: np.ndarray) -> float:
-    """max/min |diag R| of the square upper-triangular ``rmat``, the fit's condition estimate.
-
-    Raises RankDeficientError when a column is dependent (``dependent_columns``),
-    naming the smallest ratio of |R_jj| to its column's norm, and ValueError when
-    ``rmat`` has fewer rows than columns.
-    """
-    if rank_deficient(rmat[None])[0]:
-        raise rank_error(rmat)
-    return _condition(rmat)
+    errors = rank_errors(rmat)
+    return solve_where([error is None for error in errors], rmat, qty), rmat, errors
 
 
 def _condition(rmat: np.ndarray) -> float:
@@ -176,16 +159,28 @@ def _condition(rmat: np.ndarray) -> float:
     return max(diag) / min(diag)
 
 
-def rank_deficient(rmats: np.ndarray) -> list[bool]:
-    """Whether each of the stacked (S, rows, q) square upper-triangular ``rmats`` has a
-    dependent column (``dependent_columns``). Raises ValueError when they have fewer rows
-    than columns."""
+def rank_errors(rmats: np.ndarray) -> list:
+    """Per stacked (S, rows, q) square upper-triangular factor in ``rmats``, its ``rank_error``
+    where it has a dependent column (``dependent_columns``), else None. Raises ValueError when
+    they have fewer rows than columns."""
     rows, q = rmats.shape[-2:]
     if rows < q:
         raise ValueError(f"need at least as many rows ({rows}) as regressors ({q})")
     norms = np.hypot.reduce(rmats, axis=-2).tolist()  # hypot neither overflows nor underflows
     diags = rmats.diagonal(axis1=-2, axis2=-1).tolist()
-    return [any(abs(d) <= RANK_RTOL * norm for d, norm in zip(diag, col)) for diag, col in zip(diags, norms)]
+    return [rank_error(rmat) if any(abs(d) <= RANK_RTOL * norm for d, norm in zip(diag, col)) else None
+            for rmat, diag, col in zip(rmats, diags, norms)]
+
+
+def solve_where(ok, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` of the stacked systems where ``ok`` holds, NaN elsewhere. The
+    sound systems are solved together, each with the bits of its own solve."""
+    if all(ok):
+        return np.linalg.solve(a, b)
+    out, ok = np.full(a.shape[:-1] + b.shape[-1:], np.nan), np.asarray(ok, dtype=bool)
+    if ok.any():
+        out[ok] = np.linalg.solve(a[ok], b[ok])
+    return out
 
 
 def rank_error(rmat: np.ndarray) -> RankDeficientError:

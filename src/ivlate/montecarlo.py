@@ -33,7 +33,7 @@ from .complier import (PropensityFit, _centered, centered_interacted_2sls, expit
 from .errors import IdentificationError, InfiniteSupportError, InvalidSpecError, NoCompliersError
 from .estimators import (Batch, Dataset, _additive, _interacted_additive, additive_2sls, each, interacted_2sls,
                          interacted_additive_2sls)
-from .inference import BootstrapResult, _resample_loop, require_distinct, run_replicates
+from .inference import BootstrapResult, _resample_loop, require_distinct, run_replicates, spread
 from .linalg import least_squares
 from .stratify import stratified, stratified_late
 
@@ -611,7 +611,7 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
             sd[tag] = np.full(truth[tag].size, np.nan)
         else:
             bias[tag] = stacked.mean(axis=0) - truth[tag]
-            sd[tag] = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros(truth[tag].size)
+            sd[tag] = spread(stacked) if stacked.shape[0] > 1 else np.zeros(truth[tag].size)
     return McSummary(
         truth=truth, bias=bias, sd=sd, failures=failures, estimates=estimates, replicates=replicates
     )

@@ -59,16 +59,10 @@ class StratifiedResult:
     partition: StratumPartition
 
 
-def _quantile_bins(e, k, counts=None):
-    """Cuts np.quantile(e, j / k), 0 < j < k, read off one sort by ``_sorted_quantile``, the
-    bootstrap intervals' rule, and each unit's count of cuts below it by searchsorted (the
-    cuts ascend). With ``counts``, the cuts are those of the scores repeated by their counts."""
-    cuts, bins = _bins(np.sort(e if counts is None else np.repeat(e, counts))[None], e[None], k)
-    return cuts[0], bins[0]
-
-
 def _bins(ordered: np.ndarray, e: np.ndarray, k: int):
-    """``_quantile_bins`` of samples stacked on a leading axis, each with its sorted scores."""
+    """Cuts np.quantile(e, j / k), 0 < j < k, of samples stacked on a leading axis, read off
+    each one's sorted scores ``ordered`` by ``_sorted_quantile``, the bootstrap intervals' rule,
+    and each unit's count of cuts below it by searchsorted (the cuts ascend)."""
     cuts = _sorted_quantile(ordered.T, np.arange(1, k) / k).T
     return cuts, np.stack([np.searchsorted(c, v) for c, v in zip(cuts, e)])
 
@@ -88,13 +82,8 @@ def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition
     Raises UnpartitionableError when even the fully merged single
     stratum is invalid.
     """
-    e = np.asarray(ehat, dtype=float).reshape(-1)
-    reps = _whole(counts, e.shape)
-    _check_count(k, e.shape[0] if reps is None else int(reps.sum()))
-    _check_scores(e)
-    z, d = (np.asarray(v, dtype=float).reshape(-1) for v in (z, d))
-    _check_binary(e, z, d)
-    out = _partitions(e[None], z[None], d[None], None if reps is None else reps[None], [k])[0][0]
+    e, z, d = (np.asarray(v, dtype=float).reshape(-1)[None] for v in (ehat, z, d))
+    out = _checked_partitions(e, z, d, None if counts is None else [counts], [k])[0][0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -115,20 +104,10 @@ def _check_count(k: int, n: int) -> None:
         raise ValueError(f"need at least 2k = {2 * k} units, got {n}")
 
 
-def _check_scores(e) -> None:
-    if not np.all(np.isfinite(e)) or e.min() < 0.0 or e.max() > 1.0:
-        raise ValueError("propensity scores must be finite and within [0, 1]")
-
-
-def _check_binary(e, z, d) -> None:
-    for name, v in (("z", z), ("d", d)):
-        if v.shape != e.shape or not np.all((v == 0.0) | (v == 1.0)):
-            raise ValueError(f"{name} must be a binary vector with one entry per unit")
-
-
 def _checked_partitions(e, z, d, weights, ks) -> list[list]:
-    """``_partitions`` of stacked samples at each count in ``ks``, with the error that
-    ``partition_by_propensity`` raises first for a sample at a count in its place."""
+    """``_partitions`` of stacked samples at each count in ``ks``, with in its place the first
+    error of a sample at a count: of its ``weights`` (one sample's), of the count, then of its
+    scores, z and d. ``partition_by_propensity`` is this on one sample at one count."""
     try:
         reps = None if weights is None else _whole(weights[0], e.shape[1:])[None]  # one sample
     except ValueError as exc:
@@ -157,8 +136,11 @@ def _error(check, *args) -> ValueError | None:
 
 
 def _check_units(e, z, d) -> None:
-    _check_scores(e)
-    _check_binary(e, z, d)
+    if not np.all(np.isfinite(e)) or e.min() < 0.0 or e.max() > 1.0:
+        raise ValueError("propensity scores must be finite and within [0, 1]")
+    for name, v in (("z", z), ("d", d)):
+        if v.shape != e.shape or not np.all((v == 0.0) | (v == 1.0)):
+            raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
 
 def _partitions(e, z, d, reps, ks) -> list[list]:
@@ -248,7 +230,7 @@ def stratified(batch: Batch, props, ks) -> list[list]:
     live = [i for i, prop in enumerate(props) if not isinstance(prop, Exception)]
     if not live:
         return out
-    sub = batch if len(live) == len(batch) else batch.take(live)
+    sub = batch.take(live)
     e = stack([props[i].ehat for i in live])
     if len(sub) == 1 and len(ks) == 1:  # one sample's partition at one count: the public one
         try:

@@ -1,5 +1,6 @@
 """Shared builders for test datasets and finite-support designs, the oracle's moment-block
-reference, a logistic propensity fit from a given start, and a study's row budget."""
+reference, a logistic propensity fit from a given start, quantile bins of one sample, and a
+study's row budget."""
 
 import contextlib
 import json
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ivlate import complier, linalg
+from ivlate import complier, linalg, stratify
 from ivlate.complier import CLIP, PC_FLOOR, PropensityFit
-from ivlate.estimators import Dataset
+from ivlate.estimators import Batch, Dataset
 from ivlate.linalg import least_squares
 from ivlate.montecarlo import DgpCell, from_cells
 
@@ -163,14 +164,34 @@ def ref_oracle_estimands(spec):
             "b1": b1, "b2": b2, "design_gram": c1 @ resid_gram @ c1.T}
 
 
+def irls_alone(z, x, whiten, start=None, counts=None):
+    """(scores, coefficients, converged) of ``complier._irls_batch`` on one sample from ``start``
+    (None: from zero), rerun rule included, whitened by the (Q', T, T^-1) ``whiten``; raises
+    the sample's IdentificationError."""
+    mu, beta, converged, errors = complier._irls_batch(z[None], x[None], tuple(a[None] for a in whiten), [start],
+                                                       None if counts is None else counts[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return mu[0], beta[0], converged[0]
+
+
 def warm_fit(sample, start):
     """The logistic propensity fit of ``sample`` whose IRLS starts from ``start`` (None: from
-    zero), by ``complier._irls_logistic`` with the sample's whitening and weights, its scores
+    zero), by ``irls_alone`` with the sample's whitening and weights, its scores
     clipped into [CLIP, 1 - CLIP] as ``fit_propensity`` clips them, without its warnings."""
-    raw, coef, converged = complier._irls_logistic(sample.z, sample.x, complier._whitening(sample), start,
-                                                   sample.weights)
+    whiten, (error,) = complier._whitenings(Batch([sample]))
+    if error is not None:
+        raise error
+    raw, coef, converged = irls_alone(sample.z, sample.x, tuple(a[0] for a in whiten), start, sample.weights)
     clipped = np.clip(raw, CLIP, 1.0 - CLIP)
     return PropensityFit(clipped, coef, converged, int(np.sum(sample.weighted(clipped != raw))))
+
+
+def quantile_bins(e, k, counts=None):
+    """The reference cuts np.quantile(e, j / k), 0 < j < k, and bins of one sample, by
+    ``stratify._bins`` on one sort; with ``counts``, of the scores repeated by their counts."""
+    cuts, bins = stratify._bins(np.sort(e if counts is None else np.repeat(e, counts))[None], e[None], k)
+    return cuts[0], bins[0]
 
 
 def fits_by(fit):

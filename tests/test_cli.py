@@ -626,6 +626,26 @@ def export_design_b(path, n=600, seed=2):
     return write_csv(path, ["y", "d", "z", "x1", "x2"], rows.tolist())
 
 
+def test_an_outcome_near_the_float_limit_keeps_a_finite_spread(tmp_path):
+    """With y x 1e300 the squared deviations of the replicates overflow: every sd is still
+    reported, the sd of y x 1 times 1e300, beside the point and interval."""
+    data, _ = generate(dgp_b(), 60, seed=0)
+    reports = {}
+    for scale in (1.0, 1e300):
+        rows = np.column_stack([data.y * scale, data.d, data.z, data.x[:, 1:]])
+        path = write_csv(tmp_path / f"b{scale}.csv", ["y", "d", "z", "x1", "x2"], rows.tolist())
+        for argv in (["estimate", "--estimators", "++,xx,strat-3"], ["stratify", "--k", "3"]):
+            out = tmp_path / f"{argv[0]}{scale}.json"
+            assert main(argv + ["--input", path, "--b", "20", "--seed", "0", "--output", str(out)]) == 0
+            report = load_report(out)
+            results = report["results"] if argv[0] == "estimate" else [report["late"]]
+            reports[argv[0], scale] = [(row["sd"], row.get("point", row.get("estimate"))) for row in results]
+    for command in ("estimate", "stratify"):
+        for (sd, point), (plain_sd, plain_point) in zip(reports[command, 1e300], reports[command, 1.0]):
+            assert point == pytest.approx(plain_point * 1e300, rel=1e-9)
+            assert sd is not None and sd == pytest.approx(plain_sd * 1e300, rel=1e-9)
+
+
 def test_stratify_failure_counts_replicates_that_merged_apart(tmp_path, capsys):
     """Replicates that merge to another stratum count than the point's are identified: the
     failure names them apart from the replicates that failed identification."""
@@ -657,13 +677,13 @@ def test_estimate_and_stratify_load_no_numpy_ma(tmp_path):
 def counting_starts(monkeypatch):
     """Record the start of every logistic IRLS run."""
     starts = []
-    original = complier._irls_logistic
+    original = complier._irls_batch
 
-    def run(z, x, whiten, start=None, counts=None):
-        starts.append(start)
-        return original(z, x, whiten, start, counts)
+    def run(z, x, whiten, batch_starts, counts=None):
+        starts.extend(batch_starts)
+        return original(z, x, whiten, batch_starts, counts)
 
-    monkeypatch.setattr(complier, "_irls_logistic", run)
+    monkeypatch.setattr(complier, "_irls_batch", run)
     return starts
 
 

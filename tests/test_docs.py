@@ -1,6 +1,8 @@
 """The README's library quick tour runs as written, every exported name
-resolves, and the README names every field the oracle returns."""
+resolves, the README names every field the oracle returns, and the package
+defines no name that its code never reads."""
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -11,6 +13,7 @@ import ivlate
 from ivlate.montecarlo import OracleEstimands, dgp_b, generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCE = Path(ivlate.__file__).resolve().parent
 
 
 def quick_tour() -> str:
@@ -35,3 +38,40 @@ def test_every_exported_name_resolves():
 def test_readme_names_every_oracle_field():
     text = README.read_text(encoding="utf-8")
     assert [f.name for f in dataclasses.fields(OracleEstimands) if f"`{f.name}`" not in text] == []
+
+
+def unread_definitions(source: Path, exported) -> list[str]:
+    """Module-level names and methods defined in the modules under ``source`` that no code
+    there reads as a name or an attribute (docstrings do not count), other than the
+    ``exported`` names, the public methods of exported classes, and dunders."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(source.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                names = []
+            unread += [f"{module}.{name}" for name in names
+                       if name not in read and name not in exported and not name.startswith("__")]
+            methods = [item.name for item in node.body if isinstance(item, ast.FunctionDef)] \
+                if isinstance(node, ast.ClassDef) else []
+            unread += [f"{module}.{node.name}.{name}" for name in methods
+                       if name not in read and not name.startswith("__")
+                       and not (node.name in exported and not name.startswith("_"))]
+    return unread
+
+
+def test_every_definition_in_the_package_is_read_or_exported():
+    """Code that nothing calls leaves ``src/``; a reference kept for tests lives in the tests."""
+    assert unread_definitions(SOURCE, set(ivlate.__all__)) == []

@@ -5,7 +5,7 @@ from _helpers import simulate_iv
 import ivlate.complier
 from ivlate.errors import NoCompliersError, RankDeficientError, TooManyFailuresError
 from ivlate.estimators import Dataset
-from ivlate.inference import _resample_loop, bootstrap
+from ivlate.inference import _resample_loop, bootstrap, spread
 from ivlate.montecarlo import bootstrap_tags, dgp_b, evaluate_tags, generate, pipeline_for
 from ivlate.stratify import stratified_late
 
@@ -22,6 +22,18 @@ def test_constant_data_has_zero_spread():
     assert result.point[0] == 3.0
     assert result.se[0] == 0.0
     assert result.ci_lower[0] == result.ci_upper[0] == 3.0
+
+
+def test_the_spread_of_values_near_the_float_limit_is_finite():
+    """Columns whose squares stay finite keep np.std's bits; a column near 1e300, whose squared
+    deviations overflow, is spread on v / max|v| and scaled back."""
+    values = np.random.default_rng(0).standard_normal((40, 3))
+    values[:, 2] *= 1e300
+    with np.errstate(over="ignore"):
+        plain = values.std(axis=0, ddof=1)
+    got = spread(values)
+    assert got[:2].tobytes() == plain[:2].tobytes() and not np.isfinite(plain[2])
+    assert got[2] == pytest.approx((values[:, 2] / 1e300).std(ddof=1) * 1e300, rel=1e-12)
 
 
 def test_bootstrap_se_of_the_mean_tracks_analytic_value():

@@ -134,6 +134,28 @@ def test_condition_estimate_reflects_scaling():
     assert linalg.least_squares(y, x_bad).condition_estimate > linalg.least_squares(y, x).condition_estimate
 
 
+def test_rank_errors_and_solve_where_keep_each_sound_system_alone():
+    """A stack of factors, one with a dependent column: only that one gets an error, as
+    ``least_squares`` raises it, and NaN coefficients; the others solve with the bits of their
+    own solve. Solving on the identity gives ``np.linalg.inv`` bit for bit (both are gesv)."""
+    rng = np.random.default_rng(5)
+    rmats = np.triu(rng.standard_normal((4, 3, 3)) * 10.0 ** rng.uniform(-4, 4, (4, 1, 3)))
+    rmats[2, :, 2] = rmats[2, :, 0] * 3.0
+    rhs = rng.standard_normal((4, 3, 2))
+    errors = linalg.rank_errors(rmats)
+    assert [error is None for error in errors] == [True, True, False, True]
+    with pytest.raises(RankDeficientError) as raised:
+        linalg.least_squares(rhs[2], rmats[2])
+    assert str(errors[2]) == str(raised.value)
+    ok = [error is None for error in errors]
+    coef = linalg.solve_where(ok, rmats, rhs)
+    assert np.isnan(coef[2]).all()
+    for i in (0, 1, 3):
+        assert coef[i].tobytes() == np.linalg.solve(rmats[i], rhs[i]).tobytes()
+    inverse = linalg.solve_where(ok, rmats, np.broadcast_to(np.eye(3), rmats.shape))
+    assert inverse[[0, 1, 3]].tobytes() == np.linalg.inv(rmats[[0, 1, 3]]).tobytes()
+
+
 def test_triangular_factor_keeps_inner_products_fits_and_pivots():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((60, 4)) * np.array([1.0, 1e3, 1e-3, 1.0])

@@ -49,7 +49,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
-from _helpers import categorical_spec, curved_spec, fwl_design, ref_oracle_estimands, residualize, warm_fit
+from _helpers import (categorical_spec, curved_spec, fwl_design, irls_alone, quantile_bins, ref_oracle_estimands,
+                      residualize, warm_fit)
 from scipy.special import expit
 
 from ivlate import cli, complier, estimators, inference, linalg, montecarlo, stratify
@@ -1048,7 +1049,7 @@ def ref_irls_logistic(z, x, max_iter=100, tol=1e-8):
 
 
 def row_whitening(z, x):
-    """The whitening of ``complier._whitening`` taken from the rows: T is R of X / 2 from the
+    """The whitening of ``complier._whitenings`` taken from the rows: T is R of X / 2 from the
     factor of [X / 2 | working / 2], the first step of ``ref_irls_logistic``, which its
     ``least_squares`` fit checks, raising that step's error."""
     mu = complier.expit(np.zeros(len(z)))  # eta = 0 at the start from zero
@@ -1063,7 +1064,7 @@ def row_whitening(z, x):
 
 def assert_same_irls(z, x):
     ref = exact_outcome(ref_irls_logistic, z, x)
-    got = exact_outcome(lambda: complier._irls_logistic(z, x, row_whitening(z, x)))
+    got = exact_outcome(lambda: irls_alone(z, x, row_whitening(z, x)))
     assert got[0] == ref[0]
     if ref[0] == "error":
         assert got == ref
@@ -1144,7 +1145,7 @@ def warm_starts(draw):
         z[flip] = 1.0 - z[flip]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        kind, fit = outcome(lambda: complier._irls_logistic(z, x, row_whitening(z, x)))
+        kind, fit = outcome(lambda: irls_alone(z, x, row_whitening(z, x)))
     if kind == "ok":
         start = fit[1] * (1.0 + draw(st.sampled_from([0.0, 1e-3, 0.3])) * rng.standard_normal(k))
         start *= draw(st.sampled_from([1.0, 1.0, 10.0]))
@@ -1190,13 +1191,68 @@ def test_warm_start_whose_first_step_fails_reruns_from_zero():
     x = np.column_stack([np.ones(n), x1, x1 + 1e-5 * (x1 > 1.5) * rng.standard_normal(n)])
     z = (rng.random(n) < expit(0.5 * x1)).astype(float)
     start = np.array([-30.0, 40.0, 0.0])
-    with pytest.raises(RankDeficientError):
-        complier._irls_steps(z, x, row_whitening(z, x), start)
+    verdicts, original = [], complier._reruns  # (error, rerun) of each fit from a start
+
+    def judged(x, beta, converged, error):
+        verdicts.append((error, original(x, beta, converged, error)))
+        return verdicts[-1][1]
+
+    with mock.patch.object(complier, "_reruns", judged):
+        irls_alone(z, x, row_whitening(z, x), start)
+    assert len(verdicts) == 1 and isinstance(verdicts[0][0], RankDeficientError) and verdicts[0][1]
     data = logistic_data(z, x)
     cold = fit_propensity(data, "logistic")
     warm = warm_fit(data, start)
     assert cold.converged and warm.converged
     assert np.array_equal(warm.ehat, cold.ehat) and np.array_equal(warm.coefficients, cold.coefficients)
+
+
+def mixed_start_sample(rng, kind: str, n: int):
+    """(z, x, start) of one logistic sample of three columns: from zero, from near its cold
+    fit, from the start that fails the first step above (it reruns from zero), or with arms
+    split by x1 (separated: its fit reaches the eta clip), from zero or from a random start."""
+    x1 = rng.standard_normal(n)
+    last = x1 + 1e-5 * (x1 > 1.5) * rng.standard_normal(n) if kind == "rerun" else rng.standard_normal(n)
+    x = np.column_stack([np.ones(n), x1, last])
+    z = (x1 > 0.0 if kind == "separated" else rng.random(n) < expit(0.5 * x1)).astype(float)
+    if kind == "warm":
+        start = irls_alone(z, x, row_whitening(z, x))[1] * (1.0 + 1e-3 * rng.standard_normal(3))
+    elif kind == "rerun":
+        start = np.array([-30.0, 40.0, 0.0])
+    else:
+        start = rng.standard_normal(3) if kind == "separated" and rng.random() < 0.5 else None
+    return z, x, start
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(["zero", "warm", "rerun", "separated"]),
+                                            min_size=1, max_size=5), st.booleans())
+def test_a_stacked_irls_gives_each_sample_its_batch_of_one(seed, kinds, counted):
+    """Samples with mixed starts, stacked (with counts or without), get the bits, convergence
+    and errors that each gets alone, reruns from zero included."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    samples = [mixed_start_sample(rng, kind, n) for kind in kinds]
+    z, x = (np.stack(parts) for parts in zip(*[sample[:2] for sample in samples]))
+    starts = [sample[2] for sample in samples]
+    whiten = [row_whitening(*sample[:2]) for sample in samples]
+    counts = rng.integers(1, 4, z.shape).astype(float) if counted else None
+    verdicts, original = [], complier._reruns
+
+    def judged(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    with warnings.catch_warnings(), mock.patch.object(complier, "_reruns", judged):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        together = complier._irls_batch(z, x, tuple(np.stack(parts) for parts in zip(*whiten)), starts, counts)
+        alone = [complier._irls_batch(z[[i]], x[[i]], tuple(a[None] for a in whiten[i]), [starts[i]],
+                                      None if counts is None else counts[[i]]) for i in range(len(kinds))]
+    assert ("rerun" not in kinds or any(verdicts)) and len(verdicts) == 2 * sum(s is not None for s in starts)
+    for i, (mu, beta, converged, errors) in enumerate(alone):
+        assert together[0][i].tobytes() == mu[0].tobytes() and together[1][i].tobytes() == beta[0].tobytes()
+        assert together[2][i] == converged[0]
+        assert repr(together[3][i]) == repr(errors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1228,7 +1284,7 @@ def score_vectors(draw):
 @given(score_vectors())
 def test_cutpoints_from_one_sort_equal_np_quantile(sample):
     e, k = sample
-    cuts, bins = stratify._quantile_bins(e, k)
+    cuts, bins = quantile_bins(e, k)
     expected = np.quantile(e, np.arange(1, k) / k)
     assert cuts.dtype == expected.dtype and cuts.tobytes() == expected.tobytes()
     assert np.array_equal(bins, np.searchsorted(expected, e, side="left"))

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from _helpers import dummy_coded, fits_by, simulate_iv, warm_fit
+from _helpers import dummy_coded, fits_by, quantile_bins, simulate_iv, warm_fit
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -184,7 +184,7 @@ def counted_scores(draw):
 def test_cutpoints_of_counts_equal_np_quantile_of_the_repeated_scores(case):
     e, counts, k = case
     reps = counts.astype(int)
-    cuts, bins = stratify._quantile_bins(e, k, reps)
+    cuts, bins = quantile_bins(e, k, reps)
     expected = np.quantile(np.repeat(e, reps), np.arange(1, k) / k)
     assert cuts.tobytes() == expected.tobytes()
     assert np.array_equal(bins, np.searchsorted(expected, e, side="left"))
@@ -217,11 +217,11 @@ def test_a_resample_that_drops_a_cell_falls_back_to_its_rows(monkeypatch):
     for tag in ("++", "beta", "xx"):
         for counts, fell_back in ((every, False), (kept, True)):
             factors = counting(monkeypatch, "triangular_factor")
-            runs = counting(monkeypatch, "_irls_steps", complier)
+            runs = counting(monkeypatch, "_irls_batch", complier)
             weighted = data.resample(counts)
             got = evaluate_tags(weighted, [tag])[tag]
             irls = [True] if tag == "xx" else []  # from the point's fit
-            assert [args[3] is point for args in runs] == irls
+            assert [len(args[3]) == 1 and args[3][0] is point for args in runs] == irls
             assert all(args[4] is not None for args in runs)  # weighted
             # Only a fallback factors n rows: the block's, or the IRLS's in its one run.
             assert len(factors) == (len(irls) if tag == "xx" else 1) * fell_back
@@ -263,15 +263,15 @@ def test_a_separated_resample_reruns_its_fit_from_zero():
     weighted = data.resample(counts)
 
     runs = []  # (weighted, from zero) of each IRLS run
-    original = complier._irls_steps
+    original = complier._irls_batch
 
-    def counted(z, x, whiten, beta, counts=None):
-        runs.append((counts is not None, not beta.any()))
-        return original(z, x, whiten, beta, counts)
+    def counted(z, x, whiten, starts, counts=None):
+        runs.extend((counts is not None, start is None) for start in starts)
+        return original(z, x, whiten, starts, counts)
 
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("ignore", RuntimeWarning)
-        patch.setattr(complier, "_irls_steps", counted)
+        patch.setattr(complier, "_irls_batch", counted)
         got = fit_propensity(weighted, "logistic")
         assert runs == [(True, False), (True, True)]
         runs.clear()
@@ -306,24 +306,24 @@ def test_a_resample_fit_is_the_same_before_or_after_its_point_fit(monkeypatch):
     for resample_first in (False, True):
         point = fresh(data)
         resample = point.resample(counts.astype(float))
-        runs = counting(monkeypatch, "_irls_logistic", complier)
+        runs = counting(monkeypatch, "_irls_batch", complier)
         for sample in (resample, point) if resample_first else (point, resample):
             fit_propensity(sample, "logistic")
         got = [fit_propensity(sample, "logistic") for sample in (point, resample)]  # cached
         monkeypatch.undo()
-        assert len(runs) == 2 and runs[0][3] is None  # the point's, from zero, once
-        assert runs[1][3] is got[0].coefficients
+        assert len(runs) == 2 and runs[0][3] == [None]  # the point's, from zero, once
+        assert len(runs[1][3]) == 1 and runs[1][3][0] is got[0].coefficients
         fits.append([fit_fields(("ok", fit)) for fit in got])
     assert fits[0] == fits[1]
 
 
 def test_bootstrap_starts_every_resample_fit_from_the_point_fit(monkeypatch):
     data = simulate_iv(24, n=300)
-    runs = counting(monkeypatch, "_irls_logistic", complier)
+    runs = counting(monkeypatch, "_irls_batch", complier)
     bootstrap_tags(data, ["xx", "strat-5"], b=40, seed=3)
     point = fit_propensity(data, "logistic").coefficients  # cached: no run
-    assert len(runs) == 41 and runs[0][3] is None
-    assert all(args[3] is point for args in runs[1:])
+    assert len(runs) == 41 and runs[0][3] == [None]
+    assert all(len(args[3]) == 1 and args[3][0] is point for args in runs[1:])
 
 
 def test_functions_without_a_weighted_form_raise():
