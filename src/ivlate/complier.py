@@ -11,7 +11,9 @@ whitened by stacked factors. Each sample starts from zero, or a
 resample from its point sample's coefficients, and stops at its own
 convergence; a resample's fit that fails, does not converge or reaches
 the eta clip reruns from zero. The kappa weights and complier means are
-array operations. ``fit_propensity(..., "logistic")`` and
+array operations. A kernel returns one value per sample or raises;
+``estimators.each`` gives each sample of a batch that raised its own
+outcome. ``fit_propensity(..., "logistic")`` and
 ``centered_interacted_2sls`` are the kernels on a batch of one, with no
 route of their own.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import IdentificationError, NoCompliersError, NonFiniteError, NoOverlapCellError
-from .estimators import Batch, Dataset, _require_constant, alone, each, stack
+from .estimators import Batch, Dataset, _require_constant, alone, each, stack, values
 
 # Propensities are clipped into [CLIP, 1 - CLIP] to guard the kappa
 # denominators; clip events are counted and surfaced as a warning.
@@ -87,9 +89,7 @@ def fit_propensity(data: Dataset, spec) -> PropensityFit:
     """
     if isinstance(spec, str):
         if spec == "logistic":
-            fit = logistic_fits(Batch([data]))[0]
-            if isinstance(fit, Exception):
-                raise fit
+            fit = values(logistic_fits(Batch([data])))[0]
             warn_fit(fit)
             return fit
         if spec != "saturated":
@@ -145,21 +145,12 @@ def logistic_fits(batch: Batch) -> list:
 
 def _fit_logistic(batch: Batch) -> list:
     """The logistic fits of a batch, by one stacked IRLS (``_irls_batch``). A resample starts
-    from its point sample's coefficients, or gets the point fit's error; any other sample starts
-    from zero. A sample whose T fails its rank check (``_whitenings``) gets that error."""
-    points = [None if sample.origin is None else logistic_fits(Batch([sample.origin[0]]))[0]
-              for sample in batch.samples]
-    whiten, unwhitened = _whitenings(batch)
-    out = [point if isinstance(point, Exception) else error for point, error in zip(points, unwhitened)]
-    live = [i for i, error in enumerate(out) if error is None]
-    if live:
-        sub = batch.take(live)
-        whiten = whiten if sub is batch else tuple(a[live] for a in whiten)
-        starts = [None if points[i] is None else points[i].coefficients for i in live]
-        mu, coef, converged, errors = _irls_batch(sub.z, sub.x, whiten, starts, sub.weights)
-        for i, fit, error in zip(live, _clipped(sub, mu, coef, converged), errors):
-            out[i] = fit if error is None else error
-    return out
+    from its point sample's coefficients, or raises the point fit's error; any other sample
+    starts from zero. Raises where a sample's T fails its rank check (``_whitenings``)."""
+    points = values([None if sample.origin is None else logistic_fits(Batch([sample.origin[0]]))[0]
+                     for sample in batch.samples])
+    starts = [None if point is None else point.coefficients for point in points]
+    return _clipped(batch, *_irls_batch(batch.z, batch.x, _whitenings(batch), starts, batch.weights))
 
 
 def expit(x):
@@ -168,25 +159,22 @@ def expit(x):
 
 
 def _whitenings(batch: Batch):
-    """Stacked (Q', T, T^-1) that whiten each sample's IRLS steps, and per sample the
-    RankDeficientError of a T with a dependent column, else None (its Q' and T^-1 are then
-    NaN). T is R of sqrt(w) X / 2, the factor of the first step from zero (every weight 1/4),
-    half the leading block of the sample's factor, and Q = X T^-1. T gets the checks of
-    ``least_squares``, as that step's fit would. A sample alone caches its own; a resample
-    (alone in its batch) takes its point sample's, at its drawn rows."""
+    """Stacked (Q', T, T^-1) that whiten each sample's IRLS steps. T is R of sqrt(w) X / 2, the
+    factor of the first step from zero (every weight 1/4), half the leading block of the
+    sample's factor, and Q = X T^-1. T gets the checks of ``least_squares``, as that step's fit
+    would, and raises its RankDeficientError. A sample alone caches its own; a resample (alone
+    in its batch) takes its point sample's, at its drawn rows."""
     data = batch.samples[0]
     if len(batch) == 1 and "_whitening" in data.__dict__:
         return data.__dict__["_whitening"]
     if len(batch) == 1 and data.origin is not None:
         point, drawn = data.origin
-        (qt, tmat, inverse), errors = _whitenings(Batch([point]))
-        return (qt.take(drawn, axis=-1), tmat, inverse), errors
+        qt, tmat, inverse = _whitenings(Batch([point]))
+        return qt.take(drawn, axis=-1), tmat, inverse
     tmat = 0.5 * batch.factor[:, : batch.k, : batch.k]
-    errors = linalg.rank_errors(tmat)
-    # T^-1 solves T V = I: np.linalg.inv is LAPACK's gesv on the identity, as solve is, so the same bits.
-    identity = np.broadcast_to(np.eye(batch.k), tmat.shape)
-    inverse = linalg.solve_where([error is None for error in errors], tmat, identity)
-    whiten = (np.swapaxes(inverse, -1, -2) @ np.swapaxes(batch.x, -1, -2), tmat, inverse), errors
+    linalg.check_rank(tmat)
+    inverse = np.linalg.inv(tmat)
+    whiten = np.swapaxes(inverse, -1, -2) @ np.swapaxes(batch.x, -1, -2), tmat, inverse
     if len(batch) == 1:
         data.__dict__["_whitening"] = whiten
     return whiten
@@ -194,11 +182,34 @@ def _whitenings(batch: Batch):
 
 def _irls_batch(z, x, whiten, starts, counts=None):
     """IRLS of samples stacked on a leading axis, each from its entry of ``starts`` (None: from
-    zero), its steps whitened by its (Q', T, T^-1) in ``whiten``; a sample leaves the batch once
-    it converges or a step fails. Returns the stacked scores and coefficients, whether each
-    converged, and each sample's IdentificationError (None where it has none).
+    zero), its steps whitened by its (Q', T, T^-1) in ``whiten``. Returns the stacked scores
+    and coefficients and whether each converged; raises a step's IdentificationError.
 
-    A sample with a start reruns from zero where ``_reruns`` says so.
+    A sample with a start reruns from zero where ``_reruns`` says so. A sample alone whose run
+    from a start raises reruns from zero too, unless X has an all-zero column (a dummy for a
+    cell a resample did not draw), which fails from every start; a stack that raises is run
+    sample by sample by ``estimators.each``. Only resamples, whose rows all have counts, start
+    elsewhere than zero.
+    """
+    beta = np.array([np.zeros(x.shape[-1]) if start is None else start for start in starts], dtype=float)
+    try:
+        mu, beta, converged = _irls_loop(z, x, whiten, beta, counts)
+    except IdentificationError:
+        if len(starts) > 1 or starts[0] is None or not x[0].any(axis=0).all():
+            raise
+        return _irls_batch(z, x, whiten, [None], counts)
+    rerun = [i for i, start in enumerate(starts) if start is not None and _reruns(x[i], beta[i], converged[i])]
+    if rerun:
+        again = _irls_batch(z[rerun], x[rerun], tuple(a[rerun] for a in whiten), [None] * len(rerun),
+                            None if counts is None else counts[rerun])
+        for j, i in enumerate(rerun):
+            mu[i], beta[i], converged[i] = (part[j] for part in again)
+    return mu, beta, converged
+
+
+def _irls_loop(z, x, whiten, beta, counts):
+    """The steps of ``_irls_batch`` from the stacked coefficients ``beta``; a sample leaves the
+    batch once it converges.
 
     Each step forms one exponential, ex = exp(-eta) at the clipped eta:
     mu = 1 / (1 + ex), and the deviance is 2 sum log1p(exp((1 - 2z) eta))
@@ -210,10 +221,7 @@ def _irls_batch(z, x, whiten, starts, counts=None):
     A step that its whitening cannot whiten factors the sample's rows scaled
     by sqrt(counts w).
     """
-    given = z, x, whiten, counts  # the loop narrows these to the samples still iterating
-    beta = np.array([np.zeros(x.shape[-1]) if start is None else start for start in starts], dtype=float)
-    mu_out, beta_out = np.empty(z.shape), np.empty(beta.shape)
-    converged, errors = [False] * len(z), [None] * len(z)
+    mu_out, beta_out, converged = np.empty(z.shape), np.empty(beta.shape), [False] * len(z)
     # The sample of each row, and which rows still iterate; a finished row stays in the arrays
     # until at most half of them iterate, so the arrays are copied at most at half size.
     live, active = list(range(len(z))), [True] * len(z)
@@ -227,20 +235,15 @@ def _irls_batch(z, x, whiten, starts, counts=None):
         working += eta
         del eta, mu  # the step gives new ones
         unit_w = w if counts is None else counts * w
-        beta, unwhitened, failed = _whitened_step(qt, tmat, inverse, unit_w, working)
+        beta, unwhitened = _whitened_step(qt, tmat, inverse, unit_w, working)
         for i in unwhitened:
             if active[i]:
                 sw = np.sqrt(unit_w[i])
                 rmat = linalg.triangular_factor(sw[:, None] * x[i], sw * working[i])
-                try:
-                    beta[i] = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
-                except IdentificationError as exc:
-                    failed[i] = exc
+                beta[i] = linalg.least_squares(rmat[:, -1], rmat[:, :-1]).coef[:, 0]
         del w, working, unit_w
-        for i, error in enumerate(failed):
-            if error is not None and active[i]:
-                errors[live[i]], active[i] = error, False
-            if not active[i]:
+        for i, on in enumerate(active):
+            if not on:
                 beta[i] = 0.0  # a finished row's step is unused, and may be NaN
         eta, ex, mu = _link(x, beta)
         terms = z * ex  # log1p(z ex + (1 - z) / ex), in place
@@ -264,26 +267,13 @@ def _irls_batch(z, x, whiten, starts, counts=None):
         for i, on in enumerate(active):
             if on:
                 mu_out[live[i]], beta_out[live[i]] = mu[i], beta[i]
-    z, x, whiten, counts = given
-    rerun = [i for i, start in enumerate(starts)
-             if start is not None and _reruns(x[i], beta_out[i], converged[i], errors[i])]
-    if rerun:
-        again = _irls_batch(z[rerun], x[rerun], tuple(a[rerun] for a in whiten), [None] * len(rerun),
-                            None if counts is None else counts[rerun])
-        for j, i in enumerate(rerun):
-            mu_out[i], beta_out[i], converged[i], errors[i] = (part[j] for part in again)
-    return mu_out, beta_out, converged, errors
+    return mu_out, beta_out, converged
 
 
-def _reruns(x, beta, converged: bool, error) -> bool:
-    """Whether a fit that did not start from zero reruns from zero: where it raised an
-    IdentificationError, did not converge or reached the eta clip. A clipped eta marks a
-    (quasi-)separated sample, whose likelihood has no maximum, so where its fit stops depends
-    on where it starts. An error of a sample with an all-zero column of X (a dummy for a cell
-    a resample did not draw) fails every start, so it is kept. Only resamples, whose rows all
-    have counts, start elsewhere than zero."""
-    if error is not None:
-        return bool(x.any(axis=0).all())
+def _reruns(x, beta, converged: bool) -> bool:
+    """Whether a fit that did not start from zero reruns from zero: where it did not converge
+    or reached the eta clip. A clipped eta marks a (quasi-)separated sample, whose likelihood
+    has no maximum, so where its fit stops depends on where it starts."""
     return not converged or np.abs(x @ beta).max() >= _ETA_BOUND
 
 
@@ -306,17 +296,16 @@ def _matvec(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _whitened_step(qt, tmat, inverse, w, working):
     """Coefficients of each stacked sample's step on U T, a factor of sqrt(w) X: U'U = Q'WQ
     with Q = X T^-1 (rows of ``qt``) and Q'W0Q = I at the first step's weights W0, so U is
-    conditioned like W / W0. U T is its own R: the step checks it as ``least_squares`` would
-    and solves without a QR. Returns the stacked coefficients, the samples whose U does not
-    exist or is ill-conditioned (their coefficients are then NaN), and per sample the
-    RankDeficientError of a U T with a dependent column, else None."""
+    conditioned like W / W0. U T is its own R: the step checks it as ``least_squares`` would,
+    raising where one has a dependent column, and solves without a QR. Returns the stacked
+    coefficients and the samples whose U does not exist or is ill-conditioned (their
+    coefficients are then NaN)."""
     qtw = qt * w[:, None, :]
     gram = qtw @ qt.swapaxes(-1, -2)
     chol, bounded = linalg.bounded_choleskys(gram)
-    errors = [error if ok else None for error, ok in zip(linalg.rank_errors(chol @ tmat), bounded)]
-    solved = [ok and error is None for ok, error in zip(bounded, errors)]
-    beta = inverse @ linalg.solve_where(solved, gram, qtw @ working[..., None])
-    return beta[..., 0], [i for i, ok in enumerate(bounded) if not ok], errors
+    linalg.check_rank((chol @ tmat)[bounded])
+    beta = inverse @ linalg.solve_where(bounded, gram, qtw @ working[..., None])
+    return beta[..., 0], [i for i, ok in enumerate(bounded) if not ok]
 
 
 def _saturated_scores(z, x):
@@ -414,42 +403,29 @@ def centered_interacted_2sls(
 
 
 def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
-    """Each sample's ``centered_interacted_2sls`` at its propensity fit in ``props``, or the
-    error it raised; a sample whose fit in ``props`` is an error gets that error."""
+    """Each sample's ``centered_interacted_2sls`` at its propensity fit in ``props``. Raises, in
+    this order, the first error in ``props``, then the checks of ``centered_interacted_2sls``."""
     _require_constant(batch, "centered_interacted_2sls")
-    out = [prop if isinstance(prop, Exception) else None for prop in props]
-    live = [i for i, prop in enumerate(out) if prop is None]
-    if not live:
-        return out
-    sub = batch.take(live)
-    kappa = sub.weighted(_kappa(sub.d, sub.z, stack([props[i].ehat for i in live])))
-    for i, share in zip(live, (kappa.sum(axis=-1) / sub.size).tolist()):
-        if share <= PC_FLOOR:
-            out[i] = _no_compliers(share)
+    kappa = batch.weighted(_kappa(batch.d, batch.z, stack([prop.ehat for prop in values(props)])))
+    for share in (kappa.sum(axis=-1) / batch.size).tolist():
+        require_compliers(share)
     if centering not in ("first-stage", "kappa"):
-        if any(out[i] is None for i in live):
-            raise ValueError(f"unknown centering {centering!r}")
-        return out
-    fits = batch.interacted
-    for i in live:
-        if out[i] is None and isinstance(fits[i], Exception):
-            out[i] = fits[i]
-    keep = [j for j, i in enumerate(live) if out[i] is None]
-    if not keep:
-        return out
-    rows = sub.take(keep)
-    kept = [fits[live[j]] for j in keep]
+        raise ValueError(f"unknown centering {centering!r}")
+    fits = values(batch.interacted)
     if centering == "kappa":
-        weights = kappa if rows is sub else kappa[keep]
+        weights = kappa
     else:
-        weights = rows.weighted(_matvec(rows.x, stack([fit.c1[0] for fit in kept])))
+        weights = batch.weighted(_matvec(batch.x, stack([fit.c1[0] for fit in fits])))
     total = weights.sum(axis=-1)
-    beta = stack([fit.beta for fit in kept])
-    mu = (weights[:, None, :] @ rows.x[:, :, 1:])[:, 0] / total[:, None]
-    late = beta[:, 0] + (mu[:, None, :] @ beta[:, 1:, None])[:, 0, 0]
-    for j, share, value in zip(keep, (total / rows.size).tolist(), late.tolist()):
-        out[live[j]] = _no_compliers(share) if share <= PC_FLOOR else value
-    return out
+    for share in (total / batch.size).tolist():
+        require_compliers(share)
+    beta, x = stack([fit.beta for fit in fits]), batch.x[:, :, 1:]
+    mu = (weights[:, None, :] @ x)[:, 0] / total[:, None]
+    if not np.isfinite(mu).all():  # x is finite (it was factored): where w'x overflows, use x / max|x|
+        scale = np.abs(x).max(axis=1)[:, None, :]
+        rescaled = (weights[:, None, :] @ (x / scale) / total[:, None, None] * scale)[:, 0]
+        mu = np.where(np.isfinite(mu), mu, rescaled)
+    return (beta[:, 0] + (mu[:, None, :] @ beta[:, 1:, None])[:, 0, 0]).tolist()
 
 
 def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:

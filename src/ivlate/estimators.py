@@ -26,7 +26,10 @@ The fits are kernels on a ``Batch``: samples of one size stacked on a
 leading axis, whose factors come from stacked QRs and whose stages are
 stacked solves. A Monte Carlo study evaluates its replicates
 in batches; every public function here is its kernel on a batch of one,
-so each estimator has one code path and a batch changes no result.
+so each estimator has one code path and a batch changes no result. A
+kernel returns one value per sample, or raises where any sample fails;
+``each`` then evaluates the samples one by one, so a sample's error is
+the one it raises alone.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateStratumError, IdentificationError
+from .errors import DegenerateStratumError
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,13 @@ class Dataset:
     def factor(self) -> np.ndarray:
         """Triangular factor R of [X | Z*X | D*X | Y] (k, k, k and 1 columns), rows scaled by
         sqrt(w), computed once. A resample's is U R from its point's B = Q R, with U'U = Q'CQ
-        for the counts C (see ``linalg``), where ``bounded_cholesky`` gives a U."""
+        for the counts C (see ``linalg``), where ``linalg.bounded_choleskys`` gives a U."""
         if self.origin is not None and (q := self.origin[0].basis) is not None:
             counts = np.zeros(q.shape[0])
             counts[self.origin[1]] = self.weights
-            if (chol := linalg.bounded_cholesky((q.T * counts) @ q)) is not None:
-                return chol @ self.origin[0].factor
+            chol, (bounded,) = linalg.bounded_choleskys(((q.T * counts) @ q)[None])
+            if bounded:
+                return chol[0] @ self.origin[0].factor
         return linalg.triangular_factor(*self._block())
 
     @cached_property
@@ -191,7 +195,8 @@ class Dataset:
 class Batch:
     """Samples of one size n, width k and constant flag, evaluated together: unweighted
     samples, or one sample of any kind. Their arrays and factors are stacked on a leading
-    sample axis. A kernel gives every sample of a batch what a batch of it alone gives."""
+    sample axis. A kernel gives every sample of a batch what a batch of it alone gives, or
+    raises; ``each`` gives each sample its outcome."""
 
     def __init__(self, samples: Sequence[Dataset]):
         self.samples = tuple(samples)
@@ -278,7 +283,9 @@ def stack(arrays: list) -> np.ndarray:
 
 def each(kernel, batch: Batch, *args) -> list:
     """``kernel(batch, *args)``, one outcome per sample; where it raises, each sample's batch of
-    one, whose error is then that sample's outcome. ``args`` hold one entry per sample."""
+    one, whose error is then that sample's outcome. ``args`` hold one entry per sample. A kernel
+    returns one value per sample or raises, so only a batch that holds a failing sample is
+    evaluated sample by sample."""
     try:
         return kernel(batch, *args)
     except Exception as exc:
@@ -288,11 +295,16 @@ def each(kernel, batch: Batch, *args) -> list:
 
 
 def alone(kernel, data: Dataset, *args):
-    """``kernel`` on the batch of ``data`` alone: its outcome, or the error it raised."""
-    out = kernel(Batch([data]), *args)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    """``kernel`` on the batch of ``data`` alone: its value, or the error it raises."""
+    return kernel(Batch([data]), *args)[0]
+
+
+def values(outcomes: list) -> list:
+    """``outcomes``, one per sample, where none is an error; else raises the first error."""
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -325,10 +337,9 @@ def _two_stage(batch: Batch, instruments, responses, first: bool = False):
     stage needs no QR, and one stacked solve fits it for every sample. X and the fitted
     responses lie in W, so the second stage fits Y's coordinates on those of [X | responses],
     by one stacked least squares (``least_squares`` for a sample alone). Returns the first
-    stage's stacked coefficients (with
-    ``first``, else None, its rank still checked) and per sample the second's, rows ordered
-    [instruments, X] and [fitted, X]: those of the two n-row fits. A sample whose stage has a
-    dependent column gets its RankDeficientError in place of the second stage.
+    stage's stacked coefficients (with ``first``, else None, its rank still checked) and the
+    second's, rows ordered [instruments, X] and [fitted, X]: those of the two n-row fits.
+    Raises where a sample's stage has a dependent column.
     """
     k, rmat = batch.k, batch.factor
     cols = [*range(k), *(k + i for i in instruments)]
@@ -341,53 +352,38 @@ def _two_stage(batch: Batch, instruments, responses, first: bool = False):
     if first:
         linalg.check_finite(rmat[..., resp], "responses")
         linalg.check_finite(rmat[..., :w], "regressors")
-    second: list = linalg.rank_errors(rmat[:, :w, :w])
+    linalg.check_rank(rmat[:, :w, :w])
     if first:
-        stage = linalg.solve_where([error is None for error in second], rmat[:, :w, :w], rmat[:, :w, resp])
+        stage = np.linalg.solve(rmat[:, :w, :w], rmat[:, :w, resp])
         stage = np.concatenate([stage[:, k:], stage[:, :k]], axis=1)
-    live = [i for i, out in enumerate(second) if out is None]
     regressors = [*range(k), *resp]
-    if len(batch) == 1 and live:  # a sample alone fits through the public least_squares
-        try:
-            coefs, errors = [linalg.least_squares(rmat[0, :w, -1], rmat[0][:w, regressors]).coef], [None]
-        except IdentificationError as exc:
-            coefs, errors = [None], [exc]
-    elif live:
-        responses, design = rmat[live][:, :w, -1:], rmat[live][:, :w][..., regressors]
+    if len(batch) == 1:  # a sample alone fits through the public least_squares
+        coef = linalg.least_squares(rmat[0, :w, -1], rmat[0][:w, regressors]).coef[None]
+    else:
+        responses, design = rmat[:, :w, -1:], rmat[:, :w][..., regressors]
         linalg.check_finite(responses, "responses")
         linalg.check_finite(design, "regressors")
-        coefs, _, errors = linalg.stacked_least_squares(responses, design)
-    for i, coef, error in zip(live, coefs, errors) if live else ():
-        second[i] = error if error is not None else np.concatenate([coef[k:], coef[:k]])
-    return stage, second
-
-
-def _second_stage(data: Dataset, instruments, responses) -> np.ndarray:
-    out = _two_stage(Batch([data]), instruments, responses)[1][0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+        coef = linalg.stacked_least_squares(responses, design)[0]
+    return stage, np.concatenate([coef[:, k:], coef[:, :k]], axis=1)
 
 
 def _additive(batch: Batch) -> list:
-    """Each sample's ``additive_2sls``, or the error it raised."""
+    """Each sample's ``additive_2sls``."""
     _require_constant(batch, "additive_2sls")
-    return [out if isinstance(out, Exception) else float(out[0, 0]) for out in _two_stage(batch, [0], [0])[1]]
+    return _two_stage(batch, [0], [0])[1][:, 0, 0].tolist()
 
 
 def _interacted_additive(batch: Batch) -> list:
-    """Each sample's ``interacted_additive_2sls``, or the error it raised."""
+    """Each sample's ``interacted_additive_2sls``."""
     _require_constant(batch, "interacted_additive_2sls")
-    second = _two_stage(batch, range(batch.k), [0])[1]
-    return [out if isinstance(out, Exception) else float(out[0, 0]) for out in second]
+    return _two_stage(batch, range(batch.k), [0])[1][:, 0, 0].tolist()
 
 
 def _interacted(batch: Batch) -> list:
-    """Each sample's ``interacted_2sls`` fit, or the error it raised."""
+    """Each sample's ``interacted_2sls`` fit."""
     k = batch.k
     first, second = _two_stage(batch, range(k), range(k), first=True)
-    return [out if isinstance(out, Exception) else
-            TwoSlsFit(out[:k, 0].copy(), out[k:, 0].copy(), f[:k, :].T, f[k:, :].T)
+    return [TwoSlsFit(out[:k, 0].copy(), out[k:, 0].copy(), f[:k, :].T, f[k:, :].T)
             for f, out in zip(first, second)]
 
 
@@ -421,7 +417,7 @@ def partially_interacted_2sls(data: Dataset, v_cols: Sequence[int]) -> np.ndarra
         raise ValueError("v_cols contains duplicates")
     if min(cols) < 0 or max(cols) >= data.k:
         raise ValueError(f"v_cols out of range for k = {data.k}")
-    return _second_stage(data, cols, cols)[: len(cols), 0].copy()
+    return _two_stage(Batch([data]), cols, cols)[1][0, : len(cols), 0].copy()
 
 
 def generalized_additive_2sls(
@@ -445,7 +441,7 @@ def generalized_additive_2sls(
     r = np.vstack(rows)
     k, a = data.k, r.shape[1] - data.k
     if 0 < a <= k and np.array_equal(r, np.column_stack([_interact(data.z, data.x[:, :a]), data.x])):
-        return float(_second_stage(data, range(a), [0])[0, 0])
+        return float(_two_stage(Batch([data]), range(a), [0])[1][0, 0, 0])
     a, rmat = r.shape[1], linalg.triangular_factor(r, data.x, data.d, data.y)
     fitted = rmat[:, :a] @ linalg.least_squares(rmat[:, a + k], rmat[:, :a]).coef
     return float(linalg.least_squares(rmat[:, -1], np.column_stack([fitted, rmat[:, a : a + k]])).coef[0, 0])

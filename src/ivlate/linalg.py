@@ -21,14 +21,16 @@ estimate on R. Leading columns of a factor are upper trapezoidal, their
 own R, so ``least_squares`` skips their QR.
 
 The block with row i counted c_i times (a bootstrap resample) has Gram
-R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_cholesky``, Q from
+R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_choleskys``, Q from
 ``orthonormal_basis``) factors it; Q'CQ is conditioned like C.
 
 A Monte Carlo study evaluates its samples in batches of at most BATCH_ROWS
-rows: ``triangular_factor`` and ``rank_errors`` take blocks and
-factors stacked on a leading sample axis. numpy's stacked QR, solve,
-Cholesky and inverse, stacked matmul and reductions along a contiguous row
-give every sample the bits of its own 2-d call, so a batch changes no result.
+rows: ``triangular_factor``, ``stacked_least_squares`` and ``check_rank``
+take blocks and factors stacked on a leading sample axis. numpy's stacked
+QR, solve, Cholesky and inverse, stacked matmul and reductions along a
+contiguous row give every sample the bits of its own 2-d call, so a batch
+changes no result. A stacked fit raises where any of its samples has a
+dependent column; ``estimators.each`` then fits each sample alone.
 """
 
 from __future__ import annotations
@@ -128,16 +130,14 @@ def least_squares(responses, regressors) -> LsFit:
     x = _as_matrix(regressors, "regressors")
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"responses have {y.shape[0]} rows, regressors {x.shape[0]}")
-    coef, rmat, errors = stacked_least_squares(y[None], x[None])
-    if errors[0] is not None:
-        raise errors[0]
+    coef, rmat = stacked_least_squares(y[None], x[None])
     return LsFit(coef[0], _condition(rmat[0]))
 
 
 def stacked_least_squares(y: np.ndarray, x: np.ndarray):
     """``least_squares`` of finite (S, n, p) responses on (S, n, q) regressors stacked on a
-    leading axis. Returns the (S, q, p) coefficients, the regressors' (S, q, q) factors, and
-    each sample's RankDeficientError (its coefficients are then NaN) or None."""
+    leading axis. Returns the (S, q, p) coefficients and the regressors' (S, q, q) factors;
+    raises the first sample's RankDeficientError (``check_rank``)."""
     n, q = x.shape[-2:]
     rmat, qty = x[..., :q, :], y[..., :q, :]
     # Householder QR would leave upper trapezoidal X, and so Y, as they are.
@@ -150,8 +150,8 @@ def stacked_least_squares(y: np.ndarray, x: np.ndarray):
         factor = _r_factor(np.concatenate([x[lower], y[lower]], axis=-1))
         rmat, qty = rmat.copy(), qty.copy()
         rmat[lower], qty[lower] = factor[..., :q, :q], factor[..., :q, q:]
-    errors = rank_errors(rmat)
-    return solve_where([error is None for error in errors], rmat, qty), rmat, errors
+    check_rank(rmat)
+    return np.linalg.solve(rmat, qty), rmat
 
 
 def _condition(rmat: np.ndarray) -> float:
@@ -159,17 +159,17 @@ def _condition(rmat: np.ndarray) -> float:
     return max(diag) / min(diag)
 
 
-def rank_errors(rmats: np.ndarray) -> list:
-    """Per stacked (S, rows, q) square upper-triangular factor in ``rmats``, its ``rank_error``
-    where it has a dependent column (``dependent_columns``), else None. Raises ValueError when
-    they have fewer rows than columns."""
+def check_rank(rmats: np.ndarray) -> None:
+    """Raise the ``rank_error`` of the first of the stacked (S, rows, q) upper-triangular
+    factors ``rmats`` with a dependent column (``dependent_columns``), or ValueError when they
+    have fewer rows than columns."""
     rows, q = rmats.shape[-2:]
     if rows < q:
         raise ValueError(f"need at least as many rows ({rows}) as regressors ({q})")
-    norms = np.hypot.reduce(rmats, axis=-2).tolist()  # hypot neither overflows nor underflows
-    diags = rmats.diagonal(axis1=-2, axis2=-1).tolist()
-    return [rank_error(rmat) if any(abs(d) <= RANK_RTOL * norm for d, norm in zip(diag, col)) else None
-            for rmat, diag, col in zip(rmats, diags, norms)]
+    norms = np.hypot.reduce(rmats, axis=-2)  # hypot neither overflows nor underflows
+    dependent = (np.abs(rmats.diagonal(axis1=-2, axis2=-1)) <= RANK_RTOL * norms).any(axis=-1)
+    if dependent.any():
+        raise rank_error(rmats[dependent.argmax()])
 
 
 def solve_where(ok, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,15 +270,9 @@ def dependent_columns(rmat: np.ndarray) -> np.ndarray:
     return diag <= RANK_RTOL * np.hypot.reduce(rmat, axis=0)
 
 
-def bounded_cholesky(gram: np.ndarray) -> np.ndarray | None:
-    """U with U'U = ``gram``; None if it does not exist or max/min diag U exceeds GRAM_RATIO_MAX."""
-    chol, bounded = bounded_choleskys(gram[None])
-    return chol[0] if bounded[0] else None
-
-
 def bounded_choleskys(grams: np.ndarray) -> tuple[np.ndarray, list[bool]]:
-    """``bounded_cholesky`` of each of the stacked ``grams``: the factors U, and whether each
-    exists with max/min diag U within GRAM_RATIO_MAX (where not, its U is meaningless)."""
+    """The factors U with U'U = each of the stacked ``grams``, and whether each exists with
+    max/min diag U within GRAM_RATIO_MAX (where not, its U is meaningless)."""
     try:
         chol, exists = np.linalg.cholesky(grams).swapaxes(-1, -2), [True] * len(grams)
     except np.linalg.LinAlgError:  # one gram is not positive definite: factor each alone

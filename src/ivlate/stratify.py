@@ -29,7 +29,7 @@ import numpy as np
 
 from .complier import PropensityFit, PC_FLOOR, _no_compliers
 from .errors import UnpartitionableError
-from .estimators import Batch, Dataset, arm_gaps, stack
+from .estimators import Batch, Dataset, arm_gaps, stack, values
 from .inference import _sorted_quantile
 
 
@@ -71,8 +71,9 @@ def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition
     """Partition units into at most ``k`` propensity strata.
 
     Cutpoints are ``np.quantile`` of ``ehat`` at j / k, read off one
-    sort, so ties share a stratum (units with equal scores are never
-    split) and a unit exactly on a cutpoint joins the lower stratum.
+    sort, so ties share a stratum (units with bitwise-equal scores are
+    never split; scores that differ in the last bit may be) and a unit
+    exactly on a cutpoint joins the lower stratum.
     A stratum is valid if it contains both instrument arms ``z`` and a
     nonzero first-stage difference in the treatment ``d``; invalid
     strata trigger merging. ``z`` and ``d`` must be binary with one
@@ -83,10 +84,7 @@ def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition
     stratum is invalid.
     """
     e, z, d = (np.asarray(v, dtype=float).reshape(-1)[None] for v in (ehat, z, d))
-    out = _checked_partitions(e, z, d, None if counts is None else [counts], [k])[0][0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return values(_checked_partitions(e, z, d, None if counts is None else [counts], [k])[0])[0]
 
 
 def _whole(counts, shape):
@@ -217,10 +215,7 @@ def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedRes
     under a saturated propensity is sum_j n_j dd_j / n, and
     NoCompliersError is raised when it does not exceed PC_FLOOR.
     """
-    out = stratified(Batch([data]), [prop], [k])[0][0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return values(stratified(Batch([data]), [prop], [k])[0])[0]
 
 
 def stratified(batch: Batch, props, ks) -> list[list]:

@@ -168,10 +168,8 @@ def irls_alone(z, x, whiten, start=None, counts=None):
     """(scores, coefficients, converged) of ``complier._irls_batch`` on one sample from ``start``
     (None: from zero), rerun rule included, whitened by the (Q', T, T^-1) ``whiten``; raises
     the sample's IdentificationError."""
-    mu, beta, converged, errors = complier._irls_batch(z[None], x[None], tuple(a[None] for a in whiten), [start],
-                                                       None if counts is None else counts[None])
-    if errors[0] is not None:
-        raise errors[0]
+    mu, beta, converged = complier._irls_batch(z[None], x[None], tuple(a[None] for a in whiten), [start],
+                                               None if counts is None else counts[None])
     return mu[0], beta[0], converged[0]
 
 
@@ -179,9 +177,7 @@ def warm_fit(sample, start):
     """The logistic propensity fit of ``sample`` whose IRLS starts from ``start`` (None: from
     zero), by ``irls_alone`` with the sample's whitening and weights, its scores
     clipped into [CLIP, 1 - CLIP] as ``fit_propensity`` clips them, without its warnings."""
-    whiten, (error,) = complier._whitenings(Batch([sample]))
-    if error is not None:
-        raise error
+    whiten = complier._whitenings(Batch([sample]))
     raw, coef, converged = irls_alone(sample.z, sample.x, tuple(a[0] for a in whiten), start, sample.weights)
     clipped = np.clip(raw, CLIP, 1.0 - CLIP)
     return PropensityFit(clipped, coef, converged, int(np.sum(sample.weighted(clipped != raw))))

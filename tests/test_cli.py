@@ -646,6 +646,28 @@ def test_an_outcome_near_the_float_limit_keeps_a_finite_spread(tmp_path):
             assert sd is not None and sd == pytest.approx(plain_sd * 1e300, rel=1e-9)
 
 
+def test_a_covariate_near_the_float_limit_keeps_xx_finite(tmp_path):
+    """With x1 x 1e307 the complier-mean products w'x1 of two resamples overflow: they are
+    recomputed on x1 / max|x1|, so xx reports the finite sd and interval of x1 x 1e306."""
+    data, _ = generate(dgp_b(), 60, seed=0)
+    reports = []
+    for scale in (1e306, 1e307):
+        rows = np.column_stack([data.y, data.d, data.z, data.x[:, 1] * scale, data.x[:, 2]])
+        path = write_csv(tmp_path / f"x{scale}.csv", ["y", "d", "z", "x1", "x2"], rows.tolist())
+        out = tmp_path / f"x{scale}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["estimate", "--estimators", "xx,strat-3", "--input", path, "--b", "20", "--seed", "0",
+                         "--output", str(out)]) == 0
+        reports.append(load_report(out))
+    expected, got = reports
+    assert got["failures"] == expected["failures"]
+    for row, ref in zip(got["results"], expected["results"]):
+        assert row["sd"] is not None and None not in row["ci"]
+        for field in ("point", "sd", "ci"):
+            assert row[field] == pytest.approx(ref[field], rel=1e-9, abs=0.0), (row["estimator"], field)
+
+
 def test_stratify_failure_counts_replicates_that_merged_apart(tmp_path, capsys):
     """Replicates that merge to another stratum count than the point's are identified: the
     failure names them apart from the replicates that failed identification."""

@@ -134,20 +134,30 @@ def test_condition_estimate_reflects_scaling():
     assert linalg.least_squares(y, x_bad).condition_estimate > linalg.least_squares(y, x).condition_estimate
 
 
-def test_rank_errors_and_solve_where_keep_each_sound_system_alone():
-    """A stack of factors, one with a dependent column: only that one gets an error, as
-    ``least_squares`` raises it, and NaN coefficients; the others solve with the bits of their
-    own solve. Solving on the identity gives ``np.linalg.inv`` bit for bit (both are gesv)."""
+def test_check_rank_and_solve_where_keep_each_sound_system_alone():
+    """A stack of factors, one with a dependent column: a stack that holds it raises its error,
+    as ``least_squares`` raises it, and one without it passes; ``solve_where`` gives it NaN
+    coefficients and the others the bits of their own solve. Solving on the identity gives
+    ``np.linalg.inv`` bit for bit (both are gesv)."""
     rng = np.random.default_rng(5)
     rmats = np.triu(rng.standard_normal((4, 3, 3)) * 10.0 ** rng.uniform(-4, 4, (4, 1, 3)))
     rmats[2, :, 2] = rmats[2, :, 0] * 3.0
     rhs = rng.standard_normal((4, 3, 2))
-    errors = linalg.rank_errors(rmats)
-    assert [error is None for error in errors] == [True, True, False, True]
+    for idx in ([0], [1], [3], [0, 1, 3]):
+        linalg.check_rank(rmats[idx])
     with pytest.raises(RankDeficientError) as raised:
         linalg.least_squares(rhs[2], rmats[2])
-    assert str(errors[2]) == str(raised.value)
-    ok = [error is None for error in errors]
+    with pytest.raises(RankDeficientError) as stacked:
+        linalg.check_rank(rmats)
+    assert str(stacked.value) == str(raised.value)
+    other = rmats.copy()
+    other[0, :, 1:] = other[0, :, :1]  # a second dependent factor, of rank 1, ahead: its error comes first
+    with pytest.raises(RankDeficientError) as first:
+        linalg.check_rank(other)
+    assert str(first.value) == str(linalg.rank_error(other[0])) != str(raised.value)
+    with pytest.raises(ValueError, match="at least as many rows"):
+        linalg.check_rank(rmats[:, :2, :])
+    ok = [True, True, False, True]
     coef = linalg.solve_where(ok, rmats, rhs)
     assert np.isnan(coef[2]).all()
     for i in (0, 1, 3):

@@ -1191,15 +1191,24 @@ def test_warm_start_whose_first_step_fails_reruns_from_zero():
     x = np.column_stack([np.ones(n), x1, x1 + 1e-5 * (x1 > 1.5) * rng.standard_normal(n)])
     z = (rng.random(n) < expit(0.5 * x1)).astype(float)
     start = np.array([-30.0, 40.0, 0.0])
-    verdicts, original = [], complier._reruns  # (error, rerun) of each fit from a start
+    starts, raised = [], []  # the start of each IRLS run, and the error of each run of steps
+    run, steps = complier._irls_batch, complier._irls_loop
 
-    def judged(x, beta, converged, error):
-        verdicts.append((error, original(x, beta, converged, error)))
-        return verdicts[-1][1]
+    def started(z, x, whiten, batch_starts, counts=None):
+        starts.extend(batch_starts)
+        return run(z, x, whiten, batch_starts, counts)
 
-    with mock.patch.object(complier, "_reruns", judged):
+    def stepped(*args):
+        try:
+            return steps(*args)
+        except IdentificationError as exc:
+            raised.append(exc)
+            raise
+
+    with mock.patch.object(complier, "_irls_batch", started), mock.patch.object(complier, "_irls_loop", stepped):
         irls_alone(z, x, row_whitening(z, x), start)
-    assert len(verdicts) == 1 and isinstance(verdicts[0][0], RankDeficientError) and verdicts[0][1]
+    assert len(starts) == 2 and starts[0] is start and starts[1] is None
+    assert len(raised) == 1 and isinstance(raised[0], RankDeficientError)
     data = logistic_data(z, x)
     cold = fit_propensity(data, "logistic")
     warm = warm_fit(data, start)
@@ -1228,8 +1237,11 @@ def mixed_start_sample(rng, kind: str, n: int):
 @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(["zero", "warm", "rerun", "separated"]),
                                             min_size=1, max_size=5), st.booleans())
 def test_a_stacked_irls_gives_each_sample_its_batch_of_one(seed, kinds, counted):
-    """Samples with mixed starts, stacked (with counts or without), get the bits, convergence
-    and errors that each gets alone, reruns from zero included."""
+    """Samples with mixed starts, stacked (with counts or without), get the bits and
+    convergence that each gets alone, reruns from zero included. A stack of several raises the
+    error of the first step exactly where it holds a sample whose start fails that step ("rerun"), and
+    then the stack of the others gives each its batch of one; alone, that sample reruns from
+    zero and gets the bits of its fit from zero."""
     rng = np.random.default_rng(seed)
     n = 300
     samples = [mixed_start_sample(rng, kind, n) for kind in kinds]
@@ -1243,16 +1255,28 @@ def test_a_stacked_irls_gives_each_sample_its_batch_of_one(seed, kinds, counted)
         verdicts.append(original(*args))
         return verdicts[-1]
 
+    def stacked(idx, begin=starts):
+        parts = tuple(np.stack(part) for part in zip(*[whiten[i] for i in idx]))
+        return complier._irls_batch(z[idx], x[idx], parts, [begin[i] for i in idx],
+                                    None if counts is None else counts[idx])
+
+    sound = [i for i, kind in enumerate(kinds) if kind != "rerun"]
     with warnings.catch_warnings(), mock.patch.object(complier, "_reruns", judged):
         warnings.simplefilter("ignore", RuntimeWarning)
-        together = complier._irls_batch(z, x, tuple(np.stack(parts) for parts in zip(*whiten)), starts, counts)
-        alone = [complier._irls_batch(z[[i]], x[[i]], tuple(a[None] for a in whiten[i]), [starts[i]],
-                                      None if counts is None else counts[[i]]) for i in range(len(kinds))]
-    assert ("rerun" not in kinds or any(verdicts)) and len(verdicts) == 2 * sum(s is not None for s in starts)
-    for i, (mu, beta, converged, errors) in enumerate(alone):
-        assert together[0][i].tobytes() == mu[0].tobytes() and together[1][i].tobytes() == beta[0].tobytes()
-        assert together[2][i] == converged[0]
-        assert repr(together[3][i]) == repr(errors[0])
+        together = exact_outcome(stacked, list(range(len(kinds))))
+        alone = [stacked([i]) for i in range(len(kinds))]
+        rest = stacked(sound) if together[0] == "error" and sound else together[1]
+        cold = [stacked([i], [None] * len(kinds)) if kind == "rerun" else None for i, kind in enumerate(kinds)]
+    assert (together[0] == "error") == ("rerun" in kinds and len(kinds) > 1)
+    assert together[0] == "ok" or together[1] is RankDeficientError
+    assert len(verdicts) == 2 * sum(starts[i] is not None for i in sound)
+    for j, i in enumerate(sound if together[0] == "error" else range(len(kinds))):
+        mu, beta, converged = alone[i]
+        assert rest[0][j].tobytes() == mu[0].tobytes() and rest[1][j].tobytes() == beta[0].tobytes()
+        assert rest[2][j] == converged[0]
+    for fit, from_zero in zip(alone, cold):
+        if from_zero is not None:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(fit[:2], from_zero[:2])) and fit[2] == from_zero[2]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ study's replicates evaluated in batches must likewise give what each
 gives alone, whatever the batch size, with the same warnings.
 """
 
+import dataclasses
 import sys
 import warnings
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -25,9 +27,10 @@ import ivlate.inference
 import ivlate.linalg
 import ivlate.montecarlo
 from ivlate.cli import main
-from ivlate.complier import fit_propensity
+from ivlate.complier import _centered, fit_propensity, logistic_fits
 from ivlate.errors import IdentificationError, RankDeficientError
-from ivlate.estimators import additive_2sls, interacted_2sls, interacted_ols
+from ivlate.estimators import (Batch, Dataset, _additive, _interacted, _interacted_additive, additive_2sls, each,
+                               interacted_2sls, interacted_ols)
 from ivlate.inference import bootstrap
 from ivlate.montecarlo import bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for, run_study
 from ivlate.streams import RESAMPLE
@@ -118,6 +121,57 @@ def test_a_batched_study_fails_each_replicate_as_alone(design):
         together = run_study(make(), list(tags), reps=reps, n=n, seed=seed)
     assert any(together.failures.values())
     assert_same_summary(together, alone)
+
+
+def kernel_outcomes(batch):
+    """Each kernel's outcome per sample of ``batch``, through ``each``."""
+    props = logistic_fits(batch)
+    return {"propensity": props, "++": each(_additive, batch), "x+": each(_interacted_additive, batch),
+            "beta": each(_interacted, batch), "xx": each(_centered, batch, props),
+            "xx-kappa": each(partial(_centered, centering="kappa"), batch, props)}
+
+
+def bits(outcome):
+    """An outcome as comparable bits: an error's class and message, or its fields' bytes."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    fields = dataclasses.astuple(outcome) if dataclasses.is_dataclass(outcome) else (outcome,)
+    return tuple(None if field is None else np.asarray(field).tobytes() for field in fields)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**16), st.integers(2, 4), st.integers(0, 3), st.sampled_from(["rank", "compliers", "step"]))
+def test_each_gives_every_sample_of_a_failing_stack_its_batch_of_one(seed, size, where, kind):
+    """A stack of design-B samples, one of which fails: its covariates are rank-deficient, it
+    has no compliers (D = 1 - Z), or a logistic IRLS step raises (injected where its T steps).
+    The stacked kernels raise, and through ``each`` every kernel gives each sample the bits,
+    or the error class and message, of its batch of one."""
+    where %= size
+    samples = []
+    for r in range(size):
+        data, _ = generate(dgp_b(), 300, seed, replicate=r)
+        d, x = data.d, data.x.copy()
+        if r == where and kind == "rank":
+            x[:, 2] = 2.0 * x[:, 1]
+        elif r == where and kind == "compliers":
+            d = 1.0 - data.z
+        samples.append((data.y, d, data.z, x))
+    marked = ivlate.complier._whitenings(Batch([Dataset(*samples[where])]))[1][0].tobytes() if kind == "step" else None
+    original = ivlate.complier._whitened_step
+
+    def step(qt, tmat, inverse, w, working):
+        if any(t.tobytes() == marked for t in tmat):
+            raise RankDeficientError("injected step failure")
+        return original(qt, tmat, inverse, w, working)
+
+    with warnings.catch_warnings(), mock.patch.object(ivlate.complier, "_whitened_step", step):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        together = kernel_outcomes(Batch.stacked([Dataset(*sample) for sample in samples]))
+        alone = [kernel_outcomes(Batch([Dataset(*sample)])) for sample in samples]
+    for name, outcomes in together.items():
+        assert [bits(out) for out in outcomes] == [bits(one[name][0]) for one in alone], name
+    failed = [i for i in range(size) if any(isinstance(outs[i], Exception) for outs in together.values())]
+    assert failed == [where]
 
 
 @pytest.mark.parametrize("capped", [False, True], ids=["clipped", "not-converged"])
