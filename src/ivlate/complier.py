@@ -344,12 +344,8 @@ def dkappa_weights(data: Dataset, prop: PropensityFit) -> np.ndarray:
 def require_compliers(pc_hat: float) -> float:
     """Return the estimated complier share ``pc_hat``; NoCompliersError unless it exceeds PC_FLOOR."""
     if pc_hat <= PC_FLOOR:
-        raise _no_compliers(pc_hat)
+        raise NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
     return pc_hat
-
-
-def _no_compliers(pc_hat: float) -> NoCompliersError:
-    return NoCompliersError(f"estimated complier share {pc_hat:.4f} <= {PC_FLOOR}")
 
 
 def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> np.ndarray:
@@ -420,7 +416,8 @@ def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
     for share in (total / batch.size).tolist():
         require_compliers(share)
     beta, x = stack([fit.beta for fit in fits]), batch.x[:, :, 1:]
-    mu = (weights[:, None, :] @ x)[:, 0] / total[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = (weights[:, None, :] @ x)[:, 0] / total[:, None]
     if not np.isfinite(mu).all():  # x is finite (it was factored): where w'x overflows, use x / max|x|
         scale = np.abs(x).max(axis=1)[:, None, :]
         rescaled = (weights[:, None, :] @ (x / scale) / total[:, None, None] * scale)[:, 0]

@@ -95,7 +95,9 @@ def _as_matrix(values, name: str) -> np.ndarray:
 def check_finite(values: np.ndarray, name: str) -> None:
     """Raise NonFiniteError naming ``name`` if an entry of ``values`` is NaN or infinite."""
     # A finite sum has finite terms; an overflowed one gets the entrywise check.
-    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not math.isfinite(total) and not np.isfinite(values).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
 
 
@@ -249,8 +251,7 @@ def _stack(cols, start: int, stop: int) -> np.ndarray:
     else:
         out = np.empty(lead + (stop - start, sum(c.shape[-1] for c in cols)), order="F" if not lead else "C")
         np.concatenate([c[..., start:stop, :] for c in cols], axis=-1, out=out)
-    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
-        raise NonFiniteError("factored block contains non-finite entries")
+    check_finite(out, "factored block")
     return out
 
 

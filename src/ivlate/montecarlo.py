@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -436,25 +437,25 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 
 _STRAT_TAG = re.compile(r"^strat-([1-9][0-9]*)$")
 
-# A tag's kernel maps a batch, its samples' logistic propensity fits (None where no tag needs
-# one) and its strata by requested count to each sample's estimate, or the error it raised.
-_Kernel = Callable[[Batch, list, dict], list]
+# A tag's kernel maps a batch and its samples' logistic propensity fits (None where no tag
+# needs one) to each sample's estimate, or the error it raised.
+_Kernel = Callable[[Batch, list], list]
 
 
 def _resolve(tag: str) -> tuple[_Kernel, str]:
     """Resolve an estimator tag to (kernel, truth kind); see ``pipeline_for``."""
     if tag == "++":
-        return (lambda batch, props, strata: each(_additive, batch), "tau_c")
+        return (lambda batch, props: each(_additive, batch), "tau_c")
     if tag == "x+":
-        return (lambda batch, props, strata: each(_interacted_additive, batch), "tau_c")
+        return (lambda batch, props: each(_interacted_additive, batch), "tau_c")
     if tag == "xx":
-        return (lambda batch, props, strata: each(_centered, batch, props), "tau_c")
+        return (lambda batch, props: each(_centered, batch, props), "tau_c")
     if tag == "beta":
-        return (lambda batch, props, strata: [_field(fit, "beta") for fit in batch.interacted], "beta_c")
+        return (lambda batch, props: [_field(fit, "beta") for fit in batch.interacted], "beta_c")
     match = _STRAT_TAG.fullmatch(tag)
     if match:
-        count = int(match.group(1))
-        return (lambda batch, props, strata: [_field(res, "tau_star") for res in strata[count]], "tau_c")
+        strata = partial(stratified, k=int(match.group(1)))
+        return (lambda batch, props: [_field(res, "tau_star") for res in each(strata, batch, props)], "tau_c")
     raise ValueError(f"unknown estimator tag {tag!r}")
 
 
@@ -472,11 +473,9 @@ def _evaluate(batch: Batch, tags) -> list[tuple[dict, PropensityFit | Exception 
     kernels = {tag: _resolve(tag)[0] for tag in tags}
     needed = any(_needs_propensity(tag) for tag in kernels)
     props = logistic_fits(batch) if needed else [None] * len(batch)
-    counts = [int(m.group(1)) for tag in kernels if (m := _STRAT_TAG.fullmatch(tag))]
-    strata = dict(zip(counts, zip(*stratified(batch, props, counts)))) if counts else {}
     outs: list[dict] = [{} for _ in batch.samples]
     for tag, kernel in kernels.items():
-        for out, value in zip(outs, kernel(batch, props, strata)):
+        for out, value in zip(outs, kernel(batch, props)):
             out[tag] = value if isinstance(value, Exception) else np.atleast_1d(np.asarray(value, dtype=float))
     return list(zip(outs, props))
 
@@ -503,10 +502,9 @@ def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationE
     ("xx", "strat-K"), with its warnings where the first such tag asks for it;
     "++", "x+" and "beta" never need it. A bootstrap resample's fit starts from
     its point sample's (see ``fit_propensity``). If the fit fails
-    identification, every tag that needs it gets the same error. Every strat-K
-    tag is cut from one sort of the scores. Returns, per distinct tag, its
-    estimate as a float array or the IdentificationError it raised; the first
-    other error, in tag order, propagates.
+    identification, every tag that needs it gets the same error. Returns, per
+    distinct tag, its estimate as a float array or the IdentificationError it
+    raised; the first other error, in tag order, propagates.
     """
     return _settle(*_evaluate(Batch([data]), tags)[0], tags)
 
@@ -571,11 +569,12 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
     Replicate r draws from the stream (seed, r). Consecutive replicates
     are evaluated together, in batches of at most ``linalg.BATCH_ROWS``
     rows (one replicate where n is larger), through the kernels of
-    ``evaluate_tags``: stacked QRs, one logistic IRLS and one strata pass
-    per batch, the propensity fitted at most once per replicate and
-    shared by the tags that need it. Each replicate's estimates, errors
-    and warnings are those of ``evaluate_tags`` on its sample, so the
-    batching changes no result. The replicates run through
+    ``evaluate_tags``: stacked QRs, one logistic IRLS per batch and one
+    strata pass per batch and requested count, the propensity fitted at
+    most once per replicate and shared by the tags that need it. Each
+    replicate's estimates, errors and warnings are those of
+    ``evaluate_tags`` on its sample, so the batching changes no result.
+    The replicates run through
     ``inference.run_replicates``: failures of in-sample identification
     are counted per estimator and excluded from the summaries and
     estimates, and any other error aborts the study at the first

@@ -14,11 +14,12 @@ cell's entries in row order, so each sum equals a per-arm masked sum bit
 for bit. Counts (a bootstrap resample's) weigh the tallies and repeat
 the scores the cutpoints come from, so strata are those of the rows.
 
-``stratified_late`` is a kernel on an ``estimators.Batch`` for several
-requested counts at once: each sample's scores are sorted once for every
-count, the tallies and arm moments of all samples at one count are one
-bincount each, with cells numbered apart by sample, and only a partition
-with an invalid bin runs the merge loop.
+``stratified_late`` is the kernel ``stratified`` on a batch of one. On an
+``estimators.Batch`` at one requested count, the stacked scores are sorted
+once, the tallies and arm moments of all samples are one bincount each,
+with cells numbered apart by sample, and only a partition with an invalid
+bin runs the merge loop. The kernel returns one result per sample or
+raises; ``estimators.each`` gives each sample its own outcome.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complier import PropensityFit, PC_FLOOR, _no_compliers
+from .complier import PropensityFit, require_compliers
 from .errors import UnpartitionableError
-from .estimators import Batch, Dataset, arm_gaps, stack, values
+from .estimators import Batch, Dataset, alone, arm_gaps, stack, values
 from .inference import _sorted_quantile
 
 
@@ -84,7 +85,7 @@ def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition
     stratum is invalid.
     """
     e, z, d = (np.asarray(v, dtype=float).reshape(-1)[None] for v in (ehat, z, d))
-    return values(_checked_partitions(e, z, d, None if counts is None else [counts], [k])[0])[0]
+    return _partitions(e, z, d, None if counts is None else [counts], k)[0]
 
 
 def _whole(counts, shape):
@@ -95,44 +96,6 @@ def _whole(counts, shape):
     return reps
 
 
-def _check_count(k: int, n: int) -> None:
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < 2 * k:
-        raise ValueError(f"need at least 2k = {2 * k} units, got {n}")
-
-
-def _checked_partitions(e, z, d, weights, ks) -> list[list]:
-    """``_partitions`` of stacked samples at each count in ``ks``, with in its place the first
-    error of a sample at a count: of its ``weights`` (one sample's), of the count, then of its
-    scores, z and d. ``partition_by_propensity`` is this on one sample at one count."""
-    try:
-        reps = None if weights is None else _whole(weights[0], e.shape[1:])[None]  # one sample
-    except ValueError as exc:
-        return [[exc] * len(ks)]
-    units = e.shape[1] if reps is None else int(reps.sum())
-    counted = [_error(_check_count, k, units) for k in ks]
-    inputs = [_error(_check_units, *sample) for sample in zip(e, z, d)]
-    out = [[count or sample for count in counted] for sample in inputs]
-    sound = [s for s, exc in enumerate(inputs) if exc is None]
-    kept = [j for j, exc in enumerate(counted) if exc is None]
-    if len(sound) < len(e):
-        e, z, d = e[sound], z[sound], d[sound]
-    for s, row in zip(sound, _partitions(e, z, d, reps, [ks[j] for j in kept]) if sound and kept else ()):
-        for j, part in zip(kept, row):
-            out[s][j] = part
-    return out
-
-
-def _error(check, *args) -> ValueError | None:
-    """The ValueError that ``check(*args)`` raises, or None."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        return exc
-    return None
-
-
 def _check_units(e, z, d) -> None:
     if not np.all(np.isfinite(e)) or e.min() < 0.0 or e.max() > 1.0:
         raise ValueError("propensity scores must be finite and within [0, 1]")
@@ -141,32 +104,29 @@ def _check_units(e, z, d) -> None:
             raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
 
-def _partitions(e, z, d, reps, ks) -> list[list]:
-    """Per stacked sample, its partition (or UnpartitionableError) for each count in ``ks``,
-    all cut from one sort of its scores. A partition whose bins are all valid keeps them;
-    any other runs the merge loop."""
+def _partitions(e, z, d, weights, k: int) -> list[StratumPartition]:
+    """The partition of each stacked sample at ``k`` strata, cut from one sort of its scores.
+    Raises, in this order, the error of the ``weights`` (one sample's), of the count, of the
+    scores, z and d, then the UnpartitionableError of a sample. A partition whose bins are all
+    valid keeps them; any other runs the merge loop."""
+    reps = None if weights is None else _whole(weights[0], e.shape[1:])[None]  # one sample
+    units = e.shape[1] if reps is None else int(reps.sum())
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if units < 2 * k:
+        raise ValueError(f"need at least 2k = {2 * k} units, got {units}")
+    _check_units(e, z, d)
     ordered = np.sort(e if reps is None else np.repeat(e[0], reps[0])[None], axis=-1)
-    arm_treated = 2 * (z == 1.0) + (d == 1.0)
-    out: list[list] = [[] for _ in range(len(e))]
-    for k in ks:
-        cuts, bins = _bins(ordered, e, k)
-        offset = 4 * k * np.arange(len(e))[:, None]
-        weights = None if reps is None else reps.ravel()
-        tally = np.bincount((offset + 4 * bins + arm_treated).ravel(), weights, 4 * k * len(e))
-        tally = tally.astype(int).reshape(len(e), k, 4)
-        units0, units1 = tally[..., 0] + tally[..., 1], tally[..., 2] + tally[..., 3]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            valid = (units0 > 0) & (units1 > 0) & (tally[..., 3] / units1 - tally[..., 1] / units0 != 0.0)
-        sizes = tally.sum(axis=-1)
-        for i in range(len(e)):
-            if valid[i].all():
-                out[i].append(StratumPartition(k, cuts[i].copy(), bins[i] + 1, sizes[i], k))
-            else:
-                try:
-                    out[i].append(_merged(k, cuts[i], bins[i], tally[i]))
-                except UnpartitionableError as exc:
-                    out[i].append(exc)
-    return out
+    cuts, bins = _bins(ordered, e, k)
+    cell = 4 * k * np.arange(len(e))[:, None] + 4 * bins + 2 * (z == 1.0) + (d == 1.0)
+    tally = np.bincount(cell.ravel(), None if reps is None else reps.ravel(), 4 * k * len(e))
+    tally = tally.astype(int).reshape(len(e), k, 4)
+    units0, units1 = tally[..., 0] + tally[..., 1], tally[..., 2] + tally[..., 3]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        valid = (units0 > 0) & (units1 > 0) & (tally[..., 3] / units1 - tally[..., 1] / units0 != 0.0)
+    sizes = tally.sum(axis=-1)
+    return [StratumPartition(k, cuts[i].copy(), bins[i] + 1, sizes[i], k) if valid[i].all()
+            else _merged(k, cuts[i], bins[i], tally[i]) for i in range(len(e))]
 
 
 def _merged(k: int, cuts, bins, tally) -> StratumPartition:
@@ -215,50 +175,30 @@ def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedRes
     under a saturated propensity is sum_j n_j dd_j / n, and
     NoCompliersError is raised when it does not exceed PC_FLOOR.
     """
-    return values(stratified(Batch([data]), [prop], [k])[0])[0]
+    return alone(stratified, data, [prop], k)
 
 
-def stratified(batch: Batch, props, ks) -> list[list]:
-    """Per sample, ``stratified_late`` at its propensity fit in ``props`` for each count in
-    ``ks``, or the error it raised; a sample whose fit is an error gets it for every count."""
-    out = [[prop] * len(ks) if isinstance(prop, Exception) else [None] * len(ks) for prop in props]
-    live = [i for i, prop in enumerate(props) if not isinstance(prop, Exception)]
-    if not live:
-        return out
-    sub = batch.take(live)
-    e = stack([props[i].ehat for i in live])
-    if len(sub) == 1 and len(ks) == 1:  # one sample's partition at one count: the public one
-        try:
-            partitions = [[partition_by_propensity(e[0], ks[0], sub.z[0], sub.d[0],
-                                                   None if sub.weights is None else sub.weights[0])]]
-        except (UnpartitionableError, ValueError) as exc:
-            partitions = [[exc]]
+def stratified(batch: Batch, props, k: int) -> list[StratifiedResult]:
+    """Each sample's ``stratified_late`` at its propensity fit in ``props``. Raises, in this
+    order, the first error in ``props``, then the partitions' errors, then a complier share's."""
+    e, z, d, weights = stack([prop.ehat for prop in values(props)]), batch.z, batch.d, batch.weights
+    if len(batch) == 1:  # one sample's partition: the public one
+        parts = [partition_by_propensity(e[0], k, z[0], d[0], None if weights is None else weights[0])]
     else:
-        partitions = _checked_partitions(e, sub.z, sub.d, sub.weights, ks)
-    arm, d, y = sub.z == 1.0, sub.weighted(sub.d), sub.weighted(sub.y)
-    size = sub.size if sub.weights is None else sub.size[0]
-    for j in range(len(ks)):
-        for s, row in enumerate(partitions):
-            if isinstance(row[j], Exception):
-                out[live[s]][j] = row[j]
-        rows = [s for s, row in enumerate(partitions) if not isinstance(row[j], Exception)]
-        if not rows:
-            continue
-        parts = [partitions[s][j] for s in rows]
-        # One bincount per moment over the samples' partitions, their strata numbered apart.
-        strata = np.cumsum([0] + [part.k for part in parts])
-        every = len(rows) == len(sub)
-        cell = 2 * (strata[:-1, None] + stack([part.labels for part in parts]) - 1) + (arm if every else arm[rows])
-        weights = None if sub.weights is None else sub.weights.ravel()
-        moments = [(v if every else v[rows]).ravel() for v in (d, y)]
-        _, d_diff, y_diff = arm_gaps(cell.ravel(), weights, *moments, int(strata[-1]))
-        for s, part, lo, hi in zip(rows, parts, strata, strata[1:]):
-            dd, dy = d_diff[lo:hi], y_diff[lo:hi]
-            complier_mass = part.counts @ dd
-            if complier_mass / size <= PC_FLOOR:
-                out[live[s]][j] = _no_compliers(complier_mass / size)
-            else:
-                out[live[s]][j] = StratifiedResult(float(part.counts @ dy / complier_mass), dy / dd, part)
+        parts = _partitions(e, z, d, weights, k)
+    # One bincount per moment over the samples' partitions, their strata numbered apart.
+    strata = np.cumsum([0] + [part.k for part in parts])
+    cell = 2 * (strata[:-1, None] + stack([part.labels for part in parts]) - 1) + (z == 1.0)
+    moments = [batch.weighted(v).ravel() for v in (d, batch.y)]
+    flat = None if weights is None else weights.ravel()
+    _, d_diff, y_diff = arm_gaps(cell.ravel(), flat, *moments, int(strata[-1]))
+    size = batch.size if weights is None else batch.size[0]
+    out = []
+    for part, lo, hi in zip(parts, strata, strata[1:]):
+        dd, dy = d_diff[lo:hi], y_diff[lo:hi]
+        complier_mass = part.counts @ dd
+        require_compliers(complier_mass / size)
+        out.append(StratifiedResult(float(part.counts @ dy / complier_mass), dy / dd, part))
     return out
 
 

@@ -648,17 +648,19 @@ def test_an_outcome_near_the_float_limit_keeps_a_finite_spread(tmp_path):
 
 def test_a_covariate_near_the_float_limit_keeps_xx_finite(tmp_path):
     """With x1 x 1e307 the complier-mean products w'x1 of two resamples overflow: they are
-    recomputed on x1 / max|x1|, so xx reports the finite sd and interval of x1 x 1e306."""
+    recomputed on x1 / max|x1|, so xx reports the finite sd and interval of x1 x 1e306. The
+    handled overflows (that product, and the finiteness check's sum) warn nothing."""
     data, _ = generate(dgp_b(), 60, seed=0)
     reports = []
     for scale in (1e306, 1e307):
         rows = np.column_stack([data.y, data.d, data.z, data.x[:, 1] * scale, data.x[:, 2]])
         path = write_csv(tmp_path / f"x{scale}.csv", ["y", "d", "z", "x1", "x2"], rows.tolist())
         out = tmp_path / f"x{scale}.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
             assert main(["estimate", "--estimators", "xx,strat-3", "--input", path, "--b", "20", "--seed", "0",
                          "--output", str(out)]) == 0
+        assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
         reports.append(load_report(out))
     expected, got = reports
     assert got["failures"] == expected["failures"]

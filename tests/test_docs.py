@@ -1,9 +1,12 @@
 """The README's library quick tour runs as written, every exported name
-resolves, the README names every field the oracle returns, and the package
-defines no name that its code never reads."""
+resolves, the README names every field the oracle returns, the package
+defines no name that its code never reads, and the package's names that the
+docs cite exist."""
 
 import ast
 import dataclasses
+import importlib
+import json
 import re
 from pathlib import Path
 
@@ -12,8 +15,11 @@ import numpy as np
 import ivlate
 from ivlate.montecarlo import OracleEstimands, dgp_b, generate
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 SOURCE = Path(ivlate.__file__).resolve().parent
+MODULES = {"ivlate": ivlate} | {path.stem: importlib.import_module(f"ivlate.{path.stem}")
+                                for path in sorted(SOURCE.glob("*.py")) if path.stem != "__init__"}
 
 
 def quick_tour() -> str:
@@ -75,3 +81,46 @@ def unread_definitions(source: Path, exported) -> list[str]:
 def test_every_definition_in_the_package_is_read_or_exported():
     """Code that nothing calls leaves ``src/``; a reference kept for tests lives in the tests."""
     assert unread_definitions(SOURCE, set(ivlate.__all__)) == []
+
+
+def has_path(obj, parts) -> bool:
+    """Whether ``obj`` has the attribute path ``parts``; a dataclass's field may end it."""
+    if not parts:
+        return True
+    if hasattr(obj, parts[0]):
+        return has_path(getattr(obj, parts[0]), parts[1:])
+    return len(parts) == 1 and parts[0] in getattr(obj, "__dataclass_fields__", {})
+
+
+def stale(names) -> list[str]:
+    """The ``names`` that cite the package but resolve to nothing in it: a private name, or a
+    dotted one whose first part is a module of the package or a name bound in one, that is no
+    attribute path there. A dotted name whose first part the package does not bind
+    (``dataclasses.replace``) cites another package."""
+    out = []
+    for name in names:
+        head, *rest = name.split(".")
+        found = [MODULES[head]] if head in MODULES else [vars(m)[head] for m in MODULES.values() if head in vars(m)]
+        if (found or head.startswith("_")) and not any(has_path(obj, rest) for obj in found):
+            out.append(name)
+    return out
+
+
+def test_every_private_or_dotted_name_in_a_docstring_resolves():
+    cited = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+                cited += [name for name in re.findall(r"``([A-Za-z_][\w.]*)``", ast.get_docstring(node))
+                          if name.startswith("_") or "." in name]
+    assert len(cited) > 30
+    assert stale(cited) == []
+
+
+def test_every_module_name_in_the_readme_resolves():
+    """Bench metric names (``linalg.least_squares.max_condition``) read like names, and are not."""
+    metrics = {metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    cited = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text(encoding="utf-8"))
+    cited = [name for name in cited if name.split(".")[0] in MODULES and name not in metrics]
+    assert len(cited) > 10
+    assert stale(cited) == []

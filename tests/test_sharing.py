@@ -33,6 +33,7 @@ from ivlate.estimators import (Batch, Dataset, _additive, _interacted, _interact
                                interacted_2sls, interacted_ols)
 from ivlate.inference import bootstrap
 from ivlate.montecarlo import bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for, run_study
+from ivlate.stratify import stratified
 from ivlate.streams import RESAMPLE
 
 PROPENSITY_TAGS = ("xx", "strat-5", "strat-10", "strat-15")
@@ -128,15 +129,18 @@ def kernel_outcomes(batch):
     props = logistic_fits(batch)
     return {"propensity": props, "++": each(_additive, batch), "x+": each(_interacted_additive, batch),
             "beta": each(_interacted, batch), "xx": each(_centered, batch, props),
-            "xx-kappa": each(partial(_centered, centering="kappa"), batch, props)}
+            "xx-kappa": each(partial(_centered, centering="kappa"), batch, props),
+            "strat-5": each(partial(stratified, k=5), batch, props)}
 
 
 def bits(outcome):
-    """An outcome as comparable bits: an error's class and message, or its fields' bytes."""
+    """An outcome as comparable bits: an error's class and message, or its fields' bytes, a
+    nested dataclass's (a stratified result's partition) field by field."""
     if isinstance(outcome, Exception):
         return type(outcome), str(outcome)
-    fields = dataclasses.astuple(outcome) if dataclasses.is_dataclass(outcome) else (outcome,)
-    return tuple(None if field is None else np.asarray(field).tobytes() for field in fields)
+    if dataclasses.is_dataclass(outcome):
+        return tuple(bits(getattr(outcome, field.name)) for field in dataclasses.fields(outcome))
+    return None if outcome is None else np.asarray(outcome).tobytes()
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from _helpers import simulate_iv
 
 from ivlate.complier import fit_propensity
 from ivlate.errors import UnpartitionableError
-from ivlate.estimators import Batch, Dataset, interacted_2sls, stratum_wald
+from ivlate.estimators import Batch, Dataset, each, interacted_2sls, stratum_wald
 from ivlate.montecarlo import DgpCell, from_cells, generate
 from ivlate.stratify import partition_by_propensity, regressogram, stratified, stratified_late
 
@@ -169,15 +170,16 @@ def test_regressogram_interval_layout():
 
 
 def test_a_batch_gives_each_sample_and_count_its_own_outcome():
-    """``stratified`` on stacked samples at several counts gives each sample at each count
-    what ``stratified_late`` gives it alone: a result, or the first error its checks raise."""
+    """``stratified`` on stacked samples at each of several counts, through ``each``, gives each
+    sample at each count what ``stratified_late`` gives it alone: a result, or the first error
+    its checks raise."""
     samples = [simulate_iv(seed, n=100) for seed in (80, 81, 82, 83)]
     props = [fit_propensity(data, "logistic") for data in samples]
     props[1] = replace(props[1], ehat=np.where(np.arange(100) == 7, 1.5, props[1].ehat))
     props[2] = UnpartitionableError("the sample's own fit failed")
     samples[3] = replace(samples[3], d=np.where(np.arange(100) == 9, 0.5, samples[3].d))
     ks = [2, 5, 60]  # 60 strata need 120 units
-    got = stratified(Batch(samples), props, ks)
+    got = zip(*(each(partial(stratified, k=k), Batch(samples), props) for k in ks))
     kinds = set()
     for data, prop, row in zip(samples, props, got):
         for k, out in zip(ks, row):
