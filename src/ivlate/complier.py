@@ -354,16 +354,31 @@ def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> np.ndarray:
     Raises NoCompliersError when mean(kappa), the estimated complier
     share, does not exceed PC_FLOOR.
     """
-    kappa = _complier_kappa(data, prop)
-    return (kappa @ data.x[:, list(g_cols)]) / kappa.sum()
+    batch = Batch([data])
+    kappa = _complier_kappa(batch, [prop])
+    return _weighted_means(kappa, batch.x[..., list(g_cols)], kappa.sum(axis=-1))[0]
 
 
-def _complier_kappa(data: Dataset, prop: PropensityFit) -> np.ndarray:
-    """The sample's kappa weights times its counts; NoCompliersError unless their mean, the
-    estimated complier share, exceeds PC_FLOOR."""
-    kappa = data.weighted(kappa_weights(data, prop))
-    require_compliers(float(kappa.sum()) / data.size)
+def _complier_kappa(batch: Batch, props) -> np.ndarray:
+    """Each sample's kappa weights at its propensity fit in ``props``, times its counts. Raises
+    the first error in ``props``, then the NoCompliersError of the first sample whose mean
+    kappa, its estimated complier share, does not exceed PC_FLOOR."""
+    kappa = batch.weighted(_kappa(batch.d, batch.z, stack([prop.ehat for prop in values(props)])))
+    for share in (kappa.sum(axis=-1) / batch.size).tolist():
+        require_compliers(share)
     return kappa
+
+
+def _weighted_means(weights: np.ndarray, x: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Each stacked sample's w'x / total for its (n,) weights w and finite (n, m) x. Where w'x
+    overflows, it is taken of x / max|x|, column by column, and scaled back."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = (weights[:, None, :] @ x)[:, 0] / total[:, None]
+        if np.isfinite(mu).all():
+            return mu
+        scale = np.abs(x).max(axis=1)[:, None, :]
+        rescaled = (weights[:, None, :] @ (x / scale) / total[:, None, None] * scale)[:, 0]
+    return np.where(np.isfinite(mu), mu, rescaled)
 
 
 def centered_interacted_2sls(
@@ -402,9 +417,7 @@ def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
     """Each sample's ``centered_interacted_2sls`` at its propensity fit in ``props``. Raises, in
     this order, the first error in ``props``, then the checks of ``centered_interacted_2sls``."""
     _require_constant(batch, "centered_interacted_2sls")
-    kappa = batch.weighted(_kappa(batch.d, batch.z, stack([prop.ehat for prop in values(props)])))
-    for share in (kappa.sum(axis=-1) / batch.size).tolist():
-        require_compliers(share)
+    kappa = _complier_kappa(batch, props)
     if centering not in ("first-stage", "kappa"):
         raise ValueError(f"unknown centering {centering!r}")
     fits = values(batch.interacted)
@@ -415,13 +428,7 @@ def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
     total = weights.sum(axis=-1)
     for share in (total / batch.size).tolist():
         require_compliers(share)
-    beta, x = stack([fit.beta for fit in fits]), batch.x[:, :, 1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = (weights[:, None, :] @ x)[:, 0] / total[:, None]
-    if not np.isfinite(mu).all():  # x is finite (it was factored): where w'x overflows, use x / max|x|
-        scale = np.abs(x).max(axis=1)[:, None, :]
-        rescaled = (weights[:, None, :] @ (x / scale) / total[:, None, None] * scale)[:, 0]
-        mu = np.where(np.isfinite(mu), mu, rescaled)
+    beta, mu = stack([fit.beta for fit in fits]), _weighted_means(weights, batch.x[:, :, 1:], total)
     return (beta[:, 0] + (mu[:, None, :] @ beta[:, 1:, None])[:, 0, 0]).tolist()
 
 
@@ -432,7 +439,7 @@ def abadie_beta(data: Dataset, prop: PropensityFit) -> np.ndarray:
     with the first factor a kappa-weighted Gram matrix and the complier
     probability estimated by mean(kappa).
     """
-    kappa = _complier_kappa(data, prop)
+    kappa = _complier_kappa(Batch([data]), [prop])[0]
     pc_hat = float(kappa.sum()) / data.size
     gram = (data.x * kappa[:, None]).T @ data.x / kappa.sum()
     moments = data.weighted(data.x * (dkappa_weights(data, prop) * data.y)[:, None])

@@ -23,13 +23,13 @@ bootstrap resample with counts reads that R off its point sample's
 factorization instead, where it can.
 
 The fits are kernels on a ``Batch``: samples of one size stacked on a
-leading axis, whose factors come from stacked QRs and whose stages are
-stacked solves. A Monte Carlo study evaluates its replicates
-in batches; every public function here is its kernel on a batch of one,
-so each estimator has one code path and a batch changes no result. A
-kernel returns one value per sample, or raises where any sample fails;
-``each`` then evaluates the samples one by one, so a sample's error is
-the one it raises alone.
+leading axis, each with its own factor, both stages stacked solves on the
+stacked factors. A Monte Carlo study evaluates its replicates in batches;
+every public function here is its kernel on a batch of one, so each
+estimator has one code path and a batch changes no result. A kernel
+returns one value per sample, or raises where any sample fails; ``each``
+then evaluates the samples one by one, so a sample's error is the one it
+raises alone.
 """
 
 from __future__ import annotations
@@ -240,24 +240,8 @@ class Batch:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """The samples' ``Dataset.factor``s, stacked. Unweighted samples are factored by stacked
-        QRs of at most ``linalg.FACTOR_ROWS`` rows each, whose block is built in place."""
-        if len(self.samples) == 1:
-            return self.samples[0].factor[None]
-        k, step = self.k, max(1, linalg.FACTOR_ROWS // self.n)
-        rmats = []
-        for start in range(0, len(self), step):  # [X | Z*X | D*X | Y] of a few samples, built in place
-            x, part = self.x[start : start + step], slice(start, start + step)
-            block = np.empty(x.shape[:2] + (3 * k + 1,))
-            block[..., :k] = x
-            np.multiply(self.z[part, :, None], x, out=block[..., k : 2 * k])
-            np.multiply(self.d[part, :, None], x, out=block[..., 2 * k : 3 * k])
-            block[..., -1] = self.y[part]
-            rmats.append(linalg.triangular_factor(block))
-        rmats = np.concatenate(rmats)
-        for sample, rmat in zip(self.samples, rmats):
-            sample.__dict__.setdefault("factor", rmat)
-        return rmats
+        """The samples' ``Dataset.factor``s, stacked; each sample computes and caches its own."""
+        return stack([sample.factor for sample in self.samples])
 
     @cached_property
     def interacted(self) -> list:
@@ -265,15 +249,9 @@ class Batch:
         return each(_interacted, self)
 
     def take(self, idx) -> "Batch":
-        """The batch of the samples at ``idx``, with the stacked arrays computed so far; every
+        """The batch of the samples at ``idx``, which carry their own factors and fits; every
         sample in order is the batch itself."""
-        if list(idx) == list(range(len(self))):
-            return self
-        sub = Batch([self.samples[i] for i in idx])
-        for name in ("y", "d", "z", "x", "weights", "factor"):
-            if name in self.__dict__:
-                sub.__dict__[name] = None if self.__dict__[name] is None else self.__dict__[name][idx]
-        return sub
+        return self if list(idx) == list(range(len(self))) else Batch([self.samples[i] for i in idx])
 
 
 def stack(arrays: list) -> np.ndarray:

@@ -25,12 +25,13 @@ R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_choleskys``, Q from
 ``orthonormal_basis``) factors it; Q'CQ is conditioned like C.
 
 A Monte Carlo study evaluates its samples in batches of at most BATCH_ROWS
-rows: ``triangular_factor``, ``stacked_least_squares`` and ``check_rank``
-take blocks and factors stacked on a leading sample axis. numpy's stacked
-QR, solve, Cholesky and inverse, stacked matmul and reductions along a
-contiguous row give every sample the bits of its own 2-d call, so a batch
-changes no result. A stacked fit raises where any of its samples has a
-dependent column; ``estimators.each`` then fits each sample alone.
+rows: ``triangular_factor``, ``stacked_least_squares``, ``check_rank`` and
+``dependent_columns`` take blocks and factors stacked on a leading sample
+axis. numpy's stacked QR, solve, Cholesky and inverse, stacked matmul and
+reductions along a contiguous row give every sample the bits of its own
+2-d call, so a batch changes no result. A stacked fit raises where any of
+its samples has a dependent column; ``estimators.each`` then fits each
+sample alone.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ GROUP_ROWS = 1024
 # Samples of a Monte Carlo study are evaluated together up to this many rows in all (five
 # samples at n = 1000); a larger sample is a batch of one.
 BATCH_ROWS = 5120
-
-# A batch's samples are factored a few at a time, at most this many rows per stacked QR,
-# which holds their block and a copy of it: on the study-b benchmark (n = 1000, five samples
-# per batch) one QR of the whole batch raised peak RSS by 0.4 MiB and saved no time.
-FACTOR_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -168,8 +164,7 @@ def check_rank(rmats: np.ndarray) -> None:
     rows, q = rmats.shape[-2:]
     if rows < q:
         raise ValueError(f"need at least as many rows ({rows}) as regressors ({q})")
-    norms = np.hypot.reduce(rmats, axis=-2)  # hypot neither overflows nor underflows
-    dependent = (np.abs(rmats.diagonal(axis1=-2, axis2=-1)) <= RANK_RTOL * norms).any(axis=-1)
+    dependent = dependent_columns(rmats).any(axis=-1)
     if dependent.any():
         raise rank_error(rmats[dependent.argmax()])
 
@@ -264,11 +259,13 @@ def _r_factor(block: np.ndarray) -> np.ndarray:
 
 
 def dependent_columns(rmat: np.ndarray) -> np.ndarray:
-    """Whether each column of the block factored by ``rmat`` is within RANK_RTOL of the span of
-    the earlier ones: |R_jj|, its distance from it, is at most RANK_RTOL times its norm."""
-    diag = np.zeros(rmat.shape[1])
-    diag[: min(rmat.shape)] = np.abs(rmat.diagonal())
-    return diag <= RANK_RTOL * np.hypot.reduce(rmat, axis=0)
+    """Whether each column of the block factored by ``rmat``, or by each of a stack of factors, is
+    within RANK_RTOL of the span of the earlier ones: |R_jj|, its distance from it, is at most
+    RANK_RTOL times its norm (a hypot norm, which neither overflows nor underflows)."""
+    rows, cols = rmat.shape[-2:]
+    if rows < cols:  # zero rows give the columns past the last row their |R_jj|, 0
+        rmat = np.concatenate([rmat, np.zeros(rmat.shape[:-2] + (cols - rows, cols))], axis=-2)
+    return np.abs(rmat.diagonal(axis1=-2, axis2=-1)) <= RANK_RTOL * np.hypot.reduce(rmat, axis=-2)
 
 
 def bounded_choleskys(grams: np.ndarray) -> tuple[np.ndarray, list[bool]]:

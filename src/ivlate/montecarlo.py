@@ -569,12 +569,12 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
     Replicate r draws from the stream (seed, r). Consecutive replicates
     are evaluated together, in batches of at most ``linalg.BATCH_ROWS``
     rows (one replicate where n is larger), through the kernels of
-    ``evaluate_tags``: stacked QRs, one logistic IRLS per batch and one
-    strata pass per batch and requested count, the propensity fitted at
-    most once per replicate and shared by the tags that need it. Each
-    replicate's estimates, errors and warnings are those of
-    ``evaluate_tags`` on its sample, so the batching changes no result.
-    The replicates run through
+    ``evaluate_tags``: each replicate factored once, as alone, stacked
+    solves, one logistic IRLS per batch and one strata pass per batch and
+    requested count, the propensity fitted at most once per replicate and
+    shared by the tags that need it. Each replicate's estimates, errors
+    and warnings are those of ``evaluate_tags`` on its sample, so the
+    batching changes no result. The replicates run through
     ``inference.run_replicates``: failures of in-sample identification
     are counted per estimator and excluded from the summaries and
     estimates, and any other error aborts the study at the first

@@ -121,44 +121,34 @@ def _partitions(e, z, d, weights, k: int) -> list[StratumPartition]:
     cell = 4 * k * np.arange(len(e))[:, None] + 4 * bins + 2 * (z == 1.0) + (d == 1.0)
     tally = np.bincount(cell.ravel(), None if reps is None else reps.ravel(), 4 * k * len(e))
     tally = tally.astype(int).reshape(len(e), k, 4)
-    units0, units1 = tally[..., 0] + tally[..., 1], tally[..., 2] + tally[..., 3]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        valid = (units0 > 0) & (units1 > 0) & (tally[..., 3] / units1 - tally[..., 1] / units0 != 0.0)
-    sizes = tally.sum(axis=-1)
+    valid, sizes = _valid(tally), tally.sum(axis=-1)
     return [StratumPartition(k, cuts[i].copy(), bins[i] + 1, sizes[i], k) if valid[i].all()
             else _merged(k, cuts[i], bins[i], tally[i]) for i in range(len(e))]
 
 
+def _valid(tally: np.ndarray) -> np.ndarray:
+    """Whether each stratum of the (..., 4) integer tallies of its (Z, D) = (0, 0), (0, 1),
+    (1, 0), (1, 1) units holds both instrument arms and a nonzero first-stage difference."""
+    units0, units1 = tally[..., 0] + tally[..., 1], tally[..., 2] + tally[..., 3]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (units0 > 0) & (units1 > 0) & (tally[..., 3] / units1 - tally[..., 1] / units0 != 0.0)
+
+
 def _merged(k: int, cuts, bins, tally) -> StratumPartition:
     """The partition whose invalid bins merge into their lower neighbour (the first upward)."""
-    # Per-bin counts of (Z, D) = (0, 0), (0, 1), (1, 0), (1, 1) units as Python-int
-    # prefix sums: bins [lo, hi) hold prefix[hi] - prefix[lo], exactly.
-    prefix = [[0] * 4, *tally.cumsum(axis=0).tolist()]
-
-    def valid(lo: int, hi: int) -> bool:
-        untreated0, treated0, untreated1, treated1 = (u - v for u, v in zip(prefix[hi], prefix[lo]))
-        units0, units1 = untreated0 + treated0, untreated1 + treated1
-        return units0 > 0 and units1 > 0 and treated1 / units1 - treated0 / units0 != 0.0
-
-    groups = [(j, j + 1) for j in range(k)]
-    while True:
-        bad = next((g for g, (lo, hi) in enumerate(groups) if not valid(lo, hi)), None)
-        if bad is None:
-            break
-        if len(groups) == 1:
+    # Group g holds bins edges[g] to edges[g + 1] - 1, whose tallies are differences of
+    # integer prefix sums, exactly.
+    prefix, edges = np.concatenate([np.zeros((1, 4), dtype=int), tally.cumsum(axis=0)]), list(range(k + 1))
+    while not (valid := _valid(np.diff(prefix[edges], axis=0))).all():
+        if len(edges) == 2:
             raise UnpartitionableError("no valid propensity stratification exists")
-        # Merge into the lower neighbor; the first group merges upward.
-        g = max(bad, 1)
-        groups[g - 1 : g + 1] = [(groups[g - 1][0], groups[g][1])]
-
-    label_of_bin = np.empty(k, dtype=int)
-    for idx, (lo, hi) in enumerate(groups):
-        label_of_bin[lo:hi] = idx + 1
+        # The first invalid group merges into its lower neighbour; the first group merges upward.
+        del edges[max(int(valid.argmin()), 1)]
     return StratumPartition(
-        k=len(groups),
-        boundaries=cuts[[hi - 1 for _, hi in groups[:-1]]],
-        labels=label_of_bin[bins],
-        counts=np.add.reduceat(tally.sum(axis=1), [lo for lo, _ in groups]),
+        k=len(edges) - 1,
+        boundaries=cuts[[hi - 1 for hi in edges[1:-1]]],
+        labels=np.repeat(np.arange(1, len(edges)), np.diff(edges))[bins],
+        counts=np.add.reduceat(tally.sum(axis=1), edges[:-1]),
         merged_from=k,
     )
 

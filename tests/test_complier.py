@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -230,6 +231,23 @@ def test_complier_mean_on_binary_design_recovers_conditional_share():
     (mean,) = complier_mean(data, prop, [1])
     assert abs(mean - 2.0 / 9.0) <= 0.02
     assert abs(kappa_weights(data, prop).mean() - 0.45) <= 0.02
+
+
+@pytest.mark.parametrize("scale", [1e307, 5e307])
+def test_complier_mean_of_a_covariate_near_the_float_limit_is_finite(scale):
+    """With x1 x ``scale`` the product kappa'x1 overflows: the mean is taken of x1 / max|x1|
+    and scaled back, so it is the unscaled mean times ``scale``, and nothing warns."""
+    data, _ = generate(dgp_b(), 2000, seed=0)
+    prop = fit_propensity(data, "logistic")
+    x = data.x.copy()
+    x[:, 1] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = complier_mean(replace(data, x=x), prop, [1, 2])
+    expected = complier_mean(data, prop, [1, 2])
+    assert np.isfinite(got).all()
+    assert got[0] == pytest.approx(expected[0] * scale, rel=1e-13, abs=0.0)
+    assert got[1:].tobytes() == expected[1:].tobytes()
 
 
 def test_no_compliers_floor():

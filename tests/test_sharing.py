@@ -32,7 +32,8 @@ from ivlate.errors import IdentificationError, RankDeficientError
 from ivlate.estimators import (Batch, Dataset, _additive, _interacted, _interacted_additive, additive_2sls, each,
                                interacted_2sls, interacted_ols)
 from ivlate.inference import bootstrap
-from ivlate.montecarlo import bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for, run_study
+from ivlate.montecarlo import (bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for, run_study,
+                               study_truth)
 from ivlate.stratify import stratified
 from ivlate.streams import RESAMPLE
 
@@ -112,14 +113,23 @@ def test_the_batch_size_does_not_change_a_study(design, seed, reps):
 
 
 @pytest.mark.parametrize("design", sorted(STUDIES))
-def test_a_batched_study_fails_each_replicate_as_alone(design):
-    """The designs' failing replicates, evaluated in one batch, fail as in batches of one."""
+def test_a_batched_study_fails_each_replicate_as_alone(design, monkeypatch):
+    """The designs' failing replicates, evaluated in one batch, fail as in batches of one, and
+    each replicate's [X | Z*X | D*X | Y] block is factored once either way."""
     make, tags, reps, n, seed = STUDIES[design]
+    factored = counting_n_row_factors(monkeypatch, n, 3 * generate(make(), n, seed)[0].k + 1)
+    for tag in tags:  # the truths' factors: design A's population has n atoms too
+        study_truth(make(), pipeline_for(tag)[1])
+    truths = len(factored)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        factored.clear()
         with row_budget(n):
             alone = run_study(make(), list(tags), reps=reps, n=n, seed=seed)
+        assert len(factored) == truths + reps
+        factored.clear()
         together = run_study(make(), list(tags), reps=reps, n=n, seed=seed)
+        assert len(factored) == truths + reps
     assert any(together.failures.values())
     assert_same_summary(together, alone)
 
@@ -351,15 +361,19 @@ def test_a_changed_sample_gets_its_own_factor(monkeypatch):
     assert not np.allclose(beta_iv, beta_ols)
 
 
-def counting_n_row_factors(monkeypatch, n):
-    """Count ``triangular_factor`` calls on n-row blocks through every binding of the name
-    in the package."""
+def counting_n_row_factors(monkeypatch, n, columns=None):
+    """Record, once per sample, the n-row blocks (of ``columns`` columns, where given) that
+    ``triangular_factor`` factors through any binding of it in the package; a block stacked on
+    a leading sample axis counts each of its samples."""
     calls = []
     original = ivlate.linalg.triangular_factor
 
     def counted(*blocks):
-        if np.shape(blocks[0])[0] == n:
-            calls.append(blocks)
+        shapes = [np.shape(block) for block in blocks]
+        rows = shapes[0][-2] if len(shapes[0]) > 1 else shapes[0][0]
+        width = sum(shape[-1] if len(shape) > 1 else 1 for shape in shapes)
+        if rows == n and columns in (None, width):
+            calls.extend([blocks] * (shapes[0][0] if len(shapes[0]) == 3 else 1))
         return original(*blocks)
 
     for name, module in list(sys.modules.items()):
