@@ -208,8 +208,8 @@ def _irls_batch(z, x, whiten, starts, counts=None):
 
 
 def _irls_loop(z, x, whiten, beta, counts):
-    """The steps of ``_irls_batch`` from the stacked coefficients ``beta``; a sample leaves the
-    batch once it converges.
+    """The steps of ``_irls_batch`` from the stacked coefficients ``beta``; a sample's outputs
+    are taken at its own convergence, and from then on it steps from zero until the batch ends.
 
     Each step forms one exponential, ex = exp(-eta) at the clipped eta:
     mu = 1 / (1 + ex), and the deviance is 2 sum log1p(exp((1 - 2z) eta))
@@ -222,9 +222,7 @@ def _irls_loop(z, x, whiten, beta, counts):
     by sqrt(counts w).
     """
     mu_out, beta_out, converged = np.empty(z.shape), np.empty(beta.shape), [False] * len(z)
-    # The sample of each row, and which rows still iterate; a finished row stays in the arrays
-    # until at most half of them iterate, so the arrays are copied at most at half size.
-    live, active = list(range(len(z))), [True] * len(z)
+    active = [True] * len(z)
     qt, tmat, inverse = whiten
     eta, ex, mu = _link(x, beta)
     dev_prev = [math.inf] * len(z)
@@ -254,19 +252,13 @@ def _irls_loop(z, x, whiten, beta, counts):
         del ex, terms
         for i, (now, prev) in enumerate(zip(dev, dev_prev)):
             if active[i] and math.isfinite(prev) and abs(now - prev) < IRLS_TOL * (abs(prev) + 1e-300):
-                mu_out[live[i]], beta_out[live[i]], converged[live[i]], active[i] = mu[i], beta[i], True, False
+                mu_out[i], beta_out[i], converged[i], active[i] = mu[i], beta[i], True, False
         if not any(active):
             break
-        if 2 * sum(active) <= len(active):
-            keep = [i for i, on in enumerate(active) if on]
-            z, x, qt, tmat, inverse, eta, mu, beta = (a[keep] for a in (z, x, qt, tmat, inverse, eta, mu, beta))
-            counts = None if counts is None else counts[keep]
-            live, active, dev = [live[i] for i in keep], [True] * len(keep), [dev[i] for i in keep]
         dev_prev = dev
     else:
-        for i, on in enumerate(active):
-            if on:
-                mu_out[live[i]], beta_out[live[i]] = mu[i], beta[i]
+        rest = [i for i, on in enumerate(active) if on]
+        mu_out[rest], beta_out[rest] = mu[rest], beta[rest]
     return mu_out, beta_out, converged
 
 

@@ -324,7 +324,7 @@ def _two_stage(batch: Batch, instruments, responses, first: bool = False):
     resp = [2 * k + j for j in responses]
     w = len(cols)
     if cols != list(range(w)):
-        rmat = linalg.triangular_factor(rmat[..., [*cols, *resp, -1]])
+        rmat = stack([linalg.triangular_factor(r) for r in rmat[..., [*cols, *resp, -1]]])
         resp = list(range(w, w + len(resp)))
     stage = None
     if first:

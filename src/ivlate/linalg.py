@@ -17,19 +17,19 @@ the column-stacked n-row block to its triangular factor R with
 rows as the block has columns; IRLS steps solve on k-row factors from
 whitened Grams (see ``complier``). The block is Q R with Q orthonormal,
 so every fit among its columns has the same coefficients and condition
-estimate on R. Leading columns of a factor are upper trapezoidal, their
-own R, so ``least_squares`` skips their QR.
+estimate on R. Leading columns of a factor are upper trapezoidal, their own
+R, and the QR of ``least_squares`` keeps them bit for bit (each Householder tau is 0).
 
 The block with row i counted c_i times (a bootstrap resample) has Gram
 R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_choleskys``, Q from
 ``orthonormal_basis``) factors it; Q'CQ is conditioned like C.
 
 A Monte Carlo study evaluates its samples in batches of at most BATCH_ROWS
-rows: ``triangular_factor``, ``stacked_least_squares``, ``check_rank`` and
-``dependent_columns`` take blocks and factors stacked on a leading sample
-axis. numpy's stacked QR, solve, Cholesky and inverse, stacked matmul and
-reductions along a contiguous row give every sample the bits of its own
-2-d call, so a batch changes no result. A stacked fit raises where any of
+rows: ``stacked_least_squares``, ``check_rank`` and ``dependent_columns``
+take blocks and factors stacked on a leading sample axis. numpy's stacked
+QR, solve, Cholesky and inverse, stacked matmul and reductions along a
+contiguous row give every sample the bits of its own 2-d call, so a batch
+changes no result. A stacked fit raises where any of
 its samples has a dependent column; ``estimators.each`` then fits each
 sample alone.
 """
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -97,14 +96,6 @@ def check_finite(values: np.ndarray, name: str) -> None:
         raise NonFiniteError(f"{name} contains non-finite entries")
 
 
-@lru_cache(maxsize=64)
-def _upper(rows: int, cols: int) -> np.ndarray:
-    """Read-only boolean mask of the upper triangle of a rows-by-cols matrix."""
-    mask = np.triu(np.ones((rows, cols), dtype=bool))
-    mask.flags.writeable = False
-    return mask
-
-
 def least_squares(responses, regressors) -> LsFit:
     """Regress every column of ``responses`` on ``regressors``.
 
@@ -136,18 +127,9 @@ def stacked_least_squares(y: np.ndarray, x: np.ndarray):
     """``least_squares`` of finite (S, n, p) responses on (S, n, q) regressors stacked on a
     leading axis. Returns the (S, q, p) coefficients and the regressors' (S, q, q) factors;
     raises the first sample's RankDeficientError (``check_rank``)."""
-    n, q = x.shape[-2:]
-    rmat, qty = x[..., :q, :], y[..., :q, :]
-    # Householder QR would leave upper trapezoidal X, and so Y, as they are.
-    below = x[..., ~_upper(n, q)]
-    lower = below.any(axis=-1) if below.any() else None
-    if lower is not None and lower.all():
-        factor = _r_factor(np.concatenate([x, y], axis=-1))
-        rmat, qty = factor[..., :q, :q], factor[..., :q, q:]
-    elif lower is not None:
-        factor = _r_factor(np.concatenate([x[lower], y[lower]], axis=-1))
-        rmat, qty = rmat.copy(), qty.copy()
-        rmat[lower], qty[lower] = factor[..., :q, :q], factor[..., :q, q:]
+    q = x.shape[-1]
+    factor = np.linalg.qr(np.concatenate([x, y], axis=-1), mode="r")
+    rmat, qty = factor[..., :q, :q], factor[..., :q, q:]
     check_rank(rmat)
     return np.linalg.solve(rmat, qty), rmat
 
@@ -201,9 +183,7 @@ def triangular_factor(*blocks) -> np.ndarray:
     columns of B, so ``least_squares`` on column blocks of R gives the
     coefficients it gives on the columns of B, and with n < m it still
     sees only n rows. Groups of rows that stay in cache are factored
-    one by one, then their stacked R's. Blocks of S samples stacked on
-    a leading axis, (S, n) vectors as (S, n, 1), give the (S, min(n, m), m)
-    factors, each that of its sample's own call.
+    one by one, then their stacked R's.
 
     Raises
     ------
@@ -211,11 +191,11 @@ def triangular_factor(*blocks) -> np.ndarray:
         If any entry is NaN or infinite; each group is checked before it is factored.
     """
     cols = _columns(blocks)
-    n, m = cols[0].shape[-2], sum(c.shape[-1] for c in cols)
+    n, m = cols[0].shape[0], sum(c.shape[1] for c in cols)
     groups = max(1, n // max(GROUP_ROWS, m))
     bounds = [n * g // groups for g in range(groups + 1)]
-    parts = [_r_factor(_stack(cols, start, stop)) for start, stop in zip(bounds, bounds[1:])]
-    return parts[0] if groups == 1 else _r_factor(np.concatenate(parts, axis=-2))
+    parts = [np.linalg.qr(_stack(cols, start, stop), mode="r") for start, stop in zip(bounds, bounds[1:])]
+    return parts[0] if groups == 1 else np.linalg.qr(np.concatenate(parts), mode="r")
 
 
 def orthonormal_basis(rmat: np.ndarray, *blocks) -> np.ndarray:
@@ -232,30 +212,17 @@ def orthonormal_basis(rmat: np.ndarray, *blocks) -> np.ndarray:
 def _columns(blocks) -> list[np.ndarray]:
     cols = [np.asarray(b, dtype=float) for b in blocks]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
-    lead = cols[0].shape[:-1]
-    if cols[0].ndim not in (2, 3) or lead[-1] < 1 or any(c.shape[:-1] != lead for c in cols):
+    if cols[0].ndim != 2 or cols[0].shape[0] < 1 or any(c.shape[:-1] != cols[0].shape[:-1] for c in cols):
         raise ValueError("blocks must be nonempty vectors or 2-d arrays with equal row counts")
     return cols
 
 
 def _stack(cols, start: int, stop: int) -> np.ndarray:
     """Rows start..stop of the column-stacked ``cols``, checked finite, in whole columns."""
-    lead = cols[0].shape[:-2]
-    if lead and len(cols) == 1 and stop - start == cols[0].shape[-2]:
-        out = cols[0]  # a whole stacked block is factored as it is
-    else:
-        out = np.empty(lead + (stop - start, sum(c.shape[-1] for c in cols)), order="F" if not lead else "C")
-        np.concatenate([c[..., start:stop, :] for c in cols], axis=-1, out=out)
+    out = np.empty((stop - start, sum(c.shape[1] for c in cols)), order="F")
+    np.concatenate([c[start:stop] for c in cols], axis=1, out=out)
     check_finite(out, "factored block")
     return out
-
-
-def _r_factor(block: np.ndarray) -> np.ndarray:
-    """``np.linalg.qr(block, mode="r")`` bit for bit, with a cached mask for its ``np.triu``;
-    a stack of blocks gives the stack of their factors."""
-    rows = min(block.shape[-2:])
-    factored = np.swapaxes(np.linalg.qr(block, mode="raw")[0][..., :rows], -1, -2)  # raw is transposed
-    return np.where(_upper(rows, block.shape[-1]), factored, 0.0)
 
 
 def dependent_columns(rmat: np.ndarray) -> np.ndarray:

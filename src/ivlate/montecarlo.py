@@ -480,7 +480,7 @@ def _evaluate(batch: Batch, tags) -> list[tuple[dict, PropensityFit | Exception 
     return list(zip(outs, props))
 
 
-def _settle(outs: dict, prop, tags) -> dict[str, np.ndarray | IdentificationError]:
+def _settle(outs: dict, prop) -> dict[str, np.ndarray | IdentificationError]:
     """A sample's outcomes as evaluating its tags one by one in order gives them: the
     propensity fit's warnings where the first tag that needs it asks for it, and the first
     error other than an IdentificationError raised where its tag raised it."""
@@ -506,7 +506,7 @@ def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationE
     distinct tag, its estimate as a float array or the IdentificationError it
     raised; the first other error, in tag order, propagates.
     """
-    return _settle(*_evaluate(Batch([data]), tags)[0], tags)
+    return _settle(*_evaluate(Batch([data]), tags)[0])
 
 
 def bootstrap_tags(data: Dataset, tags: list[str], b: int = 1000, alpha: float = 0.05,
@@ -594,7 +594,7 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
         found = evaluated.pop(r)
         if isinstance(found, Exception):
             raise found
-        return _settle(*found, estimators)
+        return _settle(*found)
 
     draws, failures = run_replicates(seed, reps, step, estimators)
     bias: dict[str, np.ndarray] = {}

@@ -179,16 +179,27 @@ def stratified(batch: Batch, props, k: int) -> list[StratifiedResult]:
     # One bincount per moment over the samples' partitions, their strata numbered apart.
     strata = np.cumsum([0] + [part.k for part in parts])
     cell = 2 * (strata[:-1, None] + stack([part.labels for part in parts]) - 1) + (z == 1.0)
-    moments = [batch.weighted(v).ravel() for v in (d, batch.y)]
     flat = None if weights is None else weights.ravel()
-    _, d_diff, y_diff = arm_gaps(cell.ravel(), flat, *moments, int(strata[-1]))
+
+    def gaps(y):
+        return arm_gaps(cell.ravel(), flat, batch.weighted(d).ravel(), batch.weighted(y).ravel(), int(strata[-1]))[1:]
+
+    # The ratios are linear in y: a sample whose sums of y overflow takes them of y / max|y|.
+    with np.errstate(over="ignore"):
+        d_diff, y_diff = gaps(batch.y)
+    scale = [1.0] * len(batch)
+    if not np.isfinite(y_diff).all():
+        over = [not np.isfinite(y_diff[lo:hi]).all() for lo, hi in zip(strata, strata[1:])]
+        scale = np.where(over & np.isfinite(batch.y).all(axis=-1), np.abs(batch.y).max(axis=-1), 1.0)
+        d_diff, y_diff = gaps(batch.y / scale[:, None])
     size = batch.size if weights is None else batch.size[0]
     out = []
-    for part, lo, hi in zip(parts, strata, strata[1:]):
-        dd, dy = d_diff[lo:hi], y_diff[lo:hi]
-        complier_mass = part.counts @ dd
-        require_compliers(complier_mass / size)
-        out.append(StratifiedResult(float(part.counts @ dy / complier_mass), dy / dd, part))
+    with np.errstate(over="ignore"):  # a resample's effects may lie past the float range
+        for part, lo, hi, unit in zip(parts, strata, strata[1:], scale):
+            dd, dy = d_diff[lo:hi], y_diff[lo:hi]
+            complier_mass = part.counts @ dd
+            require_compliers(complier_mass / size)
+            out.append(StratifiedResult(float(part.counts @ dy / complier_mass * unit), dy / dd * unit, part))
     return out
 
 

@@ -670,6 +670,28 @@ def test_a_covariate_near_the_float_limit_keeps_xx_finite(tmp_path):
             assert row[field] == pytest.approx(ref[field], rel=1e-9, abs=0.0), (row["estimator"], field)
 
 
+def test_an_outcome_near_the_float_limit_keeps_strat_finite(tmp_path):
+    """With y x 1e307 the per-(stratum, arm) sums of y overflow, and so do a resample's counts
+    times y: the Wald ratios, linear in y, are taken of y / max|y|, so strat-3 reports ten times
+    its fields at y x 1e306, with no overflow warning."""
+    data, _ = generate(dgp_b(), 60, seed=0)
+    rows = {}
+    for scale in (1e306, 1e307):
+        cols = np.column_stack([data.y * scale, data.d, data.z, data.x[:, 1:]])
+        path = write_csv(tmp_path / f"y{scale}.csv", ["y", "d", "z", "x1", "x2"], cols.tolist())
+        out = tmp_path / f"y{scale}.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            assert main(["estimate", "--estimators", "xx,strat-3", "--input", path, "--b", "20", "--seed", "0",
+                         "--output", str(out)]) == 0
+        assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
+        rows[scale] = {row["estimator"]: row for row in load_report(out)["results"]}["strat-3"]
+    for field in ("point", "sd", "ci"):
+        got, ref = np.array(rows[1e307][field], dtype=float), 10.0 * np.array(rows[1e306][field], dtype=float)
+        assert np.isfinite(got).all() and np.isfinite(ref).all(), field
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0), field
+
+
 def test_stratify_failure_counts_replicates_that_merged_apart(tmp_path, capsys):
     """Replicates that merge to another stratum count than the point's are identified: the
     failure names them apart from the replicates that failed identification."""

@@ -1,7 +1,7 @@
 """The README's library quick tour runs as written, every exported name
 resolves, the README names every field the oracle returns, the package
-defines no name that its code never reads, and the package's names that the
-docs cite exist."""
+defines no name that its code never reads and no parameter that its function
+never reads, and the package's names that the docs cite exist."""
 
 import ast
 import dataclasses
@@ -81,6 +81,29 @@ def unread_definitions(source: Path, exported) -> list[str]:
 def test_every_definition_in_the_package_is_read_or_exported():
     """Code that nothing calls leaves ``src/``; a reference kept for tests lives in the tests."""
     assert unread_definitions(SOURCE, set(ivlate.__all__)) == []
+
+
+def unread_parameters(source: Path) -> list[str]:
+    """Parameters of the module-level functions and methods defined in the modules under
+    ``source`` that the function never reads, a nested function in it included. Nested functions
+    and lambdas are not checked themselves: their caller fixes their signature."""
+    unread = []
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        funcs += [(f"{node.name}.{item.name}", item) for node in tree.body if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.FunctionDef)]
+        for name, func in funcs:
+            args = func.args
+            params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a]
+            read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{name}({param})" for param in params if param not in read]
+    return unread
+
+
+def test_every_parameter_in_the_package_is_read():
+    """A parameter that nothing reads leaves its signature, and its callers stop passing it."""
+    assert unread_parameters(SOURCE) == []
 
 
 def has_path(obj, parts) -> bool:

@@ -179,6 +179,46 @@ def test_triangular_factor_keeps_inner_products_fits_and_pivots():
     assert short.condition_estimate == pytest.approx(tall.condition_estimate, rel=1e-10)
 
 
+def test_householder_qr_leaves_an_upper_trapezoidal_design_as_it_is():
+    """A column already zero below the diagonal has Householder tau = 0, even on a zero diagonal
+    entry, so the QR of [X | Y] keeps upper trapezoidal X and the first q rows of Y bit for bit.
+    In a stack that mixes such designs with full ones, each gets its own 2-d call's fit, and a
+    trapezoidal one the solve of its first q rows."""
+    rng = np.random.default_rng(12)
+    n, q = 7, 4
+    upper = np.triu(rng.standard_normal((n, q)))
+    sparse = upper.copy()
+    sparse[0, 2] = sparse[1, 3] = 0.0  # zeros above the diagonal too
+    x = np.stack([rng.standard_normal((n, q)), upper, sparse, rng.standard_normal((n, q))])
+    y = rng.standard_normal((4, n, 2))
+    coef, rmat = linalg.stacked_least_squares(y, x)
+    for i in range(4):
+        own_coef, own_rmat = linalg.stacked_least_squares(y[i : i + 1], x[i : i + 1])
+        assert coef[i].tobytes() == own_coef[0].tobytes() == linalg.least_squares(y[i], x[i]).coef.tobytes()
+        assert rmat[i].tobytes() == own_rmat[0].tobytes()
+    for i in (1, 2):
+        assert rmat[i].tobytes() == x[i, :q].tobytes()
+        assert coef[i].tobytes() == np.linalg.solve(x[i, :q], y[i, :q]).tobytes()
+
+    singular = upper.copy()
+    singular[2, 2] = 0.0
+    block = np.column_stack([singular, y[0]])
+    assert np.linalg.qr(block, mode="r")[:q].tobytes() == block[:q].tobytes()
+    with pytest.raises(RankDeficientError):
+        linalg.stacked_least_squares(np.stack([y[0], y[1]]), np.stack([x[0], singular]))
+
+
+def test_triangular_factor_of_an_upper_triangular_block_is_the_block():
+    rng = np.random.default_rng(13)
+    upper = np.triu(rng.standard_normal((5, 5)))
+    singular = upper.copy()
+    singular[3, 3] = 0.0
+    for block in (upper, singular):
+        assert linalg.triangular_factor(block).tobytes() == block.tobytes()
+    tall = np.concatenate([upper, np.zeros((3, 5))])
+    assert linalg.triangular_factor(tall).tobytes() == upper.tobytes()
+
+
 def test_triangular_factor_of_a_wide_block_keeps_the_row_count():
     rng = np.random.default_rng(9)
     r = linalg.triangular_factor(rng.standard_normal((3, 5)), rng.standard_normal(3))
