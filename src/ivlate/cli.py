@@ -410,7 +410,7 @@ def _print_point_sd_table(results: list[dict]) -> None:
     width = max(10, *(len(t) for t in tags)) + 2
     out.write(" " * 8 + "".join(f"{t:>{width}}" for t in tags) + "\n")
     for name in ("point", "sd"):
-        cells = ("-" if row[name] is None else f"{row[name]:.3f}" for row in results)
+        cells = ("-" if row[name] is None else f"{row[name]:.4g}" for row in results)
         out.write(f"{name:<8}" + "".join(f"{c:>{width}}" for c in cells) + "\n")
     print(out.getvalue(), end="", file=sys.stderr)
 

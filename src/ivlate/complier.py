@@ -348,7 +348,7 @@ def complier_mean(data: Dataset, prop: PropensityFit, g_cols) -> np.ndarray:
     """
     batch = Batch([data])
     kappa = _complier_kappa(batch, [prop])
-    return _weighted_means(kappa, batch.x[..., list(g_cols)], kappa.sum(axis=-1))[0]
+    return _weighted_means(kappa, batch, list(g_cols), kappa.sum(axis=-1))[0]
 
 
 def _complier_kappa(batch: Batch, props) -> np.ndarray:
@@ -361,16 +361,13 @@ def _complier_kappa(batch: Batch, props) -> np.ndarray:
     return kappa
 
 
-def _weighted_means(weights: np.ndarray, x: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Each stacked sample's w'x / total for its (n,) weights w and finite (n, m) x. Where w'x
-    overflows, it is taken of x / max|x|, column by column, and scaled back."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu = (weights[:, None, :] @ x)[:, 0] / total[:, None]
-        if np.isfinite(mu).all():
-            return mu
-        scale = np.abs(x).max(axis=1)[:, None, :]
-        rescaled = (weights[:, None, :] @ (x / scale) / total[:, None, None] * scale)[:, 0]
-    return np.where(np.isfinite(mu), mu, rescaled)
+def _weighted_means(weights: np.ndarray, batch: Batch, cols, total: np.ndarray) -> np.ndarray:
+    """Each sample's w'x_j / total for its (n,) weights w and the columns ``cols`` of its x, each
+    column taken of x_j / s_j and multiplied by s_j for its frame s_j (``Batch.scales``)."""
+    scale = batch.scales[:, 1:]
+    # x diag(1 / s) divides exactly, faster than a broadcast division; sliced after, w'x keeps x's layout.
+    frame = (batch.x @ (np.eye(batch.k) / scale[:, None, :]))[..., cols]
+    return (weights[:, None, :] @ frame)[:, 0] / total[:, None] * scale[:, cols]
 
 
 def centered_interacted_2sls(
@@ -420,7 +417,7 @@ def _centered(batch: Batch, props, centering: str = "first-stage") -> list:
     total = weights.sum(axis=-1)
     for share in (total / batch.size).tolist():
         require_compliers(share)
-    beta, mu = stack([fit.beta for fit in fits]), _weighted_means(weights, batch.x[:, :, 1:], total)
+    beta, mu = stack([fit.beta for fit in fits]), _weighted_means(weights, batch, slice(1, None), total)
     return (beta[:, 0] + (mu[:, None, :] @ beta[:, 1:, None])[:, 0, 0]).tolist()
 
 

@@ -140,6 +140,9 @@ class Dataset:
                 return chol[0] @ self.origin[0].factor
         return linalg.triangular_factor(*self._block())
 
+    # The sample's ``Batch.scales``, computed once: its resamples, whose rows are some of its rows, read them.
+    scales = cached_property(lambda self: Batch([self]).scales[0])
+
     @cached_property
     def basis(self) -> np.ndarray | None:
         """Orthonormal Q of the block = Q ``factor``, computed once for resamples; None if a
@@ -242,6 +245,14 @@ class Batch:
     def factor(self) -> np.ndarray:
         """The samples' ``Dataset.factor``s, stacked; each sample computes and caches its own."""
         return stack([sample.factor for sample in self.samples])
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """Each sample's ``linalg.exact_scale`` of max|y| and of each column's max|x_j|, (S, 1 + k); a resample
+        reads its point sample's. Columns are reduced one by one: a reduction along x's rows is slower."""
+        if (origin := self.samples[0].origin) is not None:
+            return origin[0].scales[None]
+        return linalg.exact_scale(np.stack([np.abs(v).max(axis=-1) for v in (self.y, *self.x.transpose(2, 0, 1))], -1))
 
     @cached_property
     def interacted(self) -> list:

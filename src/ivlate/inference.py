@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import IdentificationError, TooManyFailuresError
 from .estimators import Dataset
+from .linalg import exact_scale
 from .streams import RESAMPLE, substream
 
 
@@ -60,15 +61,10 @@ def _sorted_quantile(ordered: np.ndarray, q) -> np.ndarray:
 
 
 def spread(values: np.ndarray) -> np.ndarray:
-    """``values.std(axis=0, ddof=1)``, where a column of finite values whose squared deviations
-    overflow is taken on v / max|v| and scaled back; other columns keep their bits."""
-    with np.errstate(over="ignore"):
-        sd = values.std(axis=0, ddof=1)
-    redo = ~np.isfinite(sd) & np.isfinite(values).all(axis=0)
-    if redo.any():
-        scale = np.abs(values[:, redo]).max(axis=0)
-        sd[redo] = (values[:, redo] / scale).std(axis=0, ddof=1) * scale
-    return sd
+    """``values.std(axis=0, ddof=1)`` of each column v taken of v / s and multiplied by s, s the ``exact_scale``
+    of max|v|: no square or sum of finite v leaves the float range, and v 2^m has 2^m times its spread."""
+    scale = exact_scale(np.abs(values).max(axis=0))
+    return (values / scale).std(axis=0, ddof=1) * scale
 
 
 def require_distinct(tags) -> None:
@@ -176,9 +172,9 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
     shape than its tag's point estimate counts as a failure; the error
     for too few survivors names those apart from the unidentified ones.
 
-    Returns one BootstrapResult per tag: the spread of its kept
-    replicates in replicate order (``spread``), and both interval bounds
-    read off one sort of them by ``_sorted_quantile``.
+    Returns one BootstrapResult per tag: the ``spread`` of its kept
+    replicates in replicate order, and both interval bounds read off one
+    sort of them in its frame (no lerp overflows) by ``_sorted_quantile``.
 
     Raises
     ------
@@ -221,7 +217,9 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
                    "another count" if reshaped else "")
             )
         stacked = np.vstack(kept)
-        ci_lower, ci_upper = _sorted_quantile(np.sort(stacked, axis=0), [alpha / 2.0, 1.0 - alpha / 2.0])
+        scale = exact_scale(np.abs(stacked).max(axis=0))
+        ordered = np.sort(stacked / scale, axis=0)
+        ci_lower, ci_upper = _sorted_quantile(ordered, [alpha / 2.0, 1.0 - alpha / 2.0]) * scale
         results[tag] = BootstrapResult(
             point=points[tag],
             se=spread(stacked),

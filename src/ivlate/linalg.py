@@ -96,6 +96,14 @@ def check_finite(values: np.ndarray, name: str) -> None:
         raise NonFiniteError(f"{name} contains non-finite entries")
 
 
+def exact_scale(magnitude) -> np.ndarray:
+    """2^(e - 1), e >= -1022 the np.frexp exponent of each ``magnitude`` (so the reciprocal is a float):
+    it brings the magnitude into [1, 2), and dividing by it and multiplying a sum or square back is exact
+    while results stay normal. It is 1 where squares and sums stay normal, |e| <= 256 (inf and NaN: 0)."""
+    e = np.frexp(magnitude)[1]
+    return np.where(np.abs(e) <= 256, 1.0, np.ldexp(0.5, np.maximum(e, -1022)))
+
+
 def least_squares(responses, regressors) -> LsFit:
     """Regress every column of ``responses`` on ``regressors``.
 

@@ -169,8 +169,9 @@ def stratified_late(data: Dataset, prop: PropensityFit, k: int) -> StratifiedRes
 
 
 def stratified(batch: Batch, props, k: int) -> list[StratifiedResult]:
-    """Each sample's ``stratified_late`` at its propensity fit in ``props``. Raises, in this
-    order, the first error in ``props``, then the partitions' errors, then a complier share's."""
+    """Each sample's ``stratified_late`` at its propensity fit in ``props``, with y's arm moments taken of
+    y / s and its effects multiplied by s, s its frame (``Batch.scales``). Raises, in this order, the
+    first error in ``props``, then the partitions' errors, then a complier share's."""
     e, z, d, weights = stack([prop.ehat for prop in values(props)]), batch.z, batch.d, batch.weights
     if len(batch) == 1:  # one sample's partition: the public one
         parts = [partition_by_propensity(e[0], k, z[0], d[0], None if weights is None else weights[0])]
@@ -179,23 +180,13 @@ def stratified(batch: Batch, props, k: int) -> list[StratifiedResult]:
     # One bincount per moment over the samples' partitions, their strata numbered apart.
     strata = np.cumsum([0] + [part.k for part in parts])
     cell = 2 * (strata[:-1, None] + stack([part.labels for part in parts]) - 1) + (z == 1.0)
-    flat = None if weights is None else weights.ravel()
-
-    def gaps(y):
-        return arm_gaps(cell.ravel(), flat, batch.weighted(d).ravel(), batch.weighted(y).ravel(), int(strata[-1]))[1:]
-
-    # The ratios are linear in y: a sample whose sums of y overflow takes them of y / max|y|.
-    with np.errstate(over="ignore"):
-        d_diff, y_diff = gaps(batch.y)
-    scale = [1.0] * len(batch)
-    if not np.isfinite(y_diff).all():
-        over = [not np.isfinite(y_diff[lo:hi]).all() for lo, hi in zip(strata, strata[1:])]
-        scale = np.where(over & np.isfinite(batch.y).all(axis=-1), np.abs(batch.y).max(axis=-1), 1.0)
-        d_diff, y_diff = gaps(batch.y / scale[:, None])
+    scale, flat = batch.scales[:, 0], None if weights is None else weights.ravel()
+    d_diff, y_diff = arm_gaps(cell.ravel(), flat, batch.weighted(d).ravel(),
+                              batch.weighted(batch.y / scale[:, None]).ravel(), int(strata[-1]))[1:]
     size = batch.size if weights is None else batch.size[0]
     out = []
     with np.errstate(over="ignore"):  # a resample's effects may lie past the float range
-        for part, lo, hi, unit in zip(parts, strata, strata[1:], scale):
+        for part, lo, hi, unit in zip(parts, strata, strata[1:], scale.tolist()):
             dd, dy = d_diff[lo:hi], y_diff[lo:hi]
             complier_mass = part.counts @ dd
             require_compliers(complier_mass / size)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -627,8 +628,9 @@ def export_design_b(path, n=600, seed=2):
 
 
 def test_an_outcome_near_the_float_limit_keeps_a_finite_spread(tmp_path):
-    """With y x 1e300 the squared deviations of the replicates overflow: every sd is still
-    reported, the sd of y x 1 times 1e300, beside the point and interval."""
+    """With y x 1e300 the squared deviations of the replicates would overflow: the replicates
+    are spread in their power-of-two frame, so every sd is still reported, the sd of y x 1 times
+    1e300, beside the point and interval."""
     data, _ = generate(dgp_b(), 60, seed=0)
     reports = {}
     for scale in (1.0, 1e300):
@@ -647,9 +649,9 @@ def test_an_outcome_near_the_float_limit_keeps_a_finite_spread(tmp_path):
 
 
 def test_a_covariate_near_the_float_limit_keeps_xx_finite(tmp_path):
-    """With x1 x 1e307 the complier-mean products w'x1 of two resamples overflow: they are
-    recomputed on x1 / max|x1|, so xx reports the finite sd and interval of x1 x 1e306. The
-    handled overflows (that product, and the finiteness check's sum) warn nothing."""
+    """With x1 x 1e307 the complier-mean products w'x1 of two resamples would overflow: they are
+    taken of x1 in its power-of-two frame, so xx reports the finite sd and interval of x1 x 1e306.
+    Nothing overflows there, and the finiteness check's handled overflow warns nothing."""
     data, _ = generate(dgp_b(), 60, seed=0)
     reports = []
     for scale in (1e306, 1e307):
@@ -671,9 +673,9 @@ def test_a_covariate_near_the_float_limit_keeps_xx_finite(tmp_path):
 
 
 def test_an_outcome_near_the_float_limit_keeps_strat_finite(tmp_path):
-    """With y x 1e307 the per-(stratum, arm) sums of y overflow, and so do a resample's counts
-    times y: the Wald ratios, linear in y, are taken of y / max|y|, so strat-3 reports ten times
-    its fields at y x 1e306, with no overflow warning."""
+    """With y x 1e307 the per-(stratum, arm) sums of y would overflow, and so would a resample's
+    counts times y: the Wald ratios, linear in y, are taken of y in its power-of-two frame, so
+    strat-3 reports ten times its fields at y x 1e306, with no overflow warning."""
     data, _ = generate(dgp_b(), 60, seed=0)
     rows = {}
     for scale in (1e306, 1e307):
@@ -690,6 +692,81 @@ def test_an_outcome_near_the_float_limit_keeps_strat_finite(tmp_path):
         got, ref = np.array(rows[1e307][field], dtype=float), 10.0 * np.array(rows[1e306][field], dtype=float)
         assert np.isfinite(got).all() and np.isfinite(ref).all(), field
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0), field
+
+
+def scaled_run(folder, column: str, m: int):
+    """The estimate (``++,x+,xx,strat-3``) and stratify (``--k 3``) reports, ``--b 20 --seed 0``,
+    on the n = 60 design-B sample with ``column`` times 2^m, their input paths cleared, and the
+    RuntimeWarnings the two runs raised."""
+    data, _ = generate(dgp_b(), 60, seed=0)
+    cols = {"y": data.y, "d": data.d, "z": data.z, "x1": data.x[:, 1], "x2": data.x[:, 2]}
+    cols[column] = np.ldexp(cols[column], m)
+    path = write_csv(folder / f"{column}{m}.csv", list(cols), np.column_stack(list(cols.values())).tolist())
+    reports = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        for argv in (["estimate", "--estimators", "++,x+,xx,strat-3"], ["stratify", "--k", "3"]):
+            out = folder / f"{column}{m}{argv[0]}.json"
+            assert main(argv + ["--input", path, "--b", "20", "--seed", "0", "--output", str(out)]) == 0
+            reports[argv[0]] = load_report(out)
+            reports[argv[0]]["config"]["input"] = None
+    return reports, [str(w.message) for w in caught]
+
+
+def times_power_of_two(report: dict, m: int) -> dict:
+    """``report`` with each number that is linear in y, its points, sds and interval bounds,
+    times 2^m."""
+    out = json.loads(json.dumps(report))
+    for row in out["results"] if out["command"] == "estimate" else [out["late"], *out["strata"]]:
+        for field in ("point", "estimate", "sd"):
+            if row.get(field) is not None:
+                row[field] = float(np.ldexp(row[field], m))
+        row["ci"] = [None if v is None else float(np.ldexp(v, m)) for v in row["ci"]]
+    return out
+
+
+@pytest.fixture(scope="module")
+def unit_run(tmp_path_factory):
+    reports, caught = scaled_run(tmp_path_factory.mktemp("unit"), "y", 0)
+    assert caught == []
+    return reports
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(-1000, 1019))
+@example(-1000)
+@example(-540)
+@example(900)
+@example(1000)
+@example(1018)
+@example(1019)
+def test_reports_follow_a_power_of_two_scale_of_the_data_bit_for_bit(tmp_path_factory, unit_run, m):
+    """With y x 2^m, every number of the estimate and stratify reports that is linear in y is the
+    unit run's times 2^m, bit for bit, and every other field is the unit run's: the complier
+    means, stratum moments and replicate spreads and bounds are taken in exact power-of-two
+    frames. Squares of y x 2^-540 would underflow, sums of y x 2^1018 overflow. With x1 x 2^m,
+    |m| <= 1000, every field is the unit run's: no estimate depends on a covariate's scale.
+    Neither run raises a RuntimeWarning."""
+    runs = [("y", m)] + ([("x1", 0)] if abs(m) <= 1000 else [])
+    for column, power in runs:
+        reports, caught = scaled_run(tmp_path_factory.mktemp(column), column, m)
+        assert caught == []
+        for command, report in reports.items():
+            assert json.dumps(report) == json.dumps(times_power_of_two(unit_run[command], power)), (column, command)
+
+
+@pytest.mark.parametrize("m", [-540, 1018])
+def test_the_point_and_sd_table_keeps_the_magnitude(tmp_path, capsys, m):
+    """The stderr table prints each point and sd to four significant digits, so a run with
+    y x 2^m neither prints hundreds of digits nor rounds every cell to zero."""
+    reports, _ = scaled_run(tmp_path, "y", m)
+    lines = capsys.readouterr().err.splitlines()
+    for name in ("point", "sd"):
+        cells = next(line for line in lines if line.startswith(name)).split()[1:]
+        expected = [row[name] for row in reports["estimate"]["results"]]
+        assert all(len(cell) <= 11 for cell in cells), cells  # as in -1.234e+300
+        assert [float(cell) for cell in cells] == pytest.approx(expected, rel=5e-4, abs=0.0)
 
 
 def test_stratify_failure_counts_replicates_that_merged_apart(tmp_path, capsys):

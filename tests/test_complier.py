@@ -6,6 +6,7 @@ import pytest
 from _helpers import dummy_coded, simulate_iv
 
 from ivlate.complier import (
+    _weighted_means,
     abadie_beta,
     centered_interacted_2sls,
     complier_mean,
@@ -14,7 +15,7 @@ from ivlate.complier import (
     kappa_weights,
 )
 from ivlate.errors import NoCompliersError, NonFiniteError, NoOverlapCellError
-from ivlate.estimators import Dataset, interacted_2sls
+from ivlate.estimators import Batch, Dataset, interacted_2sls
 from ivlate.montecarlo import dgp_a, dgp_b, generate
 from ivlate.stratify import stratified_late
 
@@ -248,6 +249,27 @@ def test_complier_mean_of_a_covariate_near_the_float_limit_is_finite(scale):
     assert np.isfinite(got).all()
     assert got[0] == pytest.approx(expected[0] * scale, rel=1e-13, abs=0.0)
     assert got[1:].tobytes() == expected[1:].tobytes()
+
+
+def test_inside_the_band_the_complier_means_keep_their_unscaled_bits():
+    """Columns of x inside the band of ``linalg.exact_scale`` are averaged as they are: the means
+    of a stack of samples, and of each sample alone, have the bits of w'x / sum(w) on x's own
+    strided columns, whose product a contiguous copy would change. A column x 2^600 has 2^600
+    times its means."""
+    rng = np.random.default_rng(6)
+    z = np.tile([0.0, 1.0], 500)
+    samples = [Dataset(y=rng.standard_normal(1000), d=z, z=z, has_constant=True,
+                       x=np.column_stack([np.ones(1000), np.ldexp(rng.standard_normal((1000, 2)), [-200, 200])]))
+               for _ in range(5)]
+    weights = rng.standard_normal((5, 1000))
+    total = weights.sum(axis=-1)
+    for batch, w, t in [(Batch.stacked(samples), weights, total),
+                        *((Batch([s]), weights[i : i + 1], total[i : i + 1]) for i, s in enumerate(samples))]:
+        expected = (w[:, None, :] @ batch.x[:, :, 1:])[:, 0] / t[:, None]
+        assert _weighted_means(w, batch, slice(1, None), t).tobytes() == expected.tobytes()
+    big = Batch.stacked([replace(s, x=np.ldexp(s.x, [0, 600, 0])) for s in samples])
+    expected = (weights[:, None, :] @ Batch.stacked(samples).x[:, :, 1:])[:, 0] / total[:, None]
+    assert _weighted_means(weights, big, slice(1, None), total).tobytes() == np.ldexp(expected, [600, 0]).tobytes()
 
 
 def test_no_compliers_floor():

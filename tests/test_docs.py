@@ -106,6 +106,27 @@ def test_every_parameter_in_the_package_is_read():
     assert unread_parameters(SOURCE) == []
 
 
+def overflow_errstates(source: Path) -> list[str]:
+    """The module-level functions in the modules under ``source`` that call ``np.errstate`` with
+    an ``over`` setting, once per call, in source order."""
+    found = []
+    for path in sorted(source.glob("*.py")):
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(func, ast.FunctionDef):
+                found += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                          and node.func.attr == "errstate" and any(kw.arg == "over" for kw in node.keywords)]
+    return found
+
+
+def test_only_the_finiteness_check_and_the_strata_effects_ignore_overflow():
+    """A sum that could leave the float range is taken in an exact power-of-two frame
+    (``linalg.exact_scale``), not computed, tested and redone: only the finiteness check's
+    shortcut sum and a resample's strata effects, which may lie past the float range, ignore
+    an overflow."""
+    assert overflow_errstates(SOURCE) == ["linalg.check_finite", "stratify.stratified"]
+
+
 def has_path(obj, parts) -> bool:
     """Whether ``obj`` has the attribute path ``parts``; a dataclass's field may end it."""
     if not parts:

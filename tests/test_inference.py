@@ -5,7 +5,7 @@ from _helpers import simulate_iv
 import ivlate.complier
 from ivlate.errors import NoCompliersError, RankDeficientError, TooManyFailuresError
 from ivlate.estimators import Dataset
-from ivlate.inference import _resample_loop, bootstrap, spread
+from ivlate.inference import _resample_loop, _sorted_quantile, bootstrap, spread
 from ivlate.montecarlo import bootstrap_tags, dgp_b, evaluate_tags, generate, pipeline_for
 from ivlate.stratify import stratified_late
 
@@ -26,14 +26,42 @@ def test_constant_data_has_zero_spread():
 
 def test_the_spread_of_values_near_the_float_limit_is_finite():
     """Columns whose squares stay finite keep np.std's bits; a column near 1e300, whose squared
-    deviations overflow, is spread on v / max|v| and scaled back."""
-    values = np.random.default_rng(0).standard_normal((40, 3))
+    deviations overflow, and a column x 2^-540, whose squared deviations underflow, are spread
+    in their power-of-two frames: the latter's spread is its unit column's times 2^-540."""
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((40, 3))
+    unit = rng.standard_normal(40)
+    values = np.column_stack([values, np.ldexp(unit, -540)])
     values[:, 2] *= 1e300
     with np.errstate(over="ignore"):
         plain = values.std(axis=0, ddof=1)
     got = spread(values)
     assert got[:2].tobytes() == plain[:2].tobytes() and not np.isfinite(plain[2])
     assert got[2] == pytest.approx((values[:, 2] / 1e300).std(ddof=1) * 1e300, rel=1e-12)
+    assert got[3] == np.ldexp(unit.std(ddof=1), -540) != plain[3]
+
+
+def test_inside_the_band_the_spread_and_bounds_keep_their_unscaled_bits():
+    """Columns whose magnitudes lie inside the band of ``linalg.exact_scale`` are spread and cut
+    as they are: ``spread`` gives np.std's bits, and a bootstrap's sd and bounds are np.std's and
+    ``_sorted_quantile``'s of its replicates."""
+    rng = np.random.default_rng(4)
+    values = np.ldexp(rng.standard_normal((50, 5)), [-250, -40, 0, 40, 250])
+    assert spread(values).tobytes() == values.std(axis=0, ddof=1).tobytes()
+    n = 40
+    z = np.tile([0.0, 1.0], n // 2)
+    data = Dataset(y=np.ldexp(rng.standard_normal(n), 200), d=z.copy(), z=z, x=np.ones((n, 1)), has_constant=True)
+    seen = []
+
+    def pipeline(sample):
+        seen.append(np.array([sample.y.mean(), np.ldexp(sample.y.min(), -440)]))
+        return seen[-1]
+
+    result = bootstrap(data, pipeline, b=30, seed=2)
+    table = np.vstack(seen[1:])  # the point estimate comes first
+    lower, upper = _sorted_quantile(np.sort(table, axis=0), [0.025, 0.975])
+    assert result.se.tobytes() == table.std(axis=0, ddof=1).tobytes()
+    assert result.ci_lower.tobytes() == lower.tobytes() and result.ci_upper.tobytes() == upper.tobytes()
 
 
 def test_bootstrap_se_of_the_mean_tracks_analytic_value():
