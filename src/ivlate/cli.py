@@ -7,10 +7,12 @@ float at its shortest round-trip ``repr``; a non-finite value is
 ``null`` in JSON and an empty cell in CSV. Identical configuration and
 seed produce byte-identical output files.
 
-The ``estimate`` bootstrap is ``montecarlo.bootstrap_tags``; ``stratify``
-bootstraps its (tau*, beta*) vector on the same weighted resamples, whose
-logistic propensity fits start from the full sample's (see
-``complier.fit_propensity``).
+Both ``estimate`` and ``stratify`` bootstrap by ``montecarlo.bootstrap_tags``
+on weighted resamples whose logistic propensity fits start from the full
+sample's (see ``complier.fit_propensity``). ``stratify`` bootstraps the tags
+"strat-K" (tau*, over every identified resample, as ``estimate`` does) and
+"strata-K" (beta*, over the resamples that keep the point's stratum count),
+which share one strata pass per resample.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 estimation failure.
@@ -32,7 +34,7 @@ import numpy as np
 from .complier import fit_propensity
 from .errors import IdentificationError, InvalidSpecError, RankDeficientError, SchemaError, TooManyFailuresError
 from .estimators import Dataset
-from .inference import _resample_loop, require_distinct
+from .inference import require_distinct
 from .linalg import dependent_columns
 from .montecarlo import bootstrap_tags, named_dgp, pipeline_for, run_study
 from .stratify import regressogram, stratified_late
@@ -220,7 +222,7 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_estimate(args) -> int:
     tags = _parse_tags(args.estimators)
     for tag in tags:
-        if tag == "beta":
+        if pipeline_for(tag)[1] != "tau_c":  # the vectors: "beta" and "strata-K"
             raise InvalidSpecError(f"estimator {tag!r} is a vector: estimate reports scalar estimators only")
         if args.no_constant and tag in ("++", "x+", "xx"):
             raise InvalidSpecError(f"estimator {tag!r} needs the constant column that --no-constant drops")
@@ -269,6 +271,9 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = named_dgp(args.dgp)
     tags = _parse_tags(args.estimators)
+    for tag in tags:
+        if pipeline_for(tag)[1] is None:
+            raise InvalidSpecError(f"estimator {tag!r} has no registered truth: simulate reports bias against one")
     try:
         summary = run_study(spec, tags, reps=args.reps, n=args.n, seed=args.seed)
     except ValueError as exc:  # simulate reads no data: a sample too small for a fit is a bad --n
@@ -323,30 +328,15 @@ def cmd_stratify(args) -> int:
     k_point = point.partition.k
     warnings_list = []
     if k_point < args.k:
-        warnings_list.append(
-            f"merged {args.k} requested strata down to {k_point}"
-        )
+        warnings_list.append(f"merged {args.k} requested strata down to {k_point}")
         print(warnings_list[-1], file=sys.stderr)
 
-    # A replicate that merges to another stratum count differs in shape: it counts as failed.
-    def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
-        try:
-            res = point if sample is data else stratified_late(
-                sample, fit_propensity(sample, "logistic"), args.k)
-        except IdentificationError as exc:
-            return {"": exc}
-        return {"": np.concatenate([[res.tau_star], res.beta_star])}
-
-    boot = _resample_loop(data, evaluate, [""], b=args.b, alpha=args.alpha, seed=args.seed)[""]
-
-    strata = [
-        {
-            "interval": [_num(low), _num(high)],
-            "estimate": _num(estimate),
-            "ci": [_num(boot.ci_lower[j + 1]), _num(boot.ci_upper[j + 1])],
-        }
-        for j, (low, high, estimate) in enumerate(regressogram(point))
-    ]
+    # beta*'s intervals keep the resamples whose strata merge to the point's count; tau*'s keep all.
+    late, effects = bootstrap_tags(data, [f"strat-{args.k}", f"strata-{args.k}"], b=args.b, alpha=args.alpha,
+                                   seed=args.seed).values()
+    strata = [{"interval": [_num(low), _num(high)], "estimate": _num(estimate),
+               "ci": [_num(effects.ci_lower[j]), _num(effects.ci_upper[j])]}
+              for j, (low, high, estimate) in enumerate(regressogram(point))]
 
     report = {
         "command": "stratify",
@@ -361,12 +351,13 @@ def cmd_stratify(args) -> int:
         },
         "late": {
             "estimate": _num(point.tau_star),
-            "sd": _num(boot.se[0]),
-            "ci": [_num(boot.ci_lower[0]), _num(boot.ci_upper[0])],
+            "sd": _num(late.se[0]),
+            "ci": [_num(late.ci_lower[0]), _num(late.ci_upper[0])],
         },
         "strata": strata,
         "warnings": warnings_list,
-        "failures": {"strat": boot.b_requested - boot.b_effective},
+        "failures": {"strat": late.b_requested - late.b_effective},
+        "strata_kept": effects.b_effective,
     }
     rows = [(*row["interval"], row["estimate"], *row["ci"]) for row in strata]
     _emit_report(args, report, ["interval_low", "interval_high", "estimate", "ci_low", "ci_high"], rows)

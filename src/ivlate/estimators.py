@@ -205,6 +205,8 @@ class Batch:
         self.samples = tuple(samples)
         first = self.samples[0]
         self.n, self.k, self.has_constant = first.n, first.k, first.has_constant
+        # Each requested count's ``stratify.stratified`` outcomes, filled once by the tags that read them.
+        self.strata: dict[int, list] = {}
 
     @classmethod
     def stacked(cls, samples: list[Dataset]) -> "Batch":

@@ -7,8 +7,8 @@ draw, so output depends only on the inputs and never on execution order.
 A replicate is the point sample with counts c = bincount(drawn indices):
 a weighted ``Dataset`` of the drawn rows that reads the point sample's
 factors. Only package code sees it; a user pipeline gets its rows.
-Replicates that fail an identification condition, or whose estimate
-changes shape, are dropped and counted rather than retried; retrying
+Replicates that fail identification, or whose estimate changes shape or
+is not finite, are dropped and counted rather than retried; retrying
 would bias the resampling law.
 """
 
@@ -33,7 +33,8 @@ class BootstrapResult:
     percentiles of the kept replicates by np.quantile's linear rule,
     read off one sort (``_sorted_quantile``). Percentile intervals may
     exclude the point estimate in finite samples; no ordering between
-    them is asserted.
+    them is asserted. ``b_effective`` counts the kept replicates; fewer
+    than b / 2 leave ``se`` and both bounds NaN.
     """
 
     point: np.ndarray
@@ -142,8 +143,7 @@ def bootstrap(
     Raises
     ------
     TooManyFailuresError
-        If fewer than half the replicates survive identification checks
-        and give an estimate of the point estimate's shape.
+        If fewer than half the replicates survive identification checks.
     """
 
     def evaluate(sample: Dataset, tags) -> dict[str, np.ndarray | IdentificationError]:
@@ -169,12 +169,12 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
     A resample reaches ``evaluate`` as ``data.resample(counts)``, its
     drawn rows with their counts as frequency weights, so ``evaluate``
     must weigh by ``sample.weights``. A replicate estimate of another
-    shape than its tag's point estimate counts as a failure; the error
-    for too few survivors names those apart from the unidentified ones.
+    shape than its tag's point (strata merged to another count), or not
+    finite, is left out of that tag's interval and its ``b_effective``.
 
     Returns one BootstrapResult per tag: the ``spread`` of its kept
     replicates in replicate order, and both interval bounds read off one
-    sort of them in its frame (no lerp overflows) by ``_sorted_quantile``.
+    sort of them in its frame by ``_sorted_quantile``; NaN below b / 2 kept.
 
     Raises
     ------
@@ -183,7 +183,7 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
     IdentificationError, TooManyFailuresError
         Checked per tag in the order of ``tags``: the tag's point
         estimate error first, then fewer than half of its replicates
-        surviving, reported with the tag's name.
+        identified, reported with the tag's name.
     Exception
         Any other error a replicate raises aborts the run, named by
         ``run_replicates``; skipping such replicates would bias the
@@ -205,27 +205,19 @@ def _resample_loop(data: Dataset, evaluate: Callable[[Dataset, list[str]], dict]
 
     results = {}
     for tag in tags:
-        if isinstance(points[tag], IdentificationError):
-            raise points[tag]
-        kept = [estimate for _, estimate in draws[tag] if estimate.shape == points[tag].shape]
-        if len(kept) < b / 2:
+        point = points[tag]
+        if isinstance(point, IdentificationError):
+            raise point
+        if len(draws[tag]) < b / 2:
             label = f"estimator {tag}: " if tag else ""
-            reshaped = len(draws[tag]) - len(kept)
-            raise TooManyFailuresError(
-                f"{label}only {len(kept)} of {b} bootstrap replicates were identified"
-                + (f"; {reshaped} more gave an estimate of another shape, as when strata merge to "
-                   "another count" if reshaped else "")
-            )
-        stacked = np.vstack(kept)
-        scale = exact_scale(np.abs(stacked).max(axis=0))
-        ordered = np.sort(stacked / scale, axis=0)
-        ci_lower, ci_upper = _sorted_quantile(ordered, [alpha / 2.0, 1.0 - alpha / 2.0]) * scale
-        results[tag] = BootstrapResult(
-            point=points[tag],
-            se=spread(stacked),
-            ci_lower=ci_lower,
-            ci_upper=ci_upper,
-            b_effective=len(kept),
-            b_requested=b,
-        )
+            raise TooManyFailuresError(f"{label}only {len(draws[tag])} of {b} bootstrap replicates were identified")
+        kept = [estimate for _, estimate in draws[tag] if estimate.shape == point.shape and np.isfinite(estimate).all()]
+        se = ci_lower = ci_upper = np.full(point.shape, np.nan)
+        if len(kept) >= b / 2:
+            stacked = np.vstack(kept)
+            scale = exact_scale(np.abs(stacked).max(axis=0))
+            ordered = np.sort(stacked / scale, axis=0)
+            ci_lower, ci_upper = _sorted_quantile(ordered, [alpha / 2.0, 1.0 - alpha / 2.0]) * scale
+            se = spread(stacked)
+        results[tag] = BootstrapResult(point, se, ci_lower, ci_upper, len(kept), b)
     return results

@@ -435,14 +435,14 @@ def oracle_estimands(spec: DgpSpec) -> OracleEstimands:
 # Estimator pipelines and studies
 # ---------------------------------------------------------------------------
 
-_STRAT_TAG = re.compile(r"^strat-([1-9][0-9]*)$")
+_STRAT_TAG = re.compile(r"^(strat|strata)-([1-9][0-9]*)$")
 
 # A tag's kernel maps a batch and its samples' logistic propensity fits (None where no tag
 # needs one) to each sample's estimate, or the error it raised.
 _Kernel = Callable[[Batch, list], list]
 
 
-def _resolve(tag: str) -> tuple[_Kernel, str]:
+def _resolve(tag: str) -> tuple[_Kernel, str | None]:
     """Resolve an estimator tag to (kernel, truth kind); see ``pipeline_for``."""
     if tag == "++":
         return (lambda batch, props: each(_additive, batch), "tau_c")
@@ -453,10 +453,18 @@ def _resolve(tag: str) -> tuple[_Kernel, str]:
     if tag == "beta":
         return (lambda batch, props: [_field(fit, "beta") for fit in batch.interacted], "beta_c")
     match = _STRAT_TAG.fullmatch(tag)
-    if match:
-        strata = partial(stratified, k=int(match.group(1)))
-        return (lambda batch, props: [_field(res, "tau_star") for res in each(strata, batch, props)], "tau_c")
+    if match:  # "strata-K" registers no truth
+        name, kind = ("tau_star", "tau_c") if match.group(1) == "strat" else ("beta_star", None)
+        return (partial(_strata, k=int(match.group(2)), name=name), kind)
     raise ValueError(f"unknown estimator tag {tag!r}")
+
+
+def _strata(batch: Batch, props, k: int, name: str) -> list:
+    """Field ``name`` of each sample's ``stratified`` result at ``k`` requested strata, or the error it
+    raised, from one pass per batch and count, kept on the batch: "strat-K" and "strata-K" share it."""
+    if k not in batch.strata:
+        batch.strata[k] = each(partial(stratified, k=k), batch, props)
+    return [_field(result, name) for result in batch.strata[k]]
 
 
 def _field(result, name: str):
@@ -499,9 +507,9 @@ def evaluate_tags(data: Dataset, tags) -> dict[str, np.ndarray | IdentificationE
     """Evaluate estimator tags on one sample, sharing one propensity fit.
 
     The sample's logistic ``fit_propensity`` is computed once if a tag needs it
-    ("xx", "strat-K"), with its warnings where the first such tag asks for it;
-    "++", "x+" and "beta" never need it. A bootstrap resample's fit starts from
-    its point sample's (see ``fit_propensity``). If the fit fails
+    ("xx", "strat-K", "strata-K"), with its warnings where the first such tag asks
+    for it; "++", "x+" and "beta" never need it. A bootstrap resample's fit starts
+    from its point sample's (see ``fit_propensity``). If the fit fails
     identification, every tag that needs it gets the same error. Returns, per
     distinct tag, its estimate as a float array or the IdentificationError it
     raised; the first other error, in tag order, propagates.
@@ -516,6 +524,8 @@ def bootstrap_tags(data: Dataset, tags: list[str], b: int = 1000, alpha: float =
     Each sample is evaluated by one ``evaluate_tags`` call. The full sample's logistic fit
     starts from zero and each resample's from its coefficients (see ``fit_propensity``).
     Replicate r draws from the stream (seed, r); each tag's result equals a one-tag run.
+    A replicate of another shape than the point's, or not finite, is left out of its tag's
+    interval: fewer than half kept give NaN spread and bounds (see ``_resample_loop``).
     Raises ValueError for b < 10, alpha outside (0, 1), or an unknown or repeated tag;
     then, per tag in order, its point estimate's IdentificationError, or
     TooManyFailuresError if fewer than half its replicates are identified.
@@ -523,13 +533,14 @@ def bootstrap_tags(data: Dataset, tags: list[str], b: int = 1000, alpha: float =
     return _resample_loop(data, evaluate_tags, tags, b=b, alpha=alpha, seed=seed)
 
 
-def pipeline_for(tag: str) -> tuple[Callable[[Dataset], np.ndarray], str]:
+def pipeline_for(tag: str) -> tuple[Callable[[Dataset], np.ndarray], str | None]:
     """Resolve an estimator tag to (pipeline, truth kind).
 
     Tags: "++" (additive), "x+" (interacted-additive), "xx" (centered
     interacted with a logistic propensity fit), "beta" (interacted
     coefficient vector), "strat-K" (propensity stratification with K
-    requested strata, K a positive integer without leading zeros). The pipeline is ``evaluate_tags`` on one tag: it
+    requested strata, K a positive integer without leading zeros), "strata-K"
+    (its per-stratum effects; truth kind None). The pipeline is ``evaluate_tags`` on one tag: it
     re-estimates its propensity scores from the data it receives and
     raises the IdentificationError of a failed sample. To evaluate
     several tags on one sample with one propensity fit, call

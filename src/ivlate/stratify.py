@@ -63,9 +63,12 @@ class StratifiedResult:
 def _bins(ordered: np.ndarray, e: np.ndarray, k: int):
     """Cuts np.quantile(e, j / k), 0 < j < k, of samples stacked on a leading axis, read off
     each one's sorted scores ``ordered`` by ``_sorted_quantile``, the bootstrap intervals' rule,
-    and each unit's count of cuts below it by searchsorted (the cuts ascend)."""
+    and each unit's count of cuts strictly below it: a unit on a cut joins the lower bin."""
     cuts = _sorted_quantile(ordered.T, np.arange(1, k) / k).T
-    return cuts, np.stack([np.searchsorted(c, v) for c, v in zip(cuts, e)])
+    bins = np.zeros(e.shape, dtype=np.intp)
+    for j in range(k - 1):
+        bins += e > cuts[:, j : j + 1]
+    return cuts, bins
 
 
 def partition_by_propensity(ehat, k: int, z, d, counts=None) -> StratumPartition:

@@ -200,8 +200,12 @@ def test_simulate_repeated_tag_is_config_error(tmp_path, capsys):
         (["estimate", "--estimators", ","], "no estimators requested"),
         (["estimate", "--estimators", "++,beta"],
          "estimator 'beta' is a vector: estimate reports scalar estimators only"),
+        (["estimate", "--estimators", "strat-3,strata-3"],
+         "estimator 'strata-3' is a vector: estimate reports scalar estimators only"),
+        (["simulate", "--dgp", "B", "--seed", "1", "--estimators", "++,strata-5"],
+         "estimator 'strata-5' has no registered truth: simulate reports bias against one"),
     ],
-    ids=["alpha", "alpha-zero", "seed", "reps", "n", "k", "no-tags", "beta"],
+    ids=["alpha", "alpha-zero", "seed", "reps", "n", "k", "no-tags", "beta", "strata-estimate", "strata-simulate"],
 )
 def test_bad_flag_is_a_config_error_naming_it(tmp_path, capsys, args, message):
     extra = [] if args[0] == "simulate" else ["--input", export_design_a(tmp_path / "a.csv"), "--b", "10"]
@@ -769,15 +773,53 @@ def test_the_point_and_sd_table_keeps_the_magnitude(tmp_path, capsys, m):
         assert [float(cell) for cell in cells] == pytest.approx(expected, rel=5e-4, abs=0.0)
 
 
-def test_stratify_failure_counts_replicates_that_merged_apart(tmp_path, capsys):
-    """Replicates that merge to another stratum count than the point's are identified: the
-    failure names them apart from the replicates that failed identification."""
+@pytest.mark.parametrize("n, k", [(120, 6), (120, 8), (200, 10), (60, 4)])
+def test_the_stratify_late_interval_is_the_estimate_strat_interval_bit_for_bit(tmp_path, n, k):
+    """stratify bootstraps tau* as estimate's strat-K, over every identified resample: its
+    point, sd, interval and failures equal estimate's bit for bit, though some resamples merge
+    to another stratum count, which only the per-stratum intervals leave out."""
+    path = export_design_b(tmp_path / "b.csv", n=n, seed=0)
+    common = ["--input", path, "--b", "100", "--seed", "0"]
+    assert main(["stratify", "--k", str(k), *common, "--output", str(tmp_path / "s.json")]) == 0
+    assert main(["estimate", "--estimators", f"strat-{k}", *common, "--output", str(tmp_path / "e.json")]) == 0
+    strata, estimate = load_report(tmp_path / "s.json"), load_report(tmp_path / "e.json")
+    (row,) = estimate["results"]
+    assert strata["late"] == {"estimate": row["point"], "sd": row["sd"], "ci": row["ci"]}
+    assert strata["failures"] == {"strat": estimate["failures"][f"strat-{k}"]}
+    assert strata["strata_kept"] < 100
+
+
+def test_stratify_leaves_resamples_that_merged_apart_out_of_the_strata_intervals(tmp_path):
+    """At k = 8 on the n = 120 sample, 66 of 100 resamples merge to another stratum count than
+    the point's. Too few keep it for the per-stratum intervals, which are null beside the kept
+    count; the LATE interval takes every identified resample, and the run succeeds."""
     path = export_design_b(tmp_path / "b.csv", n=120, seed=0)
-    assert main(["stratify", "--input", path, "--k", "8", "--b", "100", "--seed", "0"]) == 3
-    assert capsys.readouterr().err.endswith(
-        "only 34 of 100 bootstrap replicates were identified; 66 more gave an estimate of another"
-        " shape, as when strata merge to another count\n"
-    )
+    out = tmp_path / "s.json"
+    assert main(["stratify", "--input", path, "--k", "8", "--b", "100", "--seed", "0", "--output", str(out)]) == 0
+    report = load_report(out)
+    assert list(report) == ["command", "config", "late", "strata", "warnings", "failures", "strata_kept"]
+    assert report["strata_kept"] == 34 and report["failures"] == {"strat": 0}
+    assert [row["ci"] for row in report["strata"]] == [[None, None]] * 8
+    assert None not in [report["late"]["sd"], *report["late"]["ci"]]
+
+
+def test_a_resample_effect_past_the_float_range_is_left_out_and_counted(tmp_path):
+    """With y x 1e307, one resample's stratum-3 effect lies past the float range. It is left
+    out of the per-stratum intervals and counted, beside the two resamples that merged apart:
+    no bound is null from NaN arithmetic, and no RuntimeWarning fires."""
+    data, _ = generate(dgp_b(), 60, seed=0)
+    rows = np.column_stack([data.y * 1e307, data.d, data.z, data.x[:, 1:]])
+    path = write_csv(tmp_path / "b.csv", ["y", "d", "z", "x1", "x2"], rows.tolist())
+    out = tmp_path / "s.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["stratify", "--input", path, "--k", "3", "--b", "20", "--seed", "0",
+                     "--output", str(out)]) == 0
+    assert caught == []
+    report = load_report(out)
+    assert report["strata_kept"] == 17 and report["failures"] == {"strat": 0}
+    numbers = [report["late"]["sd"], *report["late"]["ci"], *(v for row in report["strata"] for v in row["ci"])]
+    assert None not in numbers
 
 
 def test_estimate_and_stratify_load_no_numpy_ma(tmp_path):

@@ -127,6 +127,15 @@ def test_only_the_finiteness_check_and_the_strata_effects_ignore_overflow():
     assert overflow_errstates(SOURCE) == ["linalg.check_finite", "stratify.stratified"]
 
 
+def test_the_cli_imports_no_private_name_of_the_package():
+    """The command line reaches the package through its public names only."""
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "ivlate")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def has_path(obj, parts) -> bool:
     """Whether ``obj`` has the attribute path ``parts``; a dataclass's field may end it."""
     if not parts:

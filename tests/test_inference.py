@@ -210,11 +210,16 @@ def strata_pipeline(k, seen):
     return pipeline
 
 
-def test_a_replicate_estimate_of_another_shape_counts_as_a_failure():
+def test_a_replicate_estimate_of_another_shape_is_left_out_of_its_interval():
     data = generate(dgp_b(), 60, seed=3)[0]
-    # Most resamples merge 12 requested strata to another count than the point's.
-    with pytest.raises(TooManyFailuresError, match="only 8 of 40"):
-        bootstrap(data, strata_pipeline(12, []), b=40, seed=1)
+    # Most resamples merge 12 requested strata to another count than the point's: all 40 are
+    # identified, so none fails, but only 8 keep the point's shape, too few for an interval.
+    seen = []
+    result = bootstrap(data, strata_pipeline(12, seen), b=40, seed=1)
+    assert len(seen) == 41 and result.b_effective == 8
+    assert sum(draw.shape == seen[0].shape for draw in seen[1:]) == 8
+    assert result.point.shape == result.se.shape == result.ci_lower.shape == seen[0].shape
+    assert np.isnan(result.se).all() and np.isnan(result.ci_lower).all() and np.isnan(result.ci_upper).all()
     seen = []
     result = bootstrap(data, strata_pipeline(4, seen), b=40, seed=1)
     point, draws = seen[0], seen[1:]
@@ -225,6 +230,30 @@ def test_a_replicate_estimate_of_another_shape_counts_as_a_failure():
     assert np.array_equal(result.se, kept.std(axis=0, ddof=1))
     assert np.array_equal(result.ci_lower, np.quantile(kept, 0.025, axis=0))
     assert np.array_equal(result.ci_upper, np.quantile(kept, 0.975, axis=0))
+
+
+def test_a_replicate_estimate_with_a_non_finite_entry_is_left_out_and_counted(recwarn):
+    """A replicate with an infinite or NaN entry is left out of its tag's interval and counted,
+    as one of another shape: the kept replicates give the spread and bounds, with no warning,
+    and a tag with fewer than half kept gets NaN spread and bounds, not an error."""
+    data = simulate_iv(13, n=80)
+    draws = []
+
+    def evaluate(sample, tags):
+        mean = sample.weighted(sample.y).sum() / sample.size
+        draws.append(mean)
+        # Every fourth resample is non-finite for "some", all but every fourth for "most".
+        broken = sample is not data and len(draws) % 4 == 1
+        return {"some": np.array([mean, np.inf if broken else -mean]),
+                "most": np.array([mean if broken or sample is data else np.nan])}
+
+    results = _resample_loop(data, evaluate, ["some", "most"], b=40, seed=2)
+    kept = np.array([[mean, -mean] for i, mean in enumerate(draws[1:], 2) if i % 4 != 1])
+    assert results["some"].b_effective == len(kept) == 30 and results["most"].b_effective == 10
+    assert np.array_equal(results["some"].se, kept.std(axis=0, ddof=1))
+    assert np.array_equal(results["some"].ci_upper, np.quantile(kept, 0.975, axis=0))
+    assert np.isnan([results["most"].se, results["most"].ci_lower, results["most"].ci_upper]).all()
+    assert len(recwarn) == 0
 
 
 def test_bootstrap_tags_takes_tags_not_an_evaluate():

@@ -34,7 +34,7 @@ from ivlate.estimators import (Batch, Dataset, _additive, _interacted, _interact
 from ivlate.inference import bootstrap
 from ivlate.montecarlo import (bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for, run_study,
                                study_truth)
-from ivlate.stratify import stratified
+from ivlate.stratify import stratified, stratified_late
 from ivlate.streams import RESAMPLE
 
 PROPENSITY_TAGS = ("xx", "strat-5", "strat-10", "strat-15")
@@ -235,6 +235,28 @@ def test_failed_shared_fit_fails_each_propensity_tag_once(monkeypatch):
         assert summary.failures[tag] == expected
         rows = keep if expected else list(range(reps))
         assert np.array_equal(summary.estimates[tag], baseline.estimates[tag][rows])
+
+
+def test_strat_and_strata_tags_share_one_strata_pass(monkeypatch):
+    """"strat-K" (tau*) and "strata-K" (beta*) read one ``stratified`` pass per sample and
+    requested count, on the point sample and on every resample, and give that pass's fields."""
+    counts = []
+
+    def counted(batch, props, k):
+        counts.append(k)
+        return stratified(batch, props, k)
+
+    monkeypatch.setattr(ivlate.montecarlo, "stratified", counted)
+    data = simulate_iv(14, n=300)
+    out = evaluate_tags(data, ["strat-5", "strata-5", "strata-3"])
+    assert counts == [5, 3]
+    expected = stratified_late(data, fit_propensity(data, "logistic"), 5)
+    assert out["strat-5"].tolist() == [expected.tau_star]
+    assert np.array_equal(out["strata-5"], expected.beta_star)
+    counts.clear()
+    boots = bootstrap_tags(data, ["strat-5", "strata-5"], b=12, seed=1)
+    assert counts == [5] * 13
+    assert np.array_equal(boots["strata-5"].point, expected.beta_star)
 
 
 def test_pipeline_raises_the_shared_fit_error(monkeypatch):
