@@ -205,8 +205,10 @@ class Batch:
         self.samples = tuple(samples)
         first = self.samples[0]
         self.n, self.k, self.has_constant = first.n, first.k, first.has_constant
-        # Each requested count's ``stratify.stratified`` outcomes, filled once by the tags that read them.
+        # Each requested count's ``stratify.stratified`` outcomes, filled once by the tags that read them,
+        # and the propensity fits they took with the samples' sorted scores, which every count reads.
         self.strata: dict[int, list] = {}
+        self.scores: tuple | None = None
 
     @classmethod
     def stacked(cls, samples: list[Dataset]) -> "Batch":
@@ -214,10 +216,15 @@ class Batch:
         the samples' own arrays can be freed; a single sample keeps its own."""
         if len(samples) == 1:
             return cls(samples)
-        arrays = {name: np.stack([getattr(sample, name) for sample in samples]) for name in ("y", "d", "z", "x")}
-        batch = cls([Dataset(*(arrays[name][i] for name in ("y", "d", "z", "x")), sample.has_constant)
-                     for i, sample in enumerate(samples)])
-        batch.__dict__.update(arrays)
+        arrays = (np.stack([getattr(sample, name) for sample in samples]) for name in ("y", "d", "z", "x"))
+        return cls.of_stacks(*arrays, samples[0].has_constant)
+
+    @classmethod
+    def of_stacks(cls, y, d, z, x, has_constant: bool) -> "Batch":
+        """The batch of unweighted samples stacked on the leading axis of y, d, z and x, each
+        sample holding views of them; x must be C-ordered (the fits' rounding depends on it)."""
+        batch = cls([Dataset(*sample, has_constant) for sample in zip(y, d, z, x)])
+        batch.__dict__.update(y=y, d=d, z=z, x=x)
         return batch
 
     def __len__(self) -> int:

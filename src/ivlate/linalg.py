@@ -24,9 +24,10 @@ The block with row i counted c_i times (a bootstrap resample) has Gram
 R'(Q'CQ)R, so U R with U'U = Q'CQ (``bounded_choleskys``, Q from
 ``orthonormal_basis``) factors it; Q'CQ is conditioned like C.
 
-A Monte Carlo study evaluates its samples in batches of at most BATCH_ROWS
-rows: ``stacked_least_squares``, ``check_rank`` and ``dependent_columns``
-take blocks and factors stacked on a leading sample axis. numpy's stacked
+A Monte Carlo study generates and evaluates its samples in batches of at
+most BATCH_ROWS rows, a budget sized by the batch's peak memory:
+``stacked_least_squares``, ``check_rank`` and ``dependent_columns`` take
+blocks and factors stacked on a leading sample axis. numpy's stacked
 QR, solve, Cholesky and inverse, stacked matmul and reductions along a
 contiguous row give every sample the bits of its own 2-d call, so a batch
 changes no result. A stacked fit raises where any of
@@ -54,9 +55,10 @@ GRAM_RATIO_MAX = 1e4
 # A block with rows for several groups of GROUP_ROWS factors each group, then their stacked R's.
 GROUP_ROWS = 1024
 
-# Samples of a Monte Carlo study are evaluated together up to this many rows in all (five
-# samples at n = 1000); a larger sample is a batch of one.
-BATCH_ROWS = 5120
+# Samples of a Monte Carlo study are generated and evaluated together up to this many rows in
+# all (sixteen samples at n = 1000); a larger sample is a batch of one. Past it a design-B study
+# gains at most 2 % in speed while its peak memory grows with the budget (see README).
+BATCH_ROWS = 16384
 
 
 @dataclass(frozen=True)

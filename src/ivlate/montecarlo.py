@@ -12,11 +12,13 @@ of cell-by-instrument-arm-by-compliance-type atoms, weighted by their
 probabilities, and the public estimators run on that sample give their
 probability limits. Continuous designs register closed-form truths instead.
 
-A study evaluates consecutive replicates together, as one
+A study generates consecutive replicates together, stacked by one kernel
+whose replicate alone is ``generate``, and evaluates them as one
 ``estimators.Batch`` of at most ``linalg.BATCH_ROWS`` rows, through the
 kernels behind the public estimators; ``evaluate_tags`` is the batch of one
-sample. Each sample's estimates, errors and warnings are those of its own
-evaluation, so a study's results do not depend on the batching.
+sample. Each sample's draws, estimates, errors and warnings are those of
+its own generation and evaluation, so a study's results do not depend on
+the batching.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ class DgpSpec:
 
     ``draw_covariates(rng, n)`` returns ``(x, units)``: the (n, k) covariates
     and what the other callables take in place of x (x, or drawn cell indices).
+    Each of those laws is a function of each unit (a row of units, with its
+    compliance type for the outcome means), giving one value per unit: a
+    study calls it once on the units of several replicates, stacked by row.
     ``cells`` enables the exact oracle of a finite-support design; continuous
     designs may register closed-form ``tau_c_value`` and ``beta_c_value``.
     """
@@ -294,42 +299,62 @@ def generate(spec: DgpSpec, n: int, seed: int, replicate: int = 0) -> tuple[Data
 
     Covariates, instrument, compliance types, and outcome noise use
     separate substreams keyed by (seed, replicate, purpose), so the
-    output is a pure function of (spec, n, seed, replicate).
+    output is a pure function of (spec, n, seed, replicate). This is
+    the kernel that draws a study's replicates together, on one
+    replicate alone, so a replicate's sample is the same either way.
     """
+    y, d, z, x, constant, u, y0, y1, e = (v[0] for v in _generated(spec, n, seed, range(replicate, replicate + 1)))
+    return Dataset(y, d, z, x, bool(constant)), LatentTruth(u, y0, y1, y1 - y0, e)
+
+
+def _generated(spec: DgpSpec, n: int, seed: int, replicates: range) -> tuple[np.ndarray, ...]:
+    """The samples of ``replicates`` stacked on a leading axis: y, d, z, x, each one's constant flag,
+    and the latent u, y0, y1 and e. Each replicate draws from its own substreams into its row of
+    the stacks. The laws take every replicate's units at once, stacked by row: the stacked x where
+    each replicate's units are its x, else the units concatenated (one replicate's as drawn). A
+    law is a function of each unit, so a replicate's bits do not depend on the others. Raises
+    where any replicate fails a check."""
     if n < 1:
         raise InvalidSpecError("n must be at least 1")
-    drawn = spec.draw_covariates(streams.substream(seed, replicate, streams.COVARIATES), n)
-    if not (isinstance(drawn, tuple) and len(drawn) == 2):
-        raise InvalidSpecError("draw_covariates must return an (x, units) tuple")
-    x, units = drawn
-    x = np.ascontiguousarray(x, dtype=float)  # as a batch stacks it: the fits' rounding depends on its layout
-    if x.shape != (n, spec.k) or not np.all(np.isfinite(x)):
+    count = len(replicates)
+    x = np.empty((count, n, spec.k))  # C-ordered, as a batch stacks it: the fits' rounding depends on the layout
+    uniforms, eps = np.empty((2, count, n)), np.empty((count, n, 2)) if spec.noise_sd > 0.0 else None
+    units, own = [], True
+    for i, r in enumerate(replicates):
+        drawn = spec.draw_covariates(streams.substream(seed, r, streams.COVARIATES), n)
+        if not (isinstance(drawn, tuple) and len(drawn) == 2):
+            raise InvalidSpecError("draw_covariates must return an (x, units) tuple")
+        if np.shape(drawn[0]) != (n, spec.k):
+            raise InvalidSpecError("covariate sampler returned a malformed matrix")
+        x[i] = drawn[0]
+        units.append(drawn[1])
+        own = own and drawn[1] is drawn[0]
+        streams.substream(seed, r, streams.INSTRUMENT).random(out=uniforms[0, i])
+        streams.substream(seed, r, streams.COMPLIANCE).random(out=uniforms[1, i])
+        if eps is not None:
+            streams.substream(seed, r, streams.NOISE).standard_normal(out=eps[i])
+    if not np.all(np.isfinite(x)):
         raise InvalidSpecError("covariate sampler returned a malformed matrix")
+    units = x.reshape(count * n, spec.k) if own else units[0] if count == 1 else np.concatenate(units)
 
-    e = np.asarray(spec.propensity(units), dtype=float)
-    pa = np.asarray(spec.p_always(units), dtype=float)
-    pc = np.asarray(spec.p_complier(units), dtype=float)
+    def law(values) -> np.ndarray:
+        return np.broadcast_to(np.asarray(values, dtype=float), (count * n,)).reshape(count, n)
+
+    e, pa, pc = law(spec.propensity(units)), law(spec.p_always(units)), law(spec.p_complier(units))
     if not np.all((e > 0.0) & (e < 1.0)):
         raise InvalidSpecError("propensity must lie strictly inside (0, 1) on the support")
     if not (np.all(pa >= 0.0) and np.all(pc >= 0.0) and np.all(pa + pc <= 1.0 + 1e-12)):
         raise InvalidSpecError("compliance-type probabilities must be a sub-distribution")
 
-    z = (streams.substream(seed, replicate, streams.INSTRUMENT).random(n) < e).astype(float)
-    r = streams.substream(seed, replicate, streams.COMPLIANCE).random(n)
-    u = np.where(r < pa, U_ALWAYS, np.where(r < pa + pc, U_COMPLIER, U_NEVER)).astype(np.int8)
+    z = (uniforms[0] < e).astype(float)
+    u = np.where(uniforms[1] < pa, U_ALWAYS, np.where(uniforms[1] < pa + pc, U_COMPLIER, U_NEVER)).astype(np.int8)
     d = ((u == U_ALWAYS) | ((u == U_COMPLIER) & (z == 1.0))).astype(float)
 
-    y0 = np.asarray(spec.y0_mean(units, u), dtype=float)
-    y1 = np.asarray(spec.y1_mean(units, u), dtype=float)
-    if spec.noise_sd > 0.0:
-        eps = streams.substream(seed, replicate, streams.NOISE).standard_normal((n, 2))
-        y0 = y0 + spec.noise_sd * eps[:, 0]
-        y1 = y1 + spec.noise_sd * eps[:, 1]
+    y0, y1 = law(spec.y0_mean(units, u.reshape(-1))), law(spec.y1_mean(units, u.reshape(-1)))
+    if eps is not None:
+        y0, y1 = y0 + spec.noise_sd * eps[..., 0], y1 + spec.noise_sd * eps[..., 1]
     y = d * y1 + (1.0 - d) * y0
-
-    data = Dataset(y=y, d=d, z=z, x=x, has_constant=bool(np.all(x[:, 0] == 1.0)))
-    latent = LatentTruth(u=u, y0=y0, y1=y1, tau=y1 - y0, e=e)
-    return data, latent
+    return y, d, z, x, np.all(x[..., 0] == 1.0, axis=-1), u, y0, y1, e
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +603,10 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
     """Replicate the design and summarize estimator bias and spread.
 
     Replicate r draws from the stream (seed, r). Consecutive replicates
-    are evaluated together, in batches of at most ``linalg.BATCH_ROWS``
-    rows (one replicate where n is larger), through the kernels of
+    are generated and evaluated together, in batches of at most
+    ``linalg.BATCH_ROWS`` rows (one replicate where n is larger): drawn
+    each from its own streams into stacked arrays, the design's laws
+    called once per batch, and evaluated through the kernels of
     ``evaluate_tags``: each replicate factored once, as alone, stacked
     solves, one logistic IRLS per batch and one strata pass per batch and
     requested count, the propensity fitted at most once per replicate and
@@ -590,12 +617,17 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
     are counted per estimator and excluded from the summaries and
     estimates, and any other error aborts the study at the first
     replicate and tag that raises it, its message prefixed with the seed
-    and replicate. A repeated tag raises ValueError.
+    and replicate. A repeated tag, or one without a registered truth
+    ("strata-K"), raises ValueError before any replicate is drawn.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     require_distinct(estimators)
-    truth = {tag: study_truth(spec, _resolve(tag)[1]) for tag in estimators}
+    truth = {}
+    for tag in estimators:
+        if (kind := _resolve(tag)[1]) is None:
+            raise ValueError(f"estimator tag {tag!r} has no registered truth: a study reports bias against one")
+        truth[tag] = study_truth(spec, kind)
     per_batch = max(1, linalg.BATCH_ROWS // n)
     evaluated: dict[int, tuple | Exception] = {}
 
@@ -628,9 +660,16 @@ def run_study(spec: DgpSpec, estimators: list[str], reps: int, n: int, seed: int
 
 
 def _evaluate_replicates(spec: DgpSpec, n: int, seed: int, replicates: range, tags) -> dict:
-    """The leading ``replicates`` of a study evaluated as one batch, up to the first whose sample
-    differs in its constant flag; a replicate whose ``generate`` raises ends the batch with
-    its error in place of its outcomes."""
+    """The leading ``replicates`` of a study evaluated as one batch of views of their samples,
+    stacked by one ``_generated`` pass. Where that raises or their constant flags differ, each
+    replicate is generated alone, up to the first whose ``generate`` raises, which ends the batch
+    with its error in place of its outcomes, or whose sample differs in its constant flag."""
+    try:
+        *arrays, constant = _generated(spec, n, seed, replicates)[:5]
+    except Exception:
+        constant = None
+    if constant is not None and constant.all() == constant.any():
+        return dict(zip(replicates, _evaluate(Batch.of_stacks(*arrays, bool(constant[0])), tags)))
     samples: list[Dataset] = []
     found: dict[int, tuple | Exception] = {}
     for r in replicates:

@@ -15,16 +15,17 @@ for bit. Counts (a bootstrap resample's) weigh the tallies and repeat
 the scores the cutpoints come from, so strata are those of the rows.
 
 ``stratified_late`` is the kernel ``stratified`` on a batch of one. On an
-``estimators.Batch`` at one requested count, the stacked scores are sorted
-once, the tallies and arm moments of all samples are one bincount each,
-with cells numbered apart by sample, and only a partition with an invalid
-bin runs the merge loop. The kernel returns one result per sample or
+``estimators.Batch`` of several samples the stacked scores are checked and
+sorted once, for every requested count. At each count the tallies and arm
+moments of all samples are one bincount each, with cells numbered apart by
+sample, and only a partition with an invalid bin runs the merge loop. The kernel returns one result per sample or
 raises; ``estimators.each`` gives each sample its own outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -107,19 +108,23 @@ def _check_units(e, z, d) -> None:
             raise ValueError(f"{name} must be a binary vector with one entry per unit")
 
 
-def _partitions(e, z, d, weights, k: int) -> list[StratumPartition]:
+def _partitions(e, z, d, weights, k: int, sorted_scores=None) -> list[StratumPartition]:
     """The partition of each stacked sample at ``k`` strata, cut from one sort of its scores.
     Raises, in this order, the error of the ``weights`` (one sample's), of the count, of the
     scores, z and d, then the UnpartitionableError of a sample. A partition whose bins are all
-    valid keeps them; any other runs the merge loop."""
+    valid keeps them; any other runs the merge loop. ``sorted_scores``, if given, returns the
+    unweighted samples' checked and sorted scores in place of the check and the sort here."""
     reps = None if weights is None else _whole(weights[0], e.shape[1:])[None]  # one sample
     units = e.shape[1] if reps is None else int(reps.sum())
     if k < 1:
         raise ValueError("k must be at least 1")
     if units < 2 * k:
         raise ValueError(f"need at least 2k = {2 * k} units, got {units}")
-    _check_units(e, z, d)
-    ordered = np.sort(e if reps is None else np.repeat(e[0], reps[0])[None], axis=-1)
+    if sorted_scores is not None:
+        ordered = sorted_scores()
+    else:
+        _check_units(e, z, d)
+        ordered = np.sort(e if reps is None else np.repeat(e[0], reps[0])[None], axis=-1)
     cuts, bins = _bins(ordered, e, k)
     cell = 4 * k * np.arange(len(e))[:, None] + 4 * bins + 2 * (z == 1.0) + (d == 1.0)
     tally = np.bincount(cell.ravel(), None if reps is None else reps.ravel(), 4 * k * len(e))
@@ -179,7 +184,7 @@ def stratified(batch: Batch, props, k: int) -> list[StratifiedResult]:
     if len(batch) == 1:  # one sample's partition: the public one
         parts = [partition_by_propensity(e[0], k, z[0], d[0], None if weights is None else weights[0])]
     else:
-        parts = _partitions(e, z, d, weights, k)
+        parts = _partitions(e, z, d, weights, k, partial(_sorted_scores, batch, props, e))
     # One bincount per moment over the samples' partitions, their strata numbered apart.
     strata = np.cumsum([0] + [part.k for part in parts])
     cell = 2 * (strata[:-1, None] + stack([part.labels for part in parts]) - 1) + (z == 1.0)
@@ -195,6 +200,15 @@ def stratified(batch: Batch, props, k: int) -> list[StratifiedResult]:
             require_compliers(complier_mass / size)
             out.append(StratifiedResult(float(part.counts @ dy / complier_mass * unit), dy / dd * unit, part))
     return out
+
+
+def _sorted_scores(batch: Batch, props, e) -> np.ndarray:
+    """``e``, the stacked scores of ``props``, checked with the batch's z and d and sorted: once per
+    batch and ``props``, kept on the batch for every requested count."""
+    if batch.scores is None or batch.scores[0] is not props:
+        _check_units(e, batch.z, batch.d)
+        batch.scores = props, np.sort(e, axis=-1)
+    return batch.scores[1]
 
 
 def regressogram(result: StratifiedResult) -> list[tuple[float, float, float]]:

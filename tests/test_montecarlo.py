@@ -1,12 +1,14 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from _helpers import categorical_spec, curved_spec, ref_oracle_estimands
+from _helpers import categorical_spec, curved_spec, ref_oracle_estimands, row_budget
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivlate.complier import PC_FLOOR, centered_interacted_2sls, fit_propensity, kappa_weights
+from ivlate import streams
+from ivlate.complier import PC_FLOOR, centered_interacted_2sls, expit, fit_propensity, kappa_weights
 from ivlate.errors import InfiniteSupportError, InvalidSpecError, NoCompliersError, RankDeficientError
 from ivlate.linalg import least_squares
 from ivlate.montecarlo import (
@@ -15,6 +17,7 @@ from ivlate.montecarlo import (
     U_ALWAYS,
     U_COMPLIER,
     U_NEVER,
+    _generated,
     dgp_a,
     dgp_b,
     dgp_c,
@@ -192,6 +195,115 @@ def test_cell_sampler_returns_the_drawn_cell_index_as_units():
     assert np.array_equal(x, xs[units])
     data, latent = generate(spec, 500, seed=5)
     assert np.array_equal(latent.e, np.array([c.e for c in spec.cells])[data.x.argmax(axis=1)])
+
+
+def ref_generate(spec, n, seed, replicate):
+    """Reference: one replicate drawn and computed alone, each law called on its units only."""
+    def stream(purpose):
+        return streams.substream(seed, replicate, purpose)
+
+    x, units = spec.draw_covariates(stream(streams.COVARIATES), n)
+    x = np.ascontiguousarray(x, dtype=float)
+    e, pa, pc = (np.asarray(law(units), dtype=float) for law in (spec.propensity, spec.p_always, spec.p_complier))
+    z = (stream(streams.INSTRUMENT).random(n) < e).astype(float)
+    r = stream(streams.COMPLIANCE).random(n)
+    u = np.where(r < pa, U_ALWAYS, np.where(r < pa + pc, U_COMPLIER, U_NEVER)).astype(np.int8)
+    d = ((u == U_ALWAYS) | ((u == U_COMPLIER) & (z == 1.0))).astype(float)
+    y0, y1 = (np.asarray(law(units, u), dtype=float) for law in (spec.y0_mean, spec.y1_mean))
+    if spec.noise_sd > 0.0:
+        eps = stream(streams.NOISE).standard_normal((n, 2))
+        y0, y1 = y0 + spec.noise_sd * eps[:, 0], y1 + spec.noise_sd * eps[:, 1]
+    return (d * y1 + (1.0 - d) * y0, d, z, x, np.all(x[:, 0] == 1.0)), (u, y0, y1, y1 - y0, e)
+
+
+def units_are_x():
+    """A user design whose units are its covariate rows, with curved laws and outcome noise."""
+    def draw(rng, n):
+        x = np.column_stack([np.ones(n), rng.random(n), rng.standard_normal(n)])
+        return x, x
+
+    return DgpSpec(
+        name="units are x", k=3, draw_covariates=draw,
+        propensity=lambda x: expit(2.0 * x[:, 1] - x[:, 2]) * 0.9 + 0.05,
+        p_always=lambda x: 0.2 / (1.0 + x[:, 2] ** 2),
+        p_complier=lambda x: 0.3 + 0.4 * x[:, 1],
+        y0_mean=lambda x, u: np.sin(x[:, 2]) + u,
+        y1_mean=lambda x, u: np.exp(x[:, 1]) * x[:, 2] - u,
+        noise_sd=0.3,
+    )
+
+
+GENERATED = {
+    "A": dgp_a,
+    "B": dgp_b,
+    "C": dgp_c,
+    "noisy cells": lambda: from_cells("noisy", categorical_spec().cells, noise_sd=0.5),
+    "units are x": units_are_x,
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(GENERATED)), st.integers(1, 80), st.integers(0, 2**16), st.integers(0, 1000),
+       st.integers(1, 7))
+def test_replicates_generated_together_are_each_generated_alone(design, n, seed, start, count):
+    """The stacked kernel gives each replicate, bit for bit, the sample and latent truth that
+    ``generate`` and a reference that draws it alone give it."""
+    spec = GENERATED[design]()
+    replicates = range(start, start + count)
+    y, d, z, x, constant, u, y0, y1, e = _generated(spec, n, seed, replicates)
+    for i, r in enumerate(replicates):
+        data, latent = generate(spec, n, seed, replicate=r)
+        assert data.x.flags.c_contiguous and isinstance(data.has_constant, bool)
+        together = ((y[i], d[i], z[i], x[i], constant[i]), (u[i], y0[i], y1[i], y1[i] - y0[i], e[i]))
+        alone = ((data.y, data.d, data.z, data.x, data.has_constant),
+                 (latent.u, latent.y0, latent.y1, latent.tau, latent.e))
+        for got in (together, alone):
+            for value, expected in zip(sum(got, ()), sum(ref_generate(spec, n, seed, r), ())):
+                value, expected = np.asarray(value), np.asarray(expected)
+                assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes()
+
+
+def test_a_study_calls_each_law_once_per_batch():
+    calls = []
+
+    def counted(name, law):
+        def call(*args):
+            calls.append((name, len(args[0])))
+            return law(*args)
+        return call
+
+    laws = ("propensity", "p_always", "p_complier", "y0_mean", "y1_mean")
+    spec = dgp_b()
+    spec = replace(spec, **{name: counted(name, getattr(spec, name)) for name in laws})
+    with row_budget(450):  # four replicates of 100 rows a batch: 4, 4 and 2
+        run_study(spec, ["++"], reps=10, n=100, seed=0)
+    assert calls == [(name, rows) for rows in (400, 400, 200) for name in laws]
+
+
+def test_a_study_tag_without_a_registered_truth_is_named_before_any_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(streams, "substream", lambda *path: drawn.append(path))
+    with pytest.raises(ValueError, match=r"^estimator tag 'strata-5' has no registered truth: "
+                                         r"a study reports bias against one$"):
+        run_study(named_dgp("B"), ["++", "strata-5"], reps=2, n=200, seed=0)
+    assert drawn == []
+
+
+# The tracemalloc peak of the study below, measured at linalg.BATCH_ROWS = 16384 (sixteen
+# replicates a batch), was 2.05 MiB; with the 25 % allowance a larger budget cannot creep in.
+STUDY_PEAK_MIB = 2.05 * 1.25
+
+
+def test_a_study_batch_stays_within_its_measured_peak_memory():
+    tags = ["++", "x+", "xx", "strat-5", "strat-10", "strat-15"]
+    run_study(named_dgp("B"), tags, reps=1, n=100, seed=0)  # first-call allocations are not the batch's
+    tracemalloc.start()
+    try:
+        run_study(named_dgp("B"), tags, reps=25, n=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < STUDY_PEAK_MIB
 
 
 def test_named_lookup():
@@ -461,7 +573,7 @@ def test_run_study_is_deterministic():
 
 def test_run_study_rejects_a_repeated_tag(monkeypatch):
     calls = []
-    monkeypatch.setattr("ivlate.montecarlo.generate", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("ivlate.montecarlo._generated", lambda *a, **k: calls.append(a))
     for tags in (["xx", "xx"], ["++", "beta", "strat-5", "beta"]):
         with pytest.raises(ValueError, match=f"estimator tag '{tags[-1]}' is repeated"):
             run_study(dgp_b(), tags, reps=2, n=100, seed=1)
@@ -473,18 +585,21 @@ def test_run_study_rejects_a_repeated_tag(monkeypatch):
     lambda spec: regressogram_deviation(spec, n=100, reps=4, k=2, seed=7),
 ], ids=["run_study", "regressogram_deviation"])
 def test_a_replicate_error_outside_identification_names_its_replicate(study):
+    x1 = [generate(dgp_b(), 100, 7, replicate=r)[0].x[:, 1] for r in range(4)]
     calls = []
 
-    def law(x, u):
-        calls.append(None)
-        if len(calls) == 3:
+    def law(x, u):  # a function of each unit: it raises on replicate 2's units
+        calls.append(x[:, 1].copy())
+        if np.isin(x1[2], x[:, 1]).all():
             raise ZeroDivisionError("boom")
         return x[:, 1] ** 2
 
     with pytest.raises(ZeroDivisionError, match=r"^seed 7, replicate 2: boom$") as info:
         study(replace(dgp_b(), y1_mean=law))
     assert str(info.value.__cause__) == "boom"
-    assert len(calls) == 3  # the study stops at the failing replicate
+    # The study stops at the failing replicate: none after it is drawn alone.
+    alone = [r for units in calls for r in range(4) if np.array_equal(units, x1[r])]
+    assert alone == [0, 1, 2]
 
     # A class that cannot be built from one message propagates as it is.
     undecodable = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")

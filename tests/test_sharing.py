@@ -26,14 +26,15 @@ import ivlate.complier
 import ivlate.inference
 import ivlate.linalg
 import ivlate.montecarlo
+import ivlate.stratify
 from ivlate.cli import main
-from ivlate.complier import _centered, fit_propensity, logistic_fits
+from ivlate.complier import PropensityFit, _centered, fit_propensity, logistic_fits
 from ivlate.errors import IdentificationError, RankDeficientError
 from ivlate.estimators import (Batch, Dataset, _additive, _interacted, _interacted_additive, additive_2sls, each,
                                interacted_2sls, interacted_ols)
 from ivlate.inference import bootstrap
-from ivlate.montecarlo import (bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for, run_study,
-                               study_truth)
+from ivlate.montecarlo import (DgpSpec, bootstrap_tags, dgp_a, dgp_b, dgp_c, evaluate_tags, generate, pipeline_for,
+                               run_study, study_truth)
 from ivlate.stratify import stratified, stratified_late
 from ivlate.streams import RESAMPLE
 
@@ -99,17 +100,40 @@ def assert_same_summary(got, expected):
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(STUDIES)), st.integers(0, 2**16), st.integers(1, 20))
 def test_the_batch_size_does_not_change_a_study(design, seed, reps):
-    """Batches of one sample, of three and of the default row budget give each replicate the
-    same bits, failures included."""
+    """Batches of one sample, of three, of uneven sizes and of the default row budget give each
+    replicate the same bits, failures included."""
     make, tags, _, n, _ = STUDIES[design]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         summaries = []
-        for rows in (n, 3 * n, ivlate.linalg.BATCH_ROWS):
+        # Batches of one, of three, of all but the last replicate (a budget no multiple of n), and the default.
+        for rows in (n, 3 * n, max(1, reps - 1) * n + n // 2, ivlate.linalg.BATCH_ROWS):
             with row_budget(rows):
                 summaries.append(run_study(make(), list(tags), reps=reps, n=n, seed=seed))
     for summary in summaries[1:]:
         assert_same_summary(summary, summaries[0])
+
+
+def test_replicates_that_differ_in_their_constant_flag_are_batched_apart():
+    """Where a batch's replicates differ in their constant flag, each batch stops at the first
+    that differs, and every replicate gets the bits of a study in batches of one."""
+    def draw(rng, n):
+        b = (rng.random(n) < 0.5).astype(float)
+        x = np.column_stack([np.ones(n), b] if rng.random() < 0.5 else [b, 1.0 - b])
+        return x, b
+
+    spec = DgpSpec(name="mixed", k=2, draw_covariates=draw, propensity=lambda b: 0.3 + 0.4 * b,
+                   p_always=lambda b: np.full(len(b), 0.1), p_complier=lambda b: 0.6 - 0.2 * b,
+                   y0_mean=lambda b, u: b, y1_mean=lambda b, u: 1.0 + 2.0 * b + u, tau_c_value=0.0,
+                   beta_c_value=(0.0, 0.0))
+    flags = [generate(spec, 200, 1, replicate=r)[0].has_constant for r in range(10)]
+    assert flags[:4] == [True, False, True, False]
+    with row_budget(200):
+        alone = run_study(spec, ["beta"], reps=10, n=200, seed=1)
+    assert_same_summary(run_study(spec, ["beta"], reps=10, n=200, seed=1), alone)
+    # "++" needs the constant: the first replicate without one aborts the study.
+    with pytest.raises(ValueError, match=r"^seed 1, replicate 1: additive_2sls requires a dataset with a constant"):
+        run_study(spec, ["beta", "++"], reps=10, n=200, seed=1)
 
 
 @pytest.mark.parametrize("design", sorted(STUDIES))
@@ -235,6 +259,22 @@ def test_failed_shared_fit_fails_each_propensity_tag_once(monkeypatch):
         assert summary.failures[tag] == expected
         rows = keep if expected else list(range(reps))
         assert np.array_equal(summary.estimates[tag], baseline.estimates[tag][rows])
+
+
+def test_strata_counts_share_one_check_and_sort_of_a_batch(monkeypatch):
+    """Every strat-K of a batch reads one check and one sort of its stacked scores, and the
+    count's own checks still come first."""
+    checked = []
+    original = ivlate.stratify._check_units
+    monkeypatch.setattr(ivlate.stratify, "_check_units", lambda *args: checked.append(args) or original(*args))
+    with row_budget(4 * 300):
+        run_study(dgp_b(), ["strat-5", "strat-10", "strat-15"], reps=8, n=300, seed=3)
+    assert len(checked) == 2  # two batches of four
+    batch = Batch.stacked([generate(dgp_b(), 300, 3, replicate=r)[0] for r in range(2)])
+    props = [PropensityFit(np.full(300, 0.5), None, True), PropensityFit(np.full(300, np.nan), None, True)]
+    for k, message in ((200, "need at least 2k = 400 units, got 300"), (5, "propensity scores must be finite")):
+        with pytest.raises(ValueError, match=message):
+            stratified(batch, props, k)
 
 
 def test_strat_and_strata_tags_share_one_strata_pass(monkeypatch):
